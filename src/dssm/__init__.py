@@ -34,7 +34,7 @@ from .discovery import (
     standard_endpoints,
     transfer_file,
 )
-from .election import AdjacencyView, ElectionPolicy, select_agent
+from .election import ElectionPolicy, select_agent
 from .membership import GosNode, Phase, ProtocolParams
 from .metrics import MetricsRecord, export_metrics, load_metrics_json
 from .scenario import (
@@ -49,7 +49,6 @@ from .simnet import (
     Network,
     Topology,
     VIRTUAL,
-    create_network,
     export_trace,
 )
 

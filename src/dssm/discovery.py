@@ -12,6 +12,7 @@ across the remote candidates.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import urlparse
@@ -86,60 +87,60 @@ def standard_endpoints(agent: AitEntry) -> list[ServiceEndpoint]:
 
 
 class VirtualDomain:
-    """Registry of the currently elected agent of each physical domain."""
+    """Registry of the currently elected agent of each physical domain.
+
+    It is also the network's VIRTUAL multicast group: iteration yields the
+    registered agents' node ids in ascending order, and `in` and `len()`
+    see the same members.
+    """
 
     def __init__(self, net: Network | None = None):
-        self._net = net
-        self._agents: dict[DomainId, tuple[AitEntry, list[ServiceEndpoint]]] = {}
+        self._agents: dict[DomainId, AitEntry] = {}
+        if net is not None:
+            net.virtual_members = self
 
-    def register_agent(
-        self,
-        agent: AitEntry,
-        endpoints: list[ServiceEndpoint],
-        *,
-        domain: DomainId,
-        ait: Ait,
-        policy: ElectionPolicy = ElectionPolicy.MAX_POWER,
-        adj=None,
-    ) -> None:
+    def register_agent(self, agent: AitEntry, *, domain: DomainId, ait: Ait,
+                       policy: ElectionPolicy = ElectionPolicy.MAX_POWER,
+                       heard: Collection[NodeId] = ()) -> None:
         """Admit an agent, replacing any previous agent of the same domain.
 
-        The claim is checked against the registrant's own AIT; a node that
-        the election would not pick is refused.
+        The claim is checked against the registrant's own AIT (and, under
+        HIGHEST_CONNECTIVITY, the members it heard); a node that the
+        election would not pick is refused.
         """
-        if agent.node_id not in ait or select_agent(ait, agent.node_id, policy, adj) != agent.node_id:
+        if agent.node_id not in ait or select_agent(ait, agent.node_id, policy, heard) != agent.node_id:
             raise NotAnAgent(f"node {agent.node_id} is not the computed agent of domain {domain}")
-        self._admit(agent, endpoints, domain)
+        self._agents[domain] = agent
 
-    def register_pinned(self, agent: AitEntry, endpoints: list[ServiceEndpoint],
-                        *, domain: DomainId) -> None:
+    def register_pinned(self, agent: AitEntry, *, domain: DomainId) -> None:
         """Unchecked registration for the static-comparison baseline."""
-        self._admit(agent, endpoints, domain)
+        self._agents[domain] = agent
 
-    def _admit(self, agent, endpoints, domain) -> None:
-        prev = self._agents.get(domain)
-        self._agents[domain] = (agent, list(endpoints))
-        if self._net is not None:
-            if prev is not None:
-                self._net.virtual_members.discard(prev[0].node_id)
-            self._net.virtual_members.add(agent.node_id)
+    def deregister(self, node_id: NodeId, domain: DomainId) -> None:
+        """Drop the domain's entry if `node_id` holds it (a clean leave)."""
+        agent = self._agents.get(domain)
+        if agent is not None and agent.node_id == node_id:
+            del self._agents[domain]
 
     def agent_of(self, domain: DomainId) -> AitEntry | None:
-        pair = self._agents.get(domain)
-        return pair[0] if pair else None
+        return self._agents.get(domain)
 
     def agents(self) -> dict[DomainId, AitEntry]:
-        return {d: pair[0] for d, pair in sorted(self._agents.items())}
+        return dict(sorted(self._agents.items()))
 
     def lookup_service(self, kind: ServiceKind) -> list[ServiceEndpoint]:
         """All endpoints of a kind across registered agents, by domain id."""
-        found = []
-        for _, (_, endpoints) in sorted(self._agents.items()):
-            found.extend(ep for ep in endpoints if ep.kind is kind)
-        return found
+        return [ep for _, agent in sorted(self._agents.items())
+                for ep in standard_endpoints(agent) if ep.kind is kind]
 
     def __len__(self) -> int:
         return len(self._agents)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(sorted(agent.node_id for agent in self._agents.values()))
+
+    def __contains__(self, node_id) -> bool:
+        return any(agent.node_id == node_id for agent in self._agents.values())
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,16 @@ class PendingQuery:
     on_complete: object = None
 
 
+def _fit_rank(entry: AitEntry) -> tuple[float, int]:
+    return entry.storage_capacity_mb, -entry.node_id
+
+
 def best_fit(ait: Ait, required_mb: float) -> AitEntry | None:
     """Largest remaining capacity >= required_mb, lowest node id on ties."""
     candidates = [e for e in ait.entries() if e.storage_capacity_mb >= required_mb]
     if not candidates:
         return None
-    return max(candidates, key=lambda e: (e.storage_capacity_mb, -e.node_id))
-
-
-def _better(a: AitEntry | None, b: AitEntry) -> AitEntry:
-    if a is None:
-        return b
-    return max((a, b), key=lambda e: (e.storage_capacity_mb, -e.node_id))
+    return max(candidates, key=_fit_rank)
 
 
 def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None) -> None:
@@ -218,7 +217,8 @@ def handle_query_resp(node, net: Network, msg: Message) -> None:
     if pending is None:
         return  # late or unsolicited answer
     if msg.candidate is not None:
-        pending.best = _better(pending.best, msg.candidate)
+        known = [msg.candidate] if pending.best is None else [pending.best, msg.candidate]
+        pending.best = max(known, key=_fit_rank)
 
 
 def finalize_query(node, net: Network, query_id: int) -> None:
@@ -293,9 +293,9 @@ def transfer_file(net: Network, sender: AitEntry, to: NodeId, size_mb: float
     if math.isnan(size_mb) or size_mb <= 0:
         raise InvalidValue(f"size_mb {size_mb} must be > 0")
     link = net.link_between(sender.node_id, to)
-    bits = size_mb * 8 * 1024 * 1024
-    response_ms = link.delay_ms + bits / (link.bandwidth_mbps * 1000.0)
-    achieved_mbps = bits / (response_ms / 1000.0) / 1e6
+    size_bytes = size_mb * 1024 * 1024
+    response_ms = link.transit_ms(size_bytes)
+    achieved_mbps = size_bytes * 8 / (response_ms / 1000.0) / 1e6
     labels = {
         "from": str(sender.node_id),
         "to": str(to),

@@ -9,7 +9,7 @@ computes the same agent without extra rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Collection
 from enum import Enum
 
 from .core import Ait, DssmError, NodeId
@@ -25,26 +25,20 @@ class ElectionPolicy(Enum):
     HIGHEST_CONNECTIVITY = "highest_connectivity"
 
 
-@dataclass
-class AdjacencyView:
-    """Per-node neighbour counts observed within the failure window."""
-
-    neighbor_counts: dict[NodeId, int] = field(default_factory=dict)
-
-
 def select_agent(
     ait: Ait,
     current_agent: NodeId,
     policy: ElectionPolicy = ElectionPolicy.MAX_POWER,
-    adj: AdjacencyView | None = None,
+    heard: Collection[NodeId] = (),
 ) -> NodeId:
     """Pick the domain agent from the given AIT.
 
     MAX_POWER: member with the greatest processing power; the incumbent is
     kept when it ties for the maximum, otherwise the lowest id among the
     tied maxima wins. LOWEST_ID: minimum node id. HIGHEST_CONNECTIVITY:
-    maximum neighbour count, lowest id among ties. The result is always a
-    key of `ait`.
+    `heard` (see `heard_members`) holds the members with the most
+    neighbours; the lowest id among them wins, or the lowest id of the AIT
+    when no peer was heard. The result is always a key of `ait`.
     """
     if len(ait) == 0:
         raise EmptyDomain("cannot select an agent from an empty AIT")
@@ -53,8 +47,8 @@ def select_agent(
         return min(ait.ids())
 
     if policy is ElectionPolicy.HIGHEST_CONNECTIVITY:
-        counts = adj.neighbor_counts if adj else {}
-        return min(ait.ids(), key=lambda n: (-counts.get(n, 0), n))
+        connected = [n for n in heard if n in ait] if len(heard) > 1 else ()
+        return min(connected or ait.ids())
 
     entries = ait.entries()
     top = max(e.processing_power_mhz for e in entries)
@@ -64,22 +58,22 @@ def select_agent(
     return min(argmax)
 
 
-def build_adjacency(node, now_ms: float) -> AdjacencyView:
-    """Local connectivity estimate from the node's own recent traffic.
+def heard_members(node, now_ms: float) -> frozenset[NodeId]:
+    """HIGHEST_CONNECTIVITY's input: the node itself plus the AIT members it
+    heard within the failure window. Empty under the other policies, which
+    need no input, so the scan runs only when it is used.
 
     Within a multicast domain every live member hears every other, so each
-    recently-heard member (and the node itself) is assigned the same
-    symmetric degree: the number of other recently-heard members.
+    of these members has the same degree, the highest in the domain.
     """
+    if node.policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
+        return frozenset()
     window = node.params.failure_timeout_ms
-    recent = {
-        peer
-        for peer, heard in node.last_heard_ms.items()
-        if peer in node.ait and now_ms - heard <= window
-    }
-    recent.add(node.self_entry.node_id)
-    degree = len(recent) - 1
-    return AdjacencyView({peer: degree for peer in recent})
+    return frozenset(
+        [peer for peer, heard in node.last_heard_ms.items()
+         if peer in node.ait and now_ms - heard <= window]
+        + [node.node_id]
+    )
 
 
 def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
@@ -92,10 +86,7 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
     """
     if node.static_pin is not None or len(node.ait) == 0:
         return
-    adj = None
-    if node.policy is ElectionPolicy.HIGHEST_CONNECTIVITY:
-        adj = build_adjacency(node, net.now)
-    new_agent = select_agent(node.ait, node.agent, node.policy, adj)
+    new_agent = select_agent(node.ait, node.agent, node.policy, heard_members(node, net.now))
     if new_agent == node.agent:
         return
     old = node.agent
@@ -108,10 +99,9 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
 
 
 __all__ = [
-    "AdjacencyView",
     "ElectionPolicy",
     "EmptyDomain",
-    "build_adjacency",
+    "heard_members",
     "reevaluate_agent",
     "select_agent",
 ]

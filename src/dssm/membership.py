@@ -155,7 +155,8 @@ class GosNode:
         self.last_heard_ms.clear()
         self.join_deadline_ms = None
         net.cancel_timer(self.node_id, TIMER_HEARTBEAT)
-        net.virtual_members.discard(self.node_id)
+        if self.registry is not None:
+            self.registry.deregister(self.node_id, self.domain)
 
     def reset_offline(self) -> None:
         """Return a Left (or crashed-and-revived) node to Offline so it can
@@ -302,24 +303,18 @@ class GosNode:
     # -- election plumbing ------------------------------------------------------
 
     def announce_agency(self, net: Network) -> None:
-        """Called when this node elected itself: tell the domain, join the
-        virtual domain."""
+        """Called when this node elected itself: tell the domain and, when
+        it has a registry, join the virtual domain."""
         net.send_multicast(self.node_id, self.domain,
                            Message(MessageKind.AGENT_ANNOUNCE, self.self_entry))
         if self.registry is not None:
-            adj = None
-            if self.policy is election.ElectionPolicy.HIGHEST_CONNECTIVITY:
-                adj = election.build_adjacency(self, net.now)
             self.registry.register_agent(
                 self.self_entry,
-                discovery.standard_endpoints(self.self_entry),
                 domain=self.domain,
                 ait=self.ait,
                 policy=self.policy,
-                adj=adj,
+                heard=election.heard_members(self, net.now),
             )
-        else:
-            net.virtual_members.add(self.node_id)
 
     def record_election(self, net: Network, old: NodeId, new: NodeId, since_ms: float) -> None:
         self.metrics_cb(MetricsRecord(

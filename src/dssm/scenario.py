@@ -35,8 +35,11 @@ link model. "set_link" reconfigures a link class mid-run (the WAN
 emulator knob); omitted set_link fields keep their current value.
 
 The consistency assertion checks, per domain with live members: equal AIT
-key sets, agent agreement, and agent membership in the power argmax -- it
-presumes the max-power election policy.
+key sets, agent agreement, and that the agent is the one the scenario's
+election policy selects from the first live member's view (for max_power:
+a member of the power argmax). Script actions that do not fit a node's
+state at run time, such as a leave before the node joined, raise
+ValidationError like any other bad input.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, replace
+from ipaddress import AddressValueError
 from pathlib import Path
 
 from .core import AitEntry, DomainId, DssmError, NodeId
@@ -51,13 +55,12 @@ from .discovery import (
     StorageQuery,
     VirtualDomain,
     find_storage,
-    standard_endpoints,
     transfer_file,
 )
-from .election import ElectionPolicy
-from .membership import GosNode, Phase, ProtocolParams
+from .election import ElectionPolicy, heard_members, select_agent
+from .membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
 from .metrics import KIND_QUERY_RESPONSE, MetricsRecord, export_metrics
-from .simnet import LinkConfig, Network, Topology, TraceRow, create_network, export_trace
+from .simnet import LinkConfig, Network, Topology, TraceRow, export_trace
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = ("churn50", "two_domain", "bandwidth_sweep", "agent_crash")
@@ -179,10 +182,13 @@ class Scenario:
                 raise ValidationError(f"param {p} must be > 0")
         try:
             self.topology().validate()
-            for spec in self.node_specs:
-                spec.entry()
         except DssmError as exc:
             raise ValidationError(str(exc)) from exc
+        for spec in self.node_specs:
+            try:
+                spec.entry()
+            except (DssmError, AddressValueError) as exc:
+                raise ValidationError(f"node {spec.node_id}: {exc}") from exc
 
 
 def _referenced_nodes(action):
@@ -272,7 +278,8 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
     for key in raw_params:
         if not hasattr(base, key):
             raise ParseError(f"{ctx}.params: unknown parameter {key!r}")
-    params = replace(base, **{k: float(v) for k, v in raw_params.items()})
+    params = replace(base, **{k: float(_get(raw_params, k, (int, float), f"{ctx}.params"))
+                              for k in raw_params})
 
     policy_name = _get(doc, "election_policy", str, ctx, default="max_power")
     try:
@@ -360,7 +367,7 @@ class ScenarioWorld:
         scenario.validate()
         self.scenario = scenario
         self.static_mode = static_mode
-        self.net: Network = create_network(scenario.topology(), scenario.seed)
+        self.net = Network(scenario.topology(), scenario.seed)
         self.registry = VirtualDomain(self.net)
         self.metrics: list[MetricsRecord] = []
         self.query_results: dict[int, AitEntry | None] = {}
@@ -379,17 +386,17 @@ class ScenarioWorld:
             for spec in scenario.node_specs:  # first listed node per domain
                 self._pins.setdefault(spec.domain, spec.node_id)
             for domain, agent_id in sorted(self._pins.items()):
-                node = self.nodes[agent_id]
-                node_entry = node.self_entry
-                self.registry.register_pinned(
-                    node_entry, standard_endpoints(node_entry), domain=domain)
+                self.registry.register_pinned(self.nodes[agent_id].self_entry, domain=domain)
             for node in self.nodes.values():
                 node.static_pin = self._pins[node.domain]
 
     def run(self) -> ScenarioResult:
         for action in self.scenario.script:
             self.net.run_until(action.time_ms)
-            self._apply(action)
+            try:
+                self._apply(action)
+            except (AlreadyMember, NotMember) as exc:  # e.g. leave before join
+                raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
 
     # -- actions -----------------------------------------------------------------
@@ -495,10 +502,15 @@ class ScenarioWorld:
             agent_entry = ref.ait.get(agent)
             if agent_entry is None:
                 return f"agent-not-in-ait domain={domain}: agent {agent}"
-            top = max(e.processing_power_mhz for e in ref.ait.entries())
-            if agent_entry.processing_power_mhz != top:
+            expected = select_agent(ref.ait, agent, ref.policy, heard_members(ref, self.net.now))
+            if expected == agent:
+                continue
+            if ref.policy is ElectionPolicy.MAX_POWER:
+                top = max(e.processing_power_mhz for e in ref.ait.entries())
                 return (f"agent-not-argmax domain={domain}: agent {agent} has "
                         f"{agent_entry.processing_power_mhz} MHz, max is {top}")
+            return (f"agent-not-selected domain={domain}: agent {agent}, "
+                    f"{ref.policy.value} selects {expected}")
         return None
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .core import (
@@ -134,7 +135,9 @@ class Network:
         self.now = 0.0
         self.handlers: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
-        self.virtual_members: set[NodeId] = set()
+        # The VIRTUAL group: node ids in ascending order on iteration. Empty
+        # until a discovery.VirtualDomain registry attaches itself here.
+        self.virtual_members: Collection[NodeId] = ()
         self.trace: list[TraceRow] = []
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
@@ -189,7 +192,7 @@ class Network:
         agents over the inter-domain link."""
         self._require(src)
         if group == VIRTUAL:
-            members = sorted(self.virtual_members)
+            members = self.virtual_members
             link, label = self.inter_link, "virtual"
         else:
             members = self.domain_members(group)
@@ -283,8 +286,3 @@ class Network:
             handler = self.handlers.get(event.dst)
             if handler is not None:
                 handler.on_timer(self, event.tag)
-
-
-def create_network(topology: Topology, seed: int) -> Network:
-    """Fresh network at virtual time 0 with an empty queue."""
-    return Network(topology, seed)

@@ -69,8 +69,8 @@ def member_ait(*entries):
 def test_two_domains_register_two_agents():
     reg = VirtualDomain()
     a1, a2 = entry(1), entry(5, ip="10.0.2.1")
-    reg.register_agent(a1, standard_endpoints(a1), domain=1, ait=member_ait(a1))
-    reg.register_agent(a2, standard_endpoints(a2), domain=2, ait=member_ait(a2))
+    reg.register_agent(a1, domain=1, ait=member_ait(a1))
+    reg.register_agent(a2, domain=2, ait=member_ait(a2))
     assert len(reg) == 2
     assert reg.agent_of(1) == a1
 
@@ -79,8 +79,8 @@ def test_reregistration_replaces_same_domain():
     reg = VirtualDomain()
     old = entry(1, power=2660.0)
     new = entry(2, power=2800.0, ip="10.0.1.2")
-    reg.register_agent(old, standard_endpoints(old), domain=1, ait=member_ait(old))
-    reg.register_agent(new, standard_endpoints(new), domain=1,
+    reg.register_agent(old, domain=1, ait=member_ait(old))
+    reg.register_agent(new, domain=1,
                        ait=member_ait(old, new))
     assert len(reg) == 1
     assert reg.agent_of(1) == new
@@ -91,10 +91,10 @@ def test_non_agent_registration_refused():
     weak = entry(2, power=2500.0, ip="10.0.1.2")
     strong = entry(1, power=2800.0)
     with pytest.raises(NotAnAgent):
-        reg.register_agent(weak, standard_endpoints(weak), domain=1,
+        reg.register_agent(weak, domain=1,
                            ait=member_ait(weak, strong))
     with pytest.raises(NotAnAgent):
-        reg.register_agent(weak, standard_endpoints(weak), domain=1,
+        reg.register_agent(weak, domain=1,
                            ait=member_ait(strong))  # not even a member
 
 
@@ -102,14 +102,53 @@ def test_lookup_service_ordered_by_domain():
     reg = VirtualDomain()
     a2 = entry(5, ip="10.0.2.1")
     a1 = entry(1, ip="10.0.1.1")
-    reg.register_agent(a2, standard_endpoints(a2), domain=2, ait=member_ait(a2))
-    reg.register_agent(a1, standard_endpoints(a1), domain=1, ait=member_ait(a1))
+    reg.register_agent(a2, domain=2, ait=member_ait(a2))
+    reg.register_agent(a1, domain=1, ait=member_ait(a1))
     eps = reg.lookup_service(ServiceKind.STORAGE)
     assert [ep.agent for ep in eps] == [1, 5]
     assert all(ep.kind is ServiceKind.STORAGE for ep in eps)
     assert reg.lookup_service(ServiceKind.SECURITY) != []
     empty = VirtualDomain()
     assert empty.lookup_service(ServiceKind.STORAGE) == []
+
+
+def test_registry_is_the_virtual_group_through_leaves_and_crashes():
+    w = World([(1, 1, 100.0, 2800.0), (2, 1, 100.0, 2660.0), (3, 1, 100.0, 2500.0),
+               (4, 2, 100.0, 2800.0), (5, 2, 100.0, 2660.0)])
+
+    def registered():
+        return {e.node_id for e in w.registry.agents().values()}
+
+    w.join_all()
+    w.settle(1000.0)
+    assert registered() == set(w.net.virtual_members) == {1, 4}
+    w.leave(1, at=1000.0)
+    w.settle(1500.0)
+    assert registered() == set(w.net.virtual_members) == {2, 4}
+    w.leave(2, at=1500.0)
+    w.settle(2000.0)
+    w.leave(3, at=2000.0)
+    assert w.registry.agent_of(1) is None
+    assert registered() == set(w.net.virtual_members) == {4}
+    # A crashed agent stays registered until its domain re-elects.
+    w.crash(4, at=2500.0)
+    assert 4 in w.net.virtual_members
+    w.settle(3500.0)
+    assert registered() == set(w.net.virtual_members) == {5}
+    w.leave(5, at=3500.0)
+    assert w.registry.agent_of(2) is None
+    assert len(w.registry) == len(w.net.virtual_members) == 0
+
+
+def test_virtual_group_iterates_node_ids_in_ascending_order():
+    reg = VirtualDomain()
+    reg.register_pinned(entry(9), domain=1)
+    reg.register_pinned(entry(3, ip="10.0.2.1"), domain=2)
+    reg.register_pinned(entry(5, ip="10.0.3.1"), domain=3)
+    assert list(reg) == [3, 5, 9]
+    assert 5 in reg and 1 not in reg
+    reg.deregister(5, domain=1)  # not domain 1's agent: no change
+    assert list(reg) == [3, 5, 9]
 
 
 # -- best fit ------------------------------------------------------------------

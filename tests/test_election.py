@@ -5,7 +5,6 @@ import pytest
 from conftest import World
 from dssm.core import Ait, AitEntry
 from dssm.election import (
-    AdjacencyView,
     ElectionPolicy,
     EmptyDomain,
     select_agent,
@@ -63,11 +62,14 @@ def test_lowest_id_policy():
 
 def test_highest_connectivity_policy():
     ait = ait_from_powers({1: 100.0, 2: 100.0, 3: 100.0})
-    adj = AdjacencyView({1: 2, 2: 5, 3: 5})
-    assert select_agent(ait, 1, ElectionPolicy.HIGHEST_CONNECTIVITY, adj) == 2
-    # unheard members count zero neighbours
-    adj = AdjacencyView({3: 1})
-    assert select_agent(ait, 1, ElectionPolicy.HIGHEST_CONNECTIVITY, adj) == 3
+    hc = ElectionPolicy.HIGHEST_CONNECTIVITY
+    # node 1 went unheard: the lowest id among the heard members wins
+    assert select_agent(ait, 1, hc, {2, 3}) == 2
+    # a heard id outside the AIT is never picked
+    assert select_agent(ait, 1, hc, {3, 9}) == 3
+    # no peer heard, only the node itself: lowest id of the AIT
+    assert select_agent(ait, 3, hc, {3}) == 1
+    assert select_agent(ait, 3, hc) == 1
 
 
 def test_oracle_sweep_1000_random_aits():
@@ -179,3 +181,21 @@ def test_announcement_matches_local_computation():
     final_agent = {n.agent for n in w.members()}
     assert final_agent == {1}
     assert str(1) in announcers
+
+
+def test_highest_connectivity_reelects_before_lowest_id():
+    # HIGHEST_CONNECTIVITY is not an alias of LOWEST_ID: once the crashed
+    # agent falls out of the failure window, the next delivery re-elects,
+    # while LOWEST_ID waits for each survivor's own heartbeat tick to drop
+    # the agent from its AIT.
+    agents = {}
+    for policy in (ElectionPolicy.HIGHEST_CONNECTIVITY, ElectionPolicy.LOWEST_ID):
+        w = World([(nid, 1, 100.0, 2800.0) for nid in (1, 2, 3, 4)], policy=policy)
+        w.join_all()
+        w.settle(1000.0)
+        assert all(n.agent == 1 for n in w.members())
+        w.crash(1, at=1000.0)
+        w.settle(1500.0)
+        agents[policy] = [n.agent for n in w.members()]
+    assert agents[ElectionPolicy.HIGHEST_CONNECTIVITY] == [2, 2, 2]
+    assert set(agents[ElectionPolicy.LOWEST_ID]) != {2}

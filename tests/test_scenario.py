@@ -174,6 +174,41 @@ def test_consistency_assertion_fires_on_violation():
     assert "ait-divergence" in str(info.value)
 
 
+def five_node_doc(policy):
+    # Two domains whose lowest ids are not their most powerful nodes.
+    doc = minimal_doc(election_policy=policy)
+    doc["nodes"] = [
+        {"id": nid, "domain": dom, "ip": f"10.0.{dom}.{nid}",
+         "capacity_mb": 100.0, "power_mhz": power}
+        for nid, dom, power in [(1, 1, 2660.0), (2, 1, 2800.0), (3, 1, 2660.0),
+                                (4, 2, 2500.0), (5, 2, 3000.0)]
+    ]
+    doc["script"] = [{"time_ms": 50.0 * i, "action": "join", "node": nid}
+                     for i, nid in enumerate((1, 2, 3, 4, 5))]
+    doc["script"].append({"time_ms": 3000.0, "action": "assert_quiescent_consistency"})
+    return doc
+
+
+@pytest.mark.parametrize("policy", ["max_power", "lowest_id", "highest_connectivity"])
+def test_consistency_check_follows_the_policy(policy):
+    result = run_scenario(scenario_from_json(five_node_doc(policy)))
+    expected = {"max_power": {1: 2, 2: 5}}.get(policy, {1: 1, 2: 4})
+    assert {d: e.node_id for d, e in result.registry.agents().items()} == expected
+    assert result.world.check_consistency() is None
+
+
+@pytest.mark.parametrize("policy,message", [
+    ("max_power", "agent-not-argmax domain=1: agent 3 has 2660.0 MHz, max is 2800.0"),
+    ("lowest_id", "agent-not-selected domain=1: agent 3, lowest_id selects 1"),
+    ("highest_connectivity", "agent-not-selected domain=1: agent 3, highest_connectivity selects 1"),
+])
+def test_consistency_check_flags_an_agent_the_policy_would_not_pick(policy, message):
+    world = run_scenario(scenario_from_json(five_node_doc(policy))).world
+    for node in world.live_members(1):
+        node.agent = 3
+    assert world.check_consistency() == message
+
+
 def test_determinism_byte_identical(tmp_path):
     s = load_scenario(bundled_scenario_path("agent_crash"))
     files = []
@@ -282,6 +317,22 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     p.write_text("{")
     assert cli_main(["run", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join"])
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+    doc = minimal_doc()
+    if case == "bad_ip":
+        doc["nodes"][0]["ip"] = "10.0.1"
+    elif case == "non_numeric_param":
+        doc["params"]["heartbeat_period_ms"] = "fast"
+    else:
+        doc["script"].insert(0, {"time_ms": 0.0, "action": "leave", "node": 2})
+    p = tmp_path / f"{case}.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_seed_override(tmp_path):

@@ -1,13 +1,14 @@
 import pytest
 
 from dssm.core import AitEntry, Message, MessageKind
+from dssm.discovery import VirtualDomain
 from dssm.simnet import (
     InvalidTopology,
     LinkConfig,
+    Network,
     Topology,
     UnknownNode,
     VIRTUAL,
-    create_network,
     export_trace,
 )
 
@@ -45,14 +46,14 @@ def wire(net, node_ids):
 
 
 def test_create_network_starts_empty():
-    net = create_network(topo({1: 1, 2: 1, 3: 1}), seed=42)
+    net = Network(topo({1: 1, 2: 1, 3: 1}), seed=42)
     assert net.now == 0.0
     assert net.pending() == 0
 
 
 def test_node_without_domain_rejected():
     with pytest.raises(InvalidTopology):
-        create_network(topo({1: 1, 2: None}), seed=0)
+        Network(topo({1: 1, 2: None}), seed=0)
 
 
 def test_bad_link_config_rejected():
@@ -65,7 +66,7 @@ def test_bad_link_config_rejected():
 
 
 def test_unknown_node_errors():
-    net = create_network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1}), seed=0)
     msg = Message(MessageKind.HEARTBEAT, entry(1))
     with pytest.raises(UnknownNode):
         net.send_unicast(1, 99, msg)
@@ -77,7 +78,7 @@ def test_unknown_node_errors():
 
 def test_unicast_delivery_time():
     # 33-byte HEARTBEAT, 10 ms delay, 100 Mbps: 10 + 264/100000 ms.
-    net = create_network(topo({1: 1, 2: 1}), seed=0)
+    net = Network(topo({1: 1, 2: 1}), seed=0)
     recs = wire(net, [1, 2])
     net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
     net.run_until_quiescent(1000.0)
@@ -88,7 +89,7 @@ def test_unicast_delivery_time():
 
 
 def test_drop_probability_zero_always_delivers():
-    net = create_network(topo({1: 1, 2: 1}), seed=7)
+    net = Network(topo({1: 1, 2: 1}), seed=7)
     recs = wire(net, [1, 2])
     for _ in range(100):
         net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
@@ -98,7 +99,7 @@ def test_drop_probability_zero_always_delivers():
 
 def test_drop_probability_one_never_delivers():
     lossy = LinkConfig(delay_ms=1.0, drop_probability=1.0, bandwidth_mbps=100.0)
-    net = create_network(topo({1: 1, 2: 1}, intra=lossy), seed=7)
+    net = Network(topo({1: 1, 2: 1}, intra=lossy), seed=7)
     recs = wire(net, [1, 2])
     for _ in range(100):
         net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
@@ -110,7 +111,7 @@ def test_drop_probability_one_never_delivers():
 
 
 def test_multicast_fans_out_to_peers_only():
-    net = create_network(topo({1: 1, 2: 1, 3: 1, 4: 2}), seed=0)
+    net = Network(topo({1: 1, 2: 1, 3: 1, 4: 2}), seed=0)
     recs = wire(net, [1, 2, 3, 4])
     net.send_multicast(1, 1, Message(MessageKind.JOIN, entry(1)))
     net.run_until_quiescent(1000.0)
@@ -121,7 +122,7 @@ def test_multicast_fans_out_to_peers_only():
 
 
 def test_multicast_single_member_domain():
-    net = create_network(topo({1: 1, 2: 2}), seed=0)
+    net = Network(topo({1: 1, 2: 2}), seed=0)
     recs = wire(net, [1, 2])
     net.send_multicast(1, 1, Message(MessageKind.JOIN, entry(1)))
     net.run_until_quiescent(1000.0)
@@ -131,7 +132,7 @@ def test_multicast_single_member_domain():
 
 def test_multicast_p1_no_deliveries():
     lossy = LinkConfig(delay_ms=1.0, drop_probability=1.0, bandwidth_mbps=100.0)
-    net = create_network(topo({1: 1, 2: 1, 3: 1}, intra=lossy), seed=0)
+    net = Network(topo({1: 1, 2: 1, 3: 1}, intra=lossy), seed=0)
     recs = wire(net, [1, 2, 3])
     net.send_multicast(1, 1, Message(MessageKind.JOIN, entry(1)))
     net.run_until_quiescent(1000.0)
@@ -140,9 +141,11 @@ def test_multicast_p1_no_deliveries():
 
 def test_virtual_multicast_targets_agents_over_inter_link():
     slow = LinkConfig(delay_ms=50.0, drop_probability=0.0, bandwidth_mbps=100.0)
-    net = create_network(topo({1: 1, 2: 2, 3: 3}, inter=slow), seed=0)
+    net = Network(topo({1: 1, 2: 2, 3: 3}, inter=slow), seed=0)
     recs = wire(net, [1, 2, 3])
-    net.virtual_members.update({1, 2})
+    registry = VirtualDomain(net)
+    registry.register_pinned(entry(1), domain=1)
+    registry.register_pinned(entry(2), domain=2)
     net.send_multicast(1, VIRTUAL, Message(MessageKind.QUERY, entry(1), query_id=1, required_mb=5.0))
     net.run_until_quiescent(1000.0)
     assert len(recs[2].messages) == 1
@@ -151,7 +154,7 @@ def test_virtual_multicast_targets_agents_over_inter_link():
 
 
 def test_timer_fires_at_deadline():
-    net = create_network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1}), seed=0)
     recs = wire(net, [1])
     net.set_timer(1, "ping", 1000.0)
     net.run_until_quiescent(5000.0)
@@ -159,7 +162,7 @@ def test_timer_fires_at_deadline():
 
 
 def test_timer_reset_replaces():
-    net = create_network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1}), seed=0)
     recs = wire(net, [1])
     net.set_timer(1, "ping", 500.0)
     net.set_timer(1, "ping", 800.0)
@@ -168,7 +171,7 @@ def test_timer_reset_replaces():
 
 
 def test_same_tag_different_owners_independent():
-    net = create_network(topo({1: 1, 2: 1}), seed=0)
+    net = Network(topo({1: 1, 2: 1}), seed=0)
     recs = wire(net, [1, 2])
     net.set_timer(1, "ping", 100.0)
     net.set_timer(2, "ping", 200.0)
@@ -178,7 +181,7 @@ def test_same_tag_different_owners_independent():
 
 
 def test_cancel_timer():
-    net = create_network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1}), seed=0)
     recs = wire(net, [1])
     net.set_timer(1, "ping", 100.0)
     net.cancel_timer(1, "ping")
@@ -187,13 +190,13 @@ def test_cancel_timer():
 
 
 def test_empty_queue_quiescent():
-    net = create_network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1}), seed=0)
     assert net.run_until_quiescent(1000.0) == []
     assert net.now == 0.0
 
 
 def test_quiescence_horizon_leaves_future_events_pending():
-    net = create_network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1}), seed=0)
     recs = wire(net, [1])
     net.set_timer(1, "late", 1000.0)
     net.run_until_quiescent(500.0)
@@ -204,7 +207,7 @@ def test_quiescence_horizon_leaves_future_events_pending():
 
 
 def test_crashed_node_receives_nothing():
-    net = create_network(topo({1: 1, 2: 1}), seed=0)
+    net = Network(topo({1: 1, 2: 1}), seed=0)
     recs = wire(net, [1, 2])
     net.crash(2)
     net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
@@ -215,7 +218,7 @@ def test_crashed_node_receives_nothing():
 
 def _chatter(seed):
     lossy = LinkConfig(delay_ms=3.0, drop_probability=0.3, bandwidth_mbps=10.0)
-    net = create_network(topo({1: 1, 2: 1, 3: 1, 4: 2}, intra=lossy, inter=lossy), seed=seed)
+    net = Network(topo({1: 1, 2: 1, 3: 1, 4: 2}, intra=lossy, inter=lossy), seed=seed)
 
     class Echo:
         def on_message(self, net, msg):
