@@ -16,6 +16,7 @@ diff, and say why in CHANGES.md.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
@@ -48,7 +49,7 @@ def case_docs() -> dict[str, dict]:
     for name in BUNDLED_SCENARIOS:
         doc = json.loads(bundled_scenario_path(name).read_text())
         docs[name] = doc
-        lossy = json.loads(json.dumps(doc))
+        lossy = copy.deepcopy(doc)
         for link in ("intra_domain_link", "inter_domain_link"):
             lossy[link]["drop_probability"] = LOSS
         docs[f"{name}@drop{LOSS}"] = lossy

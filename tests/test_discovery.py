@@ -80,8 +80,7 @@ def test_reregistration_replaces_same_domain():
     old = entry(1, power=2660.0)
     new = entry(2, power=2800.0, ip="10.0.1.2")
     reg.register_agent(old, domain=1, ait=member_ait(old))
-    reg.register_agent(new, domain=1,
-                       ait=member_ait(old, new))
+    reg.register_agent(new, domain=1, ait=member_ait(old, new))
     assert len(reg) == 1
     assert reg.agent_of(1) == new
 
@@ -91,11 +90,9 @@ def test_non_agent_registration_refused():
     weak = entry(2, power=2500.0, ip="10.0.1.2")
     strong = entry(1, power=2800.0)
     with pytest.raises(NotAnAgent):
-        reg.register_agent(weak, domain=1,
-                           ait=member_ait(weak, strong))
+        reg.register_agent(weak, domain=1, ait=member_ait(weak, strong))
     with pytest.raises(NotAnAgent):
-        reg.register_agent(weak, domain=1,
-                           ait=member_ait(strong))  # not even a member
+        reg.register_agent(weak, domain=1, ait=member_ait(strong))  # not even a member
 
 
 def test_lookup_service_ordered_by_domain():

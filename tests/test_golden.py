@@ -28,9 +28,3 @@ def test_golden_cases_match_the_case_list():
 @pytest.mark.parametrize("case", sorted(DOCS))
 def test_golden_digest(case):
     assert update_goldens.case_digests(DOCS[case], case) == GOLDEN[case]
-
-
-def test_churn50_at_five_percent_loss_records_its_failure():
-    failure = GOLDEN[f"churn50@drop{update_goldens.LOSS}"]["failure"]
-    assert failure.startswith("agent-disagreement")
-    assert failure.endswith("at t=2900.0")
