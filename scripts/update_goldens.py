@@ -4,7 +4,8 @@
     python3 scripts/update_goldens.py
 
 Each case is a bundled scenario, as shipped or with one change (5% loss on
-both link classes, or another election policy). A case's record holds the
+both link classes, or another election policy), or a generated mixed run
+under one election policy (see `generated_doc`). A case's record holds the
 SHA-256 of the trace CSV, of the metrics JSON and of the `--compare-static`
 table, plus the consistency-assertion text when the run raises one; the
 trace and metrics then cover the run up to the failed assertion.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +43,57 @@ GOLDEN = ROOT / "tests" / "golden" / "digests.json"
 LOSS = 0.05
 POLICY_CASES = {"agent_crash": ("lowest_id", "highest_connectivity"),
                 "churn50": ("lowest_id", "highest_connectivity")}
+POLICIES = ("max_power", "lowest_id", "highest_connectivity")
+LINK = {"delay_ms": 1.0, "drop_probability": 0.02, "bandwidth_mbps": 100.0}
+PARAMS = {"accept_window_ms": 20.0, "heartbeat_period_ms": 200.0,
+          "failure_timeout_ms": 600.0, "response_window_ms": 100.0}
+
+
+def generated_doc(policy: str) -> dict:
+    """A mixed run under `policy`, drawn from a fixed seed: 2-3 domains of
+    four nodes on lossy links (2% intra, 5% inter), then leaves, crashes,
+    rejoins (a crashed node included), local and remote queries and
+    transfers, and one consistency assertion at the end.
+
+    The bundled scenarios never rejoin after a crash and never query under
+    lowest_id or highest_connectivity. Only live members that have finished
+    joining leave, query or send a transfer, so every action fits the
+    node's state when it runs.
+    """
+    rng = random.Random(f"golden/{policy}")
+    domains = rng.choice((2, 3))
+    ids = range(1, 4 * domains + 1)
+    nodes = [{"id": nid, "domain": (nid - 1) // 4 + 1, "ip": f"10.0.{(nid - 1) // 4 + 1}.{nid}",
+              "capacity_mb": rng.choice((512.0, 1024.0, 2048.0, 4096.0)),
+              "power_mhz": rng.choice((2500.0, 2660.0, 2800.0))} for nid in ids]
+    script = [{"time_ms": 20.0 * i, "action": "join", "node": nid} for i, nid in enumerate(ids)]
+    joined = {nid: 20.0 * i for i, nid in enumerate(ids)}  # live member -> join time
+    down = []
+    t = 1000.0
+    for _ in range(48):
+        t += rng.choice((100.0, 150.0, 250.0))
+        live = [nid for nid, since in joined.items() if t - since >= 100.0]
+        r = rng.random()
+        if r < 0.35 and live:
+            script.append({"time_ms": t, "action": "query", "node": rng.choice(live),
+                           "required_mb": rng.choice((200.0, 1000.0, 2500.0, 4000.0))})
+        elif r < 0.5 and live:
+            script.append({"time_ms": t, "action": "transfer", "from": rng.choice(live),
+                           "to": rng.choice(ids), "size_mb": rng.choice((1.0, 10.0))})
+        elif r < 0.8 and len(live) > 2:
+            nid = rng.choice(live)
+            action = "leave" if r < 0.65 else "crash"
+            script.append({"time_ms": t, "action": action, "node": nid})
+            del joined[nid]
+            down.append(nid)
+        elif down:
+            nid = down.pop(rng.randrange(len(down)))
+            script.append({"time_ms": t, "action": "join", "node": nid})
+            joined[nid] = t
+    script.append({"time_ms": t + 2000.0, "action": "assert_quiescent_consistency"})
+    return {"name": f"generated@{policy}", "seed": 7, "election_policy": policy,
+            "intra_domain_link": LINK, "inter_domain_link": dict(LINK, drop_probability=0.05),
+            "params": PARAMS, "nodes": nodes, "script": script}
 
 
 def case_docs() -> dict[str, dict]:
@@ -55,6 +108,8 @@ def case_docs() -> dict[str, dict]:
         docs[f"{name}@drop{LOSS}"] = lossy
         for policy in POLICY_CASES.get(name, ()):
             docs[f"{name}@{policy}"] = dict(doc, election_policy=policy)
+    for policy in POLICIES:
+        docs[f"generated@{policy}"] = generated_doc(policy)
     return docs
 
 

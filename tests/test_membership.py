@@ -271,3 +271,62 @@ def test_accept_outside_join_ignored():
     node.on_message(w.net, Message(MessageKind.ACCEPT, w.nodes[2].self_entry))
     assert len(node.ait) == 0
     assert node.phase is Phase.OFFLINE
+
+
+def _node_in(phase):
+    """Node 1 (2660 MHz) in `phase`; when a member it is alone and its own agent."""
+    w = World([(1, 1, 1024.0, 2660.0), (2, 1, 1024.0, 2800.0), (3, 1, 1024.0, 2500.0)])
+    if phase is not Phase.OFFLINE:
+        w.join(1, at=0.0)
+    if phase in (Phase.MEMBER, Phase.LEFT):
+        w.settle(100.0)
+    if phase is Phase.LEFT:
+        w.leave(1)
+    assert w.nodes[1].phase is phase
+    return w
+
+
+J, A, H, N = (MessageKind.JOIN, MessageKind.ACCEPT, MessageKind.HEARTBEAT,
+              MessageKind.AGENT_ANNOUNCE)
+
+
+# (phase, kind, sender, learned, unicasts node 1 sends back, node 1's agent after)
+# Sender 2 outpowers node 1, sender 3 does not.
+PEER_TABLE = [
+    (Phase.OFFLINE, J, 2, False, [], 0),
+    (Phase.OFFLINE, A, 2, False, [], 0),
+    (Phase.OFFLINE, H, 2, False, [], 0),
+    (Phase.OFFLINE, N, 2, False, [], 0),
+    (Phase.JOINING, J, 2, False, [], 0),
+    (Phase.JOINING, A, 2, True, [], 0),
+    (Phase.JOINING, H, 2, True, [], 0),
+    (Phase.JOINING, N, 2, True, [], 2),
+    (Phase.JOINING, N, 3, True, [], 3),
+    (Phase.MEMBER, J, 2, True, ["ACCEPT"], 2),
+    (Phase.MEMBER, A, 2, True, [], 2),
+    (Phase.MEMBER, H, 2, True, [], 2),
+    (Phase.MEMBER, N, 2, True, [], 2),
+    (Phase.MEMBER, J, 3, True, ["ACCEPT", "AGENT_ANNOUNCE"], 1),
+    (Phase.MEMBER, A, 3, True, [], 1),
+    (Phase.MEMBER, H, 3, True, [], 1),
+    (Phase.MEMBER, N, 3, True, [], 1),
+    (Phase.LEFT, J, 2, False, [], 0),
+    (Phase.LEFT, A, 2, False, [], 0),
+    (Phase.LEFT, H, 2, False, [], 0),
+    (Phase.LEFT, N, 2, False, [], 0),
+]
+
+
+@pytest.mark.parametrize("phase,kind,sender,learned,replies,agent", PEER_TABLE,
+                         ids=[f"{p.value}-{k.name}-from{s}" for p, k, s, *_ in PEER_TABLE])
+def test_peer_entry_handling(phase, kind, sender, learned, replies, agent):
+    w = _node_in(phase)
+    node = w.nodes[1]
+    rows = len(w.net.trace)
+    node.on_message(w.net, Message(kind, w.nodes[sender].self_entry))
+    assert (sender in node.ait) is learned
+    assert (sender in node.last_heard_ms) is learned
+    sent = [r for r in w.net.trace[rows:] if r.kind == "send"]
+    assert [(r.msg_kind, r.dst) for r in sent] == [(k, str(sender)) for k in replies]
+    assert node.agent == agent
+    assert node.phase is phase
