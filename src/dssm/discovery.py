@@ -186,7 +186,8 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
         raise NoAgent(f"node {agent_node.node_id} does not hold agency")
     local = best_fit(agent_node.ait, query.required_mb)
     if local is not None:
-        _complete(agent_node, net, query, local, 0.0, "local", on_complete)
+        if on_complete is not None:
+            on_complete(query, local, 0.0, "local")
         return
     agent_node.pending_queries[query.query_id] = PendingQuery(query, net.now, on_complete=on_complete)
     net.send_multicast(
@@ -223,16 +224,9 @@ def handle_query_resp(node, net: Network, msg: Message) -> None:
 
 def finalize_query(node, net: Network, query_id: int) -> None:
     pending = node.pending_queries.pop(query_id, None)
-    if pending is None:
-        return
-    _complete(node, net, pending.query, pending.best,
-              net.now - pending.started_ms, "remote", pending.on_complete)
-
-
-def _complete(node, net, query, candidate, elapsed_ms, route, on_complete) -> None:
-    cb = on_complete or node.query_cb
-    if cb is not None:
-        cb(query, candidate, elapsed_ms, route)
+    if pending is not None and pending.on_complete is not None:
+        pending.on_complete(pending.query, pending.best,
+                            net.now - pending.started_ms, "remote")
 
 
 @dataclass

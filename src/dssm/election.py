@@ -82,9 +82,14 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
     When this node elects itself it announces to its domain and registers
     with the virtual domain. `evidence_ms` is the timestamp of the last
     evidence for the previous agent (used for the election-latency metric);
-    defaults to now for changes triggered by an explicit message.
+    defaults to now for changes triggered by an explicit message. A node
+    with a static pin (the static-comparison baseline) takes the pin as its
+    agent and never elects.
     """
-    if node.static_pin is not None or len(node.ait) == 0:
+    if node.static_pin is not None:
+        node.agent = node.static_pin
+        return
+    if len(node.ait) == 0:
         return
     new_agent = select_agent(node.ait, node.agent, node.policy, heard_members(node, net.now))
     if new_agent == node.agent:

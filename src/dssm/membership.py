@@ -9,6 +9,11 @@ drop the entry immediately. Failure: every member multicasts HEARTBEAT
 each period and drops any peer silent for longer than the failure
 timeout (three periods by default).
 
+JOIN, ACCEPT, HEARTBEAT and AGENT_ANNOUNCE each carry the sender's entry
+and share one handler: a joining node learns the entry (ignoring JOIN,
+and taking an announcing sender as its agent); a member learns it,
+answers a JOIN with ACCEPT and re-elects; other phases ignore it.
+
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
 newcomer learns the incumbent (power ties would otherwise leave it
@@ -40,6 +45,8 @@ log = logging.getLogger(__name__)
 
 TIMER_JOIN_DEADLINE = "join_deadline"
 TIMER_HEARTBEAT = "heartbeat"
+PEER_ENTRY_KINDS = frozenset({MessageKind.JOIN, MessageKind.ACCEPT,
+                              MessageKind.HEARTBEAT, MessageKind.AGENT_ANNOUNCE})
 
 
 class AlreadyMember(DssmError):
@@ -106,14 +113,12 @@ class GosNode:
         self.ait = Ait()
         self.agent: NodeId = NO_NODE
         self.last_heard_ms: dict[NodeId, float] = {}
-        self.join_deadline_ms: float | None = None
         self.pending_queries: dict[int, discovery.PendingQuery] = {}
 
         # Wired by the scenario runner; None outside scenarios.
         self.metrics_cb = None
-        self.query_cb = None
-        # Static-comparison mode: agent pinned, no re-election, stale AIT
-        # entries are not refreshed by heartbeats.
+        # Static-comparison mode: the agent is pinned to this id instead of
+        # elected. Only election.reevaluate_agent reads it.
         self.static_pin: NodeId | None = None
 
         self._join_started_ms: float | None = None
@@ -140,7 +145,6 @@ class GosNode:
         self.ait = Ait([self.self_entry])
         self.last_heard_ms = {}
         self._join_started_ms = net.now
-        self.join_deadline_ms = net.now + self.params.accept_window_ms
         net.send_multicast(self.node_id, self.domain, Message(MessageKind.JOIN, self.self_entry))
         net.set_timer(self.node_id, TIMER_JOIN_DEADLINE, self.params.accept_window_ms)
 
@@ -153,7 +157,6 @@ class GosNode:
         self.ait.clear()
         self.agent = NO_NODE
         self.last_heard_ms.clear()
-        self.join_deadline_ms = None
         net.cancel_timer(self.node_id, TIMER_HEARTBEAT)
         if self.registry is not None:
             self.registry.deregister(self.node_id, self.domain)
@@ -165,7 +168,6 @@ class GosNode:
         self.ait.clear()
         self.agent = NO_NODE
         self.last_heard_ms.clear()
-        self.join_deadline_ms = None
         self.pending_queries.clear()
 
     def adjust_capacity(self, delta_mb: float) -> None:
@@ -180,16 +182,10 @@ class GosNode:
 
     def on_message(self, net: Network, msg: Message) -> None:
         kind = msg.kind
-        if kind is MessageKind.JOIN:
-            self._on_join(net, msg.sender)
-        elif kind is MessageKind.ACCEPT:
-            self._on_accept(net, msg.sender)
+        if kind in PEER_ENTRY_KINDS:
+            self._on_peer(net, kind, msg.sender)
         elif kind is MessageKind.LEAVE:
             self._on_leave(net, msg.sender.node_id)
-        elif kind is MessageKind.HEARTBEAT:
-            self._on_heartbeat(net, msg.sender)
-        elif kind is MessageKind.AGENT_ANNOUNCE:
-            self._on_agent_announce(net, msg.sender)
         elif kind is MessageKind.QUERY:
             discovery.handle_query(self, net, msg)
         elif kind is MessageKind.QUERY_RESP:
@@ -206,45 +202,33 @@ class GosNode:
 
     # -- handlers --------------------------------------------------------------
 
-    def _on_join(self, net: Network, joiner: AitEntry) -> None:
-        if self.phase is not Phase.MEMBER:
-            log.debug("node %d: JOIN from %d ignored in phase %s",
-                      self.node_id, joiner.node_id, self.phase.value)
-            return
-        self._learn(net, joiner)
-        net.send_unicast(self.node_id, joiner.node_id,
-                         Message(MessageKind.ACCEPT, self.self_entry))
-        election.reevaluate_agent(self, net)
-        if self.agent == self.node_id:
-            # Directed announce so the newcomer learns the incumbent.
-            net.send_unicast(self.node_id, joiner.node_id,
-                             Message(MessageKind.AGENT_ANNOUNCE, self.self_entry))
-
-    def _on_accept(self, net: Network, accepter: AitEntry) -> None:
+    def _on_peer(self, net: Network, kind: MessageKind, sender: AitEntry) -> None:
         if self.phase is Phase.JOINING:
-            self._learn(net, accepter)
+            if kind is not MessageKind.JOIN:
+                self._learn(net, sender)
+                if kind is MessageKind.AGENT_ANNOUNCE:
+                    self.agent = sender.node_id
         elif self.phase is Phase.MEMBER:
-            # Late ACCEPT after the window: plain AIT refresh.
-            self._learn(net, accepter)
+            self._learn(net, sender)
+            if kind is MessageKind.JOIN:
+                net.send_unicast(self.node_id, sender.node_id,
+                                 Message(MessageKind.ACCEPT, self.self_entry))
             election.reevaluate_agent(self, net)
-        else:
-            log.debug("node %d: ACCEPT from %d ignored in phase %s",
-                      self.node_id, accepter.node_id, self.phase.value)
+            if kind is MessageKind.JOIN and self.agent == self.node_id:
+                # Directed announce so the newcomer learns the incumbent.
+                net.send_unicast(self.node_id, sender.node_id,
+                                 Message(MessageKind.AGENT_ANNOUNCE, self.self_entry))
 
     def _finish_join(self, net: Network) -> None:
         if self.phase is not Phase.JOINING:
             return
         self.phase = Phase.MEMBER
-        self.join_deadline_ms = None
         if self.metrics_cb is not None and self._join_started_ms is not None:
             self.metrics_cb(MetricsRecord(
                 KIND_JOIN_LATENCY, net.now - self._join_started_ms, "ms", net.now,
                 {"node": str(self.node_id)},
             ))
-        if self.static_pin is not None:
-            self.agent = self.static_pin
-        else:
-            election.reevaluate_agent(self, net)
+        election.reevaluate_agent(self, net)
         net.set_timer(self.node_id, TIMER_HEARTBEAT, self.params.heartbeat_period_ms)
 
     def _on_leave(self, net: Network, leaver: NodeId) -> None:
@@ -257,25 +241,6 @@ class GosNode:
         self.ait.remove(leaver)
         self.last_heard_ms.pop(leaver, None)
         election.reevaluate_agent(self, net)
-
-    def _on_heartbeat(self, net: Network, sender: AitEntry) -> None:
-        if self.phase not in (Phase.JOINING, Phase.MEMBER):
-            return
-        if self.static_pin is not None and sender.node_id in self.ait:
-            # Liveness only; capacity stays as first seen.
-            self.last_heard_ms[sender.node_id] = net.now
-            return
-        self._learn(net, sender)
-        if self.phase is Phase.MEMBER:
-            election.reevaluate_agent(self, net)
-
-    def _on_agent_announce(self, net: Network, sender: AitEntry) -> None:
-        if self.phase is Phase.JOINING:
-            self._learn(net, sender)
-            self.agent = sender.node_id
-        elif self.phase is Phase.MEMBER:
-            self._learn(net, sender)
-            election.reevaluate_agent(self, net)
 
     def heartbeat_tick(self, net: Network) -> None:
         """Multicast a fresh self entry, drop silent peers, re-arm."""

@@ -38,8 +38,8 @@ The consistency assertion checks, per domain with live members: equal AIT
 key sets, agent agreement, and that the agent is the one the scenario's
 election policy selects from the first live member's view (for max_power:
 a member of the power argmax). Script actions that do not fit a node's
-state at run time, such as a leave before the node joined, raise
-ValidationError like any other bad input.
+state at run time, such as a leave before the node joined or a leave or
+transfer by a crashed node, raise ValidationError like any other bad input.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .discovery import (
 from .election import ElectionPolicy, heard_members, select_agent
 from .membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
 from .metrics import KIND_QUERY_RESPONSE, MetricsRecord, export_metrics
-from .simnet import LinkConfig, Network, Topology, TraceRow, export_trace
+from .simnet import LinkConfig, Network, NodeCrashed, Topology, TraceRow, export_trace
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = ("churn50", "two_domain", "bandwidth_sweep", "agent_crash")
@@ -395,7 +395,7 @@ class ScenarioWorld:
             self.net.run_until(action.time_ms)
             try:
                 self._apply(action)
-            except (AlreadyMember, NotMember) as exc:  # e.g. leave before join
+            except (AlreadyMember, NotMember, NodeCrashed) as exc:  # e.g. leave before join
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
 

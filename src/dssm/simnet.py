@@ -10,10 +10,16 @@ Delivery latency for a message of s bytes over a link is
 
     delay_ms + s * 8 / (bandwidth_mbps * 1000)   [ms]
 
+The event queue is a heap of plain tuples (time_ms, seq, dst, msg, tag):
+msg is None for a timer, tag is None for a delivery. seq strictly increases
+with scheduling order, so (time_ms, seq) orders every event and breaks
+simultaneity ties deterministically.
+
 Trace rows record sends (one row per unicast or multicast call), actual
-deliveries, and fired timers. Deliveries addressed to a crashed node are
-still traced (the packet arrived) but no handler runs; timers owned by a
-crashed node vanish silently.
+deliveries, and fired timers; a delivery or timer row is built when its
+event runs. Deliveries addressed to a crashed node are still traced (the
+packet arrived) but no handler runs; timers owned by a crashed node vanish
+silently. A crashed node cannot send: sending from it raises NodeCrashed.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import heapq
 import random
 from collections.abc import Collection
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DomainId,
@@ -41,6 +48,10 @@ class UnknownNode(DssmError):
 
 class InvalidTopology(DssmError):
     pass
+
+
+class NodeCrashed(DssmError):
+    """A crashed node was asked to send."""
 
 
 @dataclass
@@ -82,24 +93,7 @@ class Topology:
                 raise InvalidTopology(f"node id {node} outside 1..2^32-1")
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """Queued event: a message delivery or a timer firing.
-
-    Events are processed in (time_ms, seq) order; seq strictly increases
-    with scheduling order and breaks simultaneity ties deterministically.
-    """
-
-    time_ms: float
-    seq: int
-    kind: str  # "deliver" | "timer"
-    dst: NodeId
-    msg: Message | None = None
-    tag: str | None = None
-
-
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     time_ms: float
     seq: int
     kind: str  # "send" | "deliver" | "timer"
@@ -109,8 +103,9 @@ class TraceRow:
     size_bytes: float
 
     def csv(self) -> str:
-        size = repr(self.size_bytes) if isinstance(self.size_bytes, float) else str(self.size_bytes)
-        return f"{self.time_ms!r},{self.seq},{self.kind},{self.src},{self.dst},{self.msg_kind},{size}"
+        # Sizes are floats, or the int 0 of a timer row: repr gives both.
+        time_ms, seq, kind, src, dst, msg_kind, size_bytes = self
+        return f"{time_ms!r},{seq},{kind},{src},{dst},{msg_kind},{size_bytes!r}"
 
 
 TRACE_HEADER = "time_ms,seq,kind,from,to,msg_kind,size_bytes"
@@ -139,7 +134,7 @@ class Network:
         # until a discovery.VirtualDomain registry attaches itself here.
         self.virtual_members: Collection[NodeId] = ()
         self.trace: list[TraceRow] = []
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, NodeId, Message | None, str | None]] = []
         self._seq = 0
         self._timers: dict[tuple[NodeId, str], int] = {}
 
@@ -154,7 +149,8 @@ class Network:
         self.handlers[node_id] = handler
 
     def crash(self, node_id: NodeId) -> None:
-        """Silence a node: it stops sending, receiving and ticking."""
+        """Silence a node: it stops receiving and ticking, and sending from
+        it raises NodeCrashed."""
         self._require(node_id)
         self.crashed.add(node_id)
 
@@ -167,10 +163,6 @@ class Network:
     def domain_members(self, domain: DomainId) -> list[NodeId]:
         return sorted(n for n, d in self.topology.nodes.items() if d == domain)
 
-    def domain_of(self, node_id: NodeId) -> DomainId:
-        self._require(node_id)
-        return self.topology.nodes[node_id]
-
     def link_between(self, a: NodeId, b: NodeId) -> LinkConfig:
         self._require(a)
         self._require(b)
@@ -180,7 +172,7 @@ class Network:
     # -- traffic -----------------------------------------------------------
 
     def send_unicast(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        self._require(src)
+        self._require_live(src)
         self._require(dst)
         size = transit_size_bytes(msg)
         self._trace("send", str(src), str(dst), msg.kind.name, size)
@@ -190,7 +182,7 @@ class Network:
         """One independent delivery attempt per group member except the
         sender, each with its own drop draw. VIRTUAL targets the current
         agents over the inter-domain link."""
-        self._require(src)
+        self._require_live(src)
         if group == VIRTUAL:
             members = self.virtual_members
             link, label = self.inter_link, "virtual"
@@ -207,9 +199,9 @@ class Network:
         """Schedule a one-shot timer; re-setting (owner, tag) replaces any
         pending one."""
         self._require(owner)
-        event = SimEvent(self.now + fire_in_ms, self._next_seq(), "timer", owner, tag=tag)
-        self._timers[(owner, tag)] = event.seq
-        heapq.heappush(self._heap, (event.time_ms, event.seq, event))
+        seq = self._next_seq()
+        self._timers[(owner, tag)] = seq
+        heapq.heappush(self._heap, (self.now + fire_in_ms, seq, owner, None, tag))
 
     def cancel_timer(self, owner: NodeId, tag: str) -> None:
         self._timers.pop((owner, tag), None)
@@ -239,6 +231,11 @@ class Network:
         if node_id not in self.topology.nodes:
             raise UnknownNode(f"node {node_id} not in topology")
 
+    def _require_live(self, node_id: NodeId) -> None:
+        self._require(node_id)
+        if node_id in self.crashed:
+            raise NodeCrashed(f"node {node_id} is crashed and cannot send")
+
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
@@ -250,39 +247,26 @@ class Network:
         # One draw per attempt, delivered or not, keeps the stream aligned.
         if self.rng.random() < link.drop_probability:
             return
-        event = SimEvent(self.now + link.transit_ms(size), self._next_seq(), "deliver", dst, msg=msg)
-        heapq.heappush(self._heap, (event.time_ms, event.seq, event))
+        heapq.heappush(self._heap, (self.now + link.transit_ms(size), self._next_seq(), dst, msg, None))
 
     def _step(self) -> None:
-        _, _, event = heapq.heappop(self._heap)
-        self.now = event.time_ms
-        if event.kind == "deliver":
-            msg = event.msg
-            self.trace.append(
-                TraceRow(
-                    event.time_ms,
-                    event.seq,
-                    "deliver",
-                    str(msg.sender.node_id),
-                    str(event.dst),
-                    msg.kind.name,
-                    transit_size_bytes(msg),
-                )
-            )
-            if event.dst not in self.crashed:
-                handler = self.handlers.get(event.dst)
+        time_ms, seq, dst, msg, tag = heapq.heappop(self._heap)
+        self.now = time_ms
+        if msg is not None:
+            self.trace.append(TraceRow(time_ms, seq, "deliver", str(msg.sender.node_id), str(dst),
+                                       msg.kind.name, transit_size_bytes(msg)))
+            if dst not in self.crashed:
+                handler = self.handlers.get(dst)
                 if handler is not None:
                     handler.on_message(self, msg)
-        else:
-            key = (event.dst, event.tag)
-            if self._timers.get(key) != event.seq:
-                return  # replaced or cancelled
-            del self._timers[key]
-            if event.dst in self.crashed:
-                return
-            self.trace.append(
-                TraceRow(event.time_ms, event.seq, "timer", "", str(event.dst), event.tag, 0)
-            )
-            handler = self.handlers.get(event.dst)
-            if handler is not None:
-                handler.on_timer(self, event.tag)
+            return
+        key = (dst, tag)
+        if self._timers.get(key) != seq:
+            return  # replaced or cancelled
+        del self._timers[key]
+        if dst in self.crashed:
+            return
+        self.trace.append(TraceRow(time_ms, seq, "timer", "", str(dst), tag, 0))
+        handler = self.handlers.get(dst)
+        if handler is not None:
+            handler.on_timer(self, tag)

@@ -319,15 +319,22 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join"])
+@pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join",
+                                  "leave_after_crash", "transfer_after_crash"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     doc = minimal_doc()
+    crash = {"time_ms": 1000.0, "action": "crash", "node": 1}
     if case == "bad_ip":
         doc["nodes"][0]["ip"] = "10.0.1"
     elif case == "non_numeric_param":
         doc["params"]["heartbeat_period_ms"] = "fast"
-    else:
+    elif case == "leave_before_join":
         doc["script"].insert(0, {"time_ms": 0.0, "action": "leave", "node": 2})
+    elif case == "leave_after_crash":
+        doc["script"] += [crash, {"time_ms": 1100.0, "action": "leave", "node": 1}]
+    else:
+        doc["script"] += [crash, {"time_ms": 1100.0, "action": "transfer",
+                                  "from": 1, "to": 2, "size_mb": 1.0}]
     p = tmp_path / f"{case}.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["run", str(p)]) == 2

@@ -6,6 +6,7 @@ from dssm.simnet import (
     InvalidTopology,
     LinkConfig,
     Network,
+    NodeCrashed,
     Topology,
     UnknownNode,
     VIRTUAL,
@@ -214,6 +215,22 @@ def test_crashed_node_receives_nothing():
     net.set_timer(2, "ping", 5.0)
     net.run_until_quiescent(1000.0)
     assert recs[2].messages == [] and recs[2].timers == []
+
+
+def test_crashed_node_cannot_send():
+    net = Network(topo({1: 1, 2: 1}), seed=0)
+    recs = wire(net, [1, 2])
+    net.crash(1)
+    msg = Message(MessageKind.LEAVE, entry(1))
+    with pytest.raises(NodeCrashed):
+        net.send_unicast(1, 2, msg)
+    with pytest.raises(NodeCrashed):
+        net.send_multicast(1, 1, msg)
+    assert net.trace == [] and net.pending() == 0
+    net.revive(1)
+    net.send_multicast(1, 1, msg)
+    net.run_until_quiescent(1000.0)
+    assert len(recs[2].messages) == 1
 
 
 def _chatter(seed):
