@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from enum import Enum
 
-from .core import Ait, DssmError, NodeId
+from .core import Ait, AitEntry, DssmError, NodeId
 
 
 class EmptyDomain(DssmError):
@@ -56,6 +56,23 @@ def select_agent(
     if current_agent in argmax:
         return current_agent
     return min(argmax)
+
+
+def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEntry) -> bool:
+    """Whether learning `entry` over `stored` (the AIT's previous entry for
+    that node, None if the node is new) can change what `select_agent`
+    returns, given an incumbent that `select_agent` itself produced.
+
+    MAX_POWER reads only the ids and powers in the AIT, LOWEST_ID only the
+    ids, and under both the incumbent they chose is a fixed point of their
+    own output, so an entry from a known node with an unchanged power (a
+    heartbeat, or a capacity-only change) cannot move them.
+    HIGHEST_CONNECTIVITY reads who was heard within the failure window,
+    which changes with time, so every entry can move it.
+    """
+    return (stored is None
+            or stored.processing_power_mhz != entry.processing_power_mhz
+            or policy is ElectionPolicy.HIGHEST_CONNECTIVITY)
 
 
 def heard_members(node, now_ms: float) -> frozenset[NodeId]:
@@ -107,6 +124,7 @@ __all__ = [
     "ElectionPolicy",
     "EmptyDomain",
     "heard_members",
+    "moves_election",
     "reevaluate_agent",
     "select_agent",
 ]

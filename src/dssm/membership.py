@@ -13,6 +13,10 @@ JOIN, ACCEPT, HEARTBEAT and AGENT_ANNOUNCE each carry the sender's entry
 and share one handler: a joining node learns the entry (ignoring JOIN,
 and taking an announcing sender as its agent); a member learns it,
 answers a JOIN with ACCEPT and re-elects; other phases ignore it.
+A member re-elects on such an entry only when it can move the election
+(`election.moves_election`: a new sender, a changed power, or the
+HIGHEST_CONNECTIVITY policy); finishing its own join, a peer's LEAVE and a
+failure timeout always re-elect.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -209,11 +213,12 @@ class GosNode:
                 if kind is MessageKind.AGENT_ANNOUNCE:
                     self.agent = sender.node_id
         elif self.phase is Phase.MEMBER:
-            self._learn(net, sender)
+            moved = self._learn(net, sender)
             if kind is MessageKind.JOIN:
                 net.send_unicast(self.node_id, sender.node_id,
                                  Message(MessageKind.ACCEPT, self.self_entry))
-            election.reevaluate_agent(self, net)
+            if moved:
+                election.reevaluate_agent(self, net)
             if kind is MessageKind.JOIN and self.agent == self.node_id:
                 # Directed announce so the newcomer learns the incumbent.
                 net.send_unicast(self.node_id, sender.node_id,
@@ -287,9 +292,12 @@ class GosNode:
             {"node": str(self.node_id), "old": str(old), "new": str(new)},
         ))
 
-    def _learn(self, net: Network, entry: AitEntry) -> None:
+    def _learn(self, net: Network, entry: AitEntry) -> bool:
+        """Store a peer's entry; return whether it can move the election."""
+        stored = self.ait.get(entry.node_id)
         self.ait.upsert(entry)
         self.last_heard_ms[entry.node_id] = net.now
+        return election.moves_election(self.policy, stored, entry)
 
     def __repr__(self) -> str:
         return (f"GosNode(id={self.node_id}, domain={self.domain}, "

@@ -137,6 +137,11 @@ class Network:
         self._heap: list[tuple[float, int, NodeId, Message | None, str | None]] = []
         self._seq = 0
         self._timers: dict[tuple[NodeId, str], int] = {}
+        # Per-domain members, built once: the topology never changes in a run.
+        members: dict[DomainId, list[NodeId]] = {}
+        for node, domain in sorted(topology.nodes.items()):
+            members.setdefault(domain, []).append(node)
+        self._members = {domain: tuple(ids) for domain, ids in members.items()}
 
     # -- wiring ------------------------------------------------------------
 
@@ -160,8 +165,9 @@ class Network:
     def is_crashed(self, node_id: NodeId) -> bool:
         return node_id in self.crashed
 
-    def domain_members(self, domain: DomainId) -> list[NodeId]:
-        return sorted(n for n, d in self.topology.nodes.items() if d == domain)
+    def domain_members(self, domain: DomainId) -> tuple[NodeId, ...]:
+        """The domain's node ids in ascending order; () for an unknown domain."""
+        return self._members.get(domain, ())
 
     def link_between(self, a: NodeId, b: NodeId) -> LinkConfig:
         self._require(a)
@@ -191,9 +197,16 @@ class Network:
             link, label = self.intra_link, f"domain{group}"
         size = transit_size_bytes(msg)
         self._trace("send", str(src), label, msg.kind.name, size)
+        # _attempt per member, with the loop invariants hoisted: one draw per
+        # attempt and one heap entry per surviving one, in member order.
+        at = self.now + link.transit_ms(size)
+        drop = link.drop_probability
+        draw, push, heap, seq = self.rng.random, heapq.heappush, self._heap, self._seq
         for member in members:
-            if member != src:
-                self._attempt(src, member, msg, link, size)
+            if member != src and draw() >= drop:
+                seq += 1
+                push(heap, (at, seq, member, msg, None))
+        self._seq = seq
 
     def set_timer(self, owner: NodeId, tag: str, fire_in_ms: float) -> None:
         """Schedule a one-shot timer; re-setting (owner, tag) replaces any

@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import World
-from dssm.core import Ait, AitEntry
+from dssm.core import NO_NODE, Ait, AitEntry
 from dssm.election import (
     ElectionPolicy,
     EmptyDomain,
+    moves_election,
     select_agent,
 )
 
@@ -108,6 +111,29 @@ def test_identical_views_agree():
         a = select_agent(ait_from_powers(powers), current)
         b = select_agent(ait_from_powers(powers), current)
         assert a == b
+
+
+@given(
+    powers=st.dictionaries(st.integers(1, 60), st.sampled_from([2660.0, 2800.0, 3000.0]),
+                           min_size=1, max_size=20),
+    data=st.data(),
+)
+def test_elected_agent_is_a_fixed_point(powers, data):
+    # What lets a member skip re-election on an entry that moves_election
+    # rejects: the incumbent select_agent produced is its own result, also
+    # after a capacity-only re-upsert of any entry.
+    ait = ait_from_powers(powers)
+    incumbent = data.draw(st.sampled_from([NO_NODE, *sorted(powers)]))
+    changed = data.draw(st.sampled_from(sorted(powers)))
+    capacity = data.draw(st.floats(0.0, 1e6))
+    for policy in (ElectionPolicy.MAX_POWER, ElectionPolicy.LOWEST_ID):
+        agent = select_agent(ait, incumbent, policy)
+        assert select_agent(ait, agent, policy) == agent
+        entry = replace(ait.get(changed), storage_capacity_mb=capacity)
+        assert not moves_election(policy, ait.get(changed), entry)
+        updated = ait.copy()
+        updated.upsert(entry)
+        assert select_agent(updated, agent, policy) == agent
 
 
 # -- integration with membership ------------------------------------------------

@@ -1,9 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import PARAMS, World
+from dssm import election
 from dssm.core import Message, MessageKind
+from dssm.election import ElectionPolicy
 from dssm.membership import AlreadyMember, NotMember, Phase, ProtocolParams
 from dssm.simnet import LinkConfig
 
@@ -291,7 +294,10 @@ J, A, H, N = (MessageKind.JOIN, MessageKind.ACCEPT, MessageKind.HEARTBEAT,
 
 
 # (phase, kind, sender, learned, unicasts node 1 sends back, node 1's agent after)
-# Sender 2 outpowers node 1, sender 3 does not.
+# Sender 2 outpowers node 1, sender 3 does not. RESENT is node 2 after node 1
+# has learned it from a HEARTBEAT, now sending its entry with only the
+# capacity changed.
+RESENT = "2-capacity"
 PEER_TABLE = [
     (Phase.OFFLINE, J, 2, False, [], 0),
     (Phase.OFFLINE, A, 2, False, [], 0),
@@ -310,6 +316,12 @@ PEER_TABLE = [
     (Phase.MEMBER, A, 3, True, [], 1),
     (Phase.MEMBER, H, 3, True, [], 1),
     (Phase.MEMBER, N, 3, True, [], 1),
+    (Phase.JOINING, A, RESENT, True, [], 0),
+    (Phase.JOINING, H, RESENT, True, [], 0),
+    (Phase.MEMBER, J, RESENT, True, ["ACCEPT"], 2),
+    (Phase.MEMBER, A, RESENT, True, [], 2),
+    (Phase.MEMBER, H, RESENT, True, [], 2),
+    (Phase.MEMBER, N, RESENT, True, [], 2),
     (Phase.LEFT, J, 2, False, [], 0),
     (Phase.LEFT, A, 2, False, [], 0),
     (Phase.LEFT, H, 2, False, [], 0),
@@ -322,11 +334,46 @@ PEER_TABLE = [
 def test_peer_entry_handling(phase, kind, sender, learned, replies, agent):
     w = _node_in(phase)
     node = w.nodes[1]
+    if sender == RESENT:
+        sender = 2
+        node.on_message(w.net, Message(H, w.nodes[2].self_entry))
+        entry = replace(w.nodes[2].self_entry, storage_capacity_mb=512.0)
+    else:
+        entry = w.nodes[sender].self_entry
     rows = len(w.net.trace)
-    node.on_message(w.net, Message(kind, w.nodes[sender].self_entry))
+    node.on_message(w.net, Message(kind, entry))
     assert (sender in node.ait) is learned
     assert (sender in node.last_heard_ms) is learned
+    if learned:
+        assert node.ait.get(sender) == entry
     sent = [r for r in w.net.trace[rows:] if r.kind == "send"]
     assert [(r.msg_kind, r.dst) for r in sent] == [(k, str(sender)) for k in replies]
     assert node.agent == agent
     assert node.phase is phase
+
+
+@pytest.mark.parametrize("policy,expected", [
+    (ElectionPolicy.MAX_POWER, [1, 0, 0, 1]),
+    (ElectionPolicy.HIGHEST_CONNECTIVITY, [1, 1, 1, 1]),
+])
+def test_member_reelects_only_when_the_entry_moves_the_election(monkeypatch, policy, expected):
+    # Settled member 1 hears node 2 as new, unchanged, capacity-only changed,
+    # then power changed: count the elections each HEARTBEAT runs.
+    w = World([(1, 1, 1024.0, 2660.0), (2, 1, 1024.0, 2800.0)], policy=policy)
+    w.join(1, at=0.0)
+    w.settle(100.0)
+    node, base = w.nodes[1], w.nodes[2].self_entry
+    calls = []
+    real = election.select_agent
+    monkeypatch.setattr(election, "select_agent",
+                        lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for entry in (base, base, replace(base, storage_capacity_mb=512.0),
+                  replace(base, storage_capacity_mb=512.0, processing_power_mhz=2500.0)):
+        before = len(calls)
+        node.on_message(w.net, Message(H, entry))
+        counts.append(len(calls) - before)
+    assert counts == expected
+    assert node.ait.get(2).processing_power_mhz == 2500.0
+    if policy is ElectionPolicy.MAX_POWER:
+        assert node.agent == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dssm.core import AitEntry, Message, MessageKind
@@ -138,6 +140,32 @@ def test_multicast_p1_no_deliveries():
     net.send_multicast(1, 1, Message(MessageKind.JOIN, entry(1)))
     net.run_until_quiescent(1000.0)
     assert all(r.messages == [] for r in recs.values())
+
+
+def test_multicast_draws_once_per_attempt_in_member_order():
+    # An independent generator replays the drop draws: one per member except
+    # the sender, ascending id order, each survivor one pending delivery.
+    half = LinkConfig(delay_ms=1.0, drop_probability=0.5, bandwidth_mbps=100.0)
+    ids = [9, 3, 7, 1, 5, 2, 8, 4, 6]
+    net = Network(topo({n: 1 for n in ids}, intra=half), seed=11)
+    recs = wire(net, ids)
+    net.send_multicast(5, 1, Message(MessageKind.JOIN, entry(5)))
+    ref = random.Random(11)
+    survivors = [n for n in sorted(ids) if n != 5 and ref.random() >= 0.5]
+    assert 0 < len(survivors) < 8
+    assert net.pending() == len(survivors)
+    net.run_until_quiescent(1000.0)
+    delivered = [r for r in net.trace if r.kind == "deliver"]
+    assert [int(r.dst) for r in delivered] == survivors
+    assert [r.seq for r in delivered] == list(range(2, 2 + len(survivors)))
+    assert all(len(recs[n].messages) == (n in survivors) for n in ids)
+
+
+def test_domain_members_ascending_and_unknown_domain_empty():
+    net = Network(topo({7: 2, 3: 1, 9: 1, 1: 2, 5: 1}), seed=0)
+    assert list(net.domain_members(1)) == [3, 5, 9]
+    assert list(net.domain_members(2)) == [1, 7]
+    assert list(net.domain_members(4)) == []
 
 
 def test_virtual_multicast_targets_agents_over_inter_link():
