@@ -10,10 +10,17 @@ Delivery latency for a message of s bytes over a link is
 
     delay_ms + s * 8 / (bandwidth_mbps * 1000)   [ms]
 
-The event queue is a heap of plain tuples (time_ms, seq, dst, msg, tag):
-msg is None for a timer, tag is None for a delivery. seq strictly increases
-with scheduling order, so (time_ms, seq) orders every event and breaks
-simultaneity ties deterministically.
+The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
+strictly increases with scheduling order, so simultaneity ties break
+deterministically. A timer is (time_ms, seq, owner, None, tag). A delivery
+is (time_ms, first_seq, recipients, msg, None), one entry per unicast or
+multicast call: recipients are the members that survived their drop draws,
+in ascending id order, and recipient i takes seq first_seq + i from a block
+reserved at send time. All recipients share one link and one message size,
+so they arrive at the same instant, and one step takes them in turn. No
+other event can fall between two of them: the block is consecutive, and an
+event a handler schedules gets a larger seq at a time no earlier than now.
+Whether a recipient is crashed is checked as it is taken.
 
 Trace rows record sends (one row per unicast or multicast call), actual
 deliveries, and fired timers; a delivery or timer row is built when its
@@ -134,8 +141,11 @@ class Network:
         # until a discovery.VirtualDomain registry attaches itself here.
         self.virtual_members: Collection[NodeId] = ()
         self.trace: list[TraceRow] = []
-        self._heap: list[tuple[float, int, NodeId, Message | None, str | None]] = []
+        self._heap: list[tuple[float, int, tuple[NodeId, ...] | NodeId,
+                               Message | None, str | None]] = []
         self._seq = 0
+        # Queued events: one per recipient still to be taken, plus timer entries.
+        self._pending = 0
         self._timers: dict[tuple[NodeId, str], int] = {}
         # Per-domain members, built once: the topology never changes in a run.
         members: dict[DomainId, list[NodeId]] = {}
@@ -182,7 +192,9 @@ class Network:
         self._require(dst)
         size = transit_size_bytes(msg)
         self._trace("send", str(src), str(dst), msg.kind.name, size)
-        self._attempt(src, dst, msg, self.link_between(src, dst), size)
+        link = self.link_between(src, dst)
+        if self.rng.random() >= link.drop_probability:
+            self._push_delivery(self.now + link.transit_ms(size), (dst,), msg)
 
     def send_multicast(self, src: NodeId, group: DomainId, msg: Message) -> None:
         """One independent delivery attempt per group member except the
@@ -197,16 +209,11 @@ class Network:
             link, label = self.intra_link, f"domain{group}"
         size = transit_size_bytes(msg)
         self._trace("send", str(src), label, msg.kind.name, size)
-        # _attempt per member, with the loop invariants hoisted: one draw per
-        # attempt and one heap entry per surviving one, in member order.
-        at = self.now + link.transit_ms(size)
-        drop = link.drop_probability
-        draw, push, heap, seq = self.rng.random, heapq.heappush, self._heap, self._seq
-        for member in members:
-            if member != src and draw() >= drop:
-                seq += 1
-                push(heap, (at, seq, member, msg, None))
-        self._seq = seq
+        # One draw per attempt, in member order, keeps the stream aligned.
+        drop, draw = link.drop_probability, self.rng.random
+        recipients = tuple([m for m in members if m != src and draw() >= drop])
+        if recipients:
+            self._push_delivery(self.now + link.transit_ms(size), recipients, msg)
 
     def set_timer(self, owner: NodeId, tag: str, fire_in_ms: float) -> None:
         """Schedule a one-shot timer; re-setting (owner, tag) replaces any
@@ -214,6 +221,7 @@ class Network:
         self._require(owner)
         seq = self._next_seq()
         self._timers[(owner, tag)] = seq
+        self._pending += 1
         heapq.heappush(self._heap, (self.now + fire_in_ms, seq, owner, None, tag))
 
     def cancel_timer(self, owner: NodeId, tag: str) -> None:
@@ -222,7 +230,9 @@ class Network:
     # -- event loop --------------------------------------------------------
 
     def pending(self) -> int:
-        return len(self._heap)
+        """Queued events: undelivered recipients plus timer entries (a
+        replaced or cancelled timer counts until its deadline passes)."""
+        return self._pending
 
     def run_until(self, time_ms: float) -> None:
         """Process every event due at or before time_ms, then advance the
@@ -256,30 +266,36 @@ class Network:
     def _trace(self, kind, src, dst, msg_kind, size) -> None:
         self.trace.append(TraceRow(self.now, self._next_seq(), kind, src, dst, msg_kind, size))
 
-    def _attempt(self, src, dst, msg, link: LinkConfig, size: float) -> None:
-        # One draw per attempt, delivered or not, keeps the stream aligned.
-        if self.rng.random() < link.drop_probability:
-            return
-        heapq.heappush(self._heap, (self.now + link.transit_ms(size), self._next_seq(), dst, msg, None))
+    def _push_delivery(self, at: float, recipients: tuple[NodeId, ...], msg: Message) -> None:
+        first = self._seq + 1
+        self._seq += len(recipients)
+        self._pending += len(recipients)
+        heapq.heappush(self._heap, (at, first, recipients, msg, None))
 
     def _step(self) -> None:
-        time_ms, seq, dst, msg, tag = heapq.heappop(self._heap)
+        # `to` is the recipients tuple of a delivery, or the owner of a timer.
+        time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
-            self.trace.append(TraceRow(time_ms, seq, "deliver", str(msg.sender.node_id), str(dst),
-                                       msg.kind.name, transit_size_bytes(msg)))
-            if dst not in self.crashed:
-                handler = self.handlers.get(dst)
-                if handler is not None:
-                    handler.on_message(self, msg)
+            src, kind, size = str(msg.sender.node_id), msg.kind.name, transit_size_bytes(msg)
+            append, crashed, handlers = self.trace.append, self.crashed, self.handlers
+            for member in to:
+                self._pending -= 1
+                append(TraceRow(time_ms, seq, "deliver", src, str(member), kind, size))
+                seq += 1
+                if member not in crashed:
+                    handler = handlers.get(member)
+                    if handler is not None:
+                        handler.on_message(self, msg)
             return
-        key = (dst, tag)
+        self._pending -= 1
+        key = (to, tag)
         if self._timers.get(key) != seq:
             return  # replaced or cancelled
         del self._timers[key]
-        if dst in self.crashed:
+        if to in self.crashed:
             return
-        self.trace.append(TraceRow(time_ms, seq, "timer", "", str(dst), tag, 0))
-        handler = self.handlers.get(dst)
+        self.trace.append(TraceRow(time_ms, seq, "timer", "", str(to), tag, 0))
+        handler = self.handlers.get(to)
         if handler is not None:
             handler.on_timer(self, tag)

@@ -161,6 +161,42 @@ def test_multicast_draws_once_per_attempt_in_member_order():
     assert all(len(recs[n].messages) == (n in survivors) for n in ids)
 
 
+def test_same_instant_events_scheduled_by_a_recipient_run_after_the_fan_out():
+    # With a 0 ms delay link, the first recipient's 0 ms timer is due at the
+    # same instant as the rest of the fan-out, and its unicast right after.
+    # Both were scheduled later, so both run after every other recipient.
+    instant = LinkConfig(delay_ms=0.0, drop_probability=0.0, bandwidth_mbps=100.0)
+    net = Network(topo({n: 1 for n in range(1, 6)}, intra=instant), seed=0)
+    log = []
+
+    class Probe:
+        def __init__(self, me):
+            self.me = me
+
+        def on_message(self, net, msg):
+            log.append((net.now, net.trace[-1].seq, msg.kind.name, self.me, net.pending()))
+            if self.me == 2 and msg.kind is MessageKind.JOIN:
+                net.set_timer(2, "zero", 0.0)
+                net.send_unicast(2, 3, Message(MessageKind.HEARTBEAT, entry(2)))
+
+        def on_timer(self, net, tag):
+            log.append((net.now, net.trace[-1].seq, tag, self.me, net.pending()))
+
+    for n in range(1, 6):
+        net.register_handler(n, Probe(n))
+    net.send_multicast(1, 1, Message(MessageKind.JOIN, entry(1)))
+    net.run_until_quiescent(1000.0)
+    assert [(kind, me) for _, _, kind, me, _ in log] == [
+        ("JOIN", 2), ("JOIN", 3), ("JOIN", 4), ("JOIN", 5), ("zero", 2), ("HEARTBEAT", 3)]
+    assert log[4][0] == log[0][0] < log[5][0]
+    times = [t for t, *_ in log]
+    assert times == sorted(times)
+    seqs = [seq for _, seq, *_ in log]
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
+    # pending() counts queued events, taken off before each handler runs.
+    assert [p for *_, p in log] == [3, 4, 3, 2, 1, 0]
+
+
 def test_domain_members_ascending_and_unknown_domain_empty():
     net = Network(topo({7: 2, 3: 1, 9: 1, 1: 2, 5: 1}), seed=0)
     assert list(net.domain_members(1)) == [3, 5, 9]
@@ -236,13 +272,20 @@ def test_quiescence_horizon_leaves_future_events_pending():
 
 
 def test_crashed_node_receives_nothing():
-    net = Network(topo({1: 1, 2: 1}), seed=0)
-    recs = wire(net, [1, 2])
-    net.crash(2)
-    net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
-    net.set_timer(2, "ping", 5.0)
+    # Node 3 is crashed and sits in the middle of the multicast's recipients:
+    # every packet addressed to it is still traced, but no handler runs.
+    net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1}), seed=0)
+    recs = wire(net, [1, 2, 3, 4])
+    net.crash(3)
+    msg = Message(MessageKind.HEARTBEAT, entry(1))
+    net.send_unicast(1, 3, msg)
+    net.set_timer(3, "ping", 5.0)
+    net.send_multicast(1, 1, msg)
     net.run_until_quiescent(1000.0)
-    assert recs[2].messages == [] and recs[2].timers == []
+    assert recs[3].messages == [] and recs[3].timers == []
+    assert len(recs[2].messages) == 1 and len(recs[4].messages) == 1
+    assert [r.dst for r in net.trace if r.kind == "deliver"] == ["3", "2", "3", "4"]
+    assert net.pending() == 0
 
 
 def test_crashed_node_cannot_send():
