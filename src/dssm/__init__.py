@@ -48,6 +48,8 @@ from .simnet import (
     LinkConfig,
     Network,
     Topology,
+    Trace,
+    TraceRow,
     VIRTUAL,
     export_trace,
 )

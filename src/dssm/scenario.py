@@ -60,7 +60,7 @@ from .discovery import (
 from .election import ElectionPolicy, heard_members, select_agent
 from .membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
 from .metrics import KIND_QUERY_RESPONSE, MetricsRecord, export_metrics
-from .simnet import LinkConfig, Network, NodeCrashed, Topology, TraceRow, export_trace
+from .simnet import LinkConfig, Network, NodeCrashed, Topology, Trace, export_trace
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = ("churn50", "two_domain", "bandwidth_sweep", "agent_crash")
@@ -347,7 +347,7 @@ def resolve_scenario_path(name_or_path) -> Path:
 @dataclass
 class ScenarioResult:
     scenario: Scenario
-    trace: list[TraceRow]
+    trace: Trace
     metrics: list[MetricsRecord]
     world: "ScenarioWorld"
 

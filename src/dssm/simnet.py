@@ -23,18 +23,33 @@ event a handler schedules gets a larger seq at a time no earlier than now.
 Whether a recipient is crashed is checked as it is taken.
 
 Trace rows record sends (one row per unicast or multicast call), actual
-deliveries, and fired timers; a delivery or timer row is built when its
-event runs. Deliveries addressed to a crashed node are still traced (the
-packet arrived) but no handler runs; timers owned by a crashed node vanish
-silently. A crashed node cannot send: sending from it raises NodeCrashed.
+deliveries, and fired timers. Deliveries addressed to a crashed node are
+still traced (the packet arrived) but no handler runs; timers owned by a
+crashed node vanish silently. A crashed node cannot send: sending from it
+raises NodeCrashed.
+
+Network.trace is a Trace, a read-only sequence of TraceRow whose storage is
+a list of records. A send or timer row is stored as its TraceRow. A
+delivery entry is stored as one record (time_ms, first_seq, src,
+recipients, msg_kind, size_bytes) standing for one deliver row per
+recipient, with seq first_seq + i and dst str(recipients[i]); rows are
+built only when read. If a recipient's handler traces rows of its own (it
+sends a reply, say), the record is cut after that recipient, and the
+remaining recipients continue in a new record (recipients[i:],
+first_seq + i) after the handler's rows, so rows stay in the order in
+which events ran. While recipient i's handler runs, trace[-1] is recipient
+i's deliver row.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Collection
+from array import array
+from bisect import bisect_right
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
+from operator import index as as_index
 from typing import NamedTuple
 
 from .core import (
@@ -117,12 +132,143 @@ class TraceRow(NamedTuple):
 
 TRACE_HEADER = "time_ms,seq,kind,from,to,msg_kind,size_bytes"
 
+# Builds a TraceRow from a tuple of its fields without the Python-level
+# __new__ of NamedTuple, which costs about 2.5 times as much per row.
+_new_row = tuple.__new__
 
-def export_trace(trace: list[TraceRow], path) -> None:
+
+def _rows_in(record) -> int:
+    return 1 if type(record) is TraceRow else len(record[3])
+
+
+def _cut(record, start: int, stop: int):
+    """The rows start..stop-1 of a record, as a record."""
+    if type(record) is TraceRow or (start == 0 and stop >= len(record[3])):
+        return record
+    time_ms, first, src, recipients, kind, size = record
+    return (time_ms, first + start, src, recipients[start:stop], kind, size)
+
+
+class Trace(Sequence):
+    """A read-only sequence of TraceRow; see the module docstring for the
+    records behind it. Only Network appends. A slice is a Trace sharing the
+    records of its range, not a list of rows; `records` and `length` build
+    such a view."""
+
+    __slots__ = ("_records", "_len", "_starts", "_open", "_open_start")
+
+    def __init__(self, records: list | None = None, length: int = 0):
+        self._records = [] if records is None else records
+        self._len = length
+        # The row index of each record's first row, filled in on read.
+        self._starts = array("q")
+        # The delivery record whose recipients are still being taken, and
+        # the row index it starts at.
+        self._open: tuple | None = None
+        self._open_start = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._slice(index)
+        i = as_index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace index out of range")
+        k = self._locate(i)
+        record = self._records[k]
+        if type(record) is TraceRow:
+            return record
+        time_ms, first, src, recipients, kind, size = record
+        j = i - self._starts[k]
+        return _new_row(TraceRow, (time_ms, first + j, "deliver", src, str(recipients[j]),
+                                   kind, size))
+
+    def __iter__(self):
+        for record in self._closed_records():
+            if type(record) is TraceRow:
+                yield record
+                continue
+            time_ms, first, src, recipients, kind, size = record
+            for seq, dst in enumerate(recipients, first):
+                yield _new_row(TraceRow, (time_ms, seq, "deliver", src, str(dst), kind, size))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    # -- reading internals ----------------------------------------------------
+
+    def _locate(self, i: int) -> int:
+        """The index of the record that holds row i, for 0 <= i < len."""
+        starts, records = self._starts, self._records
+        k = len(starts)
+        if k < len(records):
+            # Every record but the last is closed, so its row count is final.
+            row = starts[-1] + _rows_in(records[k - 1]) if k else 0
+            starts.append(row)
+            for record in records[k:-1]:
+                row += _rows_in(record)
+                starts.append(row)
+        return bisect_right(starts, i) - 1
+
+    def _slice(self, s: slice) -> Trace:
+        lo, hi, step = s.indices(self._len)
+        if step != 1:
+            rows = [self[i] for i in range(lo, hi, step)]
+            return Trace(rows, len(rows))
+        if lo >= hi:
+            return Trace()
+        first, last = self._locate(lo), self._locate(hi - 1)
+        records = self._records[first:last + 1]
+        records[-1] = _cut(records[-1], 0, hi - self._starts[last])
+        records[0] = _cut(records[0], lo - self._starts[first], hi - self._starts[first])
+        return Trace(records, hi - lo)
+
+    def _closed_records(self) -> list:
+        """The records, with an open delivery record cut to the recipients
+        taken so far."""
+        return self._records if self._open is None else self[:]._records
+
+    # -- writing, by Network --------------------------------------------------
+
+    def _append(self, row: TraceRow) -> None:
+        if self._open is not None:
+            self._close()
+        self._records.append(row)
+        self._len += 1
+
+    def _open_delivery(self, record: tuple) -> None:
+        """Append a delivery record; Network counts its rows into the length
+        one recipient at a time."""
+        if self._open is not None:
+            self._close()
+        self._records.append(record)
+        self._open, self._open_start = record, self._len
+
+    def _close(self) -> None:
+        """Cut the open delivery record to the recipients taken so far."""
+        taken = self._len - self._open_start
+        self._records[-1] = _cut(self._open, 0, taken)
+        self._open = None
+
+
+def export_trace(trace: Trace, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for row in trace:
-            fh.write(row.csv() + "\n")
+        for record in trace._closed_records():
+            if type(record) is TraceRow:
+                fh.write(record.csv() + "\n")
+                continue
+            # The fields a delivery record's rows share are formatted once.
+            time_ms, first, src, recipients, kind, size = record
+            head, mid, tail = f"{time_ms!r},", f",deliver,{src},", f",{kind},{size!r}\n"
+            fh.write("".join([f"{head}{seq}{mid}{dst}{tail}"
+                              for seq, dst in enumerate(recipients, first)]))
 
 
 class Network:
@@ -140,7 +286,7 @@ class Network:
         # The VIRTUAL group: node ids in ascending order on iteration. Empty
         # until a discovery.VirtualDomain registry attaches itself here.
         self.virtual_members: Collection[NodeId] = ()
-        self.trace: list[TraceRow] = []
+        self.trace = Trace()
         self._heap: list[tuple[float, int, tuple[NodeId, ...] | NodeId,
                                Message | None, str | None]] = []
         self._seq = 0
@@ -241,7 +387,7 @@ class Network:
             self._step()
         self.now = max(self.now, time_ms)
 
-    def run_until_quiescent(self, max_time_ms: float) -> list[TraceRow]:
+    def run_until_quiescent(self, max_time_ms: float) -> Trace:
         """Drain the queue, stopping once it is empty or the next event lies
         beyond max_time_ms. Returns the full trace collected so far."""
         while self._heap and self._heap[0][0] <= max_time_ms:
@@ -264,7 +410,8 @@ class Network:
         return self._seq
 
     def _trace(self, kind, src, dst, msg_kind, size) -> None:
-        self.trace.append(TraceRow(self.now, self._next_seq(), kind, src, dst, msg_kind, size))
+        row = (self.now, self._next_seq(), kind, src, dst, msg_kind, size)
+        self.trace._append(_new_row(TraceRow, row))
 
     def _push_delivery(self, at: float, recipients: tuple[NodeId, ...], msg: Message) -> None:
         first = self._seq + 1
@@ -277,16 +424,23 @@ class Network:
         time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
+            trace = self.trace
+            records, crashed, handlers = trace._records, self.crashed, self.handlers
             src, kind, size = str(msg.sender.node_id), msg.kind.name, transit_size_bytes(msg)
-            append, crashed, handlers = self.trace.append, self.crashed, self.handlers
-            for member in to:
+            record = (time_ms, seq, src, to, kind, size)
+            trace._open_delivery(record)
+            for i, member in enumerate(to):
+                if records[-1] is not record:
+                    # The last handler traced rows: the rest follow them.
+                    record = (time_ms, seq + i, src, to[i:], kind, size)
+                    trace._open_delivery(record)
                 self._pending -= 1
-                append(TraceRow(time_ms, seq, "deliver", src, str(member), kind, size))
-                seq += 1
+                trace._len += 1
                 if member not in crashed:
                     handler = handlers.get(member)
                     if handler is not None:
                         handler.on_message(self, msg)
+            trace._open = None  # every recipient was taken: nothing to cut
             return
         self._pending -= 1
         key = (to, tag)
@@ -295,7 +449,7 @@ class Network:
         del self._timers[key]
         if to in self.crashed:
             return
-        self.trace.append(TraceRow(time_ms, seq, "timer", "", str(to), tag, 0))
+        self.trace._append(_new_row(TraceRow, (time_ms, seq, "timer", "", str(to), tag, 0)))
         handler = self.handlers.get(to)
         if handler is not None:
             handler.on_timer(self, tag)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dssm.core import AitEntry, Message, MessageKind
 from dssm.discovery import VirtualDomain
@@ -10,6 +11,8 @@ from dssm.simnet import (
     Network,
     NodeCrashed,
     Topology,
+    Trace,
+    TraceRow,
     UnknownNode,
     VIRTUAL,
     export_trace,
@@ -355,3 +358,89 @@ def test_transfer_time_monotonic_in_size_and_delay():
         l1 = LinkConfig(d1, 0.0, 50.0)
         l2 = LinkConfig(d2, 0.0, 50.0)
         assert l1.transit_ms(500) < l2.transit_ms(500)
+
+
+def _interleaved_run(seed, drop):
+    """Two domains whose handlers, in the middle of a fan-out, sometimes reply
+    by unicast, multicast, or set a 0 ms timer. Every handler checks the row
+    trace[-1] shows it and logs (len(trace), that row)."""
+    link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
+    net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
+    seen = []
+    budget = [40]
+
+    class Chatter:
+        def __init__(self, me):
+            self.me = me
+            self.rng = random.Random(seed * 7 + me)
+
+        def on_message(self, net, msg):
+            row = net.trace[-1]
+            assert row[:5] == (net.now, row.seq, "deliver", str(msg.sender.node_id), str(self.me))
+            assert row.msg_kind == msg.kind.name
+            rows = list(net.trace)
+            assert len(rows) == len(net.trace) and rows[-1] == row
+            seen.append((len(net.trace), row))
+            self.act(net, msg.sender.node_id)
+
+        def on_timer(self, net, tag):
+            row = net.trace[-1]
+            assert row == (net.now, row.seq, "timer", "", str(self.me), tag, 0)
+            seen.append((len(net.trace), row))
+            self.act(net, None)
+
+        def act(self, net, sender):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            r = self.rng.random()
+            if r < 0.35 and sender is not None and sender != self.me:
+                net.send_unicast(self.me, sender, Message(MessageKind.ACCEPT, entry(self.me)))
+            elif r < 0.55:
+                net.set_timer(self.me, f"t{budget[0]}", 0.0)
+            elif r < 0.75:
+                net.send_multicast(self.me, net.topology.nodes[self.me],
+                                   Message(MessageKind.HEARTBEAT, entry(self.me)))
+
+    for n in range(1, 7):
+        net.register_handler(n, Chatter(n))
+        net.send_multicast(n, net.topology.nodes[n], Message(MessageKind.JOIN, entry(n)))
+    net.run_until_quiescent(10_000.0)
+    return net, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3), data=st.data())
+def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, data):
+    net, seen = _interleaved_run(seed, drop)
+    trace = net.trace
+    rows = list(trace)
+    assert all(type(row) is TraceRow for row in rows)
+    assert len(trace) == len(rows) and trace == rows and rows == trace
+    # The row each handler saw as trace[-1] is the row at that position.
+    assert all(rows[n - 1] == row for n, row in seen)
+    assert len({r.seq for r in rows}) == len(rows)
+    for i in range(len(rows)):
+        assert trace[i] == rows[i] and trace[-i - 1] == rows[-i - 1]
+    with pytest.raises(IndexError):
+        trace[len(rows)]
+    with pytest.raises(IndexError):
+        trace[-len(rows) - 1]
+    # Every cut point, so bounds fall inside delivery batches too.
+    for i in range(len(rows) + 2):
+        assert list(trace[i:]) == rows[i:] and list(trace[:i]) == rows[:i]
+    out = tmp_path_factory.mktemp("trace")
+    export_trace(trace, out / "all.csv")
+    lines = (out / "all.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == len(rows) + 1
+    bound = st.integers(-len(rows) - 3, len(rows) + 3)
+    for _ in range(4):
+        a, b = data.draw(bound), data.draw(bound)
+        part = trace[a:b]
+        assert isinstance(part, Trace) and part == rows[a:b]
+        c, d = data.draw(bound), data.draw(bound)
+        assert list(part[c:d]) == rows[a:b][c:d]
+        assert list(trace[a:b:2]) == rows[a:b:2]
+        export_trace(part, out / "part.csv")
+        lo, hi, _ = slice(a, b).indices(len(rows))
+        assert (out / "part.csv").read_text() == lines[0] + "".join(lines[1 + lo:1 + hi])
