@@ -153,12 +153,18 @@ def agent_crash():
     }
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def rendered():
+    """Yield (file name, file text) for each bundled scenario."""
     for build in (churn50, two_domain, bandwidth_sweep, agent_crash):
         doc = build()
-        path = OUT / f"{doc['name']}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        yield f"{doc['name']}.json", json.dumps(doc, indent=2) + "\n"
+
+
+def main():
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, text in rendered():
+        path = OUT / name
+        path.write_text(text)
         print(f"wrote {path}")
 
 

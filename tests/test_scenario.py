@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from dssm.scenario import (
     scenario_from_json,
 )
 from dssm.simnet import export_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def minimal_doc(**overrides):
@@ -110,6 +114,102 @@ def test_unknown_action_rejected():
     doc["script"].append({"time_ms": 600.0, "action": "explode"})
     with pytest.raises(ParseError):
         scenario_from_json(doc)
+
+
+def _join(**fields):
+    return {"time_ms": 600.0, "action": "join", "node": 1, **fields}
+
+
+def _query(**fields):
+    return {"time_ms": 600.0, "action": "query", "node": 1, "required_mb": 1.0, **fields}
+
+
+def _transfer(**fields):
+    return {"time_ms": 600.0, "action": "transfer", "from": 1, "to": 2,
+            "size_mb": 1.0, **fields}
+
+
+def _set_link(**fields):
+    return {"time_ms": 600.0, "action": "set_link", "scope": "inter", **fields}
+
+
+def _without(action, key):
+    return {k: v for k, v in action.items() if k != key}
+
+
+# Every load-time error a script action can raise, with its exact text. The
+# appended action is script[3] of minimal_doc(); where one action has two
+# faults, the row pins which is reported.
+SCRIPT_ERRORS = [
+    (_without(_join(), "time_ms"), ParseError, "script[3]: missing field 'time_ms'"),
+    (_without(_join(), "action"), ParseError, "script[3]: missing field 'action'"),
+    (_without(_join(), "node"), ParseError, "script[3]: missing field 'node'"),
+    (_without(_query(), "required_mb"), ParseError, "script[3]: missing field 'required_mb'"),
+    (_without(_transfer(), "from"), ParseError, "script[3]: missing field 'from'"),
+    (_without(_transfer(), "to"), ParseError, "script[3]: missing field 'to'"),
+    (_without(_transfer(), "size_mb"), ParseError, "script[3]: missing field 'size_mb'"),
+    (_without(_set_link(), "scope"), ParseError, "script[3]: missing field 'scope'"),
+    (_without(_without(_transfer(), "from"), "to"), ParseError,
+     "script[3]: missing field 'from'"),
+    (_without(_join(action="explode"), "time_ms"), ParseError,
+     "script[3]: missing field 'time_ms'"),
+    (_join(time_ms="600"), ParseError, "script[3]: field 'time_ms' has wrong type str"),
+    (_join(time_ms=True), ParseError, "script[3]: field 'time_ms' has wrong type bool"),
+    (_join(action=7), ParseError, "script[3]: field 'action' has wrong type int"),
+    (_join(node=1.5), ParseError, "script[3]: field 'node' has wrong type float"),
+    (_join(node=True), ParseError, "script[3]: field 'node' has wrong type bool"),
+    (_join(node="1"), ParseError, "script[3]: field 'node' has wrong type str"),
+    (_query(required_mb="big"), ParseError,
+     "script[3]: field 'required_mb' has wrong type str"),
+    (_transfer(**{"from": "1"}), ParseError, "script[3]: field 'from' has wrong type str"),
+    (_transfer(size_mb=None), ParseError, "script[3]: field 'size_mb' has wrong type NoneType"),
+    (_set_link(scope=1), ParseError, "script[3]: field 'scope' has wrong type int"),
+    (_set_link(delay_ms="slow"), ParseError, "script[3]: field 'delay_ms' has wrong type str"),
+    (_set_link(bandwidth_mbps=False), ParseError,
+     "script[3]: field 'bandwidth_mbps' has wrong type bool"),
+    (_join(action="explode"), ParseError, "script[3]: unknown action 'explode'"),
+    (_without(_join(action="explode"), "node"), ParseError,
+     "script[3]: unknown action 'explode'"),
+    ("join", ParseError, "scenario 'mini'.script[3]: expected an object"),
+    (_join(node=9), ValidationError, "script references unknown node 9"),
+    ({"time_ms": 600.0, "action": "leave", "node": 9}, ValidationError,
+     "script references unknown node 9"),
+    ({"time_ms": 600.0, "action": "crash", "node": 9}, ValidationError,
+     "script references unknown node 9"),
+    (_query(node=9), ValidationError, "script references unknown node 9"),
+    (_transfer(**{"from": 9}), ValidationError, "script references unknown node 9"),
+    (_transfer(to=8), ValidationError, "script references unknown node 8"),
+    (_transfer(**{"from": 9, "to": 8}), ValidationError, "script references unknown node 9"),
+    (_join(time_ms=10.0), ValidationError,
+     "script times must be non-decreasing: 10.0 after 500.0"),
+    (_join(time_ms=10, node=9), ValidationError,
+     "script times must be non-decreasing: 10.0 after 500.0"),
+    (_query(required_mb=0), ValidationError, "query required_mb 0.0 must be > 0"),
+    (_query(required_mb=-1.5), ValidationError, "query required_mb -1.5 must be > 0"),
+    (_query(node=9, required_mb=0), ValidationError, "script references unknown node 9"),
+    (_transfer(size_mb=0.0), ValidationError, "transfer size_mb 0.0 must be > 0"),
+    (_transfer(to=9, size_mb=-2), ValidationError, "script references unknown node 9"),
+    (_set_link(scope="wan"), ValidationError, "set_link scope must be intra or inter, got wan"),
+]
+
+
+@pytest.mark.parametrize("action,error,message", SCRIPT_ERRORS)
+def test_script_action_load_errors_keep_their_text(action, error, message):
+    doc = minimal_doc()
+    doc["script"].append(action)
+    with pytest.raises(error) as info:
+        scenario_from_json(doc)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_generator_reproduces_the_bundled_scenarios():
+    spec = importlib.util.spec_from_file_location(
+        "generate_scenarios", ROOT / "scripts" / "generate_scenarios.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    bundled = {p.name: p.read_bytes() for p in generate.OUT.glob("*.json")}
+    assert {name: text.encode() for name, text in generate.rendered()} == bundled
 
 
 def test_resolve_accepts_bundled_names(tmp_path):
