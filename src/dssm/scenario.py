@@ -29,10 +29,13 @@ A scenario is a JSON document:
       ]
     }
 
-Script times must be non-decreasing and every referenced node must appear
-in "nodes". "params" fields are optional; absent ones default from the
-link model. "set_link" reconfigures a link class mid-run (the WAN
-emulator knob); omitted set_link fields keep their current value.
+ACTIONS maps each "action" name to its class; the class's FIELDS say how
+each key is read and checked. Script times must be non-decreasing and every
+referenced node must appear in "nodes". Every number must be finite: JSON
+NaN and Infinity are rejected. "params" fields are optional; absent ones
+default from the link model. "set_link" reconfigures a link class mid-run
+(the WAN emulator knob); omitted set_link fields keep their current value,
+and given ones must lie in the link's range (LinkConfig), checked at load.
 
 The consistency assertion checks, per domain with live members: equal AIT
 key sets, agent agreement, and that the agent is the one the scenario's
@@ -46,7 +49,8 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from ipaddress import AddressValueError
 from pathlib import Path
 
@@ -90,51 +94,173 @@ class NodeSpec:
         return AitEntry(self.node_id, self.ip, self.capacity_mb, self.power_mhz)
 
 
+# -- JSON fields ----------------------------------------------------------------
+
+
+_REQUIRED = object()
+_NUMBER = (int, float)  # a JSON number, read as a finite float
+_FLOAT_MAX = sys.float_info.max
+
+
+def _get(obj: dict, key: str, types, ctx: str, default=_REQUIRED):
+    try:
+        value = obj[key]
+    except KeyError:
+        if default is not _REQUIRED:
+            return default
+        raise ParseError(f"{ctx}: missing field {key!r}") from None
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ParseError(f"{ctx}: field {key!r} has wrong type {type(value).__name__}")
+    if types is _NUMBER:
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN fails both comparisons
+            raise ParseError(f"{ctx}: field {key!r} must be finite")
+        return float(value)
+    return value
+
+
+# -- script actions --------------------------------------------------------------
+
+
+def _check_node(action, name, value, scenario, known):
+    if value not in known:
+        raise ValidationError(f"script references unknown node {value}")
+
+
+def _check_positive(action, name, value, scenario, known):
+    if value <= 0:
+        raise ValidationError(f"{action.KIND} {name} {value} must be > 0")
+
+
+def _check_scope(action, name, value, scenario, known):
+    if value not in ("intra", "inter"):
+        raise ValidationError(f"{action.KIND} {name} must be intra or inter, got {value}")
+
+
+def _check_link_value(action, name, value, scenario, known):
+    # LinkConfig is the one place the ranges live; each is per field.
+    if value is not None:
+        try:
+            replace(scenario.intra_domain_link, **{name: value})
+        except DssmError as exc:
+            raise ValidationError(f"{action.KIND} {exc}") from exc
+
+
+# Field kinds: (accepted JSON types, default when absent or _REQUIRED, check).
+# A check is called as check(action, attribute, value, scenario, known ids).
+NODE = (int, _REQUIRED, _check_node)
+SIZE = (_NUMBER, _REQUIRED, _check_positive)
+SCOPE = (str, _REQUIRED, _check_scope)
+LINK_VALUE = (_NUMBER, None, _check_link_value)
+
+
 @dataclass(frozen=True)
-class JoinNode:
+class Action:
+    """One script action. A subclass names its "action" value in JSON as
+    `kind` and lists in `fields` each JSON key after time_ms with its field
+    kind, in the order of its own attributes. It runs through apply(world)."""
+
     time_ms: float
+
+    def __init_subclass__(cls, kind: str, fields: tuple = ()):
+        cls.KIND, cls.FIELDS = kind, fields
+        # Pair each attribute with its check once, not per action.
+        own = cls.__dict__.get("__annotations__", {})
+        cls.CHECKS = tuple((name, check) for name, (_, (_, _, check)) in zip(own, fields))
+
+    def check(self, scenario: Scenario, known: set[NodeId]) -> None:
+        for name, check in self.CHECKS:
+            check(self, name, getattr(self, name), scenario, known)
+
+
+@dataclass(frozen=True)
+class JoinNode(Action, kind="join", fields=(("node", NODE),)):
     node: NodeId
 
+    def apply(self, world: ScenarioWorld) -> None:
+        node = world.nodes[self.node]
+        if world.net.is_crashed(self.node):
+            world.net.revive(self.node)
+            node.reset_offline()
+        elif node.phase is Phase.LEFT:
+            node.reset_offline()
+        node.initiate_join(world.net)
+
 
 @dataclass(frozen=True)
-class LeaveNode:
-    time_ms: float
+class LeaveNode(Action, kind="leave", fields=(("node", NODE),)):
     node: NodeId
 
+    def apply(self, world: ScenarioWorld) -> None:
+        world.nodes[self.node].initiate_leave(world.net)
+
 
 @dataclass(frozen=True)
-class CrashNode:
-    time_ms: float
+class CrashNode(Action, kind="crash", fields=(("node", NODE),)):
     node: NodeId
 
+    def apply(self, world: ScenarioWorld) -> None:
+        world.net.crash(self.node)
+
 
 @dataclass(frozen=True)
-class QueryAction:
-    time_ms: float
+class QueryAction(Action, kind="query", fields=(("node", NODE), ("required_mb", SIZE))):
     node: NodeId
     required_mb: float
 
+    def apply(self, world: ScenarioWorld) -> None:
+        query = StorageQuery(self.node, self.required_mb, world._next_query_id)
+        world._next_query_id += 1
+        node = world.nodes[self.node]
+        agent_id = node.static_pin if world.static_mode else node.agent
+        agent = world.nodes.get(agent_id)
+        if agent is None or not agent.is_agent or world.net.is_crashed(agent_id):
+            world._record_query(query, None, 0.0, "no_agent")
+        else:
+            find_storage(agent, world.net, query, world._record_query)
+
 
 @dataclass(frozen=True)
-class TransferAction:
-    time_ms: float
+class TransferAction(Action, kind="transfer",
+                     fields=(("from", NODE), ("to", NODE), ("size_mb", SIZE))):
     src: NodeId
     dst: NodeId
     size_mb: float
 
+    def apply(self, world: ScenarioWorld) -> None:
+        sender = world.nodes[self.src].self_entry
+        world.metrics.extend(transfer_file(world.net, sender, self.dst, self.size_mb))
+
 
 @dataclass(frozen=True)
-class AssertConsistency:
-    time_ms: float
-
-
-@dataclass(frozen=True)
-class SetLink:
-    time_ms: float
+class SetLink(Action, kind="set_link",
+              fields=(("scope", SCOPE), ("delay_ms", LINK_VALUE),
+                      ("drop_probability", LINK_VALUE), ("bandwidth_mbps", LINK_VALUE))):
     scope: str  # "intra" | "inter"
     delay_ms: float | None = None
     drop_probability: float | None = None
     bandwidth_mbps: float | None = None
+
+    def apply(self, world: ScenarioWorld) -> None:
+        given = {f.name: getattr(self, f.name) for f in fields(LinkConfig)
+                 if getattr(self, f.name) is not None}
+        net = world.net
+        if self.scope == "intra":
+            net.intra_link = replace(net.intra_link, **given)
+        else:
+            net.inter_link = replace(net.inter_link, **given)
+
+
+@dataclass(frozen=True)
+class AssertConsistency(Action, kind="assert_quiescent_consistency"):
+    def apply(self, world: ScenarioWorld) -> None:
+        if not world.static_mode:  # pinned agents break dynamic invariants
+            violation = world.check_consistency()
+            if violation is not None:
+                raise AssertionFailure(f"{violation} at t={world.net.now}")
+
+
+ACTIONS = {cls.KIND: cls for cls in (JoinNode, LeaveNode, CrashNode, QueryAction,
+                                     TransferAction, SetLink, AssertConsistency)}
 
 
 @dataclass
@@ -146,7 +272,7 @@ class Scenario:
     node_specs: list[NodeSpec]
     params: ProtocolParams
     policy: ElectionPolicy
-    script: list
+    script: list[Action]
 
     def topology(self) -> Topology:
         return Topology(
@@ -167,15 +293,7 @@ class Scenario:
                     f"script times must be non-decreasing: {action.time_ms} after {last_t}"
                 )
             last_t = action.time_ms
-            for ref in _referenced_nodes(action):
-                if ref not in known:
-                    raise ValidationError(f"script references unknown node {ref}")
-            if isinstance(action, QueryAction) and action.required_mb <= 0:
-                raise ValidationError(f"query required_mb {action.required_mb} must be > 0")
-            if isinstance(action, TransferAction) and action.size_mb <= 0:
-                raise ValidationError(f"transfer size_mb {action.size_mb} must be > 0")
-            if isinstance(action, SetLink) and action.scope not in ("intra", "inter"):
-                raise ValidationError(f"set_link scope must be intra or inter, got {action.scope}")
+            action.check(self, known)
         for p in ("accept_window_ms", "heartbeat_period_ms",
                   "failure_timeout_ms", "response_window_ms"):
             if getattr(self.params, p) <= 0:
@@ -191,67 +309,27 @@ class Scenario:
                 raise ValidationError(f"node {spec.node_id}: {exc}") from exc
 
 
-def _referenced_nodes(action):
-    if isinstance(action, (JoinNode, LeaveNode, CrashNode, QueryAction)):
-        return (action.node,)
-    if isinstance(action, TransferAction):
-        return (action.src, action.dst)
-    return ()
-
-
 # -- JSON loading --------------------------------------------------------------
 
 
-_REQUIRED = object()
-
-
-def _get(obj: dict, key: str, types, ctx: str, default=_REQUIRED):
-    if key not in obj:
-        if default is not _REQUIRED:
-            return default
-        raise ParseError(f"{ctx}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ParseError(f"{ctx}: field {key!r} has wrong type {type(value).__name__}")
-    return value
-
-
 def _link_from_json(obj: dict, ctx: str) -> LinkConfig:
+    values = {f.name: _get(obj, f.name, _NUMBER, ctx) for f in fields(LinkConfig)}
     try:
-        return LinkConfig(
-            delay_ms=float(_get(obj, "delay_ms", (int, float), ctx)),
-            drop_probability=float(_get(obj, "drop_probability", (int, float), ctx)),
-            bandwidth_mbps=float(_get(obj, "bandwidth_mbps", (int, float), ctx)),
-        )
+        return LinkConfig(**values)
     except DssmError as exc:
         raise ValidationError(f"{ctx}: {exc}") from exc
 
 
-def _action_from_json(obj: dict, index: int):
+def _action_from_json(obj: dict, index: int) -> Action:
     ctx = f"script[{index}]"
-    t = float(_get(obj, "time_ms", (int, float), ctx))
+    args = [_get(obj, "time_ms", _NUMBER, ctx)]
     kind = _get(obj, "action", str, ctx)
-    if kind == "join":
-        return JoinNode(t, _get(obj, "node", int, ctx))
-    if kind == "leave":
-        return LeaveNode(t, _get(obj, "node", int, ctx))
-    if kind == "crash":
-        return CrashNode(t, _get(obj, "node", int, ctx))
-    if kind == "query":
-        return QueryAction(t, _get(obj, "node", int, ctx),
-                           float(_get(obj, "required_mb", (int, float), ctx)))
-    if kind == "transfer":
-        return TransferAction(t, _get(obj, "from", int, ctx), _get(obj, "to", int, ctx),
-                              float(_get(obj, "size_mb", (int, float), ctx)))
-    if kind == "assert_quiescent_consistency":
-        return AssertConsistency(t)
-    if kind == "set_link":
-        def opt(key):
-            v = _get(obj, key, (int, float), ctx, default=None)
-            return None if v is None else float(v)
-        return SetLink(t, _get(obj, "scope", str, ctx), opt("delay_ms"),
-                       opt("drop_probability"), opt("bandwidth_mbps"))
-    raise ParseError(f"{ctx}: unknown action {kind!r}")
+    cls = ACTIONS.get(kind)
+    if cls is None:
+        raise ParseError(f"{ctx}: unknown action {kind!r}")
+    for key, (types, default, _) in cls.FIELDS:
+        args.append(_get(obj, key, types, ctx, default))
+    return cls(*args)
 
 
 def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
@@ -269,8 +347,8 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
             node_id=_get(node, "id", int, nctx),
             domain=_get(node, "domain", int, nctx),
             ip=_get(node, "ip", str, nctx),
-            capacity_mb=float(_get(node, "capacity_mb", (int, float), nctx)),
-            power_mhz=float(_get(node, "power_mhz", (int, float), nctx)),
+            capacity_mb=_get(node, "capacity_mb", _NUMBER, nctx),
+            power_mhz=_get(node, "power_mhz", _NUMBER, nctx),
         ))
 
     base = ProtocolParams.from_links(intra, inter)
@@ -278,7 +356,7 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
     for key in raw_params:
         if not hasattr(base, key):
             raise ParseError(f"{ctx}.params: unknown parameter {key!r}")
-    params = replace(base, **{k: float(_get(raw_params, k, (int, float), f"{ctx}.params"))
+    params = replace(base, **{k: _get(raw_params, k, _NUMBER, f"{ctx}.params")
                               for k in raw_params})
 
     policy_name = _get(doc, "election_policy", str, ctx, default="max_power")
@@ -287,10 +365,11 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
     except ValueError:
         raise ParseError(f"{ctx}: unknown election_policy {policy_name!r}") from None
 
-    raw_script = _get(doc, "script", list, ctx)
-    script = [_action_from_json(a, i) if isinstance(a, dict)
-              else _raise_parse(f"{ctx}.script[{i}]: expected an object")
-              for i, a in enumerate(raw_script)]
+    script = []
+    for i, action in enumerate(_get(doc, "script", list, ctx)):
+        if not isinstance(action, dict):
+            raise ParseError(f"{ctx}.script[{i}]: expected an object")
+        script.append(_action_from_json(action, i))
 
     scenario = Scenario(
         name=name,
@@ -304,10 +383,6 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
     )
     scenario.validate()
     return scenario
-
-
-def _raise_parse(msg):
-    raise ParseError(msg)
 
 
 def load_scenario(path) -> Scenario:
@@ -381,97 +456,33 @@ class ScenarioWorld:
             self.nodes[spec.node_id] = node
             self.net.register_handler(spec.node_id, node)
 
-        self._pins: dict[DomainId, NodeId] = {}
         if static_mode:
+            pins: dict[DomainId, NodeId] = {}
             for spec in scenario.node_specs:  # first listed node per domain
-                self._pins.setdefault(spec.domain, spec.node_id)
-            for domain, agent_id in sorted(self._pins.items()):
+                pins.setdefault(spec.domain, spec.node_id)
+            for domain, agent_id in sorted(pins.items()):
                 self.registry.register_pinned(self.nodes[agent_id].self_entry, domain=domain)
             for node in self.nodes.values():
-                node.static_pin = self._pins[node.domain]
+                node.static_pin = pins[node.domain]
 
     def run(self) -> ScenarioResult:
         for action in self.scenario.script:
             self.net.run_until(action.time_ms)
             try:
-                self._apply(action)
+                action.apply(self)
             except (AlreadyMember, NotMember, NodeCrashed) as exc:  # e.g. leave before join
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
 
-    # -- actions -----------------------------------------------------------------
-
-    def _apply(self, action) -> None:
-        if isinstance(action, JoinNode):
-            node = self.nodes[action.node]
-            if self.net.is_crashed(action.node):
-                self.net.revive(action.node)
-                node.reset_offline()
-            elif node.phase is Phase.LEFT:
-                node.reset_offline()
-            node.initiate_join(self.net)
-        elif isinstance(action, LeaveNode):
-            self.nodes[action.node].initiate_leave(self.net)
-        elif isinstance(action, CrashNode):
-            self.net.crash(action.node)
-        elif isinstance(action, QueryAction):
-            self._query(action)
-        elif isinstance(action, TransferAction):
-            sender = self.nodes[action.src].self_entry
-            self.metrics.extend(
-                transfer_file(self.net, sender, action.dst, action.size_mb))
-        elif isinstance(action, SetLink):
-            self._set_link(action)
-        elif isinstance(action, AssertConsistency):
-            if not self.static_mode:  # pinned agents break dynamic invariants
-                violation = self.check_consistency()
-                if violation is not None:
-                    raise AssertionFailure(f"{violation} at t={self.net.now}")
-        else:
-            raise ValidationError(f"unhandled action {action!r}")
-
-    def _query(self, action: QueryAction) -> None:
-        qid = self._next_query_id
-        self._next_query_id += 1
-        query = StorageQuery(action.node, action.required_mb, qid)
-        if self.static_mode:
-            agent_id = self._pins[self.nodes[action.node].domain]
-        else:
-            agent_id = self.nodes[action.node].agent
-        agent = self.nodes.get(agent_id)
-        if agent is None or not agent.is_agent or self.net.is_crashed(agent_id):
-            self.query_results[qid] = None
-            self.metrics.append(MetricsRecord(
-                KIND_QUERY_RESPONSE, 0.0, "ms", self.net.now,
-                {"query_id": str(qid), "requester": str(action.node),
-                 "outcome": "no_agent", "candidate": ""},
-            ))
-            return
-        find_storage(agent, self.net, query, self._record_query)
-
     def _record_query(self, query: StorageQuery, candidate, elapsed_ms, route) -> None:
         self.query_results[query.query_id] = candidate
-        outcome = route if candidate is not None else "not_found"
+        outcome = "not_found" if candidate is None and route == "remote" else route
         self.metrics.append(MetricsRecord(
             KIND_QUERY_RESPONSE, elapsed_ms, "ms", self.net.now,
             {"query_id": str(query.query_id), "requester": str(query.requester),
              "outcome": outcome,
              "candidate": str(candidate.node_id) if candidate else ""},
         ))
-
-    def _set_link(self, action: SetLink) -> None:
-        current = self.net.intra_link if action.scope == "intra" else self.net.inter_link
-        new = LinkConfig(
-            action.delay_ms if action.delay_ms is not None else current.delay_ms,
-            action.drop_probability if action.drop_probability is not None
-            else current.drop_probability,
-            action.bandwidth_mbps if action.bandwidth_mbps is not None
-            else current.bandwidth_mbps,
-        )
-        if action.scope == "intra":
-            self.net.intra_link = new
-        else:
-            self.net.inter_link = new
 
     # -- consistency --------------------------------------------------------------
 
@@ -565,6 +576,8 @@ def compare_static_dynamic(scenario: Scenario) -> ComparisonSummary:
 
 
 __all__ = [
+    "ACTIONS",
+    "Action",
     "AssertConsistency",
     "AssertionFailure",
     "BUNDLED_SCENARIOS",

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,9 @@ from dssm.metrics import (
     load_metrics_json,
 )
 from dssm.scenario import (
+    ACTIONS,
+    NODE,
+    Action,
     AssertionFailure,
     ParseError,
     QueryAction,
@@ -24,7 +28,7 @@ from dssm.scenario import (
     run_scenario,
     scenario_from_json,
 )
-from dssm.simnet import export_trace
+from dssm.simnet import LinkConfig, export_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -203,6 +207,91 @@ def test_script_action_load_errors_keep_their_text(action, error, message):
     assert str(info.value) == message
 
 
+def _finite_case(section, key, value):
+    doc = minimal_doc()
+    doc[section][key] = value
+    return doc
+
+
+def _script_case(action):
+    doc = minimal_doc()
+    doc["script"].append(action)
+    return doc
+
+
+def _node_case(key, value):
+    doc = minimal_doc()
+    doc["nodes"][0][key] = value
+    return doc
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc,error,message", [
+    (_script_case(_join(time_ms=INF)), ParseError, "script[3]: field 'time_ms' must be finite"),
+    (_script_case(_join(time_ms=10**400)), ParseError,
+     "script[3]: field 'time_ms' must be finite"),
+    (_script_case(_query(required_mb=NAN)), ParseError,
+     "script[3]: field 'required_mb' must be finite"),
+    (_script_case(_set_link(delay_ms=NAN)), ParseError,
+     "script[3]: field 'delay_ms' must be finite"),
+    (_finite_case("intra_domain_link", "delay_ms", NAN), ParseError,
+     "scenario 'mini'.intra_domain_link: field 'delay_ms' must be finite"),
+    (_finite_case("inter_domain_link", "bandwidth_mbps", INF), ParseError,
+     "scenario 'mini'.inter_domain_link: field 'bandwidth_mbps' must be finite"),
+    (_finite_case("params", "heartbeat_period_ms", INF), ParseError,
+     "scenario 'mini'.params: field 'heartbeat_period_ms' must be finite"),
+    (_node_case("capacity_mb", -INF), ParseError,
+     "scenario 'mini'.nodes[0]: field 'capacity_mb' must be finite"),
+    (_finite_case("intra_domain_link", "delay_ms", "slow"), ParseError,
+     "scenario 'mini'.intra_domain_link: field 'delay_ms' has wrong type str"),
+    (_finite_case("intra_domain_link", "drop_probability", 2.0), ValidationError,
+     "scenario 'mini'.intra_domain_link: drop_probability 2.0 must be in [0, 1]"),
+    (_script_case(_set_link(drop_probability=1.5)), ValidationError,
+     "set_link drop_probability 1.5 must be in [0, 1]"),
+    (_script_case(_set_link(scope="intra", delay_ms=-1)), ValidationError,
+     "set_link delay_ms -1.0 must be >= 0"),
+    (_script_case(_set_link(delay_ms=5, bandwidth_mbps=0)), ValidationError,
+     "set_link bandwidth_mbps 0.0 must be > 0"),
+])
+def test_non_finite_and_out_of_range_numbers_fail_at_load(doc, error, message):
+    with pytest.raises(error) as info:
+        scenario_from_json(doc)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_every_action_subclass_is_in_the_table():
+    assert set(Action.__subclasses__()) == set(ACTIONS.values())
+    assert all(kind == cls.KIND for kind, cls in ACTIONS.items())
+
+
+@pytest.mark.parametrize("kind", sorted(ACTIONS))
+def test_every_action_parses_and_checks_its_node_fields(kind):
+    cls = ACTIONS[kind]
+    example = {"time_ms": 600.0, "action": kind}
+    for i, (key, field) in enumerate(cls.FIELDS):
+        example[key] = {"scope": "inter"}.get(key, 1 + i % 2 if field is NODE else 0.25 * (i + 1))
+    parsed = scenario_from_json(_script_case(example)).script[-1]
+    assert type(parsed) is cls
+    assert [getattr(parsed, f.name) for f in fields(cls)] == [
+        example[key] for key in ["time_ms"] + [key for key, _ in cls.FIELDS]]
+    for key, field in cls.FIELDS:
+        if field is NODE:
+            with pytest.raises(ValidationError) as info:
+                scenario_from_json(_script_case({**example, key: 9}))
+            assert str(info.value) == "script references unknown node 9"
+
+
+def test_set_link_changes_only_the_given_fields():
+    doc = _script_case(_set_link(scope="intra", drop_probability=0.5, bandwidth_mbps=10))
+    doc["script"].append(_set_link(time_ms=700.0, delay_ms=30))
+    world = run_scenario(scenario_from_json(doc)).world
+    assert world.net.intra_link == LinkConfig(1.0, 0.5, 10.0)
+    assert world.net.inter_link == LinkConfig(30.0, 0.0, 100.0)
+
+
 def test_generator_reproduces_the_bundled_scenarios():
     spec = importlib.util.spec_from_file_location(
         "generate_scenarios", ROOT / "scripts" / "generate_scenarios.py")
@@ -349,6 +438,16 @@ def test_no_churn_modes_agree():
     assert static_picks == dynamic_picks
 
 
+def test_static_mode_queries_go_to_the_pinned_agent():
+    # Node 2 never joins, so only the static baseline knows its agent.
+    doc = minimal_doc()
+    doc["script"] = [_join(time_ms=0.0), _query(time_ms=500.0, node=2, required_mb=50.0)]
+    static = run_scenario(scenario_from_json(doc), static_mode=True)
+    dynamic = run_scenario(scenario_from_json(doc))
+    assert static.query_results[1].node_id == 1
+    assert dynamic.query_results == {1: None}
+
+
 def test_comparison_table_has_two_rows():
     s = load_scenario(bundled_scenario_path("two_domain"))
     table = compare_static_dynamic(s).table()
@@ -419,8 +518,13 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+SET_LINK_OUT_OF_RANGE = {"set_link_drop_probability": 1.5, "set_link_delay_ms": -1.0,
+                         "set_link_bandwidth_mbps": 0.0}
+
+
 @pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join",
-                                  "leave_after_crash", "transfer_after_crash"])
+                                  "leave_after_crash", "transfer_after_crash",
+                                  *SET_LINK_OUT_OF_RANGE, "nan_required_mb"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     doc = minimal_doc()
     crash = {"time_ms": 1000.0, "action": "crash", "node": 1}
@@ -432,6 +536,11 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         doc["script"].insert(0, {"time_ms": 0.0, "action": "leave", "node": 2})
     elif case == "leave_after_crash":
         doc["script"] += [crash, {"time_ms": 1100.0, "action": "leave", "node": 1}]
+    elif case in SET_LINK_OUT_OF_RANGE:
+        doc["script"].append(_set_link(**{case.removeprefix("set_link_"):
+                                          SET_LINK_OUT_OF_RANGE[case]}))
+    elif case == "nan_required_mb":
+        doc["script"].append(_query(required_mb=float("nan")))
     else:
         doc["script"] += [crash, {"time_ms": 1100.0, "action": "transfer",
                                   "from": 1, "to": 2, "size_mb": 1.0}]
