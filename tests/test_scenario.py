@@ -207,7 +207,7 @@ def test_script_action_load_errors_keep_their_text(action, error, message):
     assert str(info.value) == message
 
 
-def _finite_case(section, key, value):
+def _section_case(section, key, value):
     doc = minimal_doc()
     doc[section][key] = value
     return doc
@@ -236,17 +236,17 @@ NAN, INF = float("nan"), float("inf")
      "script[3]: field 'required_mb' must be finite"),
     (_script_case(_set_link(delay_ms=NAN)), ParseError,
      "script[3]: field 'delay_ms' must be finite"),
-    (_finite_case("intra_domain_link", "delay_ms", NAN), ParseError,
+    (_section_case("intra_domain_link", "delay_ms", NAN), ParseError,
      "scenario 'mini'.intra_domain_link: field 'delay_ms' must be finite"),
-    (_finite_case("inter_domain_link", "bandwidth_mbps", INF), ParseError,
+    (_section_case("inter_domain_link", "bandwidth_mbps", INF), ParseError,
      "scenario 'mini'.inter_domain_link: field 'bandwidth_mbps' must be finite"),
-    (_finite_case("params", "heartbeat_period_ms", INF), ParseError,
+    (_section_case("params", "heartbeat_period_ms", INF), ParseError,
      "scenario 'mini'.params: field 'heartbeat_period_ms' must be finite"),
     (_node_case("capacity_mb", -INF), ParseError,
      "scenario 'mini'.nodes[0]: field 'capacity_mb' must be finite"),
-    (_finite_case("intra_domain_link", "delay_ms", "slow"), ParseError,
+    (_section_case("intra_domain_link", "delay_ms", "slow"), ParseError,
      "scenario 'mini'.intra_domain_link: field 'delay_ms' has wrong type str"),
-    (_finite_case("intra_domain_link", "drop_probability", 2.0), ValidationError,
+    (_section_case("intra_domain_link", "drop_probability", 2.0), ValidationError,
      "scenario 'mini'.intra_domain_link: drop_probability 2.0 must be in [0, 1]"),
     (_script_case(_set_link(drop_probability=1.5)), ValidationError,
      "set_link drop_probability 1.5 must be in [0, 1]"),
