@@ -4,8 +4,10 @@
     python3 scripts/update_goldens.py
 
 Each case is a bundled scenario, as shipped or with one change (5% loss on
-both link classes, or another election policy), or a generated mixed run
-under one election policy (see `generated_doc`). A case's record holds the
+both link classes, or another election policy), a generated mixed run
+under one election policy (see `generated_doc`), or the document of one
+benchmark workload at seed 1, as `perfbench/workloads.py` builds it, so
+the runs the benchmark times are pinned too. A case's record holds the
 SHA-256 of the trace CSV, of the metrics JSON and of the `--compare-static`
 table, plus the consistency-assertion text when the run raises one; the
 trace and metrics then cover the run up to the failed assertion.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib.util
 import json
 import random
 import sys
@@ -44,6 +47,7 @@ LOSS = 0.05
 POLICY_CASES = {"agent_crash": ("lowest_id", "highest_connectivity"),
                 "churn50": ("lowest_id", "highest_connectivity")}
 POLICIES = ("max_power", "lowest_id", "highest_connectivity")
+PERFBENCH_SEED = 1
 LINK = {"delay_ms": 1.0, "drop_probability": 0.02, "bandwidth_mbps": 100.0}
 PARAMS = {"accept_window_ms": 20.0, "heartbeat_period_ms": 200.0,
           "failure_timeout_ms": 600.0, "response_window_ms": 100.0}
@@ -96,6 +100,17 @@ def generated_doc(policy: str) -> dict:
             "params": PARAMS, "nodes": nodes, "script": script}
 
 
+def perfbench_workloads():
+    """`perfbench/workloads.py`, loaded by file path: `perfbench` is a
+    directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def case_docs() -> dict[str, dict]:
     """Scenario document of every golden case, by case name."""
     docs = {}
@@ -110,6 +125,9 @@ def case_docs() -> dict[str, dict]:
             docs[f"{name}@{policy}"] = dict(doc, election_policy=policy)
     for policy in POLICIES:
         docs[f"generated@{policy}"] = generated_doc(policy)
+    workloads = perfbench_workloads()
+    for name in workloads.WORKLOADS:
+        docs[f"perfbench:{name}@seed{PERFBENCH_SEED}"] = workloads.build(name, PERFBENCH_SEED).doc
     return docs
 
 

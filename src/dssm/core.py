@@ -119,9 +119,13 @@ class Ait:
         for entry in entries:
             self.upsert(entry)
 
-    def upsert(self, entry: AitEntry) -> None:
-        """Insert or replace the entry for entry.node_id."""
-        self._entries[entry.node_id] = entry
+    def upsert(self, entry: AitEntry) -> AitEntry | None:
+        """Insert or replace the entry for entry.node_id; return the entry
+        it replaced, or None if the node is new."""
+        entries, node_id = self._entries, entry.node_id
+        stored = entries.get(node_id)
+        entries[node_id] = entry
+        return stored
 
     def remove(self, node_id: NodeId) -> None:
         """Drop the entry for node_id; removing an absent id is a no-op."""
@@ -238,9 +242,18 @@ def decode_message(block: bytes) -> Message:
     return Message(kind, sender)
 
 
+# Built once for the send and delivery paths: on Python 3.11 a member's
+# `.name` and a class attribute read such as `MessageKind.DATA` both run
+# Python-level Enum code, about ten times the cost of a dict or global lookup.
+KIND_NAMES: dict[MessageKind, str] = {kind: kind.name for kind in MessageKind}
+_TRANSIT_SIZE = {kind: float(message_size_bytes(kind)) for kind in MessageKind}
+_DATA = MessageKind.DATA
+
+
 def transit_size_bytes(msg: Message) -> float:
     """Size that occupies the link: the encoded datagram, except DATA whose
     8-byte size field stands in for a body of size_mb megabytes."""
-    if msg.kind is MessageKind.DATA:
+    kind = msg.kind
+    if kind is _DATA:
         return msg.size_mb * 1024 * 1024
-    return float(message_size_bytes(msg.kind))
+    return _TRANSIT_SIZE[kind]

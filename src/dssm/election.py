@@ -25,6 +25,12 @@ class ElectionPolicy(Enum):
     HIGHEST_CONNECTIVITY = "highest_connectivity"
 
 
+# Members bound once to module names, for the delivery path: on Python 3.11
+# `ElectionPolicy.LOWEST_ID` goes through EnumType.__getattr__.
+_LOWEST_ID = ElectionPolicy.LOWEST_ID
+_HIGHEST_CONNECTIVITY = ElectionPolicy.HIGHEST_CONNECTIVITY
+
+
 def select_agent(
     ait: Ait,
     current_agent: NodeId,
@@ -43,10 +49,10 @@ def select_agent(
     if len(ait) == 0:
         raise EmptyDomain("cannot select an agent from an empty AIT")
 
-    if policy is ElectionPolicy.LOWEST_ID:
+    if policy is _LOWEST_ID:
         return min(ait.ids())
 
-    if policy is ElectionPolicy.HIGHEST_CONNECTIVITY:
+    if policy is _HIGHEST_CONNECTIVITY:
         connected = [n for n in heard if n in ait] if len(heard) > 1 else ()
         return min(connected or ait.ids())
 
@@ -72,7 +78,7 @@ def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEn
     """
     return (stored is None
             or stored.processing_power_mhz != entry.processing_power_mhz
-            or policy is ElectionPolicy.HIGHEST_CONNECTIVITY)
+            or policy is _HIGHEST_CONNECTIVITY)
 
 
 def heard_members(node, now_ms: float) -> frozenset[NodeId]:
@@ -83,7 +89,7 @@ def heard_members(node, now_ms: float) -> frozenset[NodeId]:
     Within a multicast domain every live member hears every other, so each
     of these members has the same degree, the highest in the domain.
     """
-    if node.policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
+    if node.policy is not _HIGHEST_CONNECTIVITY:
         return frozenset()
     window = node.params.failure_timeout_ms
     return frozenset(

@@ -298,6 +298,10 @@ class Scenario:
                   "failure_timeout_ms", "response_window_ms"):
             if getattr(self.params, p) <= 0:
                 raise ValidationError(f"param {p} must be > 0")
+        # A timeout of one period or less drops a live peer after a single
+        # lost heartbeat, or between two heartbeats without any loss.
+        if self.params.failure_timeout_ms <= self.params.heartbeat_period_ms:
+            raise ValidationError("param failure_timeout_ms must be > heartbeat_period_ms")
         try:
             self.topology().validate()
         except DssmError as exc:

@@ -55,6 +55,7 @@ from typing import NamedTuple
 from .core import (
     DomainId,
     DssmError,
+    KIND_NAMES,
     Message,
     NodeId,
     transit_size_bytes,
@@ -337,7 +338,7 @@ class Network:
         self._require_live(src)
         self._require(dst)
         size = transit_size_bytes(msg)
-        self._trace("send", str(src), str(dst), msg.kind.name, size)
+        self._trace("send", str(src), str(dst), KIND_NAMES[msg.kind], size)
         link = self.link_between(src, dst)
         if self.rng.random() >= link.drop_probability:
             self._push_delivery(self.now + link.transit_ms(size), (dst,), msg)
@@ -354,7 +355,7 @@ class Network:
             members = self.domain_members(group)
             link, label = self.intra_link, f"domain{group}"
         size = transit_size_bytes(msg)
-        self._trace("send", str(src), label, msg.kind.name, size)
+        self._trace("send", str(src), label, KIND_NAMES[msg.kind], size)
         # One draw per attempt, in member order, keeps the stream aligned.
         drop, draw = link.drop_probability, self.rng.random
         recipients = tuple([m for m in members if m != src and draw() >= drop])
@@ -426,7 +427,8 @@ class Network:
         if msg is not None:
             trace = self.trace
             records, crashed, handlers = trace._records, self.crashed, self.handlers
-            src, kind, size = str(msg.sender.node_id), msg.kind.name, transit_size_bytes(msg)
+            src, kind = str(msg.sender.node_id), KIND_NAMES[msg.kind]
+            size = transit_size_bytes(msg)
             record = (time_ms, seq, src, to, kind, size)
             trace._open_delivery(record)
             for i, member in enumerate(to):

@@ -136,6 +136,15 @@ def test_upsert_replaces():
     assert ait.get(1).storage_capacity_mb == 99.0
 
 
+def test_upsert_returns_the_replaced_entry():
+    ait = Ait()
+    first, second = entry(), entry(cap=99.0)
+    assert ait.upsert(first) is None
+    assert ait.upsert(second) is first
+    assert ait.upsert(entry(2, "10.0.0.2")) is None
+    assert ait.get(1) is second
+
+
 def test_upsert_idempotent():
     ait = Ait()
     ait.upsert(entry())

@@ -2,10 +2,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import PARAMS, World
 from dssm import election
-from dssm.core import Message, MessageKind
+from dssm.core import Ait, Message, MessageKind
 from dssm.election import ElectionPolicy
 from dssm.membership import AlreadyMember, NotMember, Phase, ProtocolParams
 from dssm.simnet import LinkConfig
@@ -377,3 +378,81 @@ def test_member_reelects_only_when_the_entry_moves_the_election(monkeypatch, pol
     assert node.ait.get(2).processing_power_mhz == 2500.0
     if policy is ElectionPolicy.MAX_POWER:
         assert node.agent == 1
+
+
+PEERS = range(2, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(heard=st.dictionaries(st.sampled_from(PEERS), st.floats(0.0, 5000.0)),
+       now=st.floats(0.0, 5000.0), timeout=st.floats(1.0, 2000.0))
+@example(heard={2: 102.1}, now=702.1, timeout=600.0)  # 702.1 - 102.1 == 600.0
+@example(heard={2: 102.1, 3: 102.0}, now=702.1, timeout=600.0)
+def test_heartbeat_tick_drops_exactly_the_silent_peers(heard, now, timeout):
+    w = World([(nid, 1, 1024.0, 2800.0) for nid in (1, *PEERS)],
+              params=replace(PARAMS, failure_timeout_ms=timeout))
+    w.settle(now)  # nothing is queued: only the clock moves
+    node = w.nodes[1]
+    node.phase, node.agent = Phase.MEMBER, 1
+    node.ait = Ait([node.self_entry] + [w.nodes[p].self_entry for p in heard])
+    node.last_heard_ms = dict(heard)
+    node.heartbeat_tick(w.net)
+    kept = {peer for peer, t in heard.items() if not now - t > timeout}
+    assert set(node.last_heard_ms) == kept
+    assert node.ait.ids() == kept | {1}
+
+
+class _CheckAfterEachEvent:
+    """Runs a node's handlers and then `check`, so a test sees the state
+    after every event the node handles."""
+
+    def __init__(self, node, check):
+        self.node, self.check = node, check
+
+    def on_message(self, net, msg):
+        self.node.on_message(net, msg)
+        self.check()
+
+    def on_timer(self, net, tag):
+        self.node.on_timer(net, tag)
+        self.check()
+
+
+def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn():
+    lossy = LinkConfig(delay_ms=1.0, drop_probability=0.05, bandwidth_mbps=100.0)
+    ids = range(1, 7)
+    w = World([(nid, 1, 1024.0, 2500.0 + 100.0 * (nid % 3)) for nid in ids],
+              seed=5, intra=lossy)
+    checks = []
+
+    def check():
+        for node in w.nodes.values():
+            assert set(node.last_heard_ms) == node.ait.ids() - {node.node_id}, node
+        checks.append(w.net.now)
+
+    for nid, node in w.nodes.items():
+        w.net.register_handler(nid, _CheckAfterEachEvent(node, check))
+    w.join_all()
+    rng = random.Random(5)
+    t, live, down = 1000.0, set(ids), []
+    for _ in range(40):
+        t += rng.choice((150.0, 250.0, 700.0))
+        w.settle(t)
+        if down and (len(live) < 3 or rng.random() < 0.4):
+            nid = down.pop(rng.randrange(len(down)))
+            w.net.revive(nid)
+            w.nodes[nid].reset_offline()
+            w.join(nid)
+            live.add(nid)
+        else:
+            nid = rng.choice(sorted(live))
+            if rng.random() < 0.5:
+                w.leave(nid)
+            else:
+                w.crash(nid)
+            live.discard(nid)
+            down.append(nid)
+        check()
+    w.settle(t + 2000.0)
+    assert len(checks) > 1000
+    assert any(n.is_member for n in w.nodes.values())

@@ -551,6 +551,17 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("timeout", [1.0, 200.0])
+def test_cli_rejects_a_failure_timeout_of_at_most_one_heartbeat_period(tmp_path, capsys, timeout):
+    doc = minimal_doc()
+    doc["params"]["failure_timeout_ms"] = timeout
+    p = tmp_path / "timeout.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: param failure_timeout_ms must be > heartbeat_period_ms\n")
+
+
 def test_cli_seed_override(tmp_path):
     t1, t2 = tmp_path / "1.csv", tmp_path / "2.csv"
     assert cli_main(["run", "two_domain", "--seed", "9", "--trace", str(t1)]) == 0
