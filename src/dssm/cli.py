@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .core import IoError
 from .metrics import export_metrics
 from .scenario import (
     AssertionFailure,
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionFailure as exc:

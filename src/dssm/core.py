@@ -51,6 +51,10 @@ class InvalidValue(DssmError):
     """A field value violates its type invariant."""
 
 
+class IoError(DssmError):
+    """An output file could not be written."""
+
+
 class MessageKind(IntEnum):
     JOIN = 0x01
     ACCEPT = 0x02

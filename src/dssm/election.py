@@ -83,8 +83,9 @@ def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEn
 
 def heard_members(node, now_ms: float) -> frozenset[NodeId]:
     """HIGHEST_CONNECTIVITY's input: the node itself plus the AIT members it
-    heard within the failure window. Empty under the other policies, which
-    need no input, so the scan runs only when it is used.
+    heard within the failure window (every key of `last_heard_ms` is an AIT
+    member). Empty under the other policies, which need no input, so the
+    scan runs only when it is used.
 
     Within a multicast domain every live member hears every other, so each
     of these members has the same degree, the highest in the domain.
@@ -93,8 +94,7 @@ def heard_members(node, now_ms: float) -> frozenset[NodeId]:
         return frozenset()
     window = node.params.failure_timeout_ms
     return frozenset(
-        [peer for peer, heard in node.last_heard_ms.items()
-         if peer in node.ait and now_ms - heard <= window]
+        [peer for peer, heard in node.last_heard_ms.items() if now_ms - heard <= window]
         + [node.node_id]
     )
 

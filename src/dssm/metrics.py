@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .core import DssmError
+from .core import IoError
 
 KIND_JOIN_LATENCY = "JoinLatency"
 KIND_ELECTION_LATENCY = "ElectionLatency"
@@ -23,10 +23,6 @@ METRIC_KINDS = (
 )
 
 CSV_HEADER = "kind,value,unit,time_ms,labels"
-
-
-class IoError(DssmError):
-    pass
 
 
 @dataclass

@@ -28,17 +28,18 @@ still traced (the packet arrived) but no handler runs; timers owned by a
 crashed node vanish silently. A crashed node cannot send: sending from it
 raises NodeCrashed.
 
-Network.trace is a Trace, a read-only sequence of TraceRow whose storage is
-a list of records. A send or timer row is stored as its TraceRow. A
-delivery entry is stored as one record (time_ms, first_seq, src,
-recipients, msg_kind, size_bytes) standing for one deliver row per
-recipient, with seq first_seq + i and dst str(recipients[i]); rows are
-built only when read. If a recipient's handler traces rows of its own (it
-sends a reply, say), the record is cut after that recipient, and the
-remaining recipients continue in a new record (recipients[i:],
-first_seq + i) after the handler's rows, so rows stay in the order in
-which events ran. While recipient i's handler runs, trace[-1] is recipient
-i's deliver row.
+Network.trace is a Trace, a read-only sequence of TraceRow stored as a list
+of records of one shape, (time_ms, first_seq, kind, src, dsts, msg_kind,
+size_bytes): row j of a record has seq first_seq + j, from str(src) and to
+str(dsts[j]), and is built only when read. A send or fired timer is one
+row: dsts is a unicast's (dst,), a multicast's group label ("domain3",) or
+("virtual",), or a timer's (owner,) with src "". A delivery entry's dsts
+are its recipients. Rows count into the length as they happen, a delivery
+one recipient at a time, and appending cuts the previous record down to
+the rows it counted. So when a recipient's handler traces rows of its own
+(a reply, say), the rest of its batch continues in a new record after
+them, and rows stay in the order in which events ran. While recipient i's
+handler runs, trace[-1] is recipient i's deliver row.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .core import (
     DomainId,
     DssmError,
     KIND_NAMES,
+    IoError,
     Message,
     NodeId,
     transit_size_bytes,
@@ -138,16 +140,12 @@ TRACE_HEADER = "time_ms,seq,kind,from,to,msg_kind,size_bytes"
 _new_row = tuple.__new__
 
 
-def _rows_in(record) -> int:
-    return 1 if type(record) is TraceRow else len(record[3])
-
-
 def _cut(record, start: int, stop: int):
     """The rows start..stop-1 of a record, as a record."""
-    if type(record) is TraceRow or (start == 0 and stop >= len(record[3])):
+    time_ms, first, kind, src, dsts, msg_kind, size = record
+    if start == 0 and stop >= len(dsts):
         return record
-    time_ms, first, src, recipients, kind, size = record
-    return (time_ms, first + start, src, recipients[start:stop], kind, size)
+    return (time_ms, first + start, kind, src, dsts[start:stop], msg_kind, size)
 
 
 class Trace(Sequence):
@@ -156,17 +154,16 @@ class Trace(Sequence):
     records of its range, not a list of rows; `records` and `length` build
     such a view."""
 
-    __slots__ = ("_records", "_len", "_starts", "_open", "_open_start")
+    __slots__ = ("_records", "_len", "_starts", "_last_start")
 
     def __init__(self, records: list | None = None, length: int = 0):
         self._records = [] if records is None else records
         self._len = length
         # The row index of each record's first row, filled in on read.
         self._starts = array("q")
-        # The delivery record whose recipients are still being taken, and
-        # the row index it starts at.
-        self._open: tuple | None = None
-        self._open_start = 0
+        # The row index of the last record's first row: the rows counted
+        # since then are the ones of that record that have happened.
+        self._last_start = length - len(records[-1][4]) if records else 0
 
     def __len__(self) -> int:
         return self._len
@@ -174,28 +171,16 @@ class Trace(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._slice(index)
-        i = as_index(index)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("trace index out of range")
-        k = self._locate(i)
-        record = self._records[k]
-        if type(record) is TraceRow:
-            return record
-        time_ms, first, src, recipients, kind, size = record
-        j = i - self._starts[k]
-        return _new_row(TraceRow, (time_ms, first + j, "deliver", src, str(recipients[j]),
-                                   kind, size))
+        record, j = self._find(index)
+        time_ms, first, kind, src, dsts, msg_kind, size = record
+        return _new_row(TraceRow, (time_ms, first + j, kind, str(src), str(dsts[j]),
+                                   msg_kind, size))
 
     def __iter__(self):
-        for record in self._closed_records():
-            if type(record) is TraceRow:
-                yield record
-                continue
-            time_ms, first, src, recipients, kind, size = record
-            for seq, dst in enumerate(recipients, first):
-                yield _new_row(TraceRow, (time_ms, seq, "deliver", src, str(dst), kind, size))
+        for time_ms, first, kind, src, dsts, msg_kind, size in self._counted_records():
+            src = str(src)
+            for seq, dst in enumerate(dsts, first):
+                yield _new_row(TraceRow, (time_ms, seq, kind, src, str(dst), msg_kind, size))
 
     def __eq__(self, other):
         if not isinstance(other, (Trace, list)):
@@ -204,24 +189,35 @@ class Trace(Sequence):
 
     # -- reading internals ----------------------------------------------------
 
+    def _find(self, index) -> tuple:
+        """The record holding row `index` (negative from the end), and its offset."""
+        i = as_index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace index out of range")
+        k = self._locate(i)
+        return self._records[k], i - self._starts[k]
+
     def _locate(self, i: int) -> int:
         """The index of the record that holds row i, for 0 <= i < len."""
         starts, records = self._starts, self._records
         k = len(starts)
         if k < len(records):
-            # Every record but the last is closed, so its row count is final.
-            row = starts[-1] + _rows_in(records[k - 1]) if k else 0
+            # Appending cut every record but the last: their counts are final.
+            row = starts[-1] + len(records[k - 1][4]) if k else 0
             starts.append(row)
             for record in records[k:-1]:
-                row += _rows_in(record)
+                row += len(record[4])
                 starts.append(row)
         return bisect_right(starts, i) - 1
 
     def _slice(self, s: slice) -> Trace:
         lo, hi, step = s.indices(self._len)
         if step != 1:
-            rows = [self[i] for i in range(lo, hi, step)]
-            return Trace(rows, len(rows))
+            records = [_cut(record, j, j + 1)
+                       for record, j in map(self._find, range(lo, hi, step))]
+            return Trace(records, len(records))
         if lo >= hi:
             return Trace()
         first, last = self._locate(lo), self._locate(hi - 1)
@@ -230,46 +226,43 @@ class Trace(Sequence):
         records[0] = _cut(records[0], lo - self._starts[first], hi - self._starts[first])
         return Trace(records, hi - lo)
 
-    def _closed_records(self) -> list:
-        """The records, with an open delivery record cut to the recipients
-        taken so far."""
-        return self._records if self._open is None else self[:]._records
+    def _counted_records(self) -> list:
+        """The records, the last cut to the rows that have happened."""
+        records = self._records
+        if records and self._len - self._last_start < len(records[-1][4]):
+            return records[:-1] + [_cut(records[-1], 0, self._len - self._last_start)]
+        return records
 
     # -- writing, by Network --------------------------------------------------
 
-    def _append(self, row: TraceRow) -> None:
-        if self._open is not None:
-            self._close()
-        self._records.append(row)
-        self._len += 1
-
-    def _open_delivery(self, record: tuple) -> None:
-        """Append a delivery record; Network counts its rows into the length
-        one recipient at a time."""
-        if self._open is not None:
-            self._close()
-        self._records.append(record)
-        self._open, self._open_start = record, self._len
-
-    def _close(self) -> None:
-        """Cut the open delivery record to the recipients taken so far."""
-        taken = self._len - self._open_start
-        self._records[-1] = _cut(self._open, 0, taken)
-        self._open = None
+    def _append(self, record: tuple, happened: int) -> None:
+        """Append a record, `happened` of whose rows count at once; Network
+        counts a delivery's rows as its recipients are taken."""
+        records = self._records
+        if records:
+            counted = self._len - self._last_start
+            if counted < len(records[-1][4]):
+                records[-1] = _cut(records[-1], 0, counted)
+        records.append(record)
+        self._last_start = self._len
+        self._len += happened
 
 
 def export_trace(trace: Trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for record in trace._closed_records():
-            if type(record) is TraceRow:
-                fh.write(record.csv() + "\n")
-                continue
-            # The fields a delivery record's rows share are formatted once.
-            time_ms, first, src, recipients, kind, size = record
-            head, mid, tail = f"{time_ms!r},", f",deliver,{src},", f",{kind},{size!r}\n"
-            fh.write("".join([f"{head}{seq}{mid}{dst}{tail}"
-                              for seq, dst in enumerate(recipients, first)]))
+    """Write the trace as CSV; an unwritable path raises IoError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(TRACE_HEADER + "\n")
+            for time_ms, first, kind, src, dsts, msg_kind, size in trace._counted_records():
+                if len(dsts) == 1:
+                    fh.write(f"{time_ms!r},{first},{kind},{src},{dsts[0]},{msg_kind},{size!r}\n")
+                    continue
+                # The fields a record's rows share are formatted once.
+                head, mid, tail = f"{time_ms!r},", f",{kind},{src},", f",{msg_kind},{size!r}\n"
+                fh.write("".join([f"{head}{seq}{mid}{dst}{tail}"
+                                  for seq, dst in enumerate(dsts, first)]))
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
 
 
 class Network:
@@ -299,6 +292,9 @@ class Network:
         for node, domain in sorted(topology.nodes.items()):
             members.setdefault(domain, []).append(node)
         self._members = {domain: tuple(ids) for domain, ids in members.items()}
+        # The `dsts` of a multicast's send record: its group's label.
+        self._labels = {domain: (f"domain{domain}",) for domain in members}
+        self._labels[VIRTUAL] = ("virtual",)
 
     # -- wiring ------------------------------------------------------------
 
@@ -337,11 +333,11 @@ class Network:
     def send_unicast(self, src: NodeId, dst: NodeId, msg: Message) -> None:
         self._require_live(src)
         self._require(dst)
-        size = transit_size_bytes(msg)
-        self._trace("send", str(src), str(dst), KIND_NAMES[msg.kind], size)
+        size, dsts = transit_size_bytes(msg), (dst,)
+        self._trace_send(src, dsts, msg, size)
         link = self.link_between(src, dst)
         if self.rng.random() >= link.drop_probability:
-            self._push_delivery(self.now + link.transit_ms(size), (dst,), msg)
+            self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
 
     def send_multicast(self, src: NodeId, group: DomainId, msg: Message) -> None:
         """One independent delivery attempt per group member except the
@@ -349,13 +345,12 @@ class Network:
         agents over the inter-domain link."""
         self._require_live(src)
         if group == VIRTUAL:
-            members = self.virtual_members
-            link, label = self.inter_link, "virtual"
+            members, link = self.virtual_members, self.inter_link
         else:
-            members = self.domain_members(group)
-            link, label = self.intra_link, f"domain{group}"
+            members, link = self.domain_members(group), self.intra_link
+        label = self._labels.get(group) or (f"domain{group}",)
         size = transit_size_bytes(msg)
-        self._trace("send", str(src), label, KIND_NAMES[msg.kind], size)
+        self._trace_send(src, label, msg, size)
         # One draw per attempt, in member order, keeps the stream aligned.
         drop, draw = link.drop_probability, self.rng.random
         recipients = tuple([m for m in members if m != src and draw() >= drop])
@@ -410,9 +405,9 @@ class Network:
         self._seq += 1
         return self._seq
 
-    def _trace(self, kind, src, dst, msg_kind, size) -> None:
-        row = (self.now, self._next_seq(), kind, src, dst, msg_kind, size)
-        self.trace._append(_new_row(TraceRow, row))
+    def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
+        record = (self.now, self._next_seq(), "send", src, dsts, KIND_NAMES[msg.kind], size)
+        self.trace._append(record, 1)
 
     def _push_delivery(self, at: float, recipients: tuple[NodeId, ...], msg: Message) -> None:
         first = self._seq + 1
@@ -427,22 +422,21 @@ class Network:
         if msg is not None:
             trace = self.trace
             records, crashed, handlers = trace._records, self.crashed, self.handlers
-            src, kind = str(msg.sender.node_id), KIND_NAMES[msg.kind]
+            src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
-            record = (time_ms, seq, src, to, kind, size)
-            trace._open_delivery(record)
+            record = (time_ms, seq, "deliver", src, to, kind, size)
+            trace._append(record, 0)
             for i, member in enumerate(to):
                 if records[-1] is not record:
                     # The last handler traced rows: the rest follow them.
-                    record = (time_ms, seq + i, src, to[i:], kind, size)
-                    trace._open_delivery(record)
+                    record = (time_ms, seq + i, "deliver", src, to[i:], kind, size)
+                    trace._append(record, 0)
                 self._pending -= 1
                 trace._len += 1
                 if member not in crashed:
                     handler = handlers.get(member)
                     if handler is not None:
                         handler.on_message(self, msg)
-            trace._open = None  # every recipient was taken: nothing to cut
             return
         self._pending -= 1
         key = (to, tag)
@@ -451,7 +445,7 @@ class Network:
         del self._timers[key]
         if to in self.crashed:
             return
-        self.trace._append(_new_row(TraceRow, (time_ms, seq, "timer", "", str(to), tag, 0)))
+        self.trace._append((time_ms, seq, "timer", "", (to,), tag, 0), 1)
         handler = self.handlers.get(to)
         if handler is not None:
             handler.on_timer(self, tag)

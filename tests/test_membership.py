@@ -418,11 +418,13 @@ class _CheckAfterEachEvent:
         self.check()
 
 
-def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn():
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
+    # election.heard_members relies on this under HIGHEST_CONNECTIVITY.
     lossy = LinkConfig(delay_ms=1.0, drop_probability=0.05, bandwidth_mbps=100.0)
     ids = range(1, 7)
     w = World([(nid, 1, 1024.0, 2500.0 + 100.0 * (nid % 3)) for nid in ids],
-              seed=5, intra=lossy)
+              seed=5, intra=lossy, policy=policy)
     checks = []
 
     def check():

@@ -524,9 +524,10 @@ SET_LINK_OUT_OF_RANGE = {"set_link_drop_probability": 1.5, "set_link_delay_ms": 
 
 @pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join",
                                   "leave_after_crash", "transfer_after_crash",
-                                  *SET_LINK_OUT_OF_RANGE, "nan_required_mb"])
+                                  *SET_LINK_OUT_OF_RANGE, "nan_required_mb",
+                                  "unwritable_trace", "unwritable_metrics"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
-    doc = minimal_doc()
+    doc, flags = minimal_doc(), []
     crash = {"time_ms": 1000.0, "action": "crash", "node": 1}
     if case == "bad_ip":
         doc["nodes"][0]["ip"] = "10.0.1"
@@ -541,12 +542,14 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
                                           SET_LINK_OUT_OF_RANGE[case]}))
     elif case == "nan_required_mb":
         doc["script"].append(_query(required_mb=float("nan")))
+    elif case.startswith("unwritable_"):
+        flags = ["--" + case.removeprefix("unwritable_"), str(tmp_path / "missing" / "out.csv")]
     else:
         doc["script"] += [crash, {"time_ms": 1100.0, "action": "transfer",
                                   "from": 1, "to": 2, "size_mb": 1.0}]
     p = tmp_path / f"{case}.json"
     p.write_text(json.dumps(doc))
-    assert cli_main(["run", str(p)]) == 2
+    assert cli_main(["run", str(p), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

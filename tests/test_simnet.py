@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from dssm.simnet import (
     LinkConfig,
     Network,
     NodeCrashed,
+    TRACE_HEADER,
     Topology,
     Trace,
     TraceRow,
@@ -362,12 +364,32 @@ def test_transfer_time_monotonic_in_size_and_delay():
 
 def _interleaved_run(seed, drop):
     """Two domains whose handlers, in the middle of a fan-out, sometimes reply
-    by unicast, multicast, or set a 0 ms timer. Every handler checks the row
-    trace[-1] shows it and logs (len(trace), that row)."""
+    by unicast, multicast, or set a 0 ms timer, and sometimes send one of the
+    sends `odd_send` makes. Every handler checks the row trace[-1] shows it
+    and logs (len(trace), that row). Node 4 crashes after its JOIN, and the
+    VIRTUAL group is nodes 1 and 5."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
     net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
+    net.virtual_members = (1, 5)
     seen = []
-    budget = [40]
+    budget = [60]
+
+    def odd_send(net, me, which):
+        if which == 0:
+            net.send_multicast(me, VIRTUAL, Message(MessageKind.QUERY, entry(me),
+                                                     query_id=me, required_mb=5.0))
+        elif which == 1:
+            # Every draw drops: a send row with no delivery record.
+            kept, net.intra_link = net.intra_link, replace(net.intra_link, drop_probability=1.0)
+            pending = net.pending()
+            net.send_multicast(me, net.topology.nodes[me], Message(MessageKind.HEARTBEAT, entry(me)))
+            assert net.pending() == pending
+            net.intra_link = kept
+        elif which == 2:
+            net.send_multicast(me, 9, Message(MessageKind.HEARTBEAT, entry(me)))  # no members
+        else:
+            net.send_unicast(me, 4, Message(MessageKind.DATA, entry(me),
+                                            size_mb=round(random.Random(me).random(), 3)))
 
     class Chatter:
         def __init__(self, me):
@@ -401,10 +423,15 @@ def _interleaved_run(seed, drop):
             elif r < 0.75:
                 net.send_multicast(self.me, net.topology.nodes[self.me],
                                    Message(MessageKind.HEARTBEAT, entry(self.me)))
+            else:
+                odd_send(net, self.me, int((r - 0.75) * 16))
 
     for n in range(1, 7):
         net.register_handler(n, Chatter(n))
         net.send_multicast(n, net.topology.nodes[n], Message(MessageKind.JOIN, entry(n)))
+    net.crash(4)
+    for which in range(4):
+        odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
     return net, seen
 
@@ -416,6 +443,10 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
     trace = net.trace
     rows = list(trace)
     assert all(type(row) is TraceRow for row in rows)
+    # Node 1's odd sends are the last rows at 0 ms.
+    assert [r[2:6] for r in rows if r.time_ms == 0.0][-4:] == [
+        ("send", "1", "virtual", "QUERY"), ("send", "1", "domain1", "HEARTBEAT"),
+        ("send", "1", "domain9", "HEARTBEAT"), ("send", "1", "4", "DATA")]
     assert len(trace) == len(rows) and trace == rows and rows == trace
     # The row each handler saw as trace[-1] is the row at that position.
     assert all(rows[n - 1] == row for n, row in seen)
@@ -431,8 +462,10 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
         assert list(trace[i:]) == rows[i:] and list(trace[:i]) == rows[:i]
     out = tmp_path_factory.mktemp("trace")
     export_trace(trace, out / "all.csv")
+    # Both export formatters, one-row and batch, write what TraceRow.csv does.
+    assert (out / "all.csv").read_bytes() == (
+        TRACE_HEADER + "\n" + "".join(row.csv() + "\n" for row in rows)).encode()
     lines = (out / "all.csv").read_text().splitlines(keepends=True)
-    assert len(lines) == len(rows) + 1
     bound = st.integers(-len(rows) - 3, len(rows) + 3)
     for _ in range(4):
         a, b = data.draw(bound), data.draw(bound)
