@@ -53,18 +53,19 @@ PARAMS = {"accept_window_ms": 20.0, "heartbeat_period_ms": 200.0,
           "failure_timeout_ms": 600.0, "response_window_ms": 100.0}
 
 
-def generated_doc(policy: str) -> dict:
-    """A mixed run under `policy`, drawn from a fixed seed: 2-3 domains of
-    four nodes on lossy links (2% intra, 5% inter), then leaves, crashes,
-    rejoins (a crashed node included), local and remote queries and
-    transfers, and one consistency assertion at the end.
+def generated_doc(policy: str, draw: str = "golden") -> dict:
+    """A mixed run under `policy`, drawn from the seed `draw/policy`: 2-3
+    domains of four nodes on lossy links (2% intra, 5% inter), then leaves,
+    crashes, rejoins (a crashed node included), local and remote queries
+    and transfers, and one consistency assertion at the end. The golden
+    cases use the default `draw`; tests draw other runs of the same shape.
 
     The bundled scenarios never rejoin after a crash and never query under
     lowest_id or highest_connectivity. Only live members that have finished
     joining leave, query or send a transfer, so every action fits the
     node's state when it runs.
     """
-    rng = random.Random(f"golden/{policy}")
+    rng = random.Random(f"{draw}/{policy}")
     domains = rng.choice((2, 3))
     ids = range(1, 4 * domains + 1)
     nodes = [{"id": nid, "domain": (nid - 1) // 4 + 1, "ip": f"10.0.{(nid - 1) // 4 + 1}.{nid}",

@@ -10,7 +10,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .core import IoError
 from .metrics import export_metrics
@@ -53,11 +55,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise IoError unless `path` can be opened for writing: an existing
+    writable file, or a new name in an existing writable directory.
+    Creates and truncates nothing."""
+    target = Path(path)
+    if target.is_dir():
+        raise IoError(f"cannot write {path}: is a directory")
+    if not target.parent.is_dir():
+        raise IoError(f"cannot write {path}: no directory {target.parent}")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise IoError(f"cannot write {path}: permission denied")
+
+
 def _run(args) -> int:
     path = resolve_scenario_path(args.scenario)
     scenario = load_scenario(path)
     if args.seed is not None:
         scenario.seed = args.seed
+    # A bad output path fails here, before the run and before any output.
+    for out in (args.trace, args.metrics):
+        if out:
+            _check_writable(out)
 
     result = run_scenario(scenario)
     print(f"scenario {scenario.name}: {len(result.trace)} trace events, "

@@ -116,56 +116,63 @@ def decode_ait_entry(block: bytes) -> AitEntry:
 
 
 class Ait:
-    """Adjacent Information Table: node id -> entry, one entry per node."""
+    """Adjacent Information Table: node id -> entry, one entry per node.
+
+    `by_id` is the table itself, a dict from node id to entry. Reading it
+    and writing an entry under its own id (`by_id[e.node_id] = e`) are the
+    call-free forms of `get` and `upsert`, for code that handles many
+    deliveries in one loop (`membership.GosNode.absorb`). Every key must
+    be the node_id of its entry.
+    """
 
     def __init__(self, entries=()):
-        self._entries: dict[NodeId, AitEntry] = {}
+        self.by_id: dict[NodeId, AitEntry] = {}
         for entry in entries:
             self.upsert(entry)
 
     def upsert(self, entry: AitEntry) -> AitEntry | None:
         """Insert or replace the entry for entry.node_id; return the entry
         it replaced, or None if the node is new."""
-        entries, node_id = self._entries, entry.node_id
+        entries, node_id = self.by_id, entry.node_id
         stored = entries.get(node_id)
         entries[node_id] = entry
         return stored
 
     def remove(self, node_id: NodeId) -> None:
         """Drop the entry for node_id; removing an absent id is a no-op."""
-        self._entries.pop(node_id, None)
+        self.by_id.pop(node_id, None)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self.by_id.clear()
 
     def get(self, node_id: NodeId) -> AitEntry | None:
-        return self._entries.get(node_id)
+        return self.by_id.get(node_id)
 
     def ids(self) -> set[NodeId]:
-        return set(self._entries)
+        return set(self.by_id)
 
     def entries(self) -> list[AitEntry]:
         """Entries in ascending node-id order."""
-        return [self._entries[i] for i in sorted(self._entries)]
+        return [self.by_id[i] for i in sorted(self.by_id)]
 
     def size_bytes(self) -> int:
         """Serialized size: 32 bytes per entry."""
-        return AIT_ENTRY_SIZE * len(self._entries)
+        return AIT_ENTRY_SIZE * len(self.by_id)
 
     def copy(self) -> "Ait":
-        return Ait(self._entries.values())
+        return Ait(self.by_id.values())
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._entries
+        return node_id in self.by_id
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.by_id)
 
     def __iter__(self):
-        return iter(sorted(self._entries))
+        return iter(sorted(self.by_id))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ait) and self._entries == other._entries
+        return isinstance(other, Ait) and self.by_id == other.by_id
 
     def __repr__(self) -> str:
         return f"Ait({self.entries()!r})"

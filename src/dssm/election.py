@@ -75,6 +75,7 @@ def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEn
     heartbeat, or a capacity-only change) cannot move them.
     HIGHEST_CONNECTIVITY reads who was heard within the failure window,
     which changes with time, so every entry can move it.
+    `membership.GosNode.absorb` applies this rule inline.
     """
     return (stored is None
             or stored.processing_power_mhz != entry.processing_power_mhz

@@ -18,6 +18,20 @@ A member re-elects on such an entry only when it can move the election
 HIGHEST_CONNECTIVITY policy); finishing its own join, a peer's LEAVE and a
 failure timeout always re-elect.
 
+Most deliveries of a heartbeat fan-out change nothing but the recipient's
+AIT and `last_heard_ms`. `GosNode.absorb` (the `simnet` batch hand-off)
+handles a run of such recipients of one delivery entry in one call, with
+no call per recipient, and stops at the first that needs `on_message`.
+It takes:
+  - crashed recipients, and OFFLINE and LEFT ones (nothing happens);
+  - JOINING recipients of any of the four kinds (JOIN is ignored);
+  - MEMBER recipients of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE whose entry
+    cannot move the election: a known sender with an unchanged power,
+    under MAX_POWER or LOWEST_ID.
+A JOIN to a member (it answers ACCEPT), an entry that moves the election,
+every member delivery under HIGHEST_CONNECTIVITY, other message kinds and
+recipients whose handler is not a plain GosNode go through `on_message`.
+
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
 newcomer learns the incumbent (power ties would otherwise leave it
@@ -76,6 +90,7 @@ _OFFLINE, _JOINING, _MEMBER, _LEFT = (Phase.OFFLINE, Phase.JOINING, Phase.MEMBER
 _JOIN, _ACCEPT, _LEAVE = MessageKind.JOIN, MessageKind.ACCEPT, MessageKind.LEAVE
 _HEARTBEAT, _AGENT_ANNOUNCE = MessageKind.HEARTBEAT, MessageKind.AGENT_ANNOUNCE
 _QUERY, _QUERY_RESP = MessageKind.QUERY, MessageKind.QUERY_RESP
+_HIGHEST_CONNECTIVITY = election.ElectionPolicy.HIGHEST_CONNECTIVITY
 
 
 @dataclass
@@ -208,6 +223,47 @@ class GosNode:
         elif kind is _QUERY_RESP:
             discovery.handle_query_resp(self, net, msg)
         # DATA is a sink: it models bulk payload, nothing to do.
+
+    def absorb(self, net: Network, recipients: tuple[NodeId, ...], i: int,
+               msg: Message) -> int:
+        """Handle recipients i.. of a delivery entry up to the first that
+        needs `on_message` (see the module docstring), and return its index,
+        or len(recipients) when all were taken. A taken recipient gets what
+        `_on_peer` would do, with `Ait.upsert` and `election.moves_election`
+        written inline so that no call is made per recipient."""
+        kind = msg.kind
+        if kind not in PEER_ENTRY_KINDS:
+            return i
+        handlers, crashed, now = net.handlers, net.crashed, net.now
+        sender = msg.sender
+        sid, power = sender.node_id, sender.processing_power_mhz
+        join, announce = kind is _JOIN, kind is _AGENT_ANNOUNCE
+        cls, member_phase, joining, hc = GosNode, _MEMBER, _JOINING, _HIGHEST_CONNECTIVITY
+        for member in recipients[i:]:
+            if member in crashed:
+                continue
+            node = handlers.get(member)
+            if node.__class__ is not cls:
+                return recipients.index(member, i)
+            phase = node.phase
+            if phase is member_phase:
+                # moves_election is true for a new sender, a changed power
+                # or HIGHEST_CONNECTIVITY; a JOIN is answered with ACCEPT.
+                if join or node.policy is hc:
+                    return recipients.index(member, i)
+                entries = node.ait.by_id
+                stored = entries.get(sid)
+                if stored is not sender and (stored is None
+                                             or stored.processing_power_mhz != power):
+                    return recipients.index(member, i)
+                entries[sid] = sender
+                node.last_heard_ms[sid] = now
+            elif phase is joining and not join:
+                node.ait.by_id[sid] = sender
+                node.last_heard_ms[sid] = now
+                if announce:
+                    node.agent = sid
+        return len(recipients)
 
     def on_timer(self, net: Network, tag: str) -> None:
         if tag == TIMER_JOIN_DEADLINE:

@@ -40,6 +40,20 @@ the rows it counted. So when a recipient's handler traces rows of its own
 (a reply, say), the rest of its batch continues in a new record after
 them, and rows stay in the order in which events ran. While recipient i's
 handler runs, trace[-1] is recipient i's deliver row.
+
+A handler may also have absorb(net, recipients, i, msg) -> j. When the loop
+reaches recipient i of a delivery entry and that recipient's handler has
+one, it calls it once; the handler handles recipients i..j-1 itself
+(i <= j <= len(recipients)) and returns j. It may take only recipients
+whose handling changes their own state and nothing else: no send, no
+timer, no trace row, no metric, and the state on_message would leave. A
+crashed recipient may be taken as a no-op, since no handler runs for it.
+The loop then counts the taken recipients' deliver rows and pending events
+in one step, and recipient j, if any, goes through on_message. Rows keep
+their order and seqs, and for every handler that runs, trace[-1] is its
+own row and pending() is what it would be had every recipient gone
+through on_message. absorb is optional: a handler without it is called
+once per recipient.
 """
 
 from __future__ import annotations
@@ -301,7 +315,8 @@ class Network:
     def register_handler(self, node_id: NodeId, handler) -> None:
         """Attach the protocol object that receives this node's events.
 
-        The handler must expose on_message(net, msg) and on_timer(net, tag).
+        The handler must expose on_message(net, msg) and on_timer(net, tag),
+        and may expose absorb(net, recipients, i, msg) (module docstring).
         """
         self._require(node_id)
         self.handlers[node_id] = handler
@@ -426,17 +441,29 @@ class Network:
             size = transit_size_bytes(msg)
             record = (time_ms, seq, "deliver", src, to, kind, size)
             trace._append(record, 0)
-            for i, member in enumerate(to):
+            i, n = 0, len(to)
+            while i < n:
                 if records[-1] is not record:
                     # The last handler traced rows: the rest follow them.
                     record = (time_ms, seq + i, "deliver", src, to[i:], kind, size)
                     trace._append(record, 0)
+                handler = handlers.get(to[i])
+                absorb = getattr(handler, "absorb", None)
+                if absorb is not None:
+                    j = absorb(self, to, i, msg)
+                    if j > i:
+                        # Counted only now, so the record above holds their rows.
+                        self._pending -= j - i
+                        trace._len += j - i
+                        if j == n:
+                            return
+                        i = j
+                        handler = handlers.get(to[i])
                 self._pending -= 1
                 trace._len += 1
-                if member not in crashed:
-                    handler = handlers.get(member)
-                    if handler is not None:
-                        handler.on_message(self, msg)
+                if handler is not None and to[i] not in crashed:
+                    handler.on_message(self, msg)
+                i += 1
             return
         self._pending -= 1
         key = (to, tag)

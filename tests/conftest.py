@@ -1,10 +1,25 @@
-"""Shared helpers: hand-wired protocol worlds without the scenario layer."""
+"""Shared helpers: hand-wired protocol worlds without the scenario layer,
+and the scripts under scripts/ loaded as modules."""
+
+import importlib.util
+from pathlib import Path
 
 from dssm.core import AitEntry
 from dssm.discovery import VirtualDomain
 from dssm.election import ElectionPolicy
 from dssm.membership import GosNode, ProtocolParams
 from dssm.simnet import LinkConfig, Network, Topology
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """scripts/<name>.py as a module: the scripts are not a package."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 INTRA = LinkConfig(delay_ms=1.0, drop_probability=0.0, bandwidth_mbps=100.0)
 INTER = LinkConfig(delay_ms=20.0, drop_probability=0.0, bandwidth_mbps=100.0)

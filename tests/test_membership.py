@@ -4,12 +4,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PARAMS, World
+from conftest import PARAMS, World, load_script
 from dssm import election
 from dssm.core import Ait, Message, MessageKind
 from dssm.election import ElectionPolicy
-from dssm.membership import AlreadyMember, NotMember, Phase, ProtocolParams
-from dssm.simnet import LinkConfig
+from dssm.membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
+from dssm.metrics import export_metrics
+from dssm.scenario import AssertionFailure, ScenarioWorld, scenario_from_json
+from dssm.simnet import LinkConfig, export_trace
+
+update_goldens = load_script("update_goldens")
 
 THREE = [(1, 1, 1024.0, 2800.0), (2, 1, 1024.0, 2800.0), (3, 1, 1024.0, 2800.0)]
 
@@ -330,9 +334,22 @@ PEER_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("phase,kind,sender,learned,replies,agent", PEER_TABLE,
-                         ids=[f"{p.value}-{k.name}-from{s}" for p, k, s, *_ in PEER_TABLE])
+PEER_IDS = [f"{p.value}-{k.name}-from{s}" for p, k, s, *_ in PEER_TABLE]
+
+
+@pytest.mark.parametrize("phase,kind,sender,learned,replies,agent", PEER_TABLE, ids=PEER_IDS)
 def test_peer_entry_handling(phase, kind, sender, learned, replies, agent):
+    _check_peer_entry(phase, kind, sender, learned, replies, agent, "on_message")
+
+
+@pytest.mark.parametrize("phase,kind,sender,learned,replies,agent", PEER_TABLE, ids=PEER_IDS)
+def test_peer_entry_handling_offered_to_absorb_first(phase, kind, sender, learned, replies,
+                                                      agent):
+    # on_message runs only if absorb does not take the delivery.
+    _check_peer_entry(phase, kind, sender, learned, replies, agent, "absorb")
+
+
+def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
     w = _node_in(phase)
     node = w.nodes[1]
     if sender == RESENT:
@@ -342,7 +359,9 @@ def test_peer_entry_handling(phase, kind, sender, learned, replies, agent):
     else:
         entry = w.nodes[sender].self_entry
     rows = len(w.net.trace)
-    node.on_message(w.net, Message(kind, entry))
+    msg = Message(kind, entry)
+    if via == "on_message" or not node.absorb(w.net, (1,), 0, msg):
+        node.on_message(w.net, msg)
     assert (sender in node.ait) is learned
     assert (sender in node.last_heard_ms) is learned
     if learned:
@@ -378,6 +397,53 @@ def test_member_reelects_only_when_the_entry_moves_the_election(monkeypatch, pol
     assert node.ait.get(2).processing_power_mhz == 2500.0
     if policy is ElectionPolicy.MAX_POWER:
         assert node.agent == 1
+
+
+CHANGES = {
+    "new": lambda base: base,
+    "same": lambda base: base,
+    "equal copy": replace,
+    "capacity": lambda base: replace(base, storage_capacity_mb=512.0),
+    "power": lambda base: replace(base, processing_power_mhz=2500.0),
+}
+
+
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", [J, A, H, N], ids=lambda k: k.name)
+@pytest.mark.parametrize("change", CHANGES)
+def test_absorb_stops_at_a_member_exactly_when_the_entry_moves_the_election_or_is_a_join(
+        policy, kind, change):
+    # Settled member 1 gets node 2's entry: new to it, or after a HEARTBEAT
+    # with node 2's base entry, the same object, an equal copy or a change.
+    w = World([(1, 1, 1024.0, 2660.0), (2, 1, 1024.0, 2800.0)], policy=policy)
+    w.join(1, at=0.0)
+    w.settle(100.0)
+    node, base = w.nodes[1], w.nodes[2].self_entry
+    if change != "new":
+        node.on_message(w.net, Message(H, base))
+    entry = CHANGES[change](base)
+    stops = kind is J or election.moves_election(policy, node.ait.get(2), entry)
+    taken = node.absorb(w.net, (1,), 0, Message(kind, entry))
+    assert taken == (0 if stops else 1)
+    if policy is ElectionPolicy.HIGHEST_CONNECTIVITY:
+        assert taken == 0
+    if taken:
+        assert node.ait.get(2) is entry and node.last_heard_ms[2] == w.net.now
+
+
+def test_absorb_skips_crashed_recipients_and_stops_at_another_handler():
+    w = World([(nid, 1, 1024.0, 2800.0) for nid in (1, 2, 3, 4, 5)])
+    w.join_all()
+    w.settle(500.0)
+    w.crash(2)
+    w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
+    msg = Message(H, w.nodes[5].self_entry)
+    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), 0, msg) == 3
+    assert w.nodes[1].absorb(w.net, (1, 2, 3), 0, msg) == 3
+    assert [w.nodes[n].last_heard_ms[5] for n in (1, 3)] == [500.0, 500.0]
+    assert w.nodes[2].last_heard_ms[5] < 500.0
+    for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA):
+        assert w.nodes[1].absorb(w.net, (1, 3), 0, Message(kind, w.nodes[5].self_entry)) == 0
 
 
 PEERS = range(2, 10)
@@ -458,3 +524,48 @@ def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
     w.settle(t + 2000.0)
     assert len(checks) > 1000
     assert any(n.is_member for n in w.nodes.values())
+
+
+def _run_outputs(doc, out):
+    """Trace and metrics bytes, assertion text and every node's final
+    state of one run of `doc`."""
+    world = ScenarioWorld(scenario_from_json(doc))
+    try:
+        world.run()
+        failure = None
+    except AssertionFailure as exc:
+        failure = str(exc)
+    export_trace(world.net.trace, out / "trace.csv")
+    export_metrics(world.metrics, "json", out / "metrics.json")
+    nodes = {nid: (dict(node.ait.by_id), dict(node.last_heard_ms), node.agent, node.phase)
+             for nid, node in world.nodes.items()}
+    return ((out / "trace.csv").read_bytes(), (out / "metrics.json").read_bytes(),
+            failure, nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.1), draw=st.integers(0, 2**16),
+       policy=st.sampled_from(ElectionPolicy))
+def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy):
+    # A join/leave/crash/rejoin script with queries and transfers, from the
+    # golden generator; the same run with GosNode.absorb deleted sends every
+    # delivery through on_message.
+    doc = update_goldens.generated_doc(policy.value, draw=f"absorb{draw}")
+    doc["seed"] = seed
+    doc["intra_domain_link"] = dict(doc["intra_domain_link"], drop_probability=drop)
+    taken = []
+    absorb = GosNode.absorb
+
+    def counted(node, net, recipients, i, msg):
+        j = absorb(node, net, recipients, i, msg)
+        taken.append(j - i)
+        return j
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GosNode, "absorb", counted)
+        batched = _run_outputs(doc, tmp_path_factory.mktemp("absorb"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(GosNode, "absorb")
+        one_by_one = _run_outputs(doc, tmp_path_factory.mktemp("on_message"))
+    assert sum(taken) > 0
+    assert batched == one_by_one

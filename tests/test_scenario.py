@@ -525,9 +525,14 @@ SET_LINK_OUT_OF_RANGE = {"set_link_drop_probability": 1.5, "set_link_delay_ms": 
 @pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join",
                                   "leave_after_crash", "transfer_after_crash",
                                   *SET_LINK_OUT_OF_RANGE, "nan_required_mb",
-                                  "unwritable_trace", "unwritable_metrics"])
+                                  "unwritable_trace", "unwritable_metrics",
+                                  "trace_is_a_directory", "good_trace_bad_metrics"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     doc, flags = minimal_doc(), []
+    # Output files that exist already: a bad path must leave them as they are.
+    kept = {tmp_path / "kept.csv": "trace kept\n", tmp_path / "kept.json": "metrics kept\n"}
+    for out, text in kept.items():
+        out.write_text(text)
     crash = {"time_ms": 1000.0, "action": "crash", "node": 1}
     if case == "bad_ip":
         doc["nodes"][0]["ip"] = "10.0.1"
@@ -544,14 +549,22 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         doc["script"].append(_query(required_mb=float("nan")))
     elif case.startswith("unwritable_"):
         flags = ["--" + case.removeprefix("unwritable_"), str(tmp_path / "missing" / "out.csv")]
+    elif case == "trace_is_a_directory":
+        flags = ["--trace", str(tmp_path), "--metrics", str(tmp_path / "kept.json")]
+    elif case == "good_trace_bad_metrics":
+        flags = ["--trace", str(tmp_path / "kept.csv"),
+                 "--metrics", str(tmp_path / "missing" / "out.json")]
     else:
         doc["script"] += [crash, {"time_ms": 1100.0, "action": "transfer",
                                   "from": 1, "to": 2, "size_mb": 1.0}]
     p = tmp_path / f"{case}.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["run", str(p), *flags]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "scenario " not in out
+    assert {path: path.read_text() for path in kept} == kept
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("timeout", [1.0, 200.0])

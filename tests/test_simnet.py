@@ -365,14 +365,34 @@ def test_transfer_time_monotonic_in_size_and_delay():
 def _interleaved_run(seed, drop):
     """Two domains whose handlers, in the middle of a fan-out, sometimes reply
     by unicast, multicast, or set a 0 ms timer, and sometimes send one of the
-    sends `odd_send` makes. Every handler checks the row trace[-1] shows it
-    and logs (len(trace), that row). Node 4 crashes after its JOIN, and the
-    VIRTUAL group is nodes 1 and 5."""
+    sends `odd_send` makes. Each handler's seeded `absorb` takes runs of
+    recipients, which only log the delivery, so runs start right after a
+    recipient whose handler traced rows too. Every handler checks the row
+    trace[-1] shows it and that pending() counts what is queued, and logs
+    (len(trace), that row). Node 4 crashes after its JOIN, and the VIRTUAL
+    group is nodes 1 and 5. Returns the network, that log, the (first seq,
+    recipients) of every delivery entry, and the (index, run length, whether
+    the previous recipient's handler traced rows) of every run taken."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
     net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
     net.virtual_members = (1, 5)
-    seen = []
+    seen, entries, runs = [], [], []
     budget = [60]
+
+    push = net._push_delivery
+
+    def logged_push(at, recipients, msg):
+        entries.append((net._seq + 1, recipients))
+        push(at, recipients, msg)
+
+    net._push_delivery = logged_push
+
+    def check_pending(net, row):
+        # Every queued recipient and timer entry, plus the recipients after
+        # this one in the entry being delivered: the last record holds them.
+        queued = sum(len(to) if msg is not None else 1 for _, _, to, msg, _ in net._heap)
+        _, first, _, _, dsts, _, _ = net.trace._records[-1]
+        assert net.pending() == queued + len(dsts) - (row.seq - first) - 1
 
     def odd_send(net, me, which):
         if which == 0:
@@ -395,6 +415,8 @@ def _interleaved_run(seed, drop):
         def __init__(self, me):
             self.me = me
             self.rng = random.Random(seed * 7 + me)
+            self.taking = random.Random(seed * 11 + me)
+            self.absorbed = []
 
         def on_message(self, net, msg):
             row = net.trace[-1]
@@ -402,14 +424,27 @@ def _interleaved_run(seed, drop):
             assert row.msg_kind == msg.kind.name
             rows = list(net.trace)
             assert len(rows) == len(net.trace) and rows[-1] == row
+            check_pending(net, row)
             seen.append((len(net.trace), row))
             self.act(net, msg.sender.node_id)
 
         def on_timer(self, net, tag):
             row = net.trace[-1]
             assert row == (net.now, row.seq, "timer", "", str(self.me), tag, 0)
+            check_pending(net, row)
             seen.append((len(net.trace), row))
             self.act(net, None)
+
+        def absorb(self, net, recipients, i, msg):
+            # Rows traced since recipient i-1's row mean its handler traced them.
+            replied = i > 0 and net.trace[-1].kind != "deliver"
+            j = min(len(recipients), i + self.taking.choice((0, 0, 1, 2, 3)))
+            for member in recipients[i:j]:
+                if member not in net.crashed:
+                    net.handlers[member].absorbed.append((net.now, msg.sender.node_id))
+            if j > i:
+                runs.append((i, j - i, replied))
+            return j
 
         def act(self, net, sender):
             if budget[0] <= 0:
@@ -433,16 +468,17 @@ def _interleaved_run(seed, drop):
     for which in range(4):
         odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
-    return net, seen
+    return net, seen, entries, runs
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3), data=st.data())
 def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, data):
-    net, seen = _interleaved_run(seed, drop)
+    net, seen, entries, _ = _interleaved_run(seed, drop)
     trace = net.trace
     rows = list(trace)
     assert all(type(row) is TraceRow for row in rows)
+    assert net.pending() == 0
     # Node 1's odd sends are the last rows at 0 ms.
     assert [r[2:6] for r in rows if r.time_ms == 0.0][-4:] == [
         ("send", "1", "virtual", "QUERY"), ("send", "1", "domain1", "HEARTBEAT"),
@@ -450,6 +486,16 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
     assert len(trace) == len(rows) and trace == rows and rows == trace
     # The row each handler saw as trace[-1] is the row at that position.
     assert all(rows[n - 1] == row for n, row in seen)
+    # Each recipient's deliver row, taken by a handler or by absorb, appears
+    # exactly once, and an entry's rows appear in seq order.
+    delivered = [(r.seq, r.dst) for r in rows if r.kind == "deliver"]
+    assert sorted(delivered) == sorted(
+        (first + k, str(member)) for first, recipients in entries
+        for k, member in enumerate(recipients))
+    at = {seq: n for n, (seq, _) in enumerate(delivered)}
+    for first, recipients in entries:
+        spots = [at[seq] for seq in range(first, first + len(recipients))]
+        assert spots == sorted(spots)
     assert len({r.seq for r in rows}) == len(rows)
     for i in range(len(rows)):
         assert trace[i] == rows[i] and trace[-i - 1] == rows[-i - 1]
@@ -477,3 +523,13 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
         export_trace(part, out / "part.csv")
         lo, hi, _ = slice(a, b).indices(len(rows))
         assert (out / "part.csv").read_text() == lines[0] + "".join(lines[1 + lo:1 + hi])
+
+
+def test_absorbed_runs_start_everywhere_in_a_batch():
+    # The property above is meant to cover runs that begin right after a
+    # recipient whose handler traced rows, where the rest of the batch
+    # continues in a new record; these seeds make sure it does.
+    runs = [run for seed in range(5) for run in _interleaved_run(seed, 0.1)[3]]
+    assert any(i == 0 for i, _, _ in runs)
+    assert any(replied for _, _, replied in runs)
+    assert any(length > 1 for _, length, replied in runs if replied)
