@@ -168,7 +168,7 @@ def _fit_rank(entry: AitEntry) -> tuple[float, int]:
 
 def best_fit(ait: Ait, required_mb: float) -> AitEntry | None:
     """Largest remaining capacity >= required_mb, lowest node id on ties."""
-    candidates = [e for e in ait.entries() if e.storage_capacity_mb >= required_mb]
+    candidates = [e for e in ait.by_id.values() if e.storage_capacity_mb >= required_mb]
     if not candidates:
         return None
     return max(candidates, key=_fit_rank)

@@ -50,13 +50,13 @@ def select_agent(
         raise EmptyDomain("cannot select an agent from an empty AIT")
 
     if policy is _LOWEST_ID:
-        return min(ait.ids())
+        return min(ait.by_id)
 
     if policy is _HIGHEST_CONNECTIVITY:
         connected = [n for n in heard if n in ait] if len(heard) > 1 else ()
-        return min(connected or ait.ids())
+        return min(connected or ait.by_id)
 
-    entries = ait.entries()
+    entries = ait.by_id.values()
     top = max(e.processing_power_mhz for e in entries)
     argmax = [e.node_id for e in entries if e.processing_power_mhz == top]
     if current_agent in argmax:
@@ -64,22 +64,28 @@ def select_agent(
     return min(argmax)
 
 
-def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEntry) -> bool:
+def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEntry,
+                   agent: AitEntry | None) -> bool:
     """Whether learning `entry` over `stored` (the AIT's previous entry for
     that node, None if the node is new) can change what `select_agent`
-    returns, given an incumbent that `select_agent` itself produced.
+    returns, given `agent`: the AIT's entry, or None, for an incumbent that
+    `select_agent` itself produced.
 
     MAX_POWER reads only the ids and powers in the AIT, LOWEST_ID only the
-    ids, and under both the incumbent they chose is a fixed point of their
-    own output, so an entry from a known node with an unchanged power (a
-    heartbeat, or a capacity-only change) cannot move them.
+    ids, and the incumbent either chose is in the argmax of its own AIT. So
+    a known node moves them only with a changed power, and a new node only
+    when there is no agent entry or it beats the agent: more power under
+    MAX_POWER (a tie keeps the incumbent), a lower id under LOWEST_ID.
     HIGHEST_CONNECTIVITY reads who was heard within the failure window,
     which changes with time, so every entry can move it.
-    `membership.GosNode.absorb` applies this rule inline.
     """
-    return (stored is None
-            or stored.processing_power_mhz != entry.processing_power_mhz
-            or policy is _HIGHEST_CONNECTIVITY)
+    if policy is _HIGHEST_CONNECTIVITY or (stored is None and agent is None):
+        return True
+    if stored is not None:
+        return stored.processing_power_mhz != entry.processing_power_mhz
+    if policy is _LOWEST_ID:
+        return entry.node_id < agent.node_id
+    return entry.processing_power_mhz > agent.processing_power_mhz
 
 
 def heard_members(node, now_ms: float) -> frozenset[NodeId]:

@@ -14,9 +14,9 @@ and share one handler: a joining node learns the entry (ignoring JOIN,
 and taking an announcing sender as its agent); a member learns it,
 answers a JOIN with ACCEPT and re-elects; other phases ignore it.
 A member re-elects on such an entry only when it can move the election
-(`election.moves_election`: a new sender, a changed power, or the
-HIGHEST_CONNECTIVITY policy); finishing its own join, a peer's LEAVE and a
-failure timeout always re-elect.
+(`election.moves_election`: a changed power, a new sender that beats the
+agent or finds none, or HIGHEST_CONNECTIVITY); finishing its own join, a
+peer's LEAVE and a failure timeout always re-elect.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 AIT and `last_heard_ms`. `GosNode.absorb` (the `simnet` batch hand-off)
@@ -26,8 +26,8 @@ It takes:
   - crashed recipients, and OFFLINE and LEFT ones (nothing happens);
   - JOINING recipients of any of the four kinds (JOIN is ignored);
   - MEMBER recipients of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE whose entry
-    cannot move the election: a known sender with an unchanged power,
-    under MAX_POWER or LOWEST_ID.
+    cannot move the election, under MAX_POWER or LOWEST_ID: a known sender
+    with an unchanged power, or a new sender that cannot beat the agent.
 A JOIN to a member (it answers ACCEPT), an entry that moves the election,
 every member delivery under HIGHEST_CONNECTIVITY, other message kinds and
 recipients whose handler is not a plain GosNode go through `on_message`.
@@ -229,8 +229,8 @@ class GosNode:
         """Handle recipients i.. of a delivery entry up to the first that
         needs `on_message` (see the module docstring), and return its index,
         or len(recipients) when all were taken. A taken recipient gets what
-        `_on_peer` would do, with `Ait.upsert` and `election.moves_election`
-        written inline so that no call is made per recipient."""
+        `_on_peer` would do, with `Ait.upsert` written inline; only a new
+        sender or a changed power costs a call (`election.moves_election`)."""
         kind = msg.kind
         if kind not in PEER_ENTRY_KINDS:
             return i
@@ -247,14 +247,16 @@ class GosNode:
                 return recipients.index(member, i)
             phase = node.phase
             if phase is member_phase:
-                # moves_election is true for a new sender, a changed power
-                # or HIGHEST_CONNECTIVITY; a JOIN is answered with ACCEPT.
+                # A JOIN is answered with ACCEPT. HIGHEST_CONNECTIVITY always,
+                # and a known sender with an unchanged power never, moves it.
                 if join or node.policy is hc:
                     return recipients.index(member, i)
                 entries = node.ait.by_id
                 stored = entries.get(sid)
-                if stored is not sender and (stored is None
-                                             or stored.processing_power_mhz != power):
+                if (stored is not sender
+                        and (stored is None or stored.processing_power_mhz != power)
+                        and election.moves_election(node.policy, stored, sender,
+                                                    entries.get(node.agent))):
                     return recipients.index(member, i)
                 entries[sid] = sender
                 node.last_heard_ms[sid] = now
@@ -278,12 +280,13 @@ class GosNode:
     def _on_peer(self, net: Network, kind: MessageKind, sender: AitEntry) -> None:
         phase = self.phase
         if phase is _MEMBER:
+            agent_entry = self.ait.by_id.get(self.agent)
             stored = self.ait.upsert(sender)
             self.last_heard_ms[sender.node_id] = net.now
             if kind is _JOIN:
                 net.send_unicast(self.node_id, sender.node_id,
                                  Message(_ACCEPT, self.self_entry))
-            if election.moves_election(self.policy, stored, sender):
+            if election.moves_election(self.policy, stored, sender, agent_entry):
                 election.reevaluate_agent(self, net)
             if kind is _JOIN and self.agent == self.node_id:
                 # Directed announce so the newcomer learns the incumbent.

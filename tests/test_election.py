@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import World
+from dssm import election
 from dssm.core import NO_NODE, Ait, AitEntry
+from dssm.discovery import best_fit
 from dssm.election import (
     ElectionPolicy,
     EmptyDomain,
@@ -121,19 +123,50 @@ def test_identical_views_agree():
 def test_elected_agent_is_a_fixed_point(powers, data):
     # What lets a member skip re-election on an entry that moves_election
     # rejects: the incumbent select_agent produced is its own result, also
-    # after a capacity-only re-upsert of any entry.
+    # after a capacity-only re-upsert of any entry, and after learning a
+    # newcomer exactly when moves_election rejects it.
     ait = ait_from_powers(powers)
     incumbent = data.draw(st.sampled_from([NO_NODE, *sorted(powers)]))
     changed = data.draw(st.sampled_from(sorted(powers)))
     capacity = data.draw(st.floats(0.0, 1e6))
+    new_id = data.draw(st.integers(1, 80).filter(lambda nid: nid not in powers))
+    newcomer = AitEntry(new_id, "10.1.1.1", 100.0,
+                        data.draw(st.sampled_from([2500.0, 2660.0, 2800.0, 3000.0, 3200.0])))
     for policy in (ElectionPolicy.MAX_POWER, ElectionPolicy.LOWEST_ID):
         agent = select_agent(ait, incumbent, policy)
         assert select_agent(ait, agent, policy) == agent
         entry = replace(ait.get(changed), storage_capacity_mb=capacity)
-        assert not moves_election(policy, ait.get(changed), entry)
+        assert not moves_election(policy, ait.get(changed), entry, ait.get(agent))
         updated = ait.copy()
         updated.upsert(entry)
         assert select_agent(updated, agent, policy) == agent
+        grown = ait.copy()
+        grown.upsert(newcomer)
+        moves = moves_election(policy, None, newcomer, ait.get(agent))
+        assert moves == (select_agent(grown, agent, policy) != agent)
+    assert moves_election(ElectionPolicy.MAX_POWER, None, newcomer, None)
+    assert moves_election(ElectionPolicy.LOWEST_ID, None, newcomer, None)
+
+
+ENTRY_IDS = st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True)
+
+
+@given(ids=ENTRY_IDS, data=st.data())
+def test_answers_do_not_depend_on_the_ait_insertion_order(ids, data):
+    # select_agent and best_fit read the AIT's dict unsorted; powers and
+    # capacities come from small sets so that ties are common.
+    entries = [AitEntry(nid, "10.1.1.1", data.draw(st.sampled_from([0.0, 100.0, 500.0])),
+                        data.draw(st.sampled_from([2660.0, 2800.0, 3000.0])))
+               for nid in ids]
+    shuffled = data.draw(st.permutations(entries))
+    by_id, other = Ait(sorted(entries, key=lambda e: e.node_id)), Ait(shuffled)
+    incumbent = data.draw(st.sampled_from([NO_NODE, *ids]))
+    heard = data.draw(st.frozensets(st.sampled_from(ids)))
+    for policy in ElectionPolicy:
+        assert (select_agent(other, incumbent, policy, heard)
+                == select_agent(by_id, incumbent, policy, heard))
+    required = data.draw(st.sampled_from([0.0, 50.0, 100.0, 500.0, 600.0]))
+    assert best_fit(other, required) == best_fit(by_id, required)
 
 
 # -- integration with membership ------------------------------------------------
@@ -159,6 +192,23 @@ def test_equal_power_joiner_leaves_agent_unchanged():
     w.join(3, at=300.0)
     w.settle(600.0)
     assert all(n.agent == 1 for n in w.members())
+
+
+def test_join_ramp_runs_one_election_per_joiner(monkeypatch):
+    # Each joiner is weaker than every member, so it cannot move their
+    # election: only its own end of join elects, not every member per JOIN
+    # (about N^2/2 elections).
+    n = 40
+    w = World([(nid, 1, 100.0, 4000.0 - 10 * nid) for nid in range(1, n + 1)])
+    calls = []
+    real = election.select_agent
+    monkeypatch.setattr(election, "select_agent",
+                        lambda *args: calls.append(args) or real(*args))
+    end = w.join_all()
+    w.settle(end + 100.0)
+    assert len(w.members()) == n
+    assert all(node.agent == 1 for node in w.members())
+    assert len(calls) <= 3 * n
 
 
 def test_agent_crash_survivors_match_oracle():

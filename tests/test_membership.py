@@ -372,35 +372,58 @@ def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
     assert node.phase is phase
 
 
-@pytest.mark.parametrize("policy,expected", [
-    (ElectionPolicy.MAX_POWER, [1, 0, 0, 1]),
-    (ElectionPolicy.HIGHEST_CONNECTIVITY, [1, 1, 1, 1]),
-])
-def test_member_reelects_only_when_the_entry_moves_the_election(monkeypatch, policy, expected):
-    # Settled member 1 hears node 2 as new, unchanged, capacity-only changed,
-    # then power changed: count the elections each HEARTBEAT runs.
-    w = World([(1, 1, 1024.0, 2660.0), (2, 1, 1024.0, 2800.0)], policy=policy)
-    w.join(1, at=0.0)
+MP, LI, HC = (ElectionPolicy.MAX_POWER, ElectionPolicy.LOWEST_ID,
+              ElectionPolicy.HIGHEST_CONNECTIVITY)
+# What settled member 5 (2660 MHz, alone and its own agent) hears in turn,
+# as HEARTBEATs. Node 2 (2800 MHz) is first new, then unchanged, then
+# changed in capacity, then in power. The newcomers are weaker (node 7,
+# 2500 MHz), equal in power (node 6, 2660 MHz) and stronger (node 2): only
+# node 2 beats node 5, on power and on id.
+KNOWN = (2, 2, "capacity", "power")
+REELECT_ROWS = [
+    (MP, KNOWN, [1, 0, 0, 1], 5),
+    (LI, KNOWN, [1, 0, 0, 1], 2),
+    (HC, KNOWN, [1, 1, 1, 1], 2),
+    (MP, (7,), [0], 5), (MP, (6,), [0], 5), (MP, (2,), [1], 2),
+    (LI, (7,), [0], 5), (LI, (6,), [0], 5), (LI, (2,), [1], 2),
+    (HC, (7,), [1], 5), (HC, (6,), [1], 5), (HC, (2,), [1], 2),
+]
+
+
+@pytest.mark.parametrize("policy,heard,expected,agent", REELECT_ROWS,
+                         ids=[f"{p.value}-{'-'.join(map(str, h))}" for p, h, *_ in REELECT_ROWS])
+def test_member_reelects_only_when_the_entry_moves_the_election(monkeypatch, policy, heard,
+                                                               expected, agent):
+    w = World([(5, 1, 1024.0, 2660.0), (2, 1, 1024.0, 2800.0), (6, 1, 1024.0, 2660.0),
+               (7, 1, 1024.0, 2500.0)], policy=policy)
+    w.join(5, at=0.0)
     w.settle(100.0)
-    node, base = w.nodes[1], w.nodes[2].self_entry
+    node, base = w.nodes[5], w.nodes[2].self_entry
+    sent = {"capacity": replace(base, storage_capacity_mb=512.0),
+            "power": replace(base, storage_capacity_mb=512.0, processing_power_mhz=2500.0)}
     calls = []
     real = election.select_agent
     monkeypatch.setattr(election, "select_agent",
                         lambda *args: calls.append(args) or real(*args))
     counts = []
-    for entry in (base, base, replace(base, storage_capacity_mb=512.0),
-                  replace(base, storage_capacity_mb=512.0, processing_power_mhz=2500.0)):
+    for key in heard:
+        entry = sent.get(key) or w.nodes[key].self_entry
         before = len(calls)
         node.on_message(w.net, Message(H, entry))
+        assert node.ait.get(entry.node_id) is entry
         counts.append(len(calls) - before)
     assert counts == expected
-    assert node.ait.get(2).processing_power_mhz == 2500.0
-    if policy is ElectionPolicy.MAX_POWER:
-        assert node.agent == 1
+    assert node.agent == agent
 
 
+# Node 6's entry (2800 MHz) reaches member 5 (2660 MHz) new, or after a
+# HEARTBEAT with it. The other newcomers are node 7 at 2500 MHz and node 2
+# at 3000 MHz: node 6 beats node 5 on power only, node 7 on neither, node 2
+# on both power and id.
 CHANGES = {
     "new": lambda base: base,
+    "weaker new": lambda base: replace(base, node_id=7, processing_power_mhz=2500.0),
+    "stronger new": lambda base: replace(base, node_id=2, processing_power_mhz=3000.0),
     "same": lambda base: base,
     "equal copy": replace,
     "capacity": lambda base: replace(base, storage_capacity_mb=512.0),
@@ -413,22 +436,26 @@ CHANGES = {
 @pytest.mark.parametrize("change", CHANGES)
 def test_absorb_stops_at_a_member_exactly_when_the_entry_moves_the_election_or_is_a_join(
         policy, kind, change):
-    # Settled member 1 gets node 2's entry: new to it, or after a HEARTBEAT
-    # with node 2's base entry, the same object, an equal copy or a change.
-    w = World([(1, 1, 1024.0, 2660.0), (2, 1, 1024.0, 2800.0)], policy=policy)
-    w.join(1, at=0.0)
+    # Settled member 5 gets an entry new to it, or, after a HEARTBEAT with
+    # node 6's base entry, the same object, an equal copy or a change.
+    w = World([(5, 1, 1024.0, 2660.0), (6, 1, 1024.0, 2800.0)], policy=policy)
+    w.join(5, at=0.0)
     w.settle(100.0)
-    node, base = w.nodes[1], w.nodes[2].self_entry
-    if change != "new":
+    node, base = w.nodes[5], w.nodes[6].self_entry
+    if "new" not in change:
         node.on_message(w.net, Message(H, base))
     entry = CHANGES[change](base)
-    stops = kind is J or election.moves_election(policy, node.ait.get(2), entry)
-    taken = node.absorb(w.net, (1,), 0, Message(kind, entry))
+    sid = entry.node_id
+    stops = kind is J or election.moves_election(policy, node.ait.get(sid), entry,
+                                                 node.ait.get(node.agent))
+    taken = node.absorb(w.net, (5,), 0, Message(kind, entry))
     assert taken == (0 if stops else 1)
-    if policy is ElectionPolicy.HIGHEST_CONNECTIVITY:
+    if policy is HC or change == "stronger new":
         assert taken == 0
+    elif change == "weaker new" and kind is not J:
+        assert taken == 1
     if taken:
-        assert node.ait.get(2) is entry and node.last_heard_ms[2] == w.net.now
+        assert node.ait.get(sid) is entry and node.last_heard_ms[sid] == w.net.now
 
 
 def test_absorb_skips_crashed_recipients_and_stops_at_another_handler():
