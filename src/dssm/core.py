@@ -118,11 +118,11 @@ def decode_ait_entry(block: bytes) -> AitEntry:
 class Ait:
     """Adjacent Information Table: node id -> entry, one entry per node.
 
-    `by_id` is the table itself, a dict from node id to entry. Reading it
-    and writing an entry under its own id (`by_id[e.node_id] = e`) are the
-    call-free forms of `get` and `upsert`, for code that handles many
-    deliveries in one loop (`membership.GosNode.absorb`). Every key must
-    be the node_id of its entry.
+    `by_id` is the table itself, a dict from node id to entry; every key
+    must be the node_id of its entry. A node's `GosNode.ait` is a view: an
+    Ait built on each read from what the node heard, its own records over
+    its domain's heard board (see `membership`). Writing to it changes
+    nothing in the node.
     """
 
     def __init__(self, entries=()):

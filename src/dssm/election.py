@@ -119,9 +119,10 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
     if node.static_pin is not None:
         node.agent = node.static_pin
         return
-    if len(node.ait) == 0:
+    ait = node.ait  # a view of the node, built on each read
+    if len(ait) == 0:
         return
-    new_agent = select_agent(node.ait, node.agent, node.policy, heard_members(node, net.now))
+    new_agent = select_agent(ait, node.agent, node.policy, heard_members(node, net.now))
     if new_agent == node.agent:
         return
     old = node.agent

@@ -18,11 +18,22 @@ A member re-elects on such an entry only when it can move the election
 agent or finds none, or HIGHEST_CONNECTIVITY); finishing its own join, a
 peer's LEAVE and a failure timeout always re-elect.
 
+A node's AIT and `last_heard_ms` are read views of what it heard: the
+records peer -> (time, entry) in its own dict `_own`, and, while it is a
+member (not under HIGHEST_CONNECTIVITY), its domain's `HeardBoard`, which
+holds each sender's last fan-out that the board took. A follower's own
+record of a peer, None for a dropped peer, overrides the board's. It holds
+one only where its view departs from the board: it missed a fan-out
+(dropped, or crashed), learned the entry through `on_message` or one by
+one, or dropped the peer on a timeout or LEAVE. Its own id reads its
+`self_entry`.
+
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
-AIT and `last_heard_ms`. `GosNode.absorb` (the `simnet` batch hand-off)
-handles a run of such recipients of one delivery entry in one call, with
-no call per recipient, and stops at the first that needs `on_message`.
-It takes:
+view. `GosNode.absorb` (the `simnet` batch hand-off) handles a run of such
+recipients of one delivery entry in one call and stops at the first that
+needs `on_message`. A whole fan-out that the board can take costs one
+board write plus a record for each follower that missed it or held one.
+Otherwise each taken recipient gets its own record. It takes:
   - crashed recipients, and OFFLINE and LEFT ones (nothing happens);
   - JOINING recipients of any of the four kinds (JOIN is ignored);
   - MEMBER recipients of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE whose entry
@@ -41,8 +52,10 @@ guessing), and a node that elects itself announces domain-wide.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 
 from . import discovery, election
 from .core import (
@@ -133,18 +146,17 @@ class GosNode:
         registry=None,
     ):
         self.self_entry = entry
+        self.node_id: NodeId = entry.node_id
         self.domain = domain
         self.params = params or ProtocolParams()
         self.policy = policy
         self.registry = registry
 
         self.phase = _OFFLINE
-        self.ait = Ait()
         self.agent: NodeId = NO_NODE
-        # When each peer's entry last arrived. Its keys are always the AIT's
-        # ids other than this node's own, so it is written and dropped
-        # together with the AIT.
-        self.last_heard_ms: dict[NodeId, float] = {}
+        # Own records, peer -> (time, entry) or None (module docstring).
+        self._own: dict[NodeId, tuple[float, AitEntry] | None] = {}
+        self._board: HeardBoard | None = None
         self.pending_queries: dict[int, discovery.PendingQuery] = {}
 
         # Wired by the scenario runner; None outside scenarios.
@@ -156,8 +168,20 @@ class GosNode:
         self._join_started_ms: float | None = None
 
     @property
-    def node_id(self) -> NodeId:
-        return self.self_entry.node_id
+    def ait(self) -> Ait:
+        """The AIT, built on read: every peer heard, plus this node's own
+        `self_entry` while it is joining or a member."""
+        ait = Ait()
+        ait.by_id = self._view(self._board and self._board.entries, 1)
+        if self.phase is _JOINING or self.phase is _MEMBER:
+            ait.by_id[self.node_id] = self.self_entry
+        return ait
+
+    @property
+    def last_heard_ms(self) -> dict[NodeId, float]:
+        """When each peer's entry last arrived, built on read. Its keys are
+        the AIT's ids other than this node's own."""
+        return self._view(self._board and self._board.heard, 0)
 
     @property
     def is_member(self) -> bool:
@@ -174,8 +198,7 @@ class GosNode:
         if self.phase is not _OFFLINE:
             raise AlreadyMember(f"node {self.node_id} is {self.phase.value}, not offline")
         self.phase = _JOINING
-        self.ait = Ait([self.self_entry])
-        self.last_heard_ms = {}
+        self._own = {}
         self._join_started_ms = net.now
         net.send_multicast(self.node_id, self.domain, Message(_JOIN, self.self_entry))
         net.set_timer(self.node_id, TIMER_JOIN_DEADLINE, self.params.accept_window_ms)
@@ -186,9 +209,8 @@ class GosNode:
             raise NotMember(f"node {self.node_id} is {self.phase.value}, not a member")
         net.send_multicast(self.node_id, self.domain, Message(_LEAVE, self.self_entry))
         self.phase = _LEFT
-        self.ait.clear()
+        self._unfollow()
         self.agent = NO_NODE
-        self.last_heard_ms.clear()
         net.cancel_timer(self.node_id, TIMER_HEARTBEAT)
         if self.registry is not None:
             self.registry.deregister(self.node_id, self.domain)
@@ -197,18 +219,17 @@ class GosNode:
         """Return a Left (or crashed-and-revived) node to Offline so it can
         join again. Scenario-level convenience; protocol state is cleared."""
         self.phase = _OFFLINE
-        self.ait.clear()
+        self._unfollow()
         self.agent = NO_NODE
-        self.last_heard_ms.clear()
         self.pending_queries.clear()
 
     def adjust_capacity(self, delta_mb: float) -> None:
         """Apply an allocation (negative) or release (positive) locally.
-        Peers learn the new capacity from the next heartbeat."""
-        new_cap = self.self_entry.storage_capacity_mb + delta_mb
-        self.self_entry = replace(self.self_entry, storage_capacity_mb=new_cap)
-        if self.phase is _JOINING or self.phase is _MEMBER:
-            self.ait.upsert(self.self_entry)
+        Peers learn the new capacity from the next heartbeat; this node's
+        own AIT entry is its `self_entry`."""
+        entry = self.self_entry
+        self.self_entry = AitEntry(entry.node_id, entry.ip, entry.storage_capacity_mb + delta_mb,
+                                   entry.processing_power_mhz)
 
     # -- event-loop entry points ---------------------------------------------
 
@@ -228,43 +249,31 @@ class GosNode:
                msg: Message) -> int:
         """Handle recipients i.. of a delivery entry up to the first that
         needs `on_message` (see the module docstring), and return its index,
-        or len(recipients) when all were taken. A taken recipient gets what
-        `_on_peer` would do, with `Ait.upsert` written inline; only a new
-        sender or a changed power costs a call (`election.moves_election`)."""
+        or len(recipients) when all were taken: in one board write when the
+        domain's `HeardBoard` takes the whole entry, otherwise one by one."""
         kind = msg.kind
         if kind not in PEER_ENTRY_KINDS:
             return i
-        handlers, crashed, now = net.handlers, net.crashed, net.now
-        sender = msg.sender
-        sid, power = sender.node_id, sender.processing_power_mhz
-        join, announce = kind is _JOIN, kind is _AGENT_ANNOUNCE
-        cls, member_phase, joining, hc = GosNode, _MEMBER, _JOINING, _HIGHEST_CONNECTIVITY
+        join, sender = kind is _JOIN, msg.sender
+        if (i == 0 and not join and len(recipients) > 1
+                and (self._board or _board(net, self.domain)).take(net, recipients, msg)):
+            return len(recipients)
+        crashed, record = net.crashed, (net.now, sender)
         for member in recipients[i:]:
             if member in crashed:
                 continue
-            node = handlers.get(member)
-            if node.__class__ is not cls:
+            node = net.handlers.get(member)
+            if node.__class__ is not GosNode:
                 return recipients.index(member, i)
-            phase = node.phase
-            if phase is member_phase:
-                # A JOIN is answered with ACCEPT. HIGHEST_CONNECTIVITY always,
-                # and a known sender with an unchanged power never, moves it.
-                if join or node.policy is hc:
+            if node.phase is _MEMBER:
+                # A JOIN is answered with ACCEPT.
+                if join or node._moves(sender):
                     return recipients.index(member, i)
-                entries = node.ait.by_id
-                stored = entries.get(sid)
-                if (stored is not sender
-                        and (stored is None or stored.processing_power_mhz != power)
-                        and election.moves_election(node.policy, stored, sender,
-                                                    entries.get(node.agent))):
-                    return recipients.index(member, i)
-                entries[sid] = sender
-                node.last_heard_ms[sid] = now
-            elif phase is joining and not join:
-                node.ait.by_id[sid] = sender
-                node.last_heard_ms[sid] = now
-                if announce:
-                    node.agent = sid
+                node._hear(sender.node_id, record)
+            elif node.phase is _JOINING and not join:  # a joining node follows no board
+                node._own[sender.node_id] = record
+                if kind is _AGENT_ANNOUNCE:
+                    node.agent = sender.node_id
         return len(recipients)
 
     def on_timer(self, net: Network, tag: str) -> None:
@@ -280,21 +289,19 @@ class GosNode:
     def _on_peer(self, net: Network, kind: MessageKind, sender: AitEntry) -> None:
         phase = self.phase
         if phase is _MEMBER:
-            agent_entry = self.ait.by_id.get(self.agent)
-            stored = self.ait.upsert(sender)
-            self.last_heard_ms[sender.node_id] = net.now
+            moves = self._moves(sender)
+            self._hear(sender.node_id, (net.now, sender))
             if kind is _JOIN:
                 net.send_unicast(self.node_id, sender.node_id,
                                  Message(_ACCEPT, self.self_entry))
-            if election.moves_election(self.policy, stored, sender, agent_entry):
+            if moves:
                 election.reevaluate_agent(self, net)
             if kind is _JOIN and self.agent == self.node_id:
                 # Directed announce so the newcomer learns the incumbent.
                 net.send_unicast(self.node_id, sender.node_id,
                                  Message(_AGENT_ANNOUNCE, self.self_entry))
         elif phase is _JOINING and kind is not _JOIN:
-            self.ait.upsert(sender)
-            self.last_heard_ms[sender.node_id] = net.now
+            self._hear(sender.node_id, (net.now, sender))
             if kind is _AGENT_ANNOUNCE:
                 self.agent = sender.node_id
 
@@ -302,6 +309,8 @@ class GosNode:
         if self.phase is not _JOINING:
             return
         self.phase = _MEMBER
+        if self.policy is not _HIGHEST_CONNECTIVITY:
+            _board(net, self.domain).follow(self)
         if self.metrics_cb is not None and self._join_started_ms is not None:
             self.metrics_cb(MetricsRecord(
                 KIND_JOIN_LATENCY, net.now - self._join_started_ms, "ms", net.now,
@@ -317,15 +326,15 @@ class GosNode:
             return
         if leaver == self.agent:
             self.agent = NO_NODE
-        self.ait.remove(leaver)
-        self.last_heard_ms.pop(leaver, None)
+        self._hear(leaver, None)
         election.reevaluate_agent(self, net)
 
     def heartbeat_tick(self, net: Network) -> None:
         """Multicast a fresh self entry, drop silent peers, re-arm.
 
         A peer is silent when `now - heard > failure_timeout_ms`. The
-        peers are scanned only when the one heard longest ago is silent:
+        peers are scanned only when the one heard longest ago
+        (`_oldest_heard`) is silent:
         for a fixed `now`, rounded float subtraction never grows as
         `heard` grows, so that test is exact. Keep the subtraction form:
         the cutoff form `heard < now - timeout` differs where a rounding
@@ -336,20 +345,75 @@ class GosNode:
             return
         net.send_multicast(self.node_id, self.domain,
                            Message(_HEARTBEAT, self.self_entry))
-        now, timeout, last_heard = net.now, self.params.failure_timeout_ms, self.last_heard_ms
-        oldest = min(last_heard.values(), default=None)
+        now, timeout = net.now, self.params.failure_timeout_ms
+        oldest = self._oldest_heard()
         if oldest is not None and now - oldest > timeout:
-            timed_out = [peer for peer, heard in last_heard.items() if now - heard > timeout]
+            timed_out = [peer for peer, heard in self.last_heard_ms.items()
+                         if now - heard > timeout]
             agent_lost = False
             for peer in timed_out:
-                self.ait.remove(peer)
-                del last_heard[peer]
+                self._hear(peer, None)
                 if peer == self.agent:
                     agent_lost = True
             if agent_lost:
                 self.agent = NO_NODE
             election.reevaluate_agent(self, net, evidence_ms=oldest)
         net.set_timer(self.node_id, TIMER_HEARTBEAT, self.params.heartbeat_period_ms)
+
+    # -- what this node heard ---------------------------------------------------
+
+    def _view(self, board: dict | None, field: int) -> dict:
+        """Field 0 (time) or 1 (entry) of what this node heard from each
+        peer: the board's dict of that field, overridden by the own records."""
+        view = dict(board) if board is not None else {}
+        view.pop(self.node_id, None)
+        for peer, record in self._own.items():
+            if record is None:
+                view.pop(peer, None)
+            else:
+                view[peer] = record[field]
+        return view
+
+    def _entry(self, peer: NodeId) -> AitEntry | None:
+        """`self.ait.get(peer)`, without building the AIT."""
+        if peer == self.node_id:
+            return self.self_entry if self.phase is _JOINING or self.phase is _MEMBER else None
+        if peer in self._own:
+            record = self._own[peer]
+            return record and record[1]
+        return self._board and self._board.entries.get(peer)
+
+    def _moves(self, entry: AitEntry) -> bool:
+        """Whether learning entry now can move this member's election; a
+        known sender with an unchanged power cannot, but under HIGHEST_CONNECTIVITY."""
+        stored = self._entry(entry.node_id)
+        if stored is not None and stored.processing_power_mhz == entry.processing_power_mhz:
+            return self.policy is _HIGHEST_CONNECTIVITY
+        return election.moves_election(self.policy, stored, entry, self._entry(self.agent))
+
+    def _hear(self, peer: NodeId, record: tuple[float, AitEntry] | None) -> None:
+        """Set what this node heard from peer: (time, entry), or None to drop it."""
+        self._own[peer] = record
+        if self._board is not None:
+            self._board.pinned[peer].add(self.node_id)
+
+    def _oldest_heard(self) -> float | None:
+        """`min(self.last_heard_ms.values(), default=None)`, from the own
+        records and the first board record in time order that this node reads."""
+        own, board = self._own, self._board
+        times = [record[0] for record in own.values() if record is not None]
+        if board is not None:
+            for peer, heard in board.heard.items():
+                if peer not in own and peer != self.node_id:
+                    times.append(heard)
+                    break
+        return min(times, default=None)
+
+    def _unfollow(self) -> None:
+        """Forget everything heard, and stop following the board."""
+        if self._board is not None:
+            self._board.unfollow(self)
+        self._own = {}
 
     # -- election plumbing ------------------------------------------------------
 
@@ -376,3 +440,99 @@ class GosNode:
     def __repr__(self) -> str:
         return (f"GosNode(id={self.node_id}, domain={self.domain}, "
                 f"phase={self.phase.value}, agent={self.agent}, |ait|={len(self.ait)})")
+
+
+def _board(net: Network, domain: DomainId) -> HeardBoard:
+    if domain not in net.heard_boards:
+        net.heard_boards[domain] = HeardBoard(net.domain_members(domain))
+    return net.heard_boards[domain]
+
+
+class HeardBoard:
+    """One domain's heard board (module docstring). For each sender whose
+    fan-out the board took, `heard` holds the time of the last one, oldest
+    first, and `entries` its entry. `followers` are the members that read
+    it, and `pinned[peer]` the followers with an own record of peer."""
+
+    def __init__(self, members: tuple[NodeId, ...]):
+        self.members = members
+        self.heard: dict[NodeId, float] = {}
+        self.entries: dict[NodeId, AitEntry] = {}
+        self.followers: dict[NodeId, GosNode] = {}
+        self.pinned: defaultdict[NodeId, set[NodeId]] = defaultdict(set)
+        # Members not following; is each follower its own handler? As of handlers_version _seen.
+        self._others, self._ok, self._seen = (), False, None
+
+    def follow(self, node: GosNode) -> None:
+        """Let a node whose `_own` is its whole view read the board: the
+        senders on the board that it has not heard become dropped records."""
+        node._own = {**dict.fromkeys([p for p in self.heard if p != node.node_id]), **node._own}
+        for peer in node._own:
+            self.pinned[peer].add(node.node_id)
+        self.followers[node.node_id] = node
+        node._board, self._seen = self, None
+
+    def unfollow(self, node: GosNode) -> None:
+        for peer in node._own:
+            self.pinned[peer].discard(node.node_id)
+        del self.followers[node.node_id]
+        node._board, self._seen = None, None
+
+    def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
+        """Take a delivery entry of a peer entry other than JOIN in one
+        write, if it misses fewer followers than it reaches and `absorb`
+        would take each recipient; return whether it did, changing nothing
+        if not. An entry that holds every member but the sender is taken to
+        be the sender's fan-out."""
+        sender, followers, n = msg.sender, self.followers, len(self.members)
+        sid = sender.node_id
+        if sid not in followers or not self._ready(net):
+            return False
+        if len(recipients) == n - 1:
+            received, missed = None, set()
+        elif 2 * len(recipients) >= n:
+            received = {sid, *recipients}
+            missed = followers.keys() - received
+        else:
+            return False
+        crashed, others = net.crashed, self._others
+        if crashed:
+            missed.update([m for m in crashed if m in followers and m != sid])
+        if others:
+            others = [net.handlers.get(m) for m in others
+                      if (received is None or m in received) and m not in crashed]
+            if any(node.__class__ is not GosNode or node.phase is _MEMBER for node in others):
+                return False
+        holders, power = self.pinned.get(sid) or set(), sender.processing_power_mhz
+        got, stored = holders - missed, self.entries.get(sid)
+        # Can it move a recipient that reads `stored`, or one with another own record?
+        if len(followers) - 1 - len(missed) > len(got) and (
+                stored is None or stored.processing_power_mhz != power):
+            return False
+        for peer in got:
+            record = followers[peer]._own[sid]
+            if ((record is None or record[1].processing_power_mhz != power)
+                    and followers[peer]._moves(sender)):
+                return False
+        now = net.now
+        record, old = (now, sender), stored and (self.heard[sid], stored)
+        for node in others:
+            if node.phase is _JOINING:
+                node._own[sid] = record
+                if msg.kind is _AGENT_ANNOUNCE:
+                    node.agent = sid
+        for peer in got:
+            del followers[peer]._own[sid]
+        for peer in missed - holders:
+            followers[peer]._own[sid] = old
+        self.pinned[sid] = missed
+        self.heard.pop(sid, None)
+        self.heard[sid], self.entries[sid] = now, sender
+        return True
+
+    def _ready(self, net: Network) -> bool:
+        if self._seen != net.handlers_version:
+            self._seen, followers = net.handlers_version, self.followers
+            self._ok = all(map(is_, map(net.handlers.get, followers), followers.values()))
+            self._others = tuple([m for m in self.members if m not in followers])
+        return self._ok

@@ -502,8 +502,8 @@ class ScenarioWorld:
             live = self.live_members(domain)
             if not live:
                 continue
-            ref = live[0]
-            ref_keys = ref.ait.ids()
+            ref, ref_ait = live[0], live[0].ait  # a view, built on each read
+            ref_keys = ref_ait.ids()
             for node in live[1:]:
                 if node.ait.ids() != ref_keys:
                     return (f"ait-divergence domain={domain}: node {node.node_id} "
@@ -514,14 +514,14 @@ class ScenarioWorld:
                 views = {node.node_id: node.agent for node in live}
                 return f"agent-disagreement domain={domain}: {views}"
             agent = agents.pop()
-            agent_entry = ref.ait.get(agent)
+            agent_entry = ref_ait.get(agent)
             if agent_entry is None:
                 return f"agent-not-in-ait domain={domain}: agent {agent}"
-            expected = select_agent(ref.ait, agent, ref.policy, heard_members(ref, self.net.now))
+            expected = select_agent(ref_ait, agent, ref.policy, heard_members(ref, self.net.now))
             if expected == agent:
                 continue
             if ref.policy is ElectionPolicy.MAX_POWER:
-                top = max(e.processing_power_mhz for e in ref.ait.entries())
+                top = max(e.processing_power_mhz for e in ref_ait.entries())
                 return (f"agent-not-argmax domain={domain}: agent {agent} has "
                         f"{agent_entry.processing_power_mhz} MHz, max is {top}")
             return (f"agent-not-selected domain={domain}: agent {agent}, "

@@ -2,9 +2,16 @@
 
 Unicast, domain-scoped multicast, one-shot timers and a link model with
 configurable delay, drop probability and bandwidth. The event loop is
-single-threaded; (topology, seed) fully determine the run. Every drop
-decision consumes exactly one draw from the seeded generator, so traces
+single-threaded; (topology, seed) fully determine the run, so traces
 from identical inputs are byte-identical.
+
+Every delivery attempt owes one `random()` draw from the seeded generator,
+in send order and, within a multicast, in member order. An attempt on a
+lossless link (drop_probability 0) draws nothing and adds one to a debt,
+paid before the next real draw by `getrandbits(64 * k)` in chunks of at
+most _OWED_CHUNK: that advances the Mersenne Twister exactly as k
+`random()` calls do. So each drop decision sees the draw it would see with
+one draw per attempt, whatever `set_link` switches between the two.
 
 Delivery latency for a message of s bytes over a link is
 
@@ -79,6 +86,9 @@ from .core import (
 
 # Distinguished multicast group holding the current domain agents.
 VIRTUAL: DomainId = -1
+
+# The most owed draws paid with one getrandbits call: 64 bits each.
+_OWED_CHUNK = 4096
 
 
 class UnknownNode(DssmError):
@@ -288,12 +298,18 @@ class Network:
         self.intra_link = topology.intra_domain_link
         self.inter_link = topology.inter_domain_link
         self.rng = random.Random(seed)
+        # Draws owed by lossless attempts, paid before the next real draw.
+        self._owed = 0
         self.now = 0.0
         self.handlers: dict[NodeId, object] = {}
+        # Bumped by register_handler, so a handler can cache who handles whom.
+        self.handlers_version = 0
         self.crashed: set[NodeId] = set()
         # The VIRTUAL group: node ids in ascending order on iteration. Empty
         # until a discovery.VirtualDomain registry attaches itself here.
         self.virtual_members: Collection[NodeId] = ()
+        # Each domain's membership.HeardBoard, made by membership on first use.
+        self.heard_boards: dict[DomainId, object] = {}
         self.trace = Trace()
         self._heap: list[tuple[float, int, tuple[NodeId, ...] | NodeId,
                                Message | None, str | None]] = []
@@ -309,6 +325,8 @@ class Network:
         # The `dsts` of a multicast's send record: its group's label.
         self._labels = {domain: (f"domain{domain}",) for domain in members}
         self._labels[VIRTUAL] = ("virtual",)
+        # (group, src) -> the recipients of a lossless domain multicast.
+        self._fanouts: dict[tuple[DomainId, NodeId], tuple[NodeId, ...]] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -320,6 +338,7 @@ class Network:
         """
         self._require(node_id)
         self.handlers[node_id] = handler
+        self.handlers_version += 1
 
     def crash(self, node_id: NodeId) -> None:
         """Silence a node: it stops receiving and ticking, and sending from
@@ -351,12 +370,18 @@ class Network:
         size, dsts = transit_size_bytes(msg), (dst,)
         self._trace_send(src, dsts, msg, size)
         link = self.link_between(src, dst)
-        if self.rng.random() >= link.drop_probability:
-            self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
+        if not link.drop_probability:
+            self._owed += 1
+        else:
+            if self._owed:
+                self._pay()
+            if self.rng.random() < link.drop_probability:
+                return
+        self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
 
     def send_multicast(self, src: NodeId, group: DomainId, msg: Message) -> None:
         """One independent delivery attempt per group member except the
-        sender, each with its own drop draw. VIRTUAL targets the current
+        sender, each owing its own drop draw. VIRTUAL targets the current
         agents over the inter-domain link."""
         self._require_live(src)
         if group == VIRTUAL:
@@ -366,9 +391,20 @@ class Network:
         label = self._labels.get(group) or (f"domain{group}",)
         size = transit_size_bytes(msg)
         self._trace_send(src, label, msg, size)
-        # One draw per attempt, in member order, keeps the stream aligned.
-        drop, draw = link.drop_probability, self.rng.random
-        recipients = tuple([m for m in members if m != src and draw() >= drop])
+        drop = link.drop_probability
+        if drop:
+            if self._owed:
+                self._pay()
+            # One draw per attempt, in member order, keeps the stream aligned.
+            draw = self.rng.random
+            recipients = tuple([m for m in members if m != src and draw() >= drop])
+        else:
+            recipients = self._fanouts.get((group, src))
+            if recipients is None:
+                recipients = tuple([m for m in members if m != src])
+                if group != VIRTUAL:  # the agents change; a domain does not
+                    self._fanouts[(group, src)] = recipients
+            self._owed += len(recipients)
         if recipients:
             self._push_delivery(self.now + link.transit_ms(size), recipients, msg)
 
@@ -419,6 +455,13 @@ class Network:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _pay(self) -> None:
+        """Advance the generator past the owed draws (module docstring)."""
+        while self._owed:
+            k = min(self._owed, _OWED_CHUNK)
+            self.rng.getrandbits(64 * k)
+            self._owed -= k
 
     def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
         record = (self.now, self._next_seq(), "send", src, dsts, KIND_NAMES[msg.kind], size)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import PARAMS, World, load_script
-from dssm import election
-from dssm.core import Ait, Message, MessageKind
+from dssm import election, membership
+from dssm.core import Message, MessageKind
 from dssm.election import ElectionPolicy
-from dssm.membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
+from dssm.membership import (AlreadyMember, GosNode, HeardBoard, NotMember, Phase,
+                             ProtocolParams)
 from dssm.metrics import export_metrics
 from dssm.scenario import AssertionFailure, ScenarioWorld, scenario_from_json
 from dssm.simnet import LinkConfig, export_trace
@@ -476,23 +477,66 @@ def test_absorb_skips_crashed_recipients_and_stops_at_another_handler():
 PEERS = range(2, 10)
 
 
-@settings(max_examples=200, deadline=None)
-@given(heard=st.dictionaries(st.sampled_from(PEERS), st.floats(0.0, 5000.0)),
-       now=st.floats(0.0, 5000.0), timeout=st.floats(1.0, 2000.0))
-@example(heard={2: 102.1}, now=702.1, timeout=600.0)  # 702.1 - 102.1 == 600.0
-@example(heard={2: 102.1, 3: 102.0}, now=702.1, timeout=600.0)
-def test_heartbeat_tick_drops_exactly_the_silent_peers(heard, now, timeout):
+def _board_world(timeout=600.0):
+    """Node 1 and PEERS, equal in power, as members that follow their
+    domain's heard board and have heard nothing yet. Each is its own agent,
+    so no entry moves an election."""
     w = World([(nid, 1, 1024.0, 2800.0) for nid in (1, *PEERS)],
               params=replace(PARAMS, failure_timeout_ms=timeout))
-    w.settle(now)  # nothing is queued: only the clock moves
+    for nid, node in w.nodes.items():
+        node.phase, node.agent = Phase.MEMBER, nid
+        membership._board(w.net, 1).follow(node)
+    return w
+
+
+def _heartbeat_at(w, peer, t, board):
+    """Peer's HEARTBEAT reaches every other member at time t as a fan-out:
+    twice, so the second goes on the board; or node 1 alone hears it, in
+    its own record."""
+    w.net.now = t
+    msg = Message(H, w.nodes[peer].self_entry)
+    if not board:
+        w.nodes[1].on_message(w.net, msg)
+        return
+    to = tuple(nid for nid in sorted(w.nodes) if nid != peer)
+    first = w.nodes[to[0]]
+    assert first.absorb(w.net, to, 0, msg) == len(to)  # one by one: a new sender
+    assert first.absorb(w.net, to, 0, msg) == len(to)  # every recipient has a record
+    board = membership._board(w.net, 1)
+    assert board.heard[peer] == t and board.entries[peer] is msg.sender
+
+
+@settings(max_examples=200, deadline=None)
+@given(heard=st.dictionaries(st.sampled_from(PEERS),
+                             st.tuples(st.floats(0.0, 5000.0), st.booleans())),
+       now=st.floats(0.0, 5000.0), timeout=st.floats(1.0, 2000.0))
+@example(heard={2: (102.1, True)}, now=702.1, timeout=600.0)  # 702.1 - 102.1 == 600.0
+@example(heard={2: (102.1, False), 3: (102.0, True)}, now=702.1, timeout=600.0)
+def test_heartbeat_tick_drops_exactly_the_silent_peers(heard, now, timeout):
+    # Each peer is heard on the board or in node 1's own record, in time order.
+    w = _board_world(timeout)
+    for peer, (t, board) in sorted(heard.items(), key=lambda item: item[1][0]):
+        _heartbeat_at(w, peer, t, board)
+    w.net.now = now
     node = w.nodes[1]
-    node.phase, node.agent = Phase.MEMBER, 1
-    node.ait = Ait([node.self_entry] + [w.nodes[p].self_entry for p in heard])
-    node.last_heard_ms = dict(heard)
     node.heartbeat_tick(w.net)
-    kept = {peer for peer, t in heard.items() if not now - t > timeout}
+    kept = {peer for peer, (t, _) in heard.items() if not now - t > timeout}
     assert set(node.last_heard_ms) == kept
     assert node.ait.ids() == kept | {1}
+
+
+def test_heartbeat_tick_keeps_a_board_peer_heard_exactly_one_timeout_ago():
+    # 702.1 - 102.1 == 600.0, so peer 2 is not silent, though 102.1 < 702.1 - 600.
+    w = _board_world(timeout=600.0)
+    _heartbeat_at(w, 2, 102.1, board=True)
+    node = w.nodes[1]
+    assert node._own == {} and node.last_heard_ms == {2: 102.1}
+    w.net.now = 702.1
+    node.heartbeat_tick(w.net)
+    assert node.last_heard_ms == {2: 102.1} and 2 in node.ait
+    w.net.now = 702.2
+    node.heartbeat_tick(w.net)
+    assert node.last_heard_ms == {} and node._own == {2: None}
 
 
 class _CheckAfterEachEvent:
@@ -553,46 +597,66 @@ def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
     assert any(n.is_member for n in w.nodes.values())
 
 
+VIEW_EVERY_MS = 50.0
+
+
 def _run_outputs(doc, out):
-    """Trace and metrics bytes, assertion text and every node's final
-    state of one run of `doc`."""
+    """Trace and metrics bytes, assertion text, and every node's AIT,
+    `last_heard_ms`, agent and phase each VIEW_EVERY_MS of virtual time and
+    before each script action, in one run of `doc`."""
     world = ScenarioWorld(scenario_from_json(doc))
-    try:
-        world.run()
-        failure = None
-    except AssertionFailure as exc:
-        failure = str(exc)
+    views, failure, t = [], None, 0.0
+    for action in world.scenario.script:
+        while t < action.time_ms:
+            t = min(t + VIEW_EVERY_MS, action.time_ms)
+            world.net.run_until(t)
+            views.append({nid: (node.ait.by_id, node.last_heard_ms, node.agent, node.phase)
+                          for nid, node in world.nodes.items()})
+        try:
+            action.apply(world)
+        except AssertionFailure as exc:
+            failure = str(exc)
+            break
     export_trace(world.net.trace, out / "trace.csv")
     export_metrics(world.metrics, "json", out / "metrics.json")
-    nodes = {nid: (dict(node.ait.by_id), dict(node.last_heard_ms), node.agent, node.phase)
-             for nid, node in world.nodes.items()}
     return ((out / "trace.csv").read_bytes(), (out / "metrics.json").read_bytes(),
-            failure, nodes)
+            failure, views)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.1), draw=st.integers(0, 2**16),
-       policy=st.sampled_from(ElectionPolicy))
+@given(seed=st.integers(0, 2**16), drop=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+       draw=st.integers(0, 2**16), policy=st.sampled_from(ElectionPolicy))
+@example(seed=3, drop=0.0, draw=1, policy=ElectionPolicy.MAX_POWER)
 def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy):
     # A join/leave/crash/rejoin script with queries and transfers, from the
     # golden generator; the same run with GosNode.absorb deleted sends every
-    # delivery through on_message.
+    # delivery through on_message, so no node reads a heard board. At drop 0
+    # every domain multicast shares one recipients tuple per sender, and
+    # settled fan-outs go on the board with no follower missing them.
     doc = update_goldens.generated_doc(policy.value, draw=f"absorb{draw}")
     doc["seed"] = seed
     doc["intra_domain_link"] = dict(doc["intra_domain_link"], drop_probability=drop)
-    taken = []
-    absorb = GosNode.absorb
+    taken, boarded = [], []
+    absorb, take = GosNode.absorb, HeardBoard.take
 
     def counted(node, net, recipients, i, msg):
         j = absorb(node, net, recipients, i, msg)
         taken.append(j - i)
         return j
 
+    def counted_take(board, net, recipients, msg):
+        took = take(board, net, recipients, msg)
+        boarded.append(took and not board.pinned[msg.sender.node_id])
+        return took
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GosNode, "absorb", counted)
+        patch.setattr(HeardBoard, "take", counted_take)
         batched = _run_outputs(doc, tmp_path_factory.mktemp("absorb"))
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(GosNode, "absorb")
         one_by_one = _run_outputs(doc, tmp_path_factory.mktemp("on_message"))
     assert sum(taken) > 0
+    if policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
+        assert any(boarded)  # a fan-out that no follower missed went on the board
     assert batched == one_by_one

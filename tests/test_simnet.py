@@ -2,10 +2,13 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dssm.core import AitEntry, Message, MessageKind
+from conftest import load_script
+from dssm import scenario, simnet
+from dssm.core import AitEntry, Message, MessageKind, transit_size_bytes
 from dssm.discovery import VirtualDomain
+from dssm.metrics import export_metrics
 from dssm.simnet import (
     InvalidTopology,
     LinkConfig,
@@ -164,6 +167,99 @@ def test_multicast_draws_once_per_attempt_in_member_order():
     assert [int(r.dst) for r in delivered] == survivors
     assert [r.seq for r in delivered] == list(range(2, 2 + len(survivors)))
     assert all(len(recs[n].messages) == (n in survivors) for n in ids)
+
+
+class DrawPerAttempt(Network):
+    """The reference drop rule: every delivery attempt draws once, in send
+    and member order, lossless or not."""
+
+    def send_unicast(self, src, dst, msg):
+        self._require_live(src)
+        self._require(dst)
+        size, dsts = transit_size_bytes(msg), (dst,)
+        self._trace_send(src, dsts, msg, size)
+        link = self.link_between(src, dst)
+        if self.rng.random() >= link.drop_probability:
+            self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
+
+    def send_multicast(self, src, group, msg):
+        self._require_live(src)
+        if group == VIRTUAL:
+            members, link = self.virtual_members, self.inter_link
+        else:
+            members, link = self.domain_members(group), self.intra_link
+        size = transit_size_bytes(msg)
+        self._trace_send(src, self._labels.get(group) or (f"domain{group}",), msg, size)
+        drop, draw = link.drop_probability, self.rng.random
+        recipients = tuple([m for m in members if m != src and draw() >= drop])
+        if recipients:
+            self._push_delivery(self.now + link.transit_ms(size), recipients, msg)
+
+
+def _scenario_outputs(doc, out):
+    """Trace and metrics bytes and assertion text of one run of `doc`."""
+    try:
+        result = scenario.run_scenario(scenario.scenario_from_json(doc))
+        trace, metrics, failure = result.trace, result.metrics, None
+    except scenario.AssertionFailure as exc:
+        trace, metrics, failure = None, None, str(exc)
+    if trace is not None:
+        export_trace(trace, out / "trace.csv")
+        export_metrics(metrics, "json", out / "metrics.json")
+        return (out / "trace.csv").read_bytes(), (out / "metrics.json").read_bytes(), None
+    return None, None, failure
+
+
+SWITCH = st.tuples(st.floats(0.0, 14000.0), st.sampled_from(["intra", "inter"]), st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), p=st.floats(0.01, 0.5), lossy=st.tuples(st.booleans(),
+       st.booleans()), switches=st.lists(SWITCH, max_size=8))
+@example(seed=1, p=0.2, lossy=(False, False),
+         switches=[(3000.0, "intra", True), (5000.0, "inter", True), (8000.0, "intra", False)])
+def test_owed_draws_give_the_trace_of_one_draw_per_attempt(tmp_path_factory, seed, p, lossy,
+                                                           switches):
+    # A join/leave/crash/rejoin run with queries and transfers whose links
+    # start lossless or at drop p and switch between the two mid-run.
+    doc = load_script("update_goldens").generated_doc("max_power", draw=f"owed{seed}")
+    doc["seed"] = seed
+    for scope, loses in zip(("intra", "inter"), lossy):
+        link = f"{scope}_domain_link"
+        doc[link] = dict(doc[link], drop_probability=p if loses else 0.0)
+    doc["script"] = sorted(doc["script"] + [
+        {"time_ms": t, "action": "set_link", "scope": scope,
+         "drop_probability": p if loses else 0.0}
+        for t, scope, loses in switches], key=lambda action: action["time_ms"])
+    owed = _scenario_outputs(doc, tmp_path_factory.mktemp("owed"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "Network", DrawPerAttempt)
+        reference = _scenario_outputs(doc, tmp_path_factory.mktemp("reference"))
+    assert owed == reference
+
+
+def test_owed_draws_are_paid_in_bounded_chunks():
+    asked = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            asked.append(k)
+            return super().getrandbits(k)
+
+    ids = range(1, 11)
+    net = Network(topo({n: 1 for n in ids}), seed=4)
+    net.rng = Recording(4)
+    wire(net, ids)
+    for _ in range(1000):  # 9,000 lossless attempts
+        net.send_multicast(1, 1, Message(MessageKind.HEARTBEAT, entry(1)))
+    assert asked == []
+    net.intra_link = replace(net.intra_link, drop_probability=0.5)
+    net.send_unicast(2, 3, Message(MessageKind.ACCEPT, entry(2)))
+    assert max(asked) <= 64 * simnet._OWED_CHUNK and sum(asked) == 64 * 9000
+    reference = random.Random(4)
+    for _ in range(9001):
+        reference.random()
+    assert net.rng.getstate() == reference.getstate()
 
 
 def test_same_instant_events_scheduled_by_a_recipient_run_after_the_fan_out():
