@@ -2,7 +2,7 @@
 """Alternating parent/change runs of the benchmark, checked and summarized.
 
     python3 scripts/bench_pairs.py PARENT_REV --pairs N --seed S --seconds T
-        [--trace-pairs K] [--grid 160x1 40x8] [--allow-output-change]
+        [--trace-pairs K] [--grid 160x1 40x8]
         [--out BENCH_<n>.json --description TEXT]
 
 The parent is the committed tree of PARENT_REV, exported with `git archive`
@@ -15,17 +15,13 @@ both, the parent first when k is even.
 Both sides must print the same trace and metrics SHA-256, `ops_attempted`
 and `ops_failed` for every workload and the same digest for every bundled
 scenario, in every run; otherwise, or when a run exits non-zero, the script
-stops with exit status 1. With --allow-output-change, for a change that
-alters the program's output on purpose, each side's runs must agree only
-with that side's own first run; the document then holds both sides'
-checked outputs and the list of those that differ. Per workload and end-to-end metric it prints the
+stops with exit status 1. Per workload and end-to-end metric it prints the
 medians, the parent's quartiles, the change/parent ratio of the medians and
 the pairs the change won (the direction comes from BENCHMARK.json).
 
 --trace-pairs adds K alternating `--trace 1` pairs, and --grid runs the
 given points of `scripts/bench_grid.py` in each checkout, N alternating
-pairs; both sides (each side, with --allow-output-change) must report the
-same trace rows and consistency check in every run.
+pairs; both sides must report the same trace rows and consistency check.
 --out writes all of it as one JSON document, in the shape of the committed
 BENCH_*.json files.
 """
@@ -79,8 +75,8 @@ def checked(run: dict) -> dict:
                           for name, w in run["workloads"].items()}}
 
 
-def differences(reference: dict, run: dict) -> list[str]:
-    """Each checked output of `run` that differs from `reference`, as text."""
+def check_same(reference: dict, run: dict, label: str) -> None:
+    """Raise Mismatch naming each output of `run` that differs from `reference`."""
     want, got = checked(reference), checked(run)
     diffs = [f"bundled {name}: {want['bundled'].get(name)} != {detail}"
              for name, detail in got["bundled"].items() if want["bundled"].get(name) != detail]
@@ -88,36 +84,8 @@ def differences(reference: dict, run: dict) -> list[str]:
         a, b = want["workloads"].get(name, {}), got["workloads"].get(name, {})
         diffs += [f"{name} {key}: {a.get(key)} != {b.get(key)}"
                   for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
-    return diffs
-
-
-def check_same(reference: dict, run: dict, label: str,
-               against: str = "the first parent run") -> None:
-    """Raise Mismatch naming each output of `run` that differs from `reference`."""
-    diffs = differences(reference, run)
     if diffs:
-        raise Mismatch(f"{label} differs from {against}:\n  " + "\n  ".join(diffs))
-
-
-class FirstRuns:
-    """The run that every later run is checked against: the first run of
-    all, or with `per_side` (--allow-output-change) the first of each side."""
-
-    def __init__(self, per_side: bool):
-        self.per_side = per_side
-        self.runs: dict[str, tuple[str, object]] = {}
-
-    def reference(self, side: str, run) -> tuple[str, object]:
-        """(its name, the reference run) for a run of `side`; the first run
-        of its group becomes the reference."""
-        key = side if self.per_side else "all"
-        return self.runs.setdefault(key, (f"the first {side} run", run))
-
-    def outputs(self, view) -> dict:
-        """`view` of the reference run, or of each side's with `per_side`."""
-        if self.per_side:
-            return {side: view(run) for side, (_, run) in self.runs.items()}
-        return view(self.runs["all"][1])
+        raise Mismatch(f"{label} differs from the first parent run:\n  " + "\n  ".join(diffs))
 
 
 def _sig(value: float) -> float:
@@ -206,12 +174,12 @@ def bench_pairs(args, sides: dict[str, Path]) -> dict:
     command = [str(RUN), "--workload", "all", "--seed", str(args.seed),
                "--seconds", str(args.seconds)]
     timeout_s = 60 * args.seconds + 600
-    firsts = FirstRuns(args.allow_output_change)
+    reference = {}
 
     def check(side, k, stdout):
         run = parse_run(stdout)
-        against, reference = firsts.reference(side, run)
-        check_same(reference, run, f"{side} run of pair {k}", against)
+        reference.setdefault("run", run)
+        check_same(reference["run"], run, f"{side} run of pair {k}")
         # wall_s_per_sim_s of a plain run, the traced instance's wall time of a traced one.
         walls = {}
         for workload, w in run["workloads"].items():
@@ -235,11 +203,8 @@ def bench_pairs(args, sides: dict[str, Path]) -> dict:
         "parent": {"commit": args.parent_commit, "final_json_lines": lines["parent"]},
         "change": {"final_json_lines": lines["change"]},
         "end_to_end_summary": summary,
-        "checked_outputs": firsts.outputs(checked),
+        "checked_outputs": checked(reference["run"]),
     }
-    if args.allow_output_change:
-        doc["output_differences"] = differences(firsts.runs["parent"][1],
-                                                firsts.runs["change"][1])
     if args.trace_pairs:
         traced = alternate(args.trace_pairs, sides, [*command, "--trace", "1"], timeout_s, check)
         final = {side: {w: [parse_run(s)["workloads"][w]["final"] for s in outputs]
@@ -258,14 +223,15 @@ def bench_pairs(args, sides: dict[str, Path]) -> dict:
 def grid_pairs(args, sides: dict[str, Path]) -> dict:
     points = [f"{n}x{d}" for n, d in args.grid]
     command = [str(GRID), *points]
-    firsts = FirstRuns(args.allow_output_change)
+    reference = {}
 
     def check(side, k, stdout):
         result = json.loads(stdout.strip().splitlines()[-1])["points"]
         shape = [(p["n"], p["d"], p["trace_rows"], p["violation"]) for p in result]
-        against, reference = firsts.reference(side, shape)
-        if shape != reference:
-            raise Mismatch(f"grid: {side} run of pair {k} gives {shape}, {against} {reference}")
+        reference.setdefault("shape", shape)
+        if shape != reference["shape"]:
+            raise Mismatch(f"grid: {side} run of pair {k} gives {shape}, "
+                           f"the first parent run {reference['shape']}")
         print(f"grid pair {k} {side:<6} "
               + " ".join(f"{p['n']}x{p['d']}={p['wall_s']:.3f}s" for p in result), flush=True)
 
@@ -287,8 +253,6 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace-pairs", type=int, default=0)
     parser.add_argument("--grid", nargs="*", type=parse_point, default=[])
-    parser.add_argument("--allow-output-change", action="store_true",
-                        help="check each side's runs against its own first run only")
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--description", default="")
     args = parser.parse_args()

@@ -270,10 +270,8 @@ class GosNode:
                 if join or node._moves(sender):
                     return recipients.index(member, i)
                 node._hear(sender.node_id, record)
-            elif node.phase is _JOINING and not join:  # a joining node follows no board
-                node._own[sender.node_id] = record
-                if kind is _AGENT_ANNOUNCE:
-                    node.agent = sender.node_id
+            elif node.phase is _JOINING and not join:
+                node._learn_joining(kind, record)
         return len(recipients)
 
     def on_timer(self, net: Network, tag: str) -> None:
@@ -301,9 +299,15 @@ class GosNode:
                 net.send_unicast(self.node_id, sender.node_id,
                                  Message(_AGENT_ANNOUNCE, self.self_entry))
         elif phase is _JOINING and kind is not _JOIN:
-            self._hear(sender.node_id, (net.now, sender))
-            if kind is _AGENT_ANNOUNCE:
-                self.agent = sender.node_id
+            self._learn_joining(kind, (net.now, sender))
+
+    def _learn_joining(self, kind: MessageKind, record: tuple[float, AitEntry]) -> None:
+        """A joining node learns a peer entry other than JOIN, and takes an
+        announcing sender as its agent. It follows no board yet."""
+        sender = record[1].node_id
+        self._own[sender] = record
+        if kind is _AGENT_ANNOUNCE:
+            self.agent = sender
 
     def _finish_join(self, net: Network) -> None:
         if self.phase is not _JOINING:
@@ -518,9 +522,7 @@ class HeardBoard:
         record, old = (now, sender), stored and (self.heard[sid], stored)
         for node in others:
             if node.phase is _JOINING:
-                node._own[sid] = record
-                if msg.kind is _AGENT_ANNOUNCE:
-                    node.agent = sid
+                node._learn_joining(msg.kind, record)
         for peer in got:
             del followers[peer]._own[sid]
         for peer in missed - holders:

@@ -62,38 +62,3 @@ def test_summarize_gives_medians_quartiles_ratio_and_wins():
     assert summary["hb_dense"]["events_per_s"]["change_wins"] == "4/5"
     table = bench_pairs.format_summary(summary)
     assert "hb_dense" in table and "4/5" in table
-
-
-def _check_all(firsts, runs):
-    """Check (side, stdout) runs in order as `bench_pairs` does."""
-    for k, (side, stdout) in enumerate(runs):
-        run = bench_pairs.parse_run(stdout)
-        against, reference = firsts.reference(side, run)
-        bench_pairs.check_same(reference, run, f"{side} run {k}", against)
-
-
-def test_strict_mode_holds_both_sides_to_the_first_parent_run():
-    firsts = bench_pairs.FirstRuns(per_side=False)
-    _check_all(firsts, [("parent", run_output(0.01, 2e6)), ("change", run_output(0.02, 1e6))])
-    with pytest.raises(bench_pairs.Mismatch, match="the first parent run"):
-        _check_all(firsts, [("change", run_output(0.01, 2e6, trace_sha="ab"))])
-    assert firsts.outputs(bench_pairs.checked)["workloads"]["hb_dense"]["trace_sha256"] == "aa"
-
-
-def test_allowed_output_change_holds_each_side_to_its_own_first_run():
-    firsts = bench_pairs.FirstRuns(per_side=True)
-    parent = run_output(0.01, 2e6)
-    change = run_output(0.005, 4e6, trace_sha="ab", failed="1  {\"check\": 1}")
-    _check_all(firsts, [("parent", parent), ("change", change), ("change", change),
-                        ("parent", parent)])
-    outputs = firsts.outputs(bench_pairs.checked)
-    assert outputs["parent"]["workloads"]["hb_dense"]["trace_sha256"] == "aa"
-    assert outputs["change"]["workloads"]["hb_dense"]["trace_sha256"] == "ab"
-    assert outputs["change"]["workloads"]["hb_dense"]["ops_failed"] == "1  {\"check\": 1}"
-    assert bench_pairs.differences(firsts.runs["parent"][1], firsts.runs["change"][1]) == [
-        "hb_dense ops_failed: 0  {} != 1  {\"check\": 1}", "hb_dense trace_sha256: aa != ab"]
-    # A side whose own runs disagree is still refused.
-    with pytest.raises(bench_pairs.Mismatch, match="the first change run"):
-        _check_all(firsts, [("change", run_output(0.005, 4e6, trace_sha="ac"))])
-    with pytest.raises(bench_pairs.Mismatch, match="the first parent run"):
-        _check_all(firsts, [("parent", run_output(0.01, 2e6, failed="2  {}"))])
