@@ -87,7 +87,7 @@ def _run(args) -> int:
         export_trace(result.trace, args.trace)
         print(f"trace written to {args.trace}")
     if args.metrics:
-        fmt = "json" if args.metrics.endswith(".json") else "csv"
+        fmt = "json" if args.metrics.lower().endswith(".json") else "csv"
         export_metrics(result.metrics, fmt, args.metrics)
         print(f"metrics written to {args.metrics} ({fmt})")
 

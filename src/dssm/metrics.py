@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _escape
 
 from .core import IoError
 
@@ -23,6 +25,9 @@ METRIC_KINDS = (
 )
 
 CSV_HEADER = "kind,value,unit,time_ms,labels"
+
+# Records that export_metrics joins into one write.
+_RECORDS_PER_WRITE = 256
 
 
 @dataclass
@@ -46,29 +51,61 @@ def _labels_csv(labels: dict[str, str]) -> str:
     return ";".join(f"{k}={labels[k]}" for k in sorted(labels))
 
 
+def _csv_record(r: MetricsRecord) -> str:
+    return f"{r.kind},{r.value!r},{r.unit},{r.time_ms!r},{_labels_csv(r.labels)}\n"
+
+
+def _json_value(value) -> str:
+    """value as json.dumps writes it: strings through the C escaper and
+    finite floats through float.__repr__, the cases every record holds."""
+    if type(value) is str:
+        return _escape(value)
+    if type(value) is float and value - value == 0.0:
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_record(r: MetricsRecord) -> str:
+    # The layout of json.dump(..., indent=2, sort_keys=True) for one record
+    # at depth 1 of the array; its keys in sorted order.
+    labels = r.labels
+    if labels:
+        pairs = ",\n      ".join([f"{_escape(k)}: {_json_value(labels[k])}"
+                                   for k in sorted(labels)])
+        labels_json = f"{{\n      {pairs}\n    }}"
+    else:
+        labels_json = "{}"
+    return (f'{{\n    "kind": {_json_value(r.kind)},\n    "labels": {labels_json},'
+            f'\n    "time_ms": {_json_value(r.time_ms)},\n    "unit": {_json_value(r.unit)},'
+            f'\n    "value": {_json_value(r.value)}\n  }}')
+
+
+def _batches(records):
+    """The records in lists of at most _RECORDS_PER_WRITE: a write holds a
+    few hundred records, never the whole document."""
+    records = iter(records)
+    while batch := list(islice(records, _RECORDS_PER_WRITE)):
+        yield batch
+
+
 def export_metrics(records: list[MetricsRecord], format: str, path) -> None:
-    """Write records as CSV or JSON. Identical inputs give identical bytes."""
+    """Write records as CSV or JSON. Identical inputs give identical bytes:
+    the JSON is that of json.dump(records, indent=2, sort_keys=True) plus a
+    newline, each record an object of kind, labels, time_ms, unit, value."""
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     try:
         with open(path, "w", newline="") as fh:
             if format == "csv":
                 fh.write(CSV_HEADER + "\n")
-                for r in records:
-                    fh.write(f"{r.kind},{r.value!r},{r.unit},{r.time_ms!r},{_labels_csv(r.labels)}\n")
+                for batch in _batches(records):
+                    fh.write("".join(map(_csv_record, batch)))
             else:
-                payload = [
-                    {
-                        "kind": r.kind,
-                        "value": r.value,
-                        "unit": r.unit,
-                        "time_ms": r.time_ms,
-                        "labels": r.labels,
-                    }
-                    for r in records
-                ]
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                sep = "[\n  "
+                for batch in _batches(records):
+                    fh.write(sep + ",\n  ".join(map(_json_record, batch)))
+                    sep = ",\n  "
+                fh.write("\n]\n" if sep == ",\n  " else "[]\n")
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

@@ -159,6 +159,10 @@ class TraceRow(NamedTuple):
 
 TRACE_HEADER = "time_ms,seq,kind,from,to,msg_kind,size_bytes"
 
+# export_trace writes once it has joined this many rows. It counts rows,
+# not records: a delivery batch is one record of up to N rows.
+_ROWS_PER_WRITE = 512
+
 # Builds a TraceRow from a tuple of its fields without the Python-level
 # __new__ of NamedTuple, which costs about 2.5 times as much per row.
 _new_row = tuple.__new__
@@ -277,14 +281,36 @@ def export_trace(trace: Trace, path) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
+            lines, rows, tails = [], 0, {}
+            last_time = time_type = head = None
             for time_ms, first, kind, src, dsts, msg_kind, size in trace._counted_records():
-                if len(dsts) == 1:
-                    fh.write(f"{time_ms!r},{first},{kind},{src},{dsts[0]},{msg_kind},{size!r}\n")
-                    continue
-                # The fields a record's rows share are formatted once.
-                head, mid, tail = f"{time_ms!r},", f",{kind},{src},", f",{msg_kind},{size!r}\n"
-                fh.write("".join([f"{head}{seq}{mid}{dst}{tail}"
-                                  for seq, dst in enumerate(dsts, first)]))
+                # A run of records with an equal time of one type shares the
+                # time's repr, and records with an equal msg_kind and size of
+                # one type share the tail. The type counts because equal ints
+                # and floats print differently: the clock is the int 5 after
+                # run_until(5), and a timer's size is the int 0. So do -0.0
+                # and 0.0, so a float zero size is not shared.
+                if time_ms != last_time or type(time_ms) is not time_type:
+                    head, last_time, time_type = f"{time_ms!r},", time_ms, type(time_ms)
+                key = (msg_kind, size, type(size))
+                tail = tails.get(key)
+                if tail is None:
+                    tail = f",{msg_kind},{size!r}\n"
+                    if size or type(size) is not float:
+                        tails[key] = tail
+                n = len(dsts)
+                if n == 1:
+                    lines.append(f"{head}{first},{kind},{src},{dsts[0]}{tail}")
+                else:
+                    mid = f",{kind},{src},"
+                    lines.append("".join([f"{head}{seq}{mid}{dst}{tail}"
+                                          for seq, dst in enumerate(dsts, first)]))
+                rows += n
+                if rows >= _ROWS_PER_WRITE:
+                    fh.write("".join(lines))
+                    lines.clear()
+                    rows = 0
+            fh.write("".join(lines))
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

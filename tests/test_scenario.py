@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 from dssm.cli import main as cli_main
 from dssm.metrics import (
+    KIND_ELECTION_LATENCY,
+    KIND_JOIN_LATENCY,
     KIND_QUERY_RESPONSE,
     KIND_THROUGHPUT,
     MetricsRecord,
@@ -488,6 +491,40 @@ def test_json_round_trip(tmp_path):
     assert load_metrics_json(p) == records
 
 
+def _json_dump_bytes(records) -> bytes:
+    """The reference the JSON export must match byte for byte."""
+    fh = io.StringIO()
+    json.dump([{"kind": r.kind, "value": r.value, "unit": r.unit, "time_ms": r.time_ms,
+                "labels": r.labels} for r in records], fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode("ascii")
+
+
+ODD_LABELS = {"quote": 'say "hi"', "back\\slash": "a\\b", "control": "bell\x07tab\tnl\n",
+              "accent": "caf\u00e9", "snow\u2603man": "\u2603", "emoji": "\U0001f600",
+              "": "", "Zeta": "upper sorts first"}
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [MetricsRecord(KIND_THROUGHPUT, 99.25, "Mbps", 200.5, {})],
+    [MetricsRecord(KIND_QUERY_RESPONSE, 12.5, "ms", 100.0, dict(ODD_LABELS)),
+     MetricsRecord(KIND_THROUGHPUT, 1.0, "Mbps", 100.0, {"outcome": "caf\u00e9"})],
+    [MetricsRecord(KIND_JOIN_LATENCY, 3, "ms", 7, {"node": "1"}),
+     MetricsRecord(KIND_JOIN_LATENCY, -0.0, "ms", -0.0, {}),
+     MetricsRecord(KIND_ELECTION_LATENCY, 5e-324, "ms", 1e16, {"node": "2"}),
+     MetricsRecord(KIND_ELECTION_LATENCY, 1e16, "ms", 5e-324, {}),
+     MetricsRecord(KIND_QUERY_RESPONSE, 0.1, "ms", float("inf"), {"n": "1"})],
+    # More records than one write holds.
+    [MetricsRecord(KIND_QUERY_RESPONSE, k / 7, "ms", k * 0.5, {"query_id": str(k)} if k % 3 else {})
+     for k in range(700)],
+], ids=["empty", "empty_labels", "escaped_labels", "numbers", "many"])
+def test_json_export_is_the_bytes_of_json_dump(tmp_path, records):
+    p = tmp_path / "m.json"
+    export_metrics(records, "json", p)
+    assert p.read_bytes() == _json_dump_bytes(records)
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -501,6 +538,14 @@ def test_cli_run_with_exports(tmp_path, capsys):
     assert metrics.read_text().startswith("kind,value,unit,time_ms,labels")
     out = capsys.readouterr().out
     assert "scenario two_domain" in out
+
+
+@pytest.mark.parametrize("name", ["metrics.JSON", "metrics.Json"])
+def test_cli_metrics_extension_is_case_insensitive(tmp_path, capsys, name):
+    metrics = tmp_path / name
+    assert cli_main(["run", "two_domain", "--metrics", str(metrics)]) == 0
+    assert f"metrics written to {metrics} (json)" in capsys.readouterr().out
+    assert len(load_metrics_json(metrics)) > 0
 
 
 def test_cli_compare_static(capsys):

@@ -621,6 +621,96 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
         assert (out / "part.csv").read_text() == lines[0] + "".join(lines[1 + lo:1 + hi])
 
 
+def _row_by_row(trace) -> bytes:
+    """The reference the trace export must match byte for byte."""
+    return (TRACE_HEADER + "\n" + "".join(row.csv() + "\n" for row in trace)).encode()
+
+
+def _reply_cuts_a_batch():
+    # Node 3 replies inside node 1's fan-out, so the batch continues in a
+    # record after the reply's send row.
+    net = Network(topo({n: 1 for n in range(1, 6)}), seed=3)
+    recs = wire(net, range(1, 6))
+    recs[3].on_message = lambda net, msg: net.send_unicast(3, 1, Message(MessageKind.ACCEPT, entry(3)))
+    net.send_multicast(1, 1, Message(MessageKind.HEARTBEAT, entry(1)))
+    net.run_until_quiescent(1000.0)
+    kinds = [(row.kind, row.src) for row in net.trace]
+    assert kinds[:6] == [("send", "1"), ("deliver", "1"), ("deliver", "1"), ("send", "3"),
+                         ("deliver", "1"), ("deliver", "1")]
+    return net.trace
+
+
+class DataTimer:
+    """Node 1's timer is tagged DATA, so its row's msg_kind and size (the int
+    0) equal those of a DATA message of size 0.0 but print differently."""
+
+    def on_message(self, net, msg):
+        pass
+
+    def on_timer(self, net, tag):
+        for size_mb in (0.0, -0.0, 0.0):
+            net.send_unicast(1, 2, Message(MessageKind.DATA, entry(1), size_mb=size_mb))
+        if net.now < 20.0:
+            net.set_timer(1, "DATA", 10.0)
+
+
+def _data_timer_next_to_zero_size_data():
+    net = Network(topo({1: 1, 2: 1}), seed=3)
+    net.register_handler(1, DataTimer())
+    net.register_handler(2, DataTimer())
+    net.set_timer(1, "DATA", 10.0)
+    net.run_until_quiescent(1000.0)
+    assert {(row.kind, row.msg_kind, repr(row.size_bytes)) for row in net.trace} == {
+        ("timer", "DATA", "0"), ("send", "DATA", "0.0"), ("send", "DATA", "-0.0"),
+        ("deliver", "DATA", "0.0"), ("deliver", "DATA", "-0.0")}
+    return net.trace
+
+
+def _int_time_next_to_float_time():
+    # run_until(5) leaves the clock at the int 5 when no event is due then.
+    net = Network(topo({1: 1, 2: 1}), seed=3)
+    wire(net, (1, 2))
+    net.run_until(5)
+    net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
+    net.set_timer(1, "tick", 0.0)
+    net.run_until_quiescent(1000.0)
+    assert [repr(row.time_ms) for row in net.trace][:2] == ["5", "5.0"]
+    return net.trace
+
+
+def _longer_than_one_write():
+    net = Network(topo({1: 1, 2: 1, 3: 1}), seed=3)
+    recs = wire(net, (1, 2, 3))
+
+    def tick(net, tag):
+        net.send_multicast(1, 1, Message(MessageKind.HEARTBEAT, entry(1)))
+        if net.now < 900.0:
+            net.set_timer(1, tag, 0.5)
+
+    recs[1].on_timer = tick
+    net.set_timer(1, "tick", 0.5)
+    net.run_until_quiescent(10_000.0)
+    assert len(net.trace._records) > 2_000
+    return net.trace
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Network(topo({1: 1}), seed=3).trace,
+    _reply_cuts_a_batch,
+    lambda: _reply_cuts_a_batch()[2:5],
+    lambda: _reply_cuts_a_batch()[1::2],
+    _data_timer_next_to_zero_size_data,
+    _int_time_next_to_float_time,
+    _longer_than_one_write,
+], ids=["empty", "reply_cuts_a_batch", "mid_record_slice", "strided_slice",
+        "data_timer_next_to_zero_size_data", "int_time_next_to_float_time",
+        "longer_than_one_write"])
+def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
+    trace = make()
+    export_trace(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == _row_by_row(trace)
+
+
 def test_absorbed_runs_start_everywhere_in_a_batch():
     # The property above is meant to cover runs that begin right after a
     # recipient whose handler traced rows, where the rest of the batch
