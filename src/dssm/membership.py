@@ -9,10 +9,15 @@ drop the entry immediately. Failure: every member multicasts HEARTBEAT
 each period and drops any peer silent for longer than the failure
 timeout (three periods by default).
 
-JOIN, ACCEPT, HEARTBEAT and AGENT_ANNOUNCE each carry the sender's entry
-and share one handler: a joining node learns the entry (ignoring JOIN,
-and taking an announcing sender as its agent); a member learns it,
-answers a JOIN with ACCEPT and re-elects; other phases ignore it.
+JOIN, ACCEPT, LEAVE, HEARTBEAT and AGENT_ANNOUNCE carry only the sender's
+entry. A node builds each such message once per `self_entry` (the first
+send after the entry was replaced builds a new one) and every send and
+every delivery in flight shares it; messages are immutable.
+
+JOIN, ACCEPT, HEARTBEAT and AGENT_ANNOUNCE share one handler: a joining
+node learns the entry (ignoring JOIN, and taking an announcing sender as
+its agent); a member learns it, answers a JOIN with ACCEPT and re-elects;
+other phases ignore it.
 A member re-elects on such an entry only when it can move the election
 (`election.moves_election`: a changed power, a new sender that beats the
 agent or finds none, or HIGHEST_CONNECTIVITY); finishing its own join, a
@@ -157,6 +162,8 @@ class GosNode:
         # Own records, peer -> (time, entry) or None (module docstring).
         self._own: dict[NodeId, tuple[float, AitEntry] | None] = {}
         self._board: HeardBoard | None = None
+        # kind -> the entry-only message last sent (see `_message`).
+        self._messages: dict[MessageKind, Message] = {}
         self.pending_queries: dict[int, discovery.PendingQuery] = {}
 
         # Wired by the scenario runner; None outside scenarios.
@@ -200,14 +207,14 @@ class GosNode:
         self.phase = _JOINING
         self._own = {}
         self._join_started_ms = net.now
-        net.send_multicast(self.node_id, self.domain, Message(_JOIN, self.self_entry))
+        net.send_multicast(self.node_id, self.domain, self._message(_JOIN))
         net.set_timer(self.node_id, TIMER_JOIN_DEADLINE, self.params.accept_window_ms)
 
     def initiate_leave(self, net: Network) -> None:
         """Multicast LEAVE and forget all domain state."""
         if self.phase is not _MEMBER:
             raise NotMember(f"node {self.node_id} is {self.phase.value}, not a member")
-        net.send_multicast(self.node_id, self.domain, Message(_LEAVE, self.self_entry))
+        net.send_multicast(self.node_id, self.domain, self._message(_LEAVE))
         self.phase = _LEFT
         self._unfollow()
         self.agent = NO_NODE
@@ -230,6 +237,15 @@ class GosNode:
         entry = self.self_entry
         self.self_entry = AitEntry(entry.node_id, entry.ip, entry.storage_capacity_mb + delta_mb,
                                    entry.processing_power_mhz)
+
+    def _message(self, kind: MessageKind) -> Message:
+        """The message of an entry-only kind (JOIN, ACCEPT, LEAVE, HEARTBEAT,
+        AGENT_ANNOUNCE) carrying `self_entry`: built on the first send after
+        the entry was replaced, and shared by every send until the next."""
+        msg = self._messages.get(kind)
+        if msg is None or msg.sender is not self.self_entry:
+            msg = self._messages[kind] = Message(kind, self.self_entry)
+        return msg
 
     # -- event-loop entry points ---------------------------------------------
 
@@ -254,21 +270,24 @@ class GosNode:
         kind = msg.kind
         if kind not in PEER_ENTRY_KINDS:
             return i
-        join, sender = kind is _JOIN, msg.sender
+        join, sender, crashed = kind is _JOIN, msg.sender, net.crashed
+        if join and self.phase is _MEMBER and recipients[i] not in crashed:
+            return i  # it answers ACCEPT
         if (i == 0 and not join and len(recipients) > 1
                 and (self._board or _board(net, self.domain)).take(net, recipients, msg)):
             return len(recipients)
-        crashed, record = net.crashed, (net.now, sender)
-        for member in recipients[i:]:
+        handlers, record = net.handlers, (net.now, sender)
+        for k in range(i, len(recipients)):
+            member = recipients[k]
             if member in crashed:
                 continue
-            node = net.handlers.get(member)
+            node = handlers.get(member)
             if node.__class__ is not GosNode:
-                return recipients.index(member, i)
+                return k
             if node.phase is _MEMBER:
                 # A JOIN is answered with ACCEPT.
                 if join or node._moves(sender):
-                    return recipients.index(member, i)
+                    return k
                 node._hear(sender.node_id, record)
             elif node.phase is _JOINING and not join:
                 node._learn_joining(kind, record)
@@ -290,14 +309,12 @@ class GosNode:
             moves = self._moves(sender)
             self._hear(sender.node_id, (net.now, sender))
             if kind is _JOIN:
-                net.send_unicast(self.node_id, sender.node_id,
-                                 Message(_ACCEPT, self.self_entry))
+                net.send_unicast(self.node_id, sender.node_id, self._message(_ACCEPT))
             if moves:
                 election.reevaluate_agent(self, net)
             if kind is _JOIN and self.agent == self.node_id:
                 # Directed announce so the newcomer learns the incumbent.
-                net.send_unicast(self.node_id, sender.node_id,
-                                 Message(_AGENT_ANNOUNCE, self.self_entry))
+                net.send_unicast(self.node_id, sender.node_id, self._message(_AGENT_ANNOUNCE))
         elif phase is _JOINING and kind is not _JOIN:
             self._learn_joining(kind, (net.now, sender))
 
@@ -347,8 +364,7 @@ class GosNode:
         """
         if self.phase is not _MEMBER:
             return
-        net.send_multicast(self.node_id, self.domain,
-                           Message(_HEARTBEAT, self.self_entry))
+        net.send_multicast(self.node_id, self.domain, self._message(_HEARTBEAT))
         now, timeout = net.now, self.params.failure_timeout_ms
         oldest = self._oldest_heard()
         if oldest is not None and now - oldest > timeout:
@@ -424,8 +440,7 @@ class GosNode:
     def announce_agency(self, net: Network) -> None:
         """Called when this node elected itself: tell the domain and, when
         it has a registry, join the virtual domain."""
-        net.send_multicast(self.node_id, self.domain,
-                           Message(_AGENT_ANNOUNCE, self.self_entry))
+        net.send_multicast(self.node_id, self.domain, self._message(_AGENT_ANNOUNCE))
         if self.registry is not None:
             self.registry.register_agent(
                 self.self_entry,

@@ -43,6 +43,8 @@ class MetricsRecord:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if math.isnan(self.value) or math.isinf(self.value) or self.value < 0:
             raise ValueError(f"metric value {self.value} must be finite and >= 0")
+        if not math.isfinite(self.time_ms):
+            raise ValueError(f"metric time_ms {self.time_ms} must be finite")
 
 
 def _labels_csv(labels: dict[str, str]) -> str:

@@ -17,6 +17,17 @@ Delivery latency for a message of s bytes over a link is
 
     delay_ms + s * 8 / (bandwidth_mbps * 1000)   [ms]
 
+where a DATA message's s is size_mb * 1024 * 1024, and its size_mb must be
+finite and >= 0 (core.transit_size_bytes raises InvalidValue otherwise),
+so no delivery lands before its send.
+
+A send is checked before it leaves any mark. A unicast raises, in this
+order: UnknownNode for an unknown src, NodeCrashed for a crashed src,
+UnknownNode for an unknown dst, then InvalidValue for a bad DATA size; a
+multicast the first two and the last, and set_timer UnknownNode for an
+unknown owner. A refused call adds no trace row, takes no seq, owes or
+draws nothing and queues nothing.
+
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
 deterministically. A timer is (time_ms, seq, owner, None, tag). A delivery
@@ -391,11 +402,10 @@ class Network:
     # -- traffic -----------------------------------------------------------
 
     def send_unicast(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        self._require_live(src)
-        self._require(dst)
+        same = self._require_live(src) == self._require(dst)
         size, dsts = transit_size_bytes(msg), (dst,)
         self._trace_send(src, dsts, msg, size)
-        link = self.link_between(src, dst)
+        link = self.intra_link if same else self.inter_link
         if not link.drop_probability:
             self._owed += 1
         else:
@@ -469,14 +479,21 @@ class Network:
 
     # -- internals ----------------------------------------------------------
 
-    def _require(self, node_id: NodeId) -> None:
-        if node_id not in self.topology.nodes:
+    def _require(self, node_id: NodeId) -> DomainId:
+        """The node's domain; an unknown node raises UnknownNode."""
+        domain = self.topology.nodes.get(node_id)
+        if domain is None:
             raise UnknownNode(f"node {node_id} not in topology")
+        return domain
 
-    def _require_live(self, node_id: NodeId) -> None:
-        self._require(node_id)
-        if node_id in self.crashed:
+    def _require_live(self, node_id: NodeId) -> DomainId:
+        """The domain of a node that may send: an unknown node raises
+        UnknownNode, a crashed one NodeCrashed."""
+        domain = self.topology.nodes.get(node_id)
+        if domain is None or node_id in self.crashed:
+            self._require(node_id)
             raise NodeCrashed(f"node {node_id} is crashed and cannot send")
+        return domain
 
     def _next_seq(self) -> int:
         self._seq += 1

@@ -137,6 +137,39 @@ def test_heartbeat_propagates_capacity_change():
         assert node.ait.get(1).storage_capacity_mb == 512.0
 
 
+def test_heartbeats_carry_the_entry_of_their_send_time(monkeypatch):
+    # Six settled members; node 3 allocates between two of its ticks and
+    # releases between the next two. Its ticks fall at 120 + 200k ms.
+    w = World([(nid, 1, 1024.0, 2800.0) for nid in range(1, 7)])
+    w.join_all()
+    w.settle(1000.0)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return Message(*args, **kwargs)
+
+    monkeypatch.setattr(membership, "Message", counted)
+    send = w.net.send_multicast
+
+    def checked_send(src, group, msg):
+        assert msg.sender is w.nodes[src].self_entry
+        send(src, group, msg)
+
+    monkeypatch.setattr(w.net, "send_multicast", checked_send)
+    w.settle(1200.0)
+    assert builds == []  # a settled heartbeat period builds no message
+    node = w.nodes[3]
+    for tick, delta in ((1320.0, -512.0), (1520.0, 512.0), (1720.0, 0.0)):
+        if delta:
+            w.settle(tick - 50.0)
+            node.adjust_capacity(delta)
+        w.settle(tick + 5.0)
+        for peer in w.members():
+            assert peer.ait.get(3) is node.self_entry
+    assert builds == [MessageKind.HEARTBEAT] * 2
+
+
 def test_crashed_peer_removed_within_bound():
     w = World(THREE)
     w.join_all()

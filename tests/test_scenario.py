@@ -491,6 +491,13 @@ def test_json_round_trip(tmp_path):
     assert load_metrics_json(p) == records
 
 
+@pytest.mark.parametrize("time_ms", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_metric_time_is_refused(time_ms):
+    # JSON has no Infinity or NaN: such a time could not be exported.
+    with pytest.raises(ValueError, match="time_ms"):
+        MetricsRecord(KIND_QUERY_RESPONSE, 0.1, "ms", time_ms, {"n": "1"})
+
+
 def _json_dump_bytes(records) -> bytes:
     """The reference the JSON export must match byte for byte."""
     fh = io.StringIO()
@@ -514,7 +521,7 @@ ODD_LABELS = {"quote": 'say "hi"', "back\\slash": "a\\b", "control": "bell\x07ta
      MetricsRecord(KIND_JOIN_LATENCY, -0.0, "ms", -0.0, {}),
      MetricsRecord(KIND_ELECTION_LATENCY, 5e-324, "ms", 1e16, {"node": "2"}),
      MetricsRecord(KIND_ELECTION_LATENCY, 1e16, "ms", 5e-324, {}),
-     MetricsRecord(KIND_QUERY_RESPONSE, 0.1, "ms", float("inf"), {"n": "1"})],
+     MetricsRecord(KIND_QUERY_RESPONSE, 0.1, "ms", 1e308, {"n": "1"})],
     # More records than one write holds.
     [MetricsRecord(KIND_QUERY_RESPONSE, k / 7, "ms", k * 0.5, {"query_id": str(k)} if k % 3 else {})
      for k in range(700)],

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_script
 from dssm import scenario, simnet
-from dssm.core import AitEntry, Message, MessageKind, transit_size_bytes
+from dssm.core import AitEntry, InvalidValue, Message, MessageKind, transit_size_bytes
 from dssm.discovery import VirtualDomain
 from dssm.metrics import export_metrics
 from dssm.simnet import (
@@ -76,15 +76,49 @@ def test_bad_link_config_rejected():
         LinkConfig(delay_ms=0.0, drop_probability=0.0, bandwidth_mbps=0.0)
 
 
+LOSSY = LinkConfig(delay_ms=10.0, drop_probability=0.5, bandwidth_mbps=100.0)
+
+
+def _leaves_nothing(net, error, send):
+    """send() raises error, and the trace, the queue and the generator are
+    as they were before it."""
+    before = len(net.trace), net.pending(), net.rng.getstate()
+    with pytest.raises(error):
+        send()
+    assert (len(net.trace), net.pending(), net.rng.getstate()) == before
+
+
+def _accepted_sends(net):
+    """One lossy unicast and one lossy multicast from node 1, then drain."""
+    net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
+    net.send_multicast(1, 1, Message(MessageKind.HEARTBEAT, entry(1)))
+    net.run_until_quiescent(1000.0)
+
+
+def _same_as_without_the_rejected(net, seed):
+    """net ran `_accepted_sends` once before some refused calls; run it
+    again, and check that net holds the rows (so the seqs) and generator
+    state of a twin that ran it twice with no refused call between."""
+    twin = Network(net.topology, seed=seed)
+    wire(twin, net.topology.nodes)
+    _accepted_sends(twin)
+    _accepted_sends(twin)
+    _accepted_sends(net)
+    assert list(net.trace) == list(twin.trace)
+    assert net.rng.getstate() == twin.rng.getstate()
+
+
 def test_unknown_node_errors():
-    net = Network(topo({1: 1}), seed=0)
+    net = Network(topo({1: 1, 2: 1, 3: 1}, intra=LOSSY, inter=LOSSY), seed=0)
+    wire(net, (1, 2, 3))
+    _accepted_sends(net)
     msg = Message(MessageKind.HEARTBEAT, entry(1))
-    with pytest.raises(UnknownNode):
-        net.send_unicast(1, 99, msg)
-    with pytest.raises(UnknownNode):
-        net.send_unicast(99, 1, msg)
-    with pytest.raises(UnknownNode):
-        net.set_timer(99, "t", 5.0)
+    _leaves_nothing(net, UnknownNode, lambda: net.send_unicast(1, 99, msg))
+    _leaves_nothing(net, UnknownNode, lambda: net.send_unicast(99, 1, msg))
+    _leaves_nothing(net, UnknownNode, lambda: net.send_unicast(98, 99, msg))
+    _leaves_nothing(net, UnknownNode, lambda: net.send_multicast(99, 1, msg))
+    _leaves_nothing(net, UnknownNode, lambda: net.set_timer(99, "t", 5.0))
+    _same_as_without_the_rejected(net, seed=0)
 
 
 def test_unicast_delivery_time():
@@ -390,19 +424,44 @@ def test_crashed_node_receives_nothing():
 
 
 def test_crashed_node_cannot_send():
-    net = Network(topo({1: 1, 2: 1}), seed=0)
-    recs = wire(net, [1, 2])
+    net = Network(topo({1: 1, 2: 1, 3: 1}, intra=LOSSY, inter=LOSSY), seed=2)
+    recs = wire(net, (1, 2, 3))
+    _accepted_sends(net)
     net.crash(1)
     msg = Message(MessageKind.LEAVE, entry(1))
-    with pytest.raises(NodeCrashed):
-        net.send_unicast(1, 2, msg)
-    with pytest.raises(NodeCrashed):
-        net.send_multicast(1, 1, msg)
-    assert net.trace == [] and net.pending() == 0
+    _leaves_nothing(net, NodeCrashed, lambda: net.send_unicast(1, 2, msg))
+    _leaves_nothing(net, NodeCrashed, lambda: net.send_multicast(1, 1, msg))
+    # A crashed sender is refused before its destination is looked up.
+    _leaves_nothing(net, NodeCrashed, lambda: net.send_unicast(1, 99, msg))
     net.revive(1)
-    net.send_multicast(1, 1, msg)
-    net.run_until_quiescent(1000.0)
-    assert len(recs[2].messages) == 1
+    heard = len(recs[2].messages)
+    _same_as_without_the_rejected(net, seed=2)
+    assert len(recs[2].messages) > heard
+
+
+@pytest.mark.parametrize("size_mb", [-1.0, -5e-324, float("inf"), float("-inf"), float("nan")])
+def test_data_of_negative_or_non_finite_size_is_refused(size_mb):
+    # At -1 MB over a 10 ms, 100 Mbps link the delivery would land at
+    # 50 + 10 - 83.9 ms: before the send, with the clock running backwards.
+    net = Network(topo({1: 1, 2: 1, 3: 1}, intra=LOSSY, inter=LOSSY), seed=7)
+    wire(net, (1, 2, 3))
+    _accepted_sends(net)
+    net.run_until(50.0)
+    data = Message(MessageKind.DATA, entry(1), size_mb=size_mb)
+    _leaves_nothing(net, InvalidValue, lambda: net.send_unicast(1, 2, data))
+    _leaves_nothing(net, InvalidValue, lambda: net.send_multicast(1, 1, data))
+    with pytest.raises(InvalidValue):
+        transit_size_bytes(data)
+    twin = Network(net.topology, seed=7)
+    wire(twin, (1, 2, 3))
+    _accepted_sends(twin)
+    twin.run_until(50.0)
+    for side in (net, twin):
+        side.send_unicast(1, 2, Message(MessageKind.DATA, entry(1), size_mb=0.0))
+        side.run_until_quiescent(1000.0)
+    assert list(net.trace) == list(twin.trace)
+    assert net.rng.getstate() == twin.rng.getstate()
+    assert all(row.time_ms >= 50.0 for row in net.trace if row.msg_kind == "DATA")
 
 
 def _chatter(seed):
