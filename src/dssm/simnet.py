@@ -25,8 +25,9 @@ A send is checked before it leaves any mark. A unicast raises, in this
 order: UnknownNode for an unknown src, NodeCrashed for a crashed src,
 UnknownNode for an unknown dst, then InvalidValue for a bad DATA size; a
 multicast the first two and the last, and set_timer UnknownNode for an
-unknown owner. A refused call adds no trace row, takes no seq, owes or
-draws nothing and queues nothing.
+unknown owner, then InvalidValue for a negative or non-finite delay. A
+refused call adds no trace row, takes no seq, owes or draws nothing and
+queues nothing.
 
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
@@ -46,18 +47,18 @@ still traced (the packet arrived) but no handler runs; timers owned by a
 crashed node vanish silently. A crashed node cannot send: sending from it
 raises NodeCrashed.
 
-Network.trace is a Trace, a read-only sequence of TraceRow stored as a list
-of records of one shape, (time_ms, first_seq, kind, src, dsts, msg_kind,
-size_bytes): row j of a record has seq first_seq + j, from str(src) and to
-str(dsts[j]), and is built only when read. A send or fired timer is one
-row: dsts is a unicast's (dst,), a multicast's group label ("domain3",) or
-("virtual",), or a timer's (owner,) with src "". A delivery entry's dsts
-are its recipients. Rows count into the length as they happen, a delivery
-one recipient at a time, and appending cuts the previous record down to
-the rows it counted. So when a recipient's handler traces rows of its own
-(a reply, say), the rest of its batch continues in a new record after
-them, and rows stay in the order in which events ran. While recipient i's
-handler runs, trace[-1] is recipient i's deliver row.
+Network.trace is a Trace, a read-only sequence of TraceRow stored as an
+append-only list of complete records of one shape, (time_ms, first_seq,
+kind, src, dsts, msg_kind, size_bytes): row j of a record has seq
+first_seq + j, from str(src) and to str(dsts[j]), and is built only when
+read. A send or fired timer is one row: dsts is a unicast's (dst,), a
+multicast's group label ("domain3",) or ("virtual",), or a timer's
+(owner,) with src "". A delivery entry's record holds a slice of its
+recipients and grows run by run (see absorb) while no other row comes in
+between, so an entry that nothing interrupts is one record sharing the
+entry's recipients tuple. Rows that a recipient's handler traces (a reply,
+say) start a new record after them, so rows stay in the order in which
+events ran. While recipient i's handler runs, trace[-1] is its deliver row.
 
 A handler may also have absorb(net, recipients, i, msg) -> j. When the loop
 reaches recipient i of a delivery entry and that recipient's handler has
@@ -66,17 +67,17 @@ one, it calls it once; the handler handles recipients i..j-1 itself
 whose handling changes their own state and nothing else: no send, no
 timer, no trace row, no metric, and the state on_message would leave. A
 crashed recipient may be taken as a no-op, since no handler runs for it.
-The loop then counts the taken recipients' deliver rows and pending events
-in one step, and recipient j, if any, goes through on_message. Rows keep
-their order and seqs, and for every handler that runs, trace[-1] is its
-own row and pending() is what it would be had every recipient gone
-through on_message. absorb is optional: a handler without it is called
-once per recipient.
+The loop then writes the deliver rows of the run, recipients i..j, in one
+step, and recipient j, if any, goes through on_message. Rows keep their
+order and seqs, and pending() is what it would be had every recipient
+gone through on_message. absorb is optional: a handler without it is
+called once per recipient.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from array import array
 from bisect import bisect_right
@@ -89,6 +90,7 @@ from .core import (
     DomainId,
     DssmError,
     KIND_NAMES,
+    InvalidValue,
     IoError,
     Message,
     NodeId,
@@ -121,6 +123,9 @@ class LinkConfig:
     bandwidth_mbps: float
 
     def __post_init__(self):
+        for name in ("delay_ms", "bandwidth_mbps"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidTopology(f"{name} {getattr(self, name)} must be finite")
         if self.delay_ms < 0:
             raise InvalidTopology(f"delay_ms {self.delay_ms} must be >= 0")
         if not 0.0 <= self.drop_probability <= 1.0:
@@ -193,16 +198,13 @@ class Trace(Sequence):
     records of its range, not a list of rows; `records` and `length` build
     such a view."""
 
-    __slots__ = ("_records", "_len", "_starts", "_last_start")
+    __slots__ = ("_records", "_len", "_starts")
 
     def __init__(self, records: list | None = None, length: int = 0):
         self._records = [] if records is None else records
         self._len = length
         # The row index of each record's first row, filled in on read.
         self._starts = array("q")
-        # The row index of the last record's first row: the rows counted
-        # since then are the ones of that record that have happened.
-        self._last_start = length - len(records[-1][4]) if records else 0
 
     def __len__(self) -> int:
         return self._len
@@ -216,7 +218,7 @@ class Trace(Sequence):
                                    msg_kind, size))
 
     def __iter__(self):
-        for time_ms, first, kind, src, dsts, msg_kind, size in self._counted_records():
+        for time_ms, first, kind, src, dsts, msg_kind, size in self._records:
             src = str(src)
             for seq, dst in enumerate(dsts, first):
                 yield _new_row(TraceRow, (time_ms, seq, kind, src, str(dst), msg_kind, size))
@@ -241,14 +243,9 @@ class Trace(Sequence):
     def _locate(self, i: int) -> int:
         """The index of the record that holds row i, for 0 <= i < len."""
         starts, records = self._starts, self._records
-        k = len(starts)
-        if k < len(records):
-            # Appending cut every record but the last: their counts are final.
-            row = starts[-1] + len(records[k - 1][4]) if k else 0
-            starts.append(row)
-            for record in records[k:-1]:
-                row += len(record[4])
-                starts.append(row)
+        # Only the last record can still grow, and no start depends on it.
+        for k in range(len(starts), len(records)):
+            starts.append(starts[k - 1] + len(records[k - 1][4]) if k else 0)
         return bisect_right(starts, i) - 1
 
     def _slice(self, s: slice) -> Trace:
@@ -265,26 +262,12 @@ class Trace(Sequence):
         records[0] = _cut(records[0], lo - self._starts[first], hi - self._starts[first])
         return Trace(records, hi - lo)
 
-    def _counted_records(self) -> list:
-        """The records, the last cut to the rows that have happened."""
-        records = self._records
-        if records and self._len - self._last_start < len(records[-1][4]):
-            return records[:-1] + [_cut(records[-1], 0, self._len - self._last_start)]
-        return records
-
     # -- writing, by Network --------------------------------------------------
 
-    def _append(self, record: tuple, happened: int) -> None:
-        """Append a record, `happened` of whose rows count at once; Network
-        counts a delivery's rows as its recipients are taken."""
-        records = self._records
-        if records:
-            counted = self._len - self._last_start
-            if counted < len(records[-1][4]):
-                records[-1] = _cut(records[-1], 0, counted)
-        records.append(record)
-        self._last_start = self._len
-        self._len += happened
+    def _append(self, record: tuple) -> None:
+        """Append a complete record."""
+        self._records.append(record)
+        self._len += len(record[4])
 
 
 def export_trace(trace: Trace, path) -> None:
@@ -294,7 +277,7 @@ def export_trace(trace: Trace, path) -> None:
             fh.write(TRACE_HEADER + "\n")
             lines, rows, tails = [], 0, {}
             last_time = time_type = head = None
-            for time_ms, first, kind, src, dsts, msg_kind, size in trace._counted_records():
+            for time_ms, first, kind, src, dsts, msg_kind, size in trace._records:
                 # A run of records with an equal time of one type shares the
                 # time's repr, and records with an equal msg_kind and size of
                 # one type share the tail. The type counts because equal ints
@@ -394,9 +377,7 @@ class Network:
         return self._members.get(domain, ())
 
     def link_between(self, a: NodeId, b: NodeId) -> LinkConfig:
-        self._require(a)
-        self._require(b)
-        same = self.topology.nodes[a] == self.topology.nodes[b]
+        same = self._require(a) == self._require(b)
         return self.intra_link if same else self.inter_link
 
     # -- traffic -----------------------------------------------------------
@@ -446,10 +427,13 @@ class Network:
 
     def set_timer(self, owner: NodeId, tag: str, fire_in_ms: float) -> None:
         """Schedule a one-shot timer; re-setting (owner, tag) replaces any
-        pending one."""
+        pending one. A delay that is negative or not finite raises
+        InvalidValue."""
         self._require(owner)
-        seq = self._next_seq()
-        self._timers[(owner, tag)] = seq
+        if not 0.0 <= fire_in_ms < math.inf:
+            raise InvalidValue(f"timer delay {fire_in_ms} must be finite and >= 0")
+        self._seq += 1
+        seq = self._timers[(owner, tag)] = self._seq
         self._pending += 1
         heapq.heappush(self._heap, (self.now + fire_in_ms, seq, owner, None, tag))
 
@@ -466,8 +450,7 @@ class Network:
     def run_until(self, time_ms: float) -> None:
         """Process every event due at or before time_ms, then advance the
         clock to exactly time_ms."""
-        while self._heap and self._heap[0][0] <= time_ms:
-            self._step()
+        self.run_until_quiescent(time_ms)
         self.now = max(self.now, time_ms)
 
     def run_until_quiescent(self, max_time_ms: float) -> Trace:
@@ -495,10 +478,6 @@ class Network:
             raise NodeCrashed(f"node {node_id} is crashed and cannot send")
         return domain
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _pay(self) -> None:
         """Advance the generator past the owed draws (module docstring)."""
         while self._owed:
@@ -507,8 +486,8 @@ class Network:
             self._owed -= k
 
     def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
-        record = (self.now, self._next_seq(), "send", src, dsts, KIND_NAMES[msg.kind], size)
-        self.trace._append(record, 1)
+        self._seq += 1
+        self.trace._append((self.now, self._seq, "send", src, dsts, KIND_NAMES[msg.kind], size))
 
     def _push_delivery(self, at: float, recipients: tuple[NodeId, ...], msg: Message) -> None:
         first = self._seq + 1
@@ -525,31 +504,30 @@ class Network:
             records, crashed, handlers = trace._records, self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
-            record = (time_ms, seq, "deliver", src, to, kind, size)
-            trace._append(record, 0)
-            i, n = 0, len(to)
+            # The entry's send row comes first, so records is never empty.
+            record, start, i, n = None, 0, 0, len(to)
             while i < n:
-                if records[-1] is not record:
-                    # The last handler traced rows: the rest follow them.
-                    record = (time_ms, seq + i, "deliver", src, to[i:], kind, size)
-                    trace._append(record, 0)
                 handler = handlers.get(to[i])
                 absorb = getattr(handler, "absorb", None)
-                if absorb is not None:
-                    j = absorb(self, to, i, msg)
-                    if j > i:
-                        # Counted only now, so the record above holds their rows.
-                        self._pending -= j - i
-                        trace._len += j - i
-                        if j == n:
-                            return
-                        i = j
-                        handler = handlers.get(to[i])
-                self._pending -= 1
-                trace._len += 1
-                if handler is not None and to[i] not in crashed:
+                j = i if absorb is None else absorb(self, to, i, msg)
+                if i < j < n:
+                    handler = handlers.get(to[j])
+                # The run: recipients i..j-1, which absorb took, and j, if any.
+                stop = j + 1 if j < n else n
+                if records[-1] is not record:
+                    # The entry's first run, or rows came in between: a new
+                    # record. Otherwise the current one grows over the run.
+                    start = i
+                    records.append(None)
+                records[-1] = record = (time_ms, seq + start, "deliver", src,
+                                        to[start:stop], kind, size)
+                trace._len += stop - i
+                self._pending -= stop - i
+                if j == n:
+                    return
+                if handler is not None and to[j] not in crashed:
                     handler.on_message(self, msg)
-                i += 1
+                i = j + 1
             return
         self._pending -= 1
         key = (to, tag)
@@ -558,7 +536,7 @@ class Network:
         del self._timers[key]
         if to in self.crashed:
             return
-        self.trace._append((time_ms, seq, "timer", "", (to,), tag, 0), 1)
+        self.trace._append((time_ms, seq, "timer", "", (to,), tag, 0))
         handler = self.handlers.get(to)
         if handler is not None:
             handler.on_timer(self, tag)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -74,6 +75,16 @@ def test_bad_link_config_rejected():
         LinkConfig(delay_ms=0.0, drop_probability=1.5, bandwidth_mbps=1.0)
     with pytest.raises(InvalidTopology):
         LinkConfig(delay_ms=0.0, drop_probability=0.0, bandwidth_mbps=0.0)
+
+
+@pytest.mark.parametrize("field", ["delay_ms", "bandwidth_mbps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_link_value_rejected(field, value):
+    # By transit_ms a delivery over such a link would be queued at a NaN or
+    # infinite time, which has no place in the heap's (time, seq) order.
+    with pytest.raises(InvalidTopology) as info:
+        replace(FAST, **{field: value})
+    assert str(info.value) == f"{field} {value} must be finite"
 
 
 LOSSY = LinkConfig(delay_ms=10.0, drop_probability=0.5, bandwidth_mbps=100.0)
@@ -361,6 +372,30 @@ def test_timer_fires_at_deadline():
     assert recs[1].timers == [(1000.0, "ping")]
 
 
+@pytest.mark.parametrize("fire_in_ms", [-30.0, float("nan"), float("inf"), float("-inf")])
+def test_timer_of_negative_or_non_finite_delay_is_refused(fire_in_ms):
+    # At -30 ms after run_until(50.0) the timer would fire at 20 ms, with the
+    # clock running backwards. The twin makes the same calls but the refused one.
+    sides = []
+    for refuse in (True, False):
+        net = Network(topo({1: 1, 2: 1, 3: 1}, intra=LOSSY, inter=LOSSY), seed=7)
+        recs = wire(net, (1, 2, 3))
+        _accepted_sends(net)
+        net.run_until(50.0)
+        net.set_timer(1, "neg", 5.0)
+        if refuse:
+            _leaves_nothing(net, InvalidValue,
+                            lambda: net.set_timer(1, "neg", fire_in_ms))
+        net.set_timer(2, "tick", 0.0)
+        _accepted_sends(net)
+        sides.append((net, recs))
+    (net, recs), (twin, _) = sides
+    # No seq taken, and the pending timer it would have replaced still fires.
+    assert list(net.trace) == list(twin.trace)
+    assert net.rng.getstate() == twin.rng.getstate()
+    assert recs[1].timers == [(55.0, "neg")]
+
+
 def test_timer_reset_replaces():
     net = Network(topo({1: 1}), seed=0)
     recs = wire(net, [1])
@@ -523,7 +558,8 @@ def _interleaved_run(seed, drop):
     sends `odd_send` makes. Each handler's seeded `absorb` takes runs of
     recipients, which only log the delivery, so runs start right after a
     recipient whose handler traced rows too. Every handler checks the row
-    trace[-1] shows it and that pending() counts what is queued, and logs
+    trace[-1] shows it, that every record is complete (their rows add up to
+    len(trace)) and that pending() counts what is queued, and logs
     (len(trace), that row). Node 4 crashes after its JOIN, and the VIRTUAL
     group is nodes 1 and 5. Returns the network, that log, the (first seq,
     recipients) of every delivery entry, and the (index, run length, whether
@@ -544,10 +580,14 @@ def _interleaved_run(seed, drop):
 
     def check_pending(net, row):
         # Every queued recipient and timer entry, plus the recipients after
-        # this one in the entry being delivered: the last record holds them.
+        # this one in the entry being delivered, which no record holds yet.
+        assert sum(len(record[4]) for record in net.trace._records) == len(net.trace)
         queued = sum(len(to) if msg is not None else 1 for _, _, to, msg, _ in net._heap)
-        _, first, _, _, dsts, _, _ = net.trace._records[-1]
-        assert net.pending() == queued + len(dsts) - (row.seq - first) - 1
+        untaken = 0
+        if row.kind == "deliver":
+            untaken = next(first + len(to) for first, to in entries
+                           if first <= row.seq < first + len(to)) - row.seq - 1
+        assert net.pending() == queued + untaken
 
     def odd_send(net, me, which):
         if which == 0:
@@ -768,6 +808,27 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
     trace = make()
     export_trace(trace, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == _row_by_row(trace)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_batch_is_one_record_per_run_between_other_rows(seed):
+    # Every handler call of the run checks that the records are complete.
+    net, _, entries, _ = _interleaved_run(seed, 0.1)
+    recipients = dict(entries)
+    firsts = sorted(recipients)
+    pieces, previous = {}, None
+    for _, first, kind, _, dsts, _, _ in net.trace._records:
+        entry = firsts[bisect_right(firsts, first) - 1] if kind == "deliver" else None
+        if entry is not None:
+            offset = first - entry
+            assert dsts == recipients[entry][offset:offset + len(dsts)]
+            # Two records of one entry have other rows between them.
+            assert entry != previous
+            pieces.setdefault(entry, []).append(dsts)
+        previous = entry
+    # An entry that nothing interrupts shares its recipients tuple.
+    assert all(len(pieces[first]) > 1 or pieces[first][0] is to for first, to in entries)
+    assert any(len(parts) > 1 for parts in pieces.values())
 
 
 def test_absorbed_runs_start_everywhere_in_a_batch():
