@@ -37,7 +37,10 @@ Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` batch hand-off) handles a run of such
 recipients of one delivery entry in one call and stops at the first that
 needs `on_message`. A whole fan-out that the board can take costs one
-board write plus a record for each follower that missed it or held one.
+board write plus a record for each follower that missed it or held one,
+so a settled heartbeat period (every member is up, follows and hears
+every fan-out, and no power changes) costs the board write alone per
+fan-out.
 Otherwise each taken recipient gets its own record. It takes:
   - crashed recipients, and OFFLINE and LEFT ones (nothing happens);
   - JOINING recipients of any of the four kinds (JOIN is ignored);
@@ -420,14 +423,16 @@ class GosNode:
     def _oldest_heard(self) -> float | None:
         """`min(self.last_heard_ms.values(), default=None)`, from the own
         records and the first board record in time order that this node reads."""
-        own, board = self._own, self._board
-        times = [record[0] for record in own.values() if record is not None]
+        own, board, oldest = self._own, self._board, None
         if board is not None:
             for peer, heard in board.heard.items():
                 if peer not in own and peer != self.node_id:
-                    times.append(heard)
+                    oldest = heard
                     break
-        return min(times, default=None)
+        for record in own.values():
+            if record is not None and (oldest is None or record[0] < oldest):
+                oldest = record[0]
+        return oldest
 
     def _unfollow(self) -> None:
         """Forget everything heard, and stop following the board."""
@@ -502,49 +507,61 @@ class HeardBoard:
         write, if it misses fewer followers than it reaches and `absorb`
         would take each recipient; return whether it did, changing nothing
         if not. An entry that holds every member but the sender is taken to
-        be the sender's fan-out."""
+        be the sender's fan-out.
+
+        The write alone takes a fan-out that every member follows and gets,
+        none crashed, when no follower holds an own record of the sender and
+        the board's entry has the sender's power: no follower's view departs
+        from the board, so none can move. Otherwise each follower that
+        missed it gets an own record of the entry it last read, and each
+        that got it drops its own."""
         sender, followers, n = msg.sender, self.followers, len(self.members)
         sid = sender.node_id
         if sid not in followers or not self._ready(net):
             return False
-        if len(recipients) == n - 1:
-            received, missed = None, set()
-        elif 2 * len(recipients) >= n:
-            received = {sid, *recipients}
-            missed = followers.keys() - received
-        else:
-            return False
-        crashed, others = net.crashed, self._others
-        if crashed:
-            missed.update([m for m in crashed if m in followers and m != sid])
-        if others:
-            others = [net.handlers.get(m) for m in others
-                      if (received is None or m in received) and m not in crashed]
-            if any(node.__class__ is not GosNode or node.phase is _MEMBER for node in others):
+        crashed, others, holders = net.crashed, self._others, self.pinned.get(sid)
+        stored, power = self.entries.get(sid), sender.processing_power_mhz
+        # The write alone when no view can depart from the board (docstring).
+        if not (len(recipients) == n - 1 and not others and not holders
+                and stored is not None and stored.processing_power_mhz == power
+                and (not crashed or followers.keys().isdisjoint(crashed))):
+            if len(recipients) == n - 1:
+                received, missed = None, set()
+            elif 2 * len(recipients) >= n:
+                received = {sid, *recipients}
+                missed = followers.keys() - received
+            else:
                 return False
-        holders, power = self.pinned.get(sid) or set(), sender.processing_power_mhz
-        got, stored = holders - missed, self.entries.get(sid)
-        # Can it move a recipient that reads `stored`, or one with another own record?
-        if len(followers) - 1 - len(missed) > len(got) and (
-                stored is None or stored.processing_power_mhz != power):
-            return False
-        for peer in got:
-            record = followers[peer]._own[sid]
-            if ((record is None or record[1].processing_power_mhz != power)
-                    and followers[peer]._moves(sender)):
+            if crashed:
+                missed.update([m for m in crashed if m in followers and m != sid])
+            if others:
+                others = [net.handlers.get(m) for m in others
+                          if (received is None or m in received) and m not in crashed]
+                if any(node.__class__ is not GosNode or node.phase is _MEMBER for node in others):
+                    return False
+            holders = holders or set()
+            got = holders - missed
+            # Can it move a recipient that reads `stored`, or one with another own record?
+            if len(followers) - 1 - len(missed) > len(got) and (
+                    stored is None or stored.processing_power_mhz != power):
                 return False
-        now = net.now
-        record, old = (now, sender), stored and (self.heard[sid], stored)
-        for node in others:
-            if node.phase is _JOINING:
-                node._learn_joining(msg.kind, record)
-        for peer in got:
-            del followers[peer]._own[sid]
-        for peer in missed - holders:
-            followers[peer]._own[sid] = old
-        self.pinned[sid] = missed
-        self.heard.pop(sid, None)
-        self.heard[sid], self.entries[sid] = now, sender
+            for peer in got:
+                record = followers[peer]._own[sid]
+                if ((record is None or record[1].processing_power_mhz != power)
+                        and followers[peer]._moves(sender)):
+                    return False
+            record, old = (net.now, sender), stored and (self.heard[sid], stored)
+            for node in others:
+                if node.phase is _JOINING:
+                    node._learn_joining(msg.kind, record)
+            for peer in got:
+                del followers[peer]._own[sid]
+            for peer in missed - holders:
+                followers[peer]._own[sid] = old
+            self.pinned[sid] = missed
+        heard = self.heard
+        heard.pop(sid, None)
+        heard[sid], self.entries[sid] = net.now, sender
         return True
 
     def _ready(self, net: Network) -> bool:

@@ -41,8 +41,9 @@ The consistency assertion checks, per domain with live members: equal AIT
 key sets, agent agreement, and that the agent is the one the scenario's
 election policy selects from the first live member's view (for max_power:
 a member of the power argmax). Script actions that do not fit a node's
-state at run time, such as a leave before the node joined or a leave or
-transfer by a crashed node, raise ValidationError like any other bad input.
+state at run time, such as a leave before the node joined, a leave or
+transfer by a crashed node, or a transfer whose response time over its link
+is not finite and > 0, raise ValidationError like any other bad input.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 from ipaddress import AddressValueError
 from pathlib import Path
 
-from .core import AitEntry, DomainId, DssmError, NodeId
+from .core import AitEntry, DomainId, DssmError, InvalidValue, NodeId
 from .discovery import (
     StorageQuery,
     VirtualDomain,
@@ -474,7 +475,8 @@ class ScenarioWorld:
             self.net.run_until(action.time_ms)
             try:
                 action.apply(self)
-            except (AlreadyMember, NotMember, NodeCrashed) as exc:  # e.g. leave before join
+            except (AlreadyMember, NotMember, NodeCrashed, InvalidValue) as exc:
+                # e.g. a leave before the join, or a transfer that cannot arrive
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
 

@@ -456,8 +456,9 @@ class Network:
     def run_until_quiescent(self, max_time_ms: float) -> Trace:
         """Drain the queue, stopping once it is empty or the next event lies
         beyond max_time_ms. Returns the full trace collected so far."""
-        while self._heap and self._heap[0][0] <= max_time_ms:
-            self._step()
+        heap, step = self._heap, self._step
+        while heap and heap[0][0] <= max_time_ms:
+            step()
         return self.trace
 
     # -- internals ----------------------------------------------------------

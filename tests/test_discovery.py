@@ -344,8 +344,8 @@ def test_allocation_propagates_via_heartbeat():
 # -- transfers -------------------------------------------------------------------
 
 
-def transfer_world(inter_delay):
-    inter = LinkConfig(delay_ms=inter_delay, drop_probability=0.0, bandwidth_mbps=100.0)
+def transfer_world(inter_delay, inter_mbps=100.0):
+    inter = LinkConfig(delay_ms=inter_delay, drop_probability=0.0, bandwidth_mbps=inter_mbps)
     w = World([(1, 1, 4096.0, 2800.0), (2, 2, 4096.0, 2800.0)], inter=inter)
     w.join_all()
     w.settle(500.0)
@@ -380,6 +380,20 @@ def test_transfer_unknown_node():
     w = transfer_world(0.0)
     with pytest.raises(UnknownNode):
         transfer_file(w.net, w.nodes[1].self_entry, 99, 1.0)
+
+
+@pytest.mark.parametrize("size_mb, delay_ms, bandwidth_mbps", [
+    (1e308, 20.0, 100.0),   # the byte count overflows
+    (1.0, 20.0, 1e-320),    # the serialization time overflows
+    (1.0, 0.0, 1e306),      # no time at all: the throughput divides by zero
+])
+def test_transfer_of_non_finite_or_zero_response_time_is_refused(size_mb, delay_ms,
+                                                                 bandwidth_mbps):
+    w = transfer_world(delay_ms, bandwidth_mbps)
+    rows, pending = len(w.net.trace), w.net.pending()
+    with pytest.raises(InvalidValue, match="response time"):
+        transfer_file(w.net, w.nodes[1].self_entry, 2, size_mb)
+    assert (len(w.net.trace), w.net.pending()) == (rows, pending)
 
 
 def test_transfer_rides_the_trace():

@@ -572,6 +572,87 @@ def test_heartbeat_tick_keeps_a_board_peer_heard_exactly_one_timeout_ago():
     assert node.last_heard_ms == {} and node._own == {2: None}
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.1),
+       policy=st.sampled_from(ElectionPolicy),
+       script=st.lists(st.tuples(st.sampled_from((150.0, 250.0, 700.0)),
+                                 st.sampled_from(("leave", "crash", "rejoin")),
+                                 st.integers(0, 5)), max_size=12))
+def test_oldest_heard_is_the_least_last_heard_time(seed, drop, policy, script):
+    # heartbeat_tick scans the peers only when `_oldest_heard` is silent, so
+    # it must be the least of `last_heard_ms` at every tick: own records,
+    # dropped ones and board records pinned by an own record included.
+    lossy = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
+    w = World([(nid, 1, 1024.0, 2500.0 + 100.0 * (nid % 3)) for nid in range(1, 7)],
+              seed=seed, intra=lossy, policy=policy)
+    tick, ticks = GosNode.heartbeat_tick, []
+
+    def checked(node, net):
+        for member in w.nodes.values():
+            if member.is_member:
+                assert member._oldest_heard() == min(member.last_heard_ms.values(),
+                                                     default=None), member
+        ticks.append(node.node_id)
+        tick(node, net)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GosNode, "heartbeat_tick", checked)
+        t, live, down = w.join_all(), set(w.nodes), []
+        for gap, op, k in script:
+            t += gap
+            w.settle(t)
+            if down and (op == "rejoin" or len(live) < 3):
+                nid = down.pop(k % len(down))
+                w.net.revive(nid)
+                w.nodes[nid].reset_offline()
+                w.join(nid)
+                live.add(nid)
+            elif op != "rejoin":
+                nid = sorted(live)[k % len(live)]
+                if op == "leave":
+                    w.leave(nid)
+                else:
+                    w.crash(nid)
+                live.discard(nid)
+                down.append(nid)
+        w.settle(t + 2000.0)
+    assert ticks
+
+
+def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(monkeypatch):
+    # Once the join ramp and one failure timeout have passed, no follower
+    # holds an own record and no pinned set is non-empty, so each heartbeat
+    # fan-out is the board write alone. The general bookkeeping always
+    # stores a new pinned set for the sender; the one write leaves it be.
+    ids = range(1, 11)
+    w = World([(nid, 1, 1000.0 + nid, 2500.0 + 100.0 * (nid % 4)) for nid in ids])
+    settled = w.join_all() + PARAMS.accept_window_ms + PARAMS.failure_timeout_ms
+    w.settle(settled)
+    board = membership._board(w.net, 1)
+    assert sorted(board.followers) == list(ids)
+    assert all(node._own == {} for node in w.nodes.values())
+    assert not any(board.pinned.values())
+    take, one_write = HeardBoard.take, []
+
+    def counted(board, net, recipients, msg):
+        sid = msg.sender.node_id
+        pinned = board.pinned.get(sid)
+        took = take(board, net, recipients, msg)
+        one_write.append(took and board.pinned.get(sid) is pinned
+                         and list(board.heard)[-1] == sid and board.heard[sid] == net.now)
+        return took
+
+    monkeypatch.setattr(HeardBoard, "take", counted)
+    start, periods = len(w.net.trace), 5
+    w.settle(settled + periods * PARAMS.heartbeat_period_ms)
+    heartbeats = [row for row in w.net.trace[start:]
+                  if row.kind == "send" and row.msg_kind == "HEARTBEAT"]
+    assert len(heartbeats) == periods * len(ids)
+    assert one_write == [True] * len(heartbeats)
+    assert all(node._own == {} for node in w.nodes.values())
+    assert not any(board.pinned.values())
+
+
 class _CheckAfterEachEvent:
     """Runs a node's handlers and then `check`, so a test sees the state
     after every event the node handles."""
@@ -631,20 +712,37 @@ def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
 
 
 VIEW_EVERY_MS = 50.0
+# After the last join of a generated run has settled, and more than one
+# heartbeat period before its first other action.
+CHANGE_AT_MS = 700.0
+
+
+def _change_entries(world):
+    """Node 1's power changes, and every other node's capacity alone."""
+    for nid, node in world.nodes.items():
+        if nid == 1:
+            node.self_entry = replace(node.self_entry, processing_power_mhz=(
+                node.self_entry.processing_power_mhz + 100.0))
+        else:
+            node.adjust_capacity(-1.0)
 
 
 def _run_outputs(doc, out):
     """Trace and metrics bytes, assertion text, and every node's AIT,
     `last_heard_ms`, agent and phase each VIEW_EVERY_MS of virtual time and
-    before each script action, in one run of `doc`."""
+    before each script action, in one run of `doc`, whose entries change
+    (`_change_entries`) at the first view from CHANGE_AT_MS on."""
     world = ScenarioWorld(scenario_from_json(doc))
-    views, failure, t = [], None, 0.0
+    views, failure, t, changed = [], None, 0.0, False
     for action in world.scenario.script:
         while t < action.time_ms:
             t = min(t + VIEW_EVERY_MS, action.time_ms)
             world.net.run_until(t)
             views.append({nid: (node.ait.by_id, node.last_heard_ms, node.agent, node.phase)
                           for nid, node in world.nodes.items()})
+            if not changed and t >= CHANGE_AT_MS:
+                _change_entries(world)
+                changed = True
         try:
             action.apply(world)
         except AssertionFailure as exc:
@@ -665,11 +763,13 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     # golden generator; the same run with GosNode.absorb deleted sends every
     # delivery through on_message, so no node reads a heard board. At drop 0
     # every domain multicast shares one recipients tuple per sender, and
-    # settled fan-outs go on the board with no follower missing them.
+    # settled fan-outs go on the board with no follower missing them: the
+    # capacity-only changes in the one write, node 1's power change through
+    # the general bookkeeping, which stores a new pinned set for the sender.
     doc = update_goldens.generated_doc(policy.value, draw=f"absorb{draw}")
     doc["seed"] = seed
     doc["intra_domain_link"] = dict(doc["intra_domain_link"], drop_probability=drop)
-    taken, boarded = [], []
+    taken, boarded, changes = [], [], []
     absorb, take = GosNode.absorb, HeardBoard.take
 
     def counted(node, net, recipients, i, msg):
@@ -678,8 +778,13 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
         return j
 
     def counted_take(board, net, recipients, msg):
+        sid = msg.sender.node_id
+        stored, pinned = board.entries.get(sid), board.pinned.get(sid)
         took = take(board, net, recipients, msg)
-        boarded.append(took and not board.pinned[msg.sender.node_id])
+        boarded.append(took and not board.pinned.get(sid))
+        if stored is not None and stored is not msg.sender:
+            power = stored.processing_power_mhz != msg.sender.processing_power_mhz
+            changes.append((power, took and board.pinned.get(sid) is pinned))
         return took
 
     with pytest.MonkeyPatch.context() as patch:
@@ -692,4 +797,7 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     assert sum(taken) > 0
     if policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
         assert any(boarded)  # a fan-out that no follower missed went on the board
+    assert (True, True) not in changes  # a power change is never the one write
+    if drop == 0.0 and policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
+        assert (False, True) in changes and (True, False) in changes
     assert batched == one_by_one

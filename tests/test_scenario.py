@@ -619,6 +619,30 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("case", ["size_mb_1e308", "bandwidth_1e-320", "zero_time"])
+def test_cli_transfer_that_cannot_arrive_exits_2_with_one_line(tmp_path, capsys, case):
+    # bandwidth_sweep with one edit; each case used to end in a traceback:
+    # an infinite response time or a division by a zero one.
+    doc = json.loads(bundled_scenario_path("bandwidth_sweep").read_text())
+    links = (doc["intra_domain_link"], doc["inter_domain_link"])
+    if case == "size_mb_1e308":
+        next(a for a in doc["script"] if a["action"] == "transfer")["size_mb"] = 1e308
+    elif case == "bandwidth_1e-320":
+        for link in links:
+            link["bandwidth_mbps"] = 1e-320
+    else:
+        for link in links:
+            link.update(delay_ms=0.0, bandwidth_mbps=1e306)
+    p = tmp_path / f"{case}.json"
+    p.write_text(json.dumps(doc))
+    trace = tmp_path / "trace.csv"
+    assert cli_main(["run", str(p), "--trace", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: script at t=1200.0: transfer of ") and err.count("\n") == 1
+    assert "Traceback" not in err and "scenario " not in out
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("timeout", [1.0, 200.0])
 def test_cli_rejects_a_failure_timeout_of_at_most_one_heartbeat_period(tmp_path, capsys, timeout):
     doc = minimal_doc()

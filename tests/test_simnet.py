@@ -474,7 +474,8 @@ def test_crashed_node_cannot_send():
     assert len(recs[2].messages) > heard
 
 
-@pytest.mark.parametrize("size_mb", [-1.0, -5e-324, float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("size_mb", [-1.0, -5e-324, float("inf"), float("-inf"), float("nan"),
+                                     1e308])  # finite, but not in bytes
 def test_data_of_negative_or_non_finite_size_is_refused(size_mb):
     # At -1 MB over a 10 ms, 100 Mbps link the delivery would land at
     # 50 + 10 - 83.9 ms: before the send, with the clock running backwards.
