@@ -4,14 +4,17 @@
 
     python3 scripts/bench_grid.py              # every point of GRID
     python3 scripts/bench_grid.py 10x1 160x8   # chosen NxD points
+    python3 scripts/bench_grid.py 160x1@highest_connectivity  # another policy
 
 A point is D domains of N nodes on 1 ms intra-domain links. Every domain
 starts its joins at 0 ms, one node each 25 ms, and the run lasts 10 s of
 virtual time with 200 ms heartbeats and nothing else scripted. Each point
 runs in a fresh process, because peak RSS is a process-wide high-water
 mark, and reports its wall time (building the world plus the run), trace
-rows, peak RSS and the consistency check at the end. A table goes to
-standard output, and the last line is one JSON object holding every point.
+rows, peak RSS and the consistency check at the end. A point elects by
+max_power unless it names another election policy after an `@`; such a
+point's JSON also holds its `policy`. A table goes to standard output, and
+the last line is one JSON object holding every point.
 
 The program is loaded from the `src/` directory of the checkout that holds
 this file.
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from dssm.election import ElectionPolicy  # noqa: E402
 from dssm.scenario import ScenarioWorld, scenario_from_json  # noqa: E402
 
 GRID = [(n, d) for d in (1, 8) for n in (10, 40, 160)]
@@ -41,11 +45,12 @@ PARAMS = {"accept_window_ms": 20.0, "heartbeat_period_ms": 200.0,
           "failure_timeout_ms": 600.0, "response_window_ms": 100.0}
 POWERS_MHZ = (2000.0, 2400.0, 2660.0, 2800.0, 3000.0, 3200.0)
 POINT_TIMEOUT_S = 900
+DEFAULT_POLICY = ElectionPolicy.MAX_POWER.value
 
 
-def grid_doc(n: int, d: int) -> dict:
-    """The scenario document of point NxD. Node k of domain j has id
-    (j-1)*N + k and joins at (k-1)*25 ms."""
+def grid_doc(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
+    """The scenario document of point NxD under `policy`. Node k of domain
+    j has id (j-1)*N + k and joins at (k-1)*25 ms."""
     nodes, joins = [], []
     for domain in range(1, d + 1):
         for k in range(1, n + 1):
@@ -58,32 +63,41 @@ def grid_doc(n: int, d: int) -> dict:
     joins.sort(key=lambda action: action["time_ms"])
     return {"name": f"grid{n}x{d}", "seed": 1, "intra_domain_link": INTRA,
             "inter_domain_link": INTER, "params": PARAMS,
-            "election_policy": "max_power", "nodes": nodes, "script": joins}
+            "election_policy": policy, "nodes": nodes, "script": joins}
 
 
-def run_point(n: int, d: int) -> dict:
-    """Run point NxD in this process."""
+def run_point(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
+    """Run point NxD under `policy` in this process."""
     start = time.perf_counter()
-    world = ScenarioWorld(scenario_from_json(grid_doc(n, d)))
+    world = ScenarioWorld(scenario_from_json(grid_doc(n, d, policy)))
     world.run()
     world.net.run_until(END_MS)
     wall_s = time.perf_counter() - start
-    return {"n": n, "d": d, "wall_s": round(wall_s, 3), "trace_rows": len(world.net.trace),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-            "violation": world.check_consistency()}
+    point = {"n": n, "d": d, "wall_s": round(wall_s, 3), "trace_rows": len(world.net.trace),
+             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+             "violation": world.check_consistency()}
+    return point if policy == DEFAULT_POLICY else {**point, "policy": policy}
 
 
-def parse_point(text: str) -> tuple[int, int]:
-    n, sep, d = text.partition("x")
+def parse_point(text: str) -> tuple[int, int, str]:
+    """NxD, or NxD@policy with an election policy's name."""
+    size, at, policy = text.partition("@")
+    n, sep, d = size.partition("x")
     if not (sep and n.isdigit() and d.isdigit() and int(n) > 0 and int(d) > 0):
         raise argparse.ArgumentTypeError(f"expected NxD with positive N and D, got {text!r}")
-    return int(n), int(d)
+    if at and policy not in {p.value for p in ElectionPolicy}:
+        raise argparse.ArgumentTypeError(f"unknown election policy {policy!r} in {text!r}")
+    return int(n), int(d), policy or DEFAULT_POLICY
+
+
+def point_name(n: int, d: int, policy: str) -> str:
+    return f"{n}x{d}" if policy == DEFAULT_POLICY else f"{n}x{d}@{policy}"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("points", nargs="*", type=parse_point,
-                        help="NxD points (default: the grid)")
+                        help="NxD or NxD@policy points (default: the grid)")
     parser.add_argument("--in-process", action="store_true",
                         help="run the single point given here and print its JSON")
     args = parser.parse_args()
@@ -93,13 +107,16 @@ def main() -> None:
         print(json.dumps(run_point(*args.points[0])))
         return
     results = []
-    print(f"{'NxD':>6} {'wall_s':>8} {'rows':>10} {'peak_rss_mb':>12}  violation")
-    for n, d in args.points or GRID:
-        out = subprocess.run([sys.executable, __file__, "--in-process", f"{n}x{d}"],
+    names = [point_name(*point) for point in args.points or
+             [(n, d, DEFAULT_POLICY) for n, d in GRID]]
+    width = max(6, *map(len, names))
+    print(f"{'NxD':>{width}} {'wall_s':>8} {'rows':>10} {'peak_rss_mb':>12}  violation")
+    for name in names:
+        out = subprocess.run([sys.executable, __file__, "--in-process", name],
                              capture_output=True, text=True, timeout=POINT_TIMEOUT_S, check=True)
         point = json.loads(out.stdout.splitlines()[-1])
         results.append(point)
-        print(f"{f'{n}x{d}':>6} {point['wall_s']:>8.3f} {point['trace_rows']:>10} "
+        print(f"{name:>{width}} {point['wall_s']:>8.3f} {point['trace_rows']:>10} "
               f"{point['peak_rss_mb']:>12.1f}  {point['violation'] or '-'}", flush=True)
     print(json.dumps({"points": results}))
 

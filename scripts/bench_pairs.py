@@ -20,8 +20,10 @@ medians, the parent's quartiles, the change/parent ratio of the medians and
 the pairs the change won (the direction comes from BENCHMARK.json).
 
 --trace-pairs adds K alternating `--trace 1` pairs, and --grid runs the
-given points of `scripts/bench_grid.py` in each checkout, N alternating
-pairs; both sides must report the same trace rows and consistency check.
+given points (NxD, or NxD@policy) of `scripts/bench_grid.py` in each
+checkout, N alternating pairs; both sides must report the same trace rows
+and consistency check. The parent runs this checkout's `bench_grid.py`
+over its own `src/`, so that both sides read the same points.
 --out writes all of it as one JSON document, in the shape of the committed
 BENCH_*.json files.
 """
@@ -221,19 +223,22 @@ def bench_pairs(args, sides: dict[str, Path]) -> dict:
 
 
 def grid_pairs(args, sides: dict[str, Path]) -> dict:
-    points = [f"{n}x{d}" for n, d in args.grid]
+    from bench_grid import point_name
+
+    points = [point_name(*point) for point in args.grid]
     command = [str(GRID), *points]
     reference = {}
 
     def check(side, k, stdout):
         result = json.loads(stdout.strip().splitlines()[-1])["points"]
-        shape = [(p["n"], p["d"], p["trace_rows"], p["violation"]) for p in result]
+        shape = [(p["n"], p["d"], p.get("policy"), p["trace_rows"], p["violation"])
+                 for p in result]
         reference.setdefault("shape", shape)
         if shape != reference["shape"]:
             raise Mismatch(f"grid: {side} run of pair {k} gives {shape}, "
                            f"the first parent run {reference['shape']}")
-        print(f"grid pair {k} {side:<6} "
-              + " ".join(f"{p['n']}x{p['d']}={p['wall_s']:.3f}s" for p in result), flush=True)
+        print(f"grid pair {k} {side:<6} " + " ".join(
+            f"{name}={p['wall_s']:.3f}s" for name, p in zip(points, result)), flush=True)
 
     runs = alternate(args.pairs, sides, command, 3600, check)
     return {"command": "python3 " + " ".join(command),
@@ -273,6 +278,7 @@ def main() -> int:
                        f"{platform.python_version()}"}
         doc.update(bench_pairs(args, sides))
         if args.grid:
+            shutil.copy(ROOT / GRID, tmp / GRID)
             doc["grid"] = grid_pairs(args, sides)
     except Mismatch as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)

@@ -133,17 +133,13 @@ class Ait:
     def upsert(self, entry: AitEntry) -> AitEntry | None:
         """Insert or replace the entry for entry.node_id; return the entry
         it replaced, or None if the node is new."""
-        entries, node_id = self.by_id, entry.node_id
-        stored = entries.get(node_id)
-        entries[node_id] = entry
+        stored = self.by_id.get(entry.node_id)
+        self.by_id[entry.node_id] = entry
         return stored
 
     def remove(self, node_id: NodeId) -> None:
         """Drop the entry for node_id; removing an absent id is a no-op."""
         self.by_id.pop(node_id, None)
-
-    def clear(self) -> None:
-        self.by_id.clear()
 
     def get(self, node_id: NodeId) -> AitEntry | None:
         return self.by_id.get(node_id)
@@ -158,9 +154,6 @@ class Ait:
     def size_bytes(self) -> int:
         """Serialized size: 32 bytes per entry."""
         return AIT_ENTRY_SIZE * len(self.by_id)
-
-    def copy(self) -> "Ait":
-        return Ait(self.by_id.values())
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self.by_id

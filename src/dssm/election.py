@@ -65,27 +65,40 @@ def select_agent(
 
 
 def moves_election(policy: ElectionPolicy, stored: AitEntry | None, entry: AitEntry,
-                   agent: AitEntry | None) -> bool:
-    """Whether learning `entry` over `stored` (the AIT's previous entry for
-    that node, None if the node is new) can change what `select_agent`
-    returns, given `agent`: the AIT's entry, or None, for an incumbent that
-    `select_agent` itself produced.
+                   agent: AitEntry | None, agent_heard_ms: float, now_ms: float,
+                   window_ms: float) -> bool:
+    """Whether learning `entry` at `now_ms` over `stored` (the AIT's previous
+    entry for that node, None if new) can change what `select_agent` returns,
+    given `agent`: the AIT's entry, or None, for an incumbent `select_agent`
+    produced, heard at `agent_heard_ms` (`now_ms` if it is the node itself).
 
     MAX_POWER reads only the ids and powers in the AIT, LOWEST_ID only the
     ids, and the incumbent either chose is in the argmax of its own AIT. So
     a known node moves them only with a changed power, and a new node only
     when there is no agent entry or it beats the agent: more power under
     MAX_POWER (a tie keeps the incumbent), a lower id under LOWEST_ID.
-    HIGHEST_CONNECTIVITY reads who was heard within the failure window,
-    which changes with time, so every entry can move it.
+
+    HIGHEST_CONNECTIVITY elects the lowest id among the node and the peers
+    heard within `window_ms` (`heard_members`). The entry puts its sender in
+    that set, so it moves the election only with no agent, a sender id below
+    the agent's, or an agent other than the node out of the window (`now_ms -
+    agent_heard_ms > window_ms`, as in `heard_members`). A peer below the
+    agent in the window was in the heard set already: its last entry moved
+    the election to it or lower, found it there, or preceded the election
+    that ended the join, and each election since had it in its heard set.
     """
-    if policy is _HIGHEST_CONNECTIVITY or (stored is None and agent is None):
-        return True
-    if stored is not None:
-        return stored.processing_power_mhz != entry.processing_power_mhz
+    if policy is _HIGHEST_CONNECTIVITY:
+        return agent is None or entry.node_id < agent.node_id or now_ms - agent_heard_ms > window_ms
+    if stored is not None or agent is None:  # a known node, or no agent to beat
+        return stored is None or stored.processing_power_mhz != entry.processing_power_mhz
     if policy is _LOWEST_ID:
         return entry.node_id < agent.node_id
     return entry.processing_power_mhz > agent.processing_power_mhz
+
+
+def reads_heard_times(policy: ElectionPolicy) -> bool:
+    """Whether `select_agent` reads `heard_members`: then a held entry can move it."""
+    return policy is _HIGHEST_CONNECTIVITY
 
 
 def heard_members(node, now_ms: float) -> frozenset[NodeId]:
@@ -97,13 +110,11 @@ def heard_members(node, now_ms: float) -> frozenset[NodeId]:
     Within a multicast domain every live member hears every other, so each
     of these members has the same degree, the highest in the domain.
     """
-    if node.policy is not _HIGHEST_CONNECTIVITY:
+    if not reads_heard_times(node.policy):
         return frozenset()
     window = node.params.failure_timeout_ms
-    return frozenset(
-        [peer for peer, heard in node.last_heard_ms.items() if now_ms - heard <= window]
-        + [node.node_id]
-    )
+    return frozenset([peer for peer, heard in node.last_heard_ms.items()
+                      if now_ms - heard <= window] + [node.node_id])
 
 
 def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:

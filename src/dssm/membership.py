@@ -10,46 +10,38 @@ each period and drops any peer silent for longer than the failure
 timeout (three periods by default).
 
 JOIN, ACCEPT, LEAVE, HEARTBEAT and AGENT_ANNOUNCE carry only the sender's
-entry. A node builds each such message once per `self_entry` (the first
-send after the entry was replaced builds a new one) and every send and
-every delivery in flight shares it; messages are immutable.
+entry. A node builds each such immutable message once per `self_entry`,
+on the first send after it was replaced, and every send shares it.
 
 JOIN, ACCEPT, HEARTBEAT and AGENT_ANNOUNCE share one handler: a joining
 node learns the entry (ignoring JOIN, and taking an announcing sender as
-its agent); a member learns it, answers a JOIN with ACCEPT and re-elects;
-other phases ignore it.
-A member re-elects on such an entry only when it can move the election
-(`election.moves_election`: a changed power, a new sender that beats the
-agent or finds none, or HIGHEST_CONNECTIVITY); finishing its own join, a
-peer's LEAVE and a failure timeout always re-elect.
+its agent); a member learns it, answers a JOIN with ACCEPT and re-elects
+if the entry can move the election (`election.moves_election`); other
+phases ignore it. Finishing its own join, a peer's LEAVE and a failure
+timeout always re-elect.
 
 A node's AIT and `last_heard_ms` are read views of what it heard: the
-records peer -> (time, entry) in its own dict `_own`, and, while it is a
-member (not under HIGHEST_CONNECTIVITY), its domain's `HeardBoard`, which
-holds each sender's last fan-out that the board took. A follower's own
-record of a peer, None for a dropped peer, overrides the board's. It holds
-one only where its view departs from the board: it missed a fan-out
-(dropped, or crashed), learned the entry through `on_message` or one by
-one, or dropped the peer on a timeout or LEAVE. Its own id reads its
-`self_entry`.
+records peer -> (time, entry) in its own dict `_own`, over, while it is a
+member, its domain's `HeardBoard` of each sender's last fan-out that the
+board took. A follower's own record of a peer (None: dropped) exists only
+where its view departs from the board: it missed a fan-out (dropped, or
+crashed), learned the entry through `on_message` or one by one, or
+dropped the peer on a timeout or LEAVE. Its own id reads its `self_entry`.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` batch hand-off) handles a run of such
 recipients of one delivery entry in one call and stops at the first that
 needs `on_message`. A whole fan-out that the board can take costs one
 board write plus a record for each follower that missed it or held one,
-so a settled heartbeat period (every member is up, follows and hears
-every fan-out, and no power changes) costs the board write alone per
-fan-out.
-Otherwise each taken recipient gets its own record. It takes:
-  - crashed recipients, and OFFLINE and LEFT ones (nothing happens);
-  - JOINING recipients of any of the four kinds (JOIN is ignored);
-  - MEMBER recipients of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE whose entry
-    cannot move the election, under MAX_POWER or LOWEST_ID: a known sender
-    with an unchanged power, or a new sender that cannot beat the agent.
-A JOIN to a member (it answers ACCEPT), an entry that moves the election,
-every member delivery under HIGHEST_CONNECTIVITY, other message kinds and
-recipients whose handler is not a plain GosNode go through `on_message`.
+so a settled heartbeat period (every member is up and hears every
+fan-out, and no power changes) costs the board write alone per fan-out,
+after one pass over the followers under HIGHEST_CONNECTIVITY. Otherwise
+each taken recipient gets its own record: crashed, OFFLINE and LEFT ones
+(nothing happens), JOINING ones of any of the four kinds (JOIN is
+ignored), and MEMBER ones of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE whose
+entry cannot move the election. The rest go through `on_message`: a JOIN
+to a member (it answers ACCEPT), an entry that moves the election, other
+kinds, and recipients whose handler is not a plain GosNode.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -103,15 +95,13 @@ class Phase(Enum):
     LEFT = "left"
 
 
-# Enum members bound once to module names, for the delivery path. On Python
-# 3.11 a class attribute read such as `Phase.MEMBER` goes through
-# EnumType.__getattr__: about 0.18 us, against 0.02 us for a global.
+# Enum members bound once to module names, for the delivery path: on Python 3.11 a
+# read such as `Phase.MEMBER` goes through EnumType.__getattr__ (0.18 us, 0.02 for a global).
 _OFFLINE, _JOINING, _MEMBER, _LEFT = (Phase.OFFLINE, Phase.JOINING, Phase.MEMBER,
                                       Phase.LEFT)
 _JOIN, _ACCEPT, _LEAVE = MessageKind.JOIN, MessageKind.ACCEPT, MessageKind.LEAVE
 _HEARTBEAT, _AGENT_ANNOUNCE = MessageKind.HEARTBEAT, MessageKind.AGENT_ANNOUNCE
 _QUERY, _QUERY_RESP = MessageKind.QUERY, MessageKind.QUERY_RESP
-_HIGHEST_CONNECTIVITY = election.ElectionPolicy.HIGHEST_CONNECTIVITY
 
 
 @dataclass
@@ -220,7 +210,6 @@ class GosNode:
         net.send_multicast(self.node_id, self.domain, self._message(_LEAVE))
         self.phase = _LEFT
         self._unfollow()
-        self.agent = NO_NODE
         net.cancel_timer(self.node_id, TIMER_HEARTBEAT)
         if self.registry is not None:
             self.registry.deregister(self.node_id, self.domain)
@@ -230,7 +219,6 @@ class GosNode:
         join again. Scenario-level convenience; protocol state is cleared."""
         self.phase = _OFFLINE
         self._unfollow()
-        self.agent = NO_NODE
         self.pending_queries.clear()
 
     def adjust_capacity(self, delta_mb: float) -> None:
@@ -277,9 +265,9 @@ class GosNode:
         if join and self.phase is _MEMBER and recipients[i] not in crashed:
             return i  # it answers ACCEPT
         if (i == 0 and not join and len(recipients) > 1
-                and (self._board or _board(net, self.domain)).take(net, recipients, msg)):
+                and (self._board or _board(net, self)).take(net, recipients, msg)):
             return len(recipients)
-        handlers, record = net.handlers, (net.now, sender)
+        handlers, now, record = net.handlers, net.now, (net.now, sender)
         for k in range(i, len(recipients)):
             member = recipients[k]
             if member in crashed:
@@ -289,7 +277,7 @@ class GosNode:
                 return k
             if node.phase is _MEMBER:
                 # A JOIN is answered with ACCEPT.
-                if join or node._moves(sender):
+                if join or node._moves(sender, now):
                     return k
                 node._hear(sender.node_id, record)
             elif node.phase is _JOINING and not join:
@@ -309,7 +297,7 @@ class GosNode:
     def _on_peer(self, net: Network, kind: MessageKind, sender: AitEntry) -> None:
         phase = self.phase
         if phase is _MEMBER:
-            moves = self._moves(sender)
+            moves = self._moves(sender, net.now)
             self._hear(sender.node_id, (net.now, sender))
             if kind is _JOIN:
                 net.send_unicast(self.node_id, sender.node_id, self._message(_ACCEPT))
@@ -333,8 +321,7 @@ class GosNode:
         if self.phase is not _JOINING:
             return
         self.phase = _MEMBER
-        if self.policy is not _HIGHEST_CONNECTIVITY:
-            _board(net, self.domain).follow(self)
+        _board(net, self).follow(self)
         if self.metrics_cb is not None and self._join_started_ms is not None:
             self.metrics_cb(MetricsRecord(
                 KIND_JOIN_LATENCY, net.now - self._join_started_ms, "ms", net.now,
@@ -356,10 +343,9 @@ class GosNode:
     def heartbeat_tick(self, net: Network) -> None:
         """Multicast a fresh self entry, drop silent peers, re-arm.
 
-        A peer is silent when `now - heard > failure_timeout_ms`. The
-        peers are scanned only when the one heard longest ago
-        (`_oldest_heard`) is silent:
-        for a fixed `now`, rounded float subtraction never grows as
+        A peer is silent when `now - heard > failure_timeout_ms`. The peers
+        are scanned only when the one heard longest ago (`_oldest_heard`) is
+        silent: for a fixed `now`, rounded float subtraction never grows as
         `heard` grows, so that test is exact. Keep the subtraction form:
         the cutoff form `heard < now - timeout` differs where a rounding
         lands on the timeout (now 702.1, heard 102.1, timeout 600 gives
@@ -373,12 +359,9 @@ class GosNode:
         if oldest is not None and now - oldest > timeout:
             timed_out = [peer for peer, heard in self.last_heard_ms.items()
                          if now - heard > timeout]
-            agent_lost = False
             for peer in timed_out:
                 self._hear(peer, None)
-                if peer == self.agent:
-                    agent_lost = True
-            if agent_lost:
+            if self.agent in timed_out:
                 self.agent = NO_NODE
             election.reevaluate_agent(self, net, evidence_ms=oldest)
         net.set_timer(self.node_id, TIMER_HEARTBEAT, self.params.heartbeat_period_ms)
@@ -397,48 +380,42 @@ class GosNode:
                 view[peer] = record[field]
         return view
 
-    def _entry(self, peer: NodeId) -> AitEntry | None:
-        """`self.ait.get(peer)`, without building the AIT."""
-        if peer == self.node_id:
-            return self.self_entry if self.phase is _JOINING or self.phase is _MEMBER else None
+    def _heard(self, peer: NodeId) -> tuple[float | None, AitEntry | None]:
+        """(time, entry) of what this member last heard from a peer, or (None, None)."""
         if peer in self._own:
-            record = self._own[peer]
-            return record and record[1]
-        return self._board and self._board.entries.get(peer)
+            return self._own[peer] or (None, None)
+        return self._board.heard.get(peer), self._board.entries.get(peer)
 
-    def _moves(self, entry: AitEntry) -> bool:
-        """Whether learning entry now can move this member's election; a
-        known sender with an unchanged power cannot, but under HIGHEST_CONNECTIVITY."""
-        stored = self._entry(entry.node_id)
-        if stored is not None and stored.processing_power_mhz == entry.processing_power_mhz:
-            return self.policy is _HIGHEST_CONNECTIVITY
-        return election.moves_election(self.policy, stored, entry, self._entry(self.agent))
+    def _moves(self, entry: AitEntry, now: float) -> bool:
+        """Whether learning entry at `now` can move this member's election."""
+        agent = self.agent
+        heard, held = (now, self.self_entry) if agent == self.node_id else self._heard(agent)
+        return election.moves_election(self.policy, self._heard(entry.node_id)[1], entry, held,
+                                       heard, now, self.params.failure_timeout_ms)
 
     def _hear(self, peer: NodeId, record: tuple[float, AitEntry] | None) -> None:
-        """Set what this node heard from peer: (time, entry), or None to drop it."""
+        """Set what this member heard from peer: (time, entry), or None to drop it."""
         self._own[peer] = record
-        if self._board is not None:
-            self._board.pinned[peer].add(self.node_id)
+        self._board.pinned[peer].add(self.node_id)
 
     def _oldest_heard(self) -> float | None:
         """`min(self.last_heard_ms.values(), default=None)`, from the own
         records and the first board record in time order that this node reads."""
-        own, board, oldest = self._own, self._board, None
-        if board is not None:
-            for peer, heard in board.heard.items():
-                if peer not in own and peer != self.node_id:
-                    oldest = heard
-                    break
+        own, oldest = self._own, None
+        for peer, heard in self._board.heard.items():
+            if peer not in own and peer != self.node_id:
+                oldest = heard
+                break
         for record in own.values():
             if record is not None and (oldest is None or record[0] < oldest):
                 oldest = record[0]
         return oldest
 
     def _unfollow(self) -> None:
-        """Forget everything heard, and stop following the board."""
+        """Forget everything heard and the agent, and stop following the board."""
         if self._board is not None:
             self._board.unfollow(self)
-        self._own = {}
+        self._own, self.agent = {}, NO_NODE
 
     # -- election plumbing ------------------------------------------------------
 
@@ -466,10 +443,10 @@ class GosNode:
                 f"phase={self.phase.value}, agent={self.agent}, |ait|={len(self.ait)})")
 
 
-def _board(net: Network, domain: DomainId) -> HeardBoard:
-    if domain not in net.heard_boards:
-        net.heard_boards[domain] = HeardBoard(net.domain_members(domain))
-    return net.heard_boards[domain]
+def _board(net: Network, node: GosNode) -> HeardBoard:
+    if node.domain not in net.heard_boards:
+        net.heard_boards[node.domain] = HeardBoard(net.domain_members(node.domain), node.policy)
+    return net.heard_boards[node.domain]
 
 
 class HeardBoard:
@@ -478,8 +455,9 @@ class HeardBoard:
     first, and `entries` its entry. `followers` are the members that read
     it, and `pinned[peer]` the followers with an own record of peer."""
 
-    def __init__(self, members: tuple[NodeId, ...]):
+    def __init__(self, members: tuple[NodeId, ...], policy: election.ElectionPolicy):
         self.members = members
+        self.timed = election.reads_heard_times(policy)
         self.heard: dict[NodeId, float] = {}
         self.entries: dict[NodeId, AitEntry] = {}
         self.followers: dict[NodeId, GosNode] = {}
@@ -503,20 +481,19 @@ class HeardBoard:
         node._board, self._seen = None, None
 
     def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
-        """Take a delivery entry of a peer entry other than JOIN in one
-        write, if it misses fewer followers than it reaches and `absorb`
-        would take each recipient; return whether it did, changing nothing
-        if not. An entry that holds every member but the sender is taken to
-        be the sender's fan-out.
+        """Take a delivery entry of a peer entry other than JOIN in one write,
+        if it misses fewer followers than it reaches and `absorb` would take
+        each recipient; return whether it did, changing nothing if not. An
+        entry that holds every member but the sender is its fan-out.
 
         The write alone takes a fan-out that every member follows and gets,
         none crashed, when no follower holds an own record of the sender and
         the board's entry has the sender's power: no follower's view departs
-        from the board, so none can move. Otherwise each follower that
-        missed it gets an own record of the entry it last read, and each
-        that got it drops its own."""
+        from the board, so none can move, unless its policy reads heard times
+        (each is asked). Otherwise a follower that missed it gets an own record
+        of the entry it last read, and one that got it drops its own."""
         sender, followers, n = msg.sender, self.followers, len(self.members)
-        sid = sender.node_id
+        sid, now = sender.node_id, net.now
         if sid not in followers or not self._ready(net):
             return False
         crashed, others, holders = net.crashed, self._others, self.pinned.get(sid)
@@ -537,20 +514,23 @@ class HeardBoard:
             if others:
                 others = [net.handlers.get(m) for m in others
                           if (received is None or m in received) and m not in crashed]
-                if any(node.__class__ is not GosNode or node.phase is _MEMBER for node in others):
+                if any(node.__class__ is not GosNode for node in others):
                     return False
             holders = holders or set()
             got = holders - missed
-            # Can it move a recipient that reads `stored`, or one with another own record?
-            if len(followers) - 1 - len(missed) > len(got) and (
+            # Who can move: any follower reached if the policy reads heard times, else
+            # one whose view of the sender lacks its power (none reading `stored`, or give up).
+            if self.timed:
+                asked = followers.keys() - missed
+            elif len(followers) - 1 - len(missed) > len(got) and (
                     stored is None or stored.processing_power_mhz != power):
                 return False
-            for peer in got:
-                record = followers[peer]._own[sid]
-                if ((record is None or record[1].processing_power_mhz != power)
-                        and followers[peer]._moves(sender)):
-                    return False
-            record, old = (net.now, sender), stored and (self.heard[sid], stored)
+            else:
+                asked = [p for p in got if not (record := followers[p]._own[sid])
+                         or record[1].processing_power_mhz != power]
+            if asked and self._moves(sender, now, asked):
+                return False
+            record, old = (now, sender), stored and (self.heard[sid], stored)
             for node in others:
                 if node.phase is _JOINING:
                     node._learn_joining(msg.kind, record)
@@ -559,10 +539,28 @@ class HeardBoard:
             for peer in missed - holders:
                 followers[peer]._own[sid] = old
             self.pinned[sid] = missed
+        elif self.timed and self._moves(sender, now, followers):
+            return False
         heard = self.heard
         heard.pop(sid, None)
-        heard[sid], self.entries[sid] = net.now, sender
+        heard[sid], self.entries[sid] = now, sender
         return True
+
+    def _moves(self, sender: AitEntry, now: float, asked) -> bool:
+        """Whether sender's entry at `now` can move a follower in `asked` but the sender.
+        Those reading it and their agent (another node) from the board ask once per agent."""
+        sid, answered = sender.node_id, set()
+        for peer in asked:
+            node = self.followers[peer]
+            agent, own = node.agent, node._own
+            shared = agent != peer and agent not in own and sid not in own
+            if peer == sid or shared and agent in answered:
+                continue
+            if node._moves(sender, now):
+                return True
+            if shared:
+                answered.add(agent)
+        return False
 
     def _ready(self, net: Network) -> bool:
         if self._seen != net.handlers_version:

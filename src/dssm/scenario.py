@@ -65,7 +65,8 @@ from .discovery import (
 from .election import ElectionPolicy, heard_members, select_agent
 from .membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
 from .metrics import KIND_QUERY_RESPONSE, MetricsRecord, export_metrics
-from .simnet import LinkConfig, Network, NodeCrashed, Topology, Trace, export_trace
+from .simnet import (InvalidTopology, LinkConfig, Network, NodeCrashed, Topology, Trace,
+                     export_trace)
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = ("churn50", "two_domain", "bandwidth_sweep", "agent_crash")
@@ -475,8 +476,9 @@ class ScenarioWorld:
             self.net.run_until(action.time_ms)
             try:
                 action.apply(self)
-            except (AlreadyMember, NotMember, NodeCrashed, InvalidValue) as exc:
-                # e.g. a leave before the join, or a transfer that cannot arrive
+            except (AlreadyMember, NotMember, NodeCrashed, InvalidValue, InvalidTopology) as exc:
+                # e.g. a leave before the join, a transfer that cannot arrive, or
+                # a set_link whose fields pass one by one but not together
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
 

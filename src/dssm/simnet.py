@@ -93,7 +93,9 @@ from .core import (
     InvalidValue,
     IoError,
     Message,
+    MessageKind,
     NodeId,
+    message_size_bytes,
     transit_size_bytes,
 )
 
@@ -102,6 +104,10 @@ VIRTUAL: DomainId = -1
 
 # The most owed draws paid with one getrandbits call: 64 bits each.
 _OWED_CHUNK = 4096
+# The largest message but DATA, whose transit size is its payload's: every
+# link must carry it in finite time.
+_CONTROL_BYTES = max(message_size_bytes(kind) for kind in MessageKind
+                     if kind is not MessageKind.DATA)
 
 
 class UnknownNode(DssmError):
@@ -134,6 +140,11 @@ class LinkConfig:
             )
         if self.bandwidth_mbps <= 0:
             raise InvalidTopology(f"bandwidth_mbps {self.bandwidth_mbps} must be > 0")
+        # Else every send over the link is queued for delivery at time inf.
+        if not math.isfinite(self.transit_ms(_CONTROL_BYTES)):
+            raise InvalidTopology(
+                f"delay_ms {self.delay_ms} and bandwidth_mbps {self.bandwidth_mbps} give a "
+                f"{_CONTROL_BYTES}-byte message a transit time that is not finite")
 
     def transit_ms(self, size_bytes: float) -> float:
         """Propagation plus serialization time for size_bytes."""

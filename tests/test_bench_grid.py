@@ -1,3 +1,7 @@
+import argparse
+
+import pytest
+
 from conftest import load_script
 from dssm.scenario import scenario_from_json
 
@@ -15,4 +19,25 @@ def test_every_grid_point_is_a_valid_scenario():
 def test_smallest_grid_point_runs_clean():
     point = bench_grid.run_point(10, 1)
     assert point["violation"] is None
+    assert point["trace_rows"] > 0
+
+
+def test_a_point_may_name_its_election_policy():
+    assert bench_grid.parse_point("160x8") == (160, 8, "max_power")
+    assert bench_grid.parse_point("160x1@highest_connectivity") == (160, 1,
+                                                                  "highest_connectivity")
+    assert bench_grid.point_name(160, 8, "max_power") == "160x8"
+    assert bench_grid.point_name(160, 1, "lowest_id") == "160x1@lowest_id"
+    for bad in ("160x1@", "160x1@fastest", "0x1@lowest_id", "160@lowest_id"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_grid.parse_point(bad)
+    assert bench_grid.grid_doc(10, 2, "lowest_id")["election_policy"] == "lowest_id"
+    assert bench_grid.grid_doc(10, 2)["election_policy"] == "max_power"
+
+
+def test_a_policy_point_runs_clean_and_says_its_policy():
+    # The default point's JSON is as it always was, without a policy key.
+    assert "policy" not in bench_grid.run_point(10, 1)
+    point = bench_grid.run_point(10, 1, "highest_connectivity")
+    assert point["violation"] is None and point["policy"] == "highest_connectivity"
     assert point["trace_rows"] > 0

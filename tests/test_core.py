@@ -148,7 +148,7 @@ def test_upsert_returns_the_replaced_entry():
 def test_upsert_idempotent():
     ait = Ait()
     ait.upsert(entry())
-    snapshot = ait.copy()
+    snapshot = Ait(ait.entries())
     ait.upsert(entry())
     assert ait == snapshot
 

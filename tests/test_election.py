@@ -1,8 +1,9 @@
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import World
 from dssm import election
@@ -11,6 +12,7 @@ from dssm.discovery import best_fit
 from dssm.election import (
     ElectionPolicy,
     EmptyDomain,
+    heard_members,
     moves_election,
     select_agent,
 )
@@ -136,16 +138,61 @@ def test_elected_agent_is_a_fixed_point(powers, data):
         agent = select_agent(ait, incumbent, policy)
         assert select_agent(ait, agent, policy) == agent
         entry = replace(ait.get(changed), storage_capacity_mb=capacity)
-        assert not moves_election(policy, ait.get(changed), entry, ait.get(agent))
-        updated = ait.copy()
+        # Neither policy reads when the agent was heard.
+        assert not moves_election(policy, ait.get(changed), entry, ait.get(agent), 0.0, 1e9, 1.0)
+        updated = Ait(ait.entries())
         updated.upsert(entry)
         assert select_agent(updated, agent, policy) == agent
-        grown = ait.copy()
+        grown = Ait(ait.entries())
         grown.upsert(newcomer)
-        moves = moves_election(policy, None, newcomer, ait.get(agent))
+        moves = moves_election(policy, None, newcomer, ait.get(agent), 0.0, 1e9, 1.0)
         assert moves == (select_agent(grown, agent, policy) != agent)
-    assert moves_election(ElectionPolicy.MAX_POWER, None, newcomer, None)
-    assert moves_election(ElectionPolicy.LOWEST_ID, None, newcomer, None)
+    for policy in ElectionPolicy:
+        assert moves_election(policy, None, newcomer, None, 0.0, 0.0, 1.0)
+
+
+def _highest_connectivity_agent(ait, node_id, heard, now, window):
+    """What `reevaluate_agent` elects under HIGHEST_CONNECTIVITY for member
+    `node_id` of `ait` that last heard each peer at `heard[peer]`."""
+    node = SimpleNamespace(policy=ElectionPolicy.HIGHEST_CONNECTIVITY, node_id=node_id,
+                           last_heard_ms=heard,
+                           params=SimpleNamespace(failure_timeout_ms=window))
+    return select_agent(ait, NO_NODE, node.policy, heard_members(node, now))
+
+
+@given(
+    heard=st.dictionaries(st.integers(1, 30), st.floats(0.0, 1000.0), max_size=12),
+    node_id=st.integers(1, 30),
+    sender=st.integers(1, 40),
+    elected=st.floats(0.0, 1000.0),
+    later=st.floats(0.0, 1000.0),
+    window=st.floats(1.0, 600.0),
+)
+# 702.1 - 102.1 == 600.0: agent 2 is still in the window.
+@example(heard={2: 102.1}, node_id=5, sender=7, elected=0.0, later=600.0, window=600.0)
+def test_highest_connectivity_moves_exactly_when_the_sender_or_a_silent_agent_decides(
+        heard, node_id, sender, elected, later, window):
+    # A member elects at `elected` (after every heard time), hears nothing
+    # until `later` ms after, and then an entry from `sender`. Skipping the
+    # election is sound when moves_election rejects the entry, and exact
+    # unless the sender is the agent itself: its fresh entry may bring a
+    # silent agent back into the window.
+    assume(sender != node_id)
+    heard.pop(node_id, None)
+    elected += max(heard.values(), default=0.0)
+    now = elected + later
+    ait = Ait(AitEntry(nid, "10.1.1.1", 100.0, 2800.0) for nid in (*heard, node_id))
+    agent = _highest_connectivity_agent(ait, node_id, heard, elected, window)
+    assert agent <= node_id
+    entry = AitEntry(sender, "10.1.1.2", 50.0, 2500.0)
+    moves = moves_election(ElectionPolicy.HIGHEST_CONNECTIVITY, ait.get(sender), entry,
+                           ait.get(agent), heard.get(agent, now), now, window)
+    ait.upsert(entry)
+    changed = _highest_connectivity_agent(ait, node_id, {**heard, sender: now}, now,
+                                          window) != agent
+    assert moves or not changed
+    if sender != agent:
+        assert moves == changed
 
 
 ENTRY_IDS = st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True)

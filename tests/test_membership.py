@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import PARAMS, World, load_script
 from dssm import election, membership
-from dssm.core import Message, MessageKind
+from dssm.core import Ait, Message, MessageKind
 from dssm.election import ElectionPolicy
 from dssm.membership import (AlreadyMember, GosNode, HeardBoard, NotMember, Phase,
                              ProtocolParams)
@@ -108,7 +108,7 @@ def test_unknown_leaver_is_noop():
     w = World(THREE)
     w.join(1, at=0.0)
     w.settle(100.0)
-    before = w.nodes[1].ait.copy()
+    before = Ait(w.nodes[1].ait.entries())
     w.nodes[1].on_message(w.net, Message(MessageKind.LEAVE, w.nodes[3].self_entry))
     assert w.nodes[1].ait == before
 
@@ -417,11 +417,20 @@ KNOWN = (2, 2, "capacity", "power")
 REELECT_ROWS = [
     (MP, KNOWN, [1, 0, 0, 1], 5),
     (LI, KNOWN, [1, 0, 0, 1], 2),
-    (HC, KNOWN, [1, 1, 1, 1], 2),
+    (HC, KNOWN, [1, 0, 0, 0], 2),
     (MP, (7,), [0], 5), (MP, (6,), [0], 5), (MP, (2,), [1], 2),
     (LI, (7,), [0], 5), (LI, (6,), [0], 5), (LI, (2,), [1], 2),
-    (HC, (7,), [1], 5), (HC, (6,), [1], 5), (HC, (2,), [1], 2),
+    (HC, (7,), [0], 5), (HC, (6,), [0], 5), (HC, (2,), [1], 2),
 ]
+
+
+def _moves_election(node, entry, now):
+    """`election.moves_election` on what member `node` holds when entry
+    reaches it at `now`, read from its AIT and `last_heard_ms`."""
+    agent = node.agent
+    return election.moves_election(node.policy, node.ait.get(entry.node_id), entry,
+                                   node.ait.get(agent), node.last_heard_ms.get(agent, now), now,
+                                   node.params.failure_timeout_ms)
 
 
 @pytest.mark.parametrize("policy,heard,expected,agent", REELECT_ROWS,
@@ -439,14 +448,15 @@ def test_member_reelects_only_when_the_entry_moves_the_election(monkeypatch, pol
     real = election.select_agent
     monkeypatch.setattr(election, "select_agent",
                         lambda *args: calls.append(args) or real(*args))
-    counts = []
+    counts, derived = [], []
     for key in heard:
         entry = sent.get(key) or w.nodes[key].self_entry
         before = len(calls)
+        derived.append(int(_moves_election(node, entry, w.net.now)))
         node.on_message(w.net, Message(H, entry))
         assert node.ait.get(entry.node_id) is entry
         counts.append(len(calls) - before)
-    assert counts == expected
+    assert counts == expected == derived
     assert node.agent == agent
 
 
@@ -480,11 +490,10 @@ def test_absorb_stops_at_a_member_exactly_when_the_entry_moves_the_election_or_i
         node.on_message(w.net, Message(H, base))
     entry = CHANGES[change](base)
     sid = entry.node_id
-    stops = kind is J or election.moves_election(policy, node.ait.get(sid), entry,
-                                                 node.ait.get(node.agent))
+    stops = kind is J or _moves_election(node, entry, w.net.now)
     taken = node.absorb(w.net, (5,), 0, Message(kind, entry))
     assert taken == (0 if stops else 1)
-    if policy is HC or change == "stronger new":
+    if change == "stronger new":
         assert taken == 0
     elif change == "weaker new" and kind is not J:
         assert taken == 1
@@ -518,7 +527,7 @@ def _board_world(timeout=600.0):
               params=replace(PARAMS, failure_timeout_ms=timeout))
     for nid, node in w.nodes.items():
         node.phase, node.agent = Phase.MEMBER, nid
-        membership._board(w.net, 1).follow(node)
+        membership._board(w.net, node).follow(node)
     return w
 
 
@@ -535,7 +544,7 @@ def _heartbeat_at(w, peer, t, board):
     first = w.nodes[to[0]]
     assert first.absorb(w.net, to, 0, msg) == len(to)  # one by one: a new sender
     assert first.absorb(w.net, to, 0, msg) == len(to)  # every recipient has a record
-    board = membership._board(w.net, 1)
+    board = w.net.heard_boards[1]
     assert board.heard[peer] == t and board.entries[peer] is msg.sender
 
 
@@ -619,16 +628,19 @@ def test_oldest_heard_is_the_least_last_heard_time(seed, drop, policy, script):
     assert ticks
 
 
-def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(monkeypatch):
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(monkeypatch,
+                                                                            policy):
     # Once the join ramp and one failure timeout have passed, no follower
     # holds an own record and no pinned set is non-empty, so each heartbeat
     # fan-out is the board write alone. The general bookkeeping always
     # stores a new pinned set for the sender; the one write leaves it be.
     ids = range(1, 11)
-    w = World([(nid, 1, 1000.0 + nid, 2500.0 + 100.0 * (nid % 4)) for nid in ids])
+    w = World([(nid, 1, 1000.0 + nid, 2500.0 + 100.0 * (nid % 4)) for nid in ids],
+              policy=policy)
     settled = w.join_all() + PARAMS.accept_window_ms + PARAMS.failure_timeout_ms
     w.settle(settled)
-    board = membership._board(w.net, 1)
+    board = w.net.heard_boards[1]
     assert sorted(board.followers) == list(ids)
     assert all(node._own == {} for node in w.nodes.values())
     assert not any(board.pinned.values())
@@ -653,6 +665,25 @@ def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(mon
     assert not any(board.pinned.values())
 
 
+@pytest.mark.parametrize("to", [(1, 2, 3, 4, 6), (1, 2, 3, 4)], ids=["whole", "one_missed"])
+def test_the_board_asks_each_highest_connectivity_follower_about_a_fan_out(to):
+    # In a settled domain every follower's agent is node 1. Follower 3 last
+    # heard node 1 just over a failure timeout ago, in its own record, and
+    # has not ticked since, so node 5's HEARTBEAT moves its election. The
+    # board must not take the fan-out, neither as the one write (every
+    # follower gets it) nor through the bookkeeping (node 6 misses it), so
+    # absorb takes nodes 1 and 2 one by one and stops at node 3.
+    w = World([(nid, 1, 1024.0, 2800.0) for nid in range(1, 7)], policy=HC)
+    w.settle(w.join_all() + PARAMS.accept_window_ms + PARAMS.failure_timeout_ms)
+    board, node = w.net.heard_boards[1], w.nodes[3]
+    assert [n.agent for n in w.nodes.values()] == [1] * 6 and not board.pinned.get(5)
+    node._hear(1, (w.net.now - PARAMS.failure_timeout_ms - 1.0, w.nodes[1].self_entry))
+    last = board.heard[5]
+    assert w.nodes[1].absorb(w.net, to, 0, Message(H, w.nodes[5].self_entry)) == 2
+    assert board.heard[5] == last and node.last_heard_ms[5] == last
+    assert [w.nodes[n].last_heard_ms[5] for n in (1, 2)] == [w.net.now] * 2
+
+
 class _CheckAfterEachEvent:
     """Runs a node's handlers and then `check`, so a test sees the state
     after every event the node handles."""
@@ -671,7 +702,8 @@ class _CheckAfterEachEvent:
 
 @pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
 def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
-    # election.heard_members relies on this under HIGHEST_CONNECTIVITY.
+    # election.heard_members relies on this under HIGHEST_CONNECTIVITY. Every
+    # member, crashed or not, follows its domain's heard board, and no other node does.
     lossy = LinkConfig(delay_ms=1.0, drop_probability=0.05, bandwidth_mbps=100.0)
     ids = range(1, 7)
     w = World([(nid, 1, 1024.0, 2500.0 + 100.0 * (nid % 3)) for nid in ids],
@@ -681,6 +713,7 @@ def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
     def check():
         for node in w.nodes.values():
             assert set(node.last_heard_ms) == node.ait.ids() - {node.node_id}, node
+            assert (node._board is not None) is node.is_member, node
         checks.append(w.net.now)
 
     for nid, node in w.nodes.items():
@@ -795,9 +828,8 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
         patch.delattr(GosNode, "absorb")
         one_by_one = _run_outputs(doc, tmp_path_factory.mktemp("on_message"))
     assert sum(taken) > 0
-    if policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
-        assert any(boarded)  # a fan-out that no follower missed went on the board
+    assert any(boarded)  # a fan-out that no follower missed went on the board
     assert (True, True) not in changes  # a power change is never the one write
-    if drop == 0.0 and policy is not ElectionPolicy.HIGHEST_CONNECTIVITY:
+    if drop == 0.0:
         assert (False, True) in changes and (True, False) in changes
     assert batched == one_by_one

@@ -576,7 +576,9 @@ SET_LINK_OUT_OF_RANGE = {"set_link_drop_probability": 1.5, "set_link_delay_ms": 
 
 @pytest.mark.parametrize("case", ["bad_ip", "non_numeric_param", "leave_before_join",
                                   "leave_after_crash", "transfer_after_crash",
-                                  *SET_LINK_OUT_OF_RANGE, "nan_required_mb",
+                                  *SET_LINK_OUT_OF_RANGE, "infinite_transit",
+                                  "set_link_infinite_transit",
+                                  "set_link_infinite_transit_together", "nan_required_mb",
                                   "unwritable_trace", "unwritable_metrics",
                                   "trace_is_a_directory", "good_trace_bad_metrics"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
@@ -594,6 +596,13 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         doc["script"].insert(0, {"time_ms": 0.0, "action": "leave", "node": 2})
     elif case == "leave_after_crash":
         doc["script"] += [crash, {"time_ms": 1100.0, "action": "leave", "node": 1}]
+    elif case == "infinite_transit":
+        doc["intra_domain_link"]["bandwidth_mbps"] = 1e-320
+    elif case == "set_link_infinite_transit":
+        doc["script"].append(_set_link(bandwidth_mbps=1e-320))
+    elif case == "set_link_infinite_transit_together":
+        # Each field passes alone; together the transit time is inf (at run time).
+        doc["script"].append(_set_link(delay_ms=1.7e308, bandwidth_mbps=1e-308))
     elif case in SET_LINK_OUT_OF_RANGE:
         doc["script"].append(_set_link(**{case.removeprefix("set_link_"):
                                           SET_LINK_OUT_OF_RANGE[case]}))
@@ -619,17 +628,19 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("case", ["size_mb_1e308", "bandwidth_1e-320", "zero_time"])
+@pytest.mark.parametrize("case", ["size_mb_1e308", "bandwidth_1e-305", "zero_time"])
 def test_cli_transfer_that_cannot_arrive_exits_2_with_one_line(tmp_path, capsys, case):
     # bandwidth_sweep with one edit; each case used to end in a traceback:
-    # an infinite response time or a division by a zero one.
+    # an infinite response time or a division by a zero one. At 1e-305 Mbps
+    # a control message still arrives in finite time (a link where none
+    # does is refused at load), but a 1 MB DATA does not.
     doc = json.loads(bundled_scenario_path("bandwidth_sweep").read_text())
     links = (doc["intra_domain_link"], doc["inter_domain_link"])
     if case == "size_mb_1e308":
         next(a for a in doc["script"] if a["action"] == "transfer")["size_mb"] = 1e308
-    elif case == "bandwidth_1e-320":
+    elif case == "bandwidth_1e-305":
         for link in links:
-            link["bandwidth_mbps"] = 1e-320
+            link["bandwidth_mbps"] = 1e-305
     else:
         for link in links:
             link.update(delay_ms=0.0, bandwidth_mbps=1e306)

@@ -77,14 +77,24 @@ def test_bad_link_config_rejected():
         LinkConfig(delay_ms=0.0, drop_probability=0.0, bandwidth_mbps=0.0)
 
 
-@pytest.mark.parametrize("field", ["delay_ms", "bandwidth_mbps"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_link_value_rejected(field, value):
+NON_FINITE_LINKS = [
+    *[(field, value, f"{field} {value} must be finite")
+      for value in (float("nan"), float("inf"), float("-inf"))
+      for field in ("delay_ms", "bandwidth_mbps")],
+    # 73 bytes (QUERY_RESP) at 1e-320 Mbps take 584 / 1e-317 ms, which is inf.
+    ("bandwidth_mbps", 1e-320, "delay_ms 10.0 and bandwidth_mbps 1e-320 give a 73-byte "
+                               "message a transit time that is not finite"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", NON_FINITE_LINKS,
+                         ids=[f"{value}-{field}" for field, value, _ in NON_FINITE_LINKS])
+def test_non_finite_link_value_rejected(field, value, message):
     # By transit_ms a delivery over such a link would be queued at a NaN or
     # infinite time, which has no place in the heap's (time, seq) order.
     with pytest.raises(InvalidTopology) as info:
         replace(FAST, **{field: value})
-    assert str(info.value) == f"{field} {value} must be finite"
+    assert str(info.value) == message
 
 
 LOSSY = LinkConfig(delay_ms=10.0, drop_probability=0.5, bandwidth_mbps=100.0)
