@@ -10,8 +10,10 @@ A point is D domains of N nodes on 1 ms intra-domain links. Every domain
 starts its joins at 0 ms, one node each 25 ms, and the run lasts 10 s of
 virtual time with 200 ms heartbeats and nothing else scripted. Each point
 runs in a fresh process, because peak RSS is a process-wide high-water
-mark, and reports its wall time (building the world plus the run), trace
-rows, peak RSS and the consistency check at the end. A point elects by
+mark, and reports its wall time (building the world plus the run), the
+time of one `export_trace` of the whole trace to a temporary file (what a
+`--trace` user pays on top), trace rows, peak RSS before the export and the
+consistency check at the end. A point elects by
 max_power unless it names another election policy after an `@`; such a
 point's JSON also holds its `policy`. A table goes to standard output, and
 the last line is one JSON object holding every point.
@@ -27,6 +29,7 @@ import json
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,6 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dssm.election import ElectionPolicy  # noqa: E402
 from dssm.scenario import ScenarioWorld, scenario_from_json  # noqa: E402
+from dssm.simnet import export_trace  # noqa: E402
 
 GRID = [(n, d) for d in (1, 8) for n in (10, 40, 160)]
 END_MS = 10_000.0
@@ -73,8 +77,13 @@ def run_point(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
     world.run()
     world.net.run_until(END_MS)
     wall_s = time.perf_counter() - start
-    point = {"n": n, "d": d, "wall_s": round(wall_s, 3), "trace_rows": len(world.net.trace),
-             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        export_trace(world.net.trace, Path(tmp) / "trace.csv")
+        export_s = time.perf_counter() - start
+    point = {"n": n, "d": d, "wall_s": round(wall_s, 3), "export_s": round(export_s, 3),
+             "trace_rows": len(world.net.trace), "peak_rss_mb": peak_rss_mb,
              "violation": world.check_consistency()}
     return point if policy == DEFAULT_POLICY else {**point, "policy": policy}
 
@@ -110,13 +119,15 @@ def main() -> None:
     names = [point_name(*point) for point in args.points or
              [(n, d, DEFAULT_POLICY) for n, d in GRID]]
     width = max(6, *map(len, names))
-    print(f"{'NxD':>{width}} {'wall_s':>8} {'rows':>10} {'peak_rss_mb':>12}  violation")
+    print(f"{'NxD':>{width}} {'wall_s':>8} {'export_s':>8} {'rows':>10} {'peak_rss_mb':>12}"
+          "  violation")
     for name in names:
         out = subprocess.run([sys.executable, __file__, "--in-process", name],
                              capture_output=True, text=True, timeout=POINT_TIMEOUT_S, check=True)
         point = json.loads(out.stdout.splitlines()[-1])
         results.append(point)
-        print(f"{name:>{width}} {point['wall_s']:>8.3f} {point['trace_rows']:>10} "
+        print(f"{name:>{width}} {point['wall_s']:>8.3f} {point['export_s']:>8.3f} "
+              f"{point['trace_rows']:>10} "
               f"{point['peak_rss_mb']:>12.1f}  {point['violation'] or '-'}", flush=True)
     print(json.dumps({"points": results}))
 

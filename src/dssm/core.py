@@ -126,9 +126,7 @@ class Ait:
     """
 
     def __init__(self, entries=()):
-        self.by_id: dict[NodeId, AitEntry] = {}
-        for entry in entries:
-            self.upsert(entry)
+        self.by_id: dict[NodeId, AitEntry] = {entry.node_id: entry for entry in entries}
 
     def upsert(self, entry: AitEntry) -> AitEntry | None:
         """Insert or replace the entry for entry.node_id; return the entry

@@ -25,23 +25,20 @@ records peer -> (time, entry) in its own dict `_own`, over, while it is a
 member, its domain's `HeardBoard` of each sender's last fan-out that the
 board took. A follower's own record of a peer (None: dropped) exists only
 where its view departs from the board: it missed a fan-out (dropped, or
-crashed), learned the entry through `on_message` or one by one, or
-dropped the peer on a timeout or LEAVE. Its own id reads its `self_entry`.
+crashed), learned the entry through `on_message`, or dropped the peer on a
+timeout or LEAVE. Its own id reads its `self_entry`.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
-view. `GosNode.absorb` (the `simnet` batch hand-off) handles a run of such
-recipients of one delivery entry in one call and stops at the first that
-needs `on_message`. A whole fan-out that the board can take costs one
-board write plus a record for each follower that missed it or held one,
-so a settled heartbeat period (every member is up and hears every
-fan-out, and no power changes) costs the board write alone per fan-out,
-after one pass over the followers under HIGHEST_CONNECTIVITY. Otherwise
-each taken recipient gets its own record: crashed, OFFLINE and LEFT ones
-(nothing happens), JOINING ones of any of the four kinds (JOIN is
-ignored), and MEMBER ones of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE whose
-entry cannot move the election. The rest go through `on_message`: a JOIN
-to a member (it answers ACCEPT), an entry that moves the election, other
-kinds, and recipients whose handler is not a plain GosNode.
+view. `GosNode.absorb` (the `simnet` hand-off of a whole delivery entry)
+takes an entry of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE with more than one
+recipient when the domain's `HeardBoard` takes it, which it does only if
+the entry misses fewer followers than it reaches, can move no follower's
+election, and reaches no node outside the board but plain GosNodes. The
+take costs one board write plus a record for each follower that missed it
+or held one, so a settled heartbeat period (every member is up and hears
+every fan-out, and no power changes) costs the board write alone per
+fan-out, after one pass over the followers under HIGHEST_CONNECTIVITY.
+Every other entry goes through `on_message`, one recipient at a time.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -252,37 +249,12 @@ class GosNode:
             discovery.handle_query_resp(self, net, msg)
         # DATA is a sink: it models bulk payload, nothing to do.
 
-    def absorb(self, net: Network, recipients: tuple[NodeId, ...], i: int,
-               msg: Message) -> int:
-        """Handle recipients i.. of a delivery entry up to the first that
-        needs `on_message` (see the module docstring), and return its index,
-        or len(recipients) when all were taken: in one board write when the
-        domain's `HeardBoard` takes the whole entry, otherwise one by one."""
+    def absorb(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
+        """Take a delivery entry whole, in one write of the domain's
+        `HeardBoard`, or refuse it (the module docstring says which)."""
         kind = msg.kind
-        if kind not in PEER_ENTRY_KINDS:
-            return i
-        join, sender, crashed = kind is _JOIN, msg.sender, net.crashed
-        if join and self.phase is _MEMBER and recipients[i] not in crashed:
-            return i  # it answers ACCEPT
-        if (i == 0 and not join and len(recipients) > 1
-                and (self._board or _board(net, self)).take(net, recipients, msg)):
-            return len(recipients)
-        handlers, now, record = net.handlers, net.now, (net.now, sender)
-        for k in range(i, len(recipients)):
-            member = recipients[k]
-            if member in crashed:
-                continue
-            node = handlers.get(member)
-            if node.__class__ is not GosNode:
-                return k
-            if node.phase is _MEMBER:
-                # A JOIN is answered with ACCEPT.
-                if join or node._moves(sender, now):
-                    return k
-                node._hear(sender.node_id, record)
-            elif node.phase is _JOINING and not join:
-                node._learn_joining(kind, record)
-        return len(recipients)
+        return (len(recipients) > 1 and kind is not _JOIN and kind in PEER_ENTRY_KINDS
+                and (self._board or _board(net, self)).take(net, recipients, msg))
 
     def on_timer(self, net: Network, tag: str) -> None:
         if tag == TIMER_JOIN_DEADLINE:
@@ -482,9 +454,10 @@ class HeardBoard:
 
     def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
         """Take a delivery entry of a peer entry other than JOIN in one write,
-        if it misses fewer followers than it reaches and `absorb` would take
-        each recipient; return whether it did, changing nothing if not. An
-        entry that holds every member but the sender is its fan-out.
+        if it misses fewer followers than it reaches and each recipient's
+        `on_message` would only learn the entry; return whether it did,
+        changing nothing if not. An entry that holds every member but the
+        sender is its fan-out.
 
         The write alone takes a fan-out that every member follows and gets,
         none crashed, when no follower holds an own record of the sender and

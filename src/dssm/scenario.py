@@ -35,7 +35,8 @@ referenced node must appear in "nodes". Every number must be finite: JSON
 NaN and Infinity are rejected. "params" fields are optional; absent ones
 default from the link model. "set_link" reconfigures a link class mid-run
 (the WAN emulator knob); omitted set_link fields keep their current value,
-and given ones must lie in the link's range (LinkConfig), checked at load.
+and the link must stay in range (LinkConfig): each set_link is checked at
+load against its own scope's link as the script leaves it at that point.
 
 The consistency assertion checks, per domain with live members: equal AIT
 key sets, agent agreement, and that the agent is the one the scenario's
@@ -138,21 +139,13 @@ def _check_scope(action, name, value, scenario, known):
         raise ValidationError(f"{action.KIND} {name} must be intra or inter, got {value}")
 
 
-def _check_link_value(action, name, value, scenario, known):
-    # LinkConfig is the one place the ranges live; each is per field.
-    if value is not None:
-        try:
-            replace(scenario.intra_domain_link, **{name: value})
-        except DssmError as exc:
-            raise ValidationError(f"{action.KIND} {exc}") from exc
-
-
 # Field kinds: (accepted JSON types, default when absent or _REQUIRED, check).
-# A check is called as check(action, attribute, value, scenario, known ids).
+# A check is called as check(action, attribute, value, scenario, known ids);
+# a link value is checked with its link (Scenario.validate).
 NODE = (int, _REQUIRED, _check_node)
 SIZE = (_NUMBER, _REQUIRED, _check_positive)
 SCOPE = (str, _REQUIRED, _check_scope)
-LINK_VALUE = (_NUMBER, None, _check_link_value)
+LINK_VALUE = (_NUMBER, None, None)
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,8 @@ class Action:
         cls.KIND, cls.FIELDS = kind, fields
         # Pair each attribute with its check once, not per action.
         own = cls.__dict__.get("__annotations__", {})
-        cls.CHECKS = tuple((name, check) for name, (_, (_, _, check)) in zip(own, fields))
+        cls.CHECKS = tuple((name, check) for name, (_, (_, _, check)) in zip(own, fields)
+                           if check is not None)
 
     def check(self, scenario: Scenario, known: set[NodeId]) -> None:
         for name, check in self.CHECKS:
@@ -242,14 +236,15 @@ class SetLink(Action, kind="set_link",
     drop_probability: float | None = None
     bandwidth_mbps: float | None = None
 
+    def applied(self, link: LinkConfig) -> LinkConfig:
+        """The link with the given fields replaced; LinkConfig refuses a bad
+        one with InvalidTopology."""
+        return replace(link, **{f.name: getattr(self, f.name) for f in fields(LinkConfig)
+                                if getattr(self, f.name) is not None})
+
     def apply(self, world: ScenarioWorld) -> None:
-        given = {f.name: getattr(self, f.name) for f in fields(LinkConfig)
-                 if getattr(self, f.name) is not None}
-        net = world.net
-        if self.scope == "intra":
-            net.intra_link = replace(net.intra_link, **given)
-        else:
-            net.inter_link = replace(net.inter_link, **given)
+        name = f"{self.scope}_link"
+        setattr(world.net, name, self.applied(getattr(world.net, name)))
 
 
 @dataclass(frozen=True)
@@ -289,6 +284,8 @@ class Scenario:
             raise ValidationError("duplicate node ids in node specs")
         known = set(ids)
         last_t = 0.0
+        # Each link as the script leaves it, for the set_link actions in turn.
+        links = {"intra": self.intra_domain_link, "inter": self.inter_domain_link}
         for action in self.script:
             if action.time_ms < last_t:
                 raise ValidationError(
@@ -296,6 +293,11 @@ class Scenario:
                 )
             last_t = action.time_ms
             action.check(self, known)
+            if isinstance(action, SetLink):
+                try:
+                    links[action.scope] = action.applied(links[action.scope])
+                except DssmError as exc:
+                    raise ValidationError(f"{action.KIND} {exc}") from exc
         for p in ("accept_window_ms", "heartbeat_period_ms",
                   "failure_timeout_ms", "response_window_ms"):
             if getattr(self.params, p) <= 0:
@@ -477,8 +479,8 @@ class ScenarioWorld:
             try:
                 action.apply(self)
             except (AlreadyMember, NotMember, NodeCrashed, InvalidValue, InvalidTopology) as exc:
-                # e.g. a leave before the join, a transfer that cannot arrive, or
-                # a set_link whose fields pass one by one but not together
+                # e.g. a leave before the join or a transfer that cannot arrive;
+                # validate refuses a bad set_link, but its apply can still raise
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
 

@@ -54,24 +54,22 @@ first_seq + j, from str(src) and to str(dsts[j]), and is built only when
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
 (owner,) with src "". A delivery entry's record holds a slice of its
-recipients and grows run by run (see absorb) while no other row comes in
-between, so an entry that nothing interrupts is one record sharing the
-entry's recipients tuple. Rows that a recipient's handler traces (a reply,
-say) start a new record after them, so rows stay in the order in which
-events ran. While recipient i's handler runs, trace[-1] is its deliver row.
+recipients and grows row by row while no other row comes in between, so an
+entry that nothing interrupts is one record sharing the entry's recipients
+tuple. Rows that a recipient's handler traces (a reply, say) start a new
+record after them, so rows stay in the order in which events ran. While a
+recipient's handler runs, trace[-1] is its deliver row.
 
-A handler may also have absorb(net, recipients, i, msg) -> j. When the loop
-reaches recipient i of a delivery entry and that recipient's handler has
-one, it calls it once; the handler handles recipients i..j-1 itself
-(i <= j <= len(recipients)) and returns j. It may take only recipients
-whose handling changes their own state and nothing else: no send, no
-timer, no trace row, no metric, and the state on_message would leave. A
-crashed recipient may be taken as a no-op, since no handler runs for it.
-The loop then writes the deliver rows of the run, recipients i..j, in one
-step, and recipient j, if any, goes through on_message. Rows keep their
-order and seqs, and pending() is what it would be had every recipient
-gone through on_message. absorb is optional: a handler without it is
-called once per recipient.
+A handler may also have absorb(net, recipients, msg) -> bool. The loop asks
+the first recipient's handler once per delivery entry, if it has one. True
+means it took the whole entry: the loop writes the entry's deliver rows as
+one record, and no on_message runs. It may take an entry only when handling
+it changes the recipients' own state and nothing else: no send, no timer,
+no trace row, no metric, and for each recipient the state on_message would
+leave (none for a crashed one, since no handler runs for it). False means it
+changed nothing, and each recipient goes through on_message in turn. Either
+way rows keep their order and seqs, and pending() is what it would be had
+every recipient gone through on_message. absorb is optional.
 """
 
 from __future__ import annotations
@@ -365,7 +363,7 @@ class Network:
         """Attach the protocol object that receives this node's events.
 
         The handler must expose on_message(net, msg) and on_timer(net, tag),
-        and may expose absorb(net, recipients, i, msg) (module docstring).
+        and may expose absorb(net, recipients, msg) (module docstring).
         """
         self._require(node_id)
         self.handlers[node_id] = handler
@@ -516,30 +514,26 @@ class Network:
             records, crashed, handlers = trace._records, self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
+            absorb = getattr(handlers.get(to[0]), "absorb", None)
+            if absorb is not None and absorb(self, to, msg):
+                trace._append((time_ms, seq, "deliver", src, to, kind, size))
+                self._pending -= len(to)
+                return
             # The entry's send row comes first, so records is never empty.
-            record, start, i, n = None, 0, 0, len(to)
-            while i < n:
-                handler = handlers.get(to[i])
-                absorb = getattr(handler, "absorb", None)
-                j = i if absorb is None else absorb(self, to, i, msg)
-                if i < j < n:
-                    handler = handlers.get(to[j])
-                # The run: recipients i..j-1, which absorb took, and j, if any.
-                stop = j + 1 if j < n else n
+            record = start = None
+            for i, member in enumerate(to):
                 if records[-1] is not record:
-                    # The entry's first run, or rows came in between: a new
-                    # record. Otherwise the current one grows over the run.
+                    # The entry's first row, or rows came in between: a new
+                    # record. Otherwise the current one grows by a row.
                     start = i
                     records.append(None)
                 records[-1] = record = (time_ms, seq + start, "deliver", src,
-                                        to[start:stop], kind, size)
-                trace._len += stop - i
-                self._pending -= stop - i
-                if j == n:
-                    return
-                if handler is not None and to[j] not in crashed:
+                                        to[start:i + 1], kind, size)
+                trace._len += 1
+                self._pending -= 1
+                handler = handlers.get(member)
+                if handler is not None and member not in crashed:
                     handler.on_message(self, msg)
-                i = j + 1
             return
         self._pending -= 1
         key = (to, tag)

@@ -22,6 +22,15 @@ def test_smallest_grid_point_runs_clean():
     assert point["trace_rows"] > 0
 
 
+def test_a_point_times_one_export_of_its_whole_trace(monkeypatch):
+    exports = []
+    monkeypatch.setattr(bench_grid, "export_trace",
+                        lambda trace, path: exports.append(len(trace)))
+    point = bench_grid.run_point(10, 1)
+    assert exports == [point["trace_rows"]]
+    assert point["export_s"] >= 0.0
+
+
 def test_a_point_may_name_its_election_policy():
     assert bench_grid.parse_point("160x8") == (160, 8, "max_power")
     assert bench_grid.parse_point("160x1@highest_connectivity") == (160, 1,

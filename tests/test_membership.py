@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import PARAMS, World, load_script
 from dssm import election, membership
-from dssm.core import Ait, Message, MessageKind
+from dssm.core import Ait, Message, MessageKind, message_size_bytes
 from dssm.election import ElectionPolicy
 from dssm.membership import (AlreadyMember, GosNode, HeardBoard, NotMember, Phase,
                              ProtocolParams)
@@ -379,8 +379,8 @@ def test_peer_entry_handling(phase, kind, sender, learned, replies, agent):
 @pytest.mark.parametrize("phase,kind,sender,learned,replies,agent", PEER_TABLE, ids=PEER_IDS)
 def test_peer_entry_handling_offered_to_absorb_first(phase, kind, sender, learned, replies,
                                                       agent):
-    # on_message runs only if absorb does not take the delivery.
-    _check_peer_entry(phase, kind, sender, learned, replies, agent, "absorb")
+    # The network loop asks absorb first, and on_message runs only if it refuses.
+    _check_peer_entry(phase, kind, sender, learned, replies, agent, "network")
 
 
 def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
@@ -392,10 +392,16 @@ def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
         entry = replace(w.nodes[2].self_entry, storage_capacity_mb=512.0)
     else:
         entry = w.nodes[sender].self_entry
-    rows = len(w.net.trace)
     msg = Message(kind, entry)
-    if via == "on_message" or not node.absorb(w.net, (1,), 0, msg):
+    if via == "on_message":
+        rows = len(w.net.trace)
         node.on_message(w.net, msg)
+    else:
+        w.net.send_unicast(sender, 1, msg)
+        rows = len(w.net.trace)
+        w.net.run_until(w.net.now + w.net.intra_link.transit_ms(message_size_bytes(kind)))
+        assert ("deliver", "1", kind.name) in {(r.kind, r.dst, r.msg_kind)
+                                               for r in w.net.trace[rows:]}
     assert (sender in node.ait) is learned
     assert (sender in node.last_heard_ms) is learned
     if learned:
@@ -478,11 +484,16 @@ CHANGES = {
 @pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", [J, A, H, N], ids=lambda k: k.name)
 @pytest.mark.parametrize("change", CHANGES)
-def test_absorb_stops_at_a_member_exactly_when_the_entry_moves_the_election_or_is_a_join(
+def test_the_board_takes_a_fan_out_only_when_it_moves_no_recipient_and_is_no_join(
         policy, kind, change):
-    # Settled member 5 gets an entry new to it, or, after a HEARTBEAT with
-    # node 6's base entry, the same object, an equal copy or a change.
-    w = World([(5, 1, 1024.0, 2660.0), (6, 1, 1024.0, 2800.0)], policy=policy)
+    # Settled member 5 and the sender follow the domain's board; nodes 2, 6,
+    # 7 and 8 but the sender are offline. The sender's fan-out reaches every
+    # other node: an entry new to node 5, or, after a HEARTBEAT with node 6's
+    # base entry, the same object, an equal copy or a change. Under MAX_POWER
+    # and LOWEST_ID the board also refuses, without asking, a sender it holds
+    # no entry of while a recipient reads the board's view of it.
+    w = World([(5, 1, 1024.0, 2660.0), (6, 1, 1024.0, 2800.0), (2, 1, 1024.0, 3000.0),
+               (7, 1, 1024.0, 2500.0), (8, 1, 1024.0, 2500.0)], policy=policy)
     w.join(5, at=0.0)
     w.settle(100.0)
     node, base = w.nodes[5], w.nodes[6].self_entry
@@ -490,30 +501,41 @@ def test_absorb_stops_at_a_member_exactly_when_the_entry_moves_the_election_or_i
         node.on_message(w.net, Message(H, base))
     entry = CHANGES[change](base)
     sid = entry.node_id
-    stops = kind is J or _moves_election(node, entry, w.net.now)
-    taken = node.absorb(w.net, (5,), 0, Message(kind, entry))
-    assert taken == (0 if stops else 1)
+    sender = w.nodes[sid]
+    sender.phase, sender.agent = Phase.MEMBER, sid
+    membership._board(w.net, sender).follow(sender)
+    held = node.ait.get(sid), node.last_heard_ms.get(sid)
+    refused = (kind is J or _moves_election(node, entry, w.net.now)
+               or "new" in change and policy is not HC)
+    to = tuple(nid for nid in sorted(w.nodes) if nid != sid)
+    taken = node.absorb(w.net, to, Message(kind, entry))
+    assert taken is not refused
     if change == "stronger new":
-        assert taken == 0
-    elif change == "weaker new" and kind is not J:
-        assert taken == 1
+        assert not taken
     if taken:
         assert node.ait.get(sid) is entry and node.last_heard_ms[sid] == w.net.now
+    else:
+        assert (node.ait.get(sid), node.last_heard_ms.get(sid)) == held
+    assert all(w.nodes[nid].ait.ids() == set() for nid in to if nid != 5)
 
 
-def test_absorb_skips_crashed_recipients_and_stops_at_another_handler():
+def test_absorb_takes_past_crashed_recipients_and_refuses_another_handler():
     w = World([(nid, 1, 1024.0, 2800.0) for nid in (1, 2, 3, 4, 5)])
     w.join_all()
     w.settle(500.0)
     w.crash(2)
-    w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
     msg = Message(H, w.nodes[5].self_entry)
-    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), 0, msg) == 3
-    assert w.nodes[1].absorb(w.net, (1, 2, 3), 0, msg) == 3
-    assert [w.nodes[n].last_heard_ms[5] for n in (1, 3)] == [500.0, 500.0]
+    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg)
+    assert [w.nodes[n].last_heard_ms[5] for n in (1, 3, 4)] == [500.0] * 3
     assert w.nodes[2].last_heard_ms[5] < 500.0
-    for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA):
-        assert w.nodes[1].absorb(w.net, (1, 3), 0, Message(kind, w.nodes[5].self_entry)) == 0
+    views = {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()}
+    w.net.now = 600.0  # so that a take would show in last_heard_ms
+    for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA, J):
+        assert not w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(kind, w.nodes[5].self_entry))
+    assert not w.nodes[1].absorb(w.net, (1,), msg)  # a unicast
+    w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
+    assert not w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg)
+    assert {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()} == views
 
 
 PEERS = range(2, 10)
@@ -533,8 +555,8 @@ def _board_world(timeout=600.0):
 
 def _heartbeat_at(w, peer, t, board):
     """Peer's HEARTBEAT reaches every other member at time t as a fan-out:
-    twice, so the second goes on the board; or node 1 alone hears it, in
-    its own record."""
+    twice, as the network delivers it, so the second goes on the board; or
+    node 1 alone hears it, in its own record."""
     w.net.now = t
     msg = Message(H, w.nodes[peer].self_entry)
     if not board:
@@ -542,8 +564,10 @@ def _heartbeat_at(w, peer, t, board):
         return
     to = tuple(nid for nid in sorted(w.nodes) if nid != peer)
     first = w.nodes[to[0]]
-    assert first.absorb(w.net, to, 0, msg) == len(to)  # one by one: a new sender
-    assert first.absorb(w.net, to, 0, msg) == len(to)  # every recipient has a record
+    assert not first.absorb(w.net, to, msg)  # a new sender, read from the board
+    for nid in to:
+        w.nodes[nid].on_message(w.net, msg)
+    assert first.absorb(w.net, to, msg)  # every recipient has a record
     board = w.net.heard_boards[1]
     assert board.heard[peer] == t and board.entries[peer] is msg.sender
 
@@ -672,16 +696,16 @@ def test_the_board_asks_each_highest_connectivity_follower_about_a_fan_out(to):
     # has not ticked since, so node 5's HEARTBEAT moves its election. The
     # board must not take the fan-out, neither as the one write (every
     # follower gets it) nor through the bookkeeping (node 6 misses it), so
-    # absorb takes nodes 1 and 2 one by one and stops at node 3.
+    # absorb refuses it and no view changes.
     w = World([(nid, 1, 1024.0, 2800.0) for nid in range(1, 7)], policy=HC)
     w.settle(w.join_all() + PARAMS.accept_window_ms + PARAMS.failure_timeout_ms)
     board, node = w.net.heard_boards[1], w.nodes[3]
     assert [n.agent for n in w.nodes.values()] == [1] * 6 and not board.pinned.get(5)
     node._hear(1, (w.net.now - PARAMS.failure_timeout_ms - 1.0, w.nodes[1].self_entry))
     last = board.heard[5]
-    assert w.nodes[1].absorb(w.net, to, 0, Message(H, w.nodes[5].self_entry)) == 2
-    assert board.heard[5] == last and node.last_heard_ms[5] == last
-    assert [w.nodes[n].last_heard_ms[5] for n in (1, 2)] == [w.net.now] * 2
+    assert not w.nodes[1].absorb(w.net, to, Message(H, w.nodes[5].self_entry))
+    assert board.heard[5] == last
+    assert [w.nodes[n].last_heard_ms[5] for n in (1, 2, 3, 4, 6)] == [last] * 5
 
 
 class _CheckAfterEachEvent:
@@ -805,10 +829,10 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     taken, boarded, changes = [], [], []
     absorb, take = GosNode.absorb, HeardBoard.take
 
-    def counted(node, net, recipients, i, msg):
-        j = absorb(node, net, recipients, i, msg)
-        taken.append(j - i)
-        return j
+    def counted(node, net, recipients, msg):
+        took = absorb(node, net, recipients, msg)
+        taken.append(took)
+        return took
 
     def counted_take(board, net, recipients, msg):
         sid = msg.sender.node_id
@@ -827,7 +851,7 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(GosNode, "absorb")
         one_by_one = _run_outputs(doc, tmp_path_factory.mktemp("on_message"))
-    assert sum(taken) > 0
+    assert any(taken)
     assert any(boarded)  # a fan-out that no follower missed went on the board
     assert (True, True) not in changes  # a power change is never the one write
     if drop == 0.0:

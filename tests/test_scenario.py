@@ -287,6 +287,31 @@ def test_every_action_parses_and_checks_its_node_fields(kind):
             assert str(info.value) == "script references unknown node 9"
 
 
+def test_set_link_is_checked_on_its_own_scope_as_the_script_leaves_it():
+    # Two intra set_links that each pass on the loaded link but not in turn.
+    doc = _script_case(_set_link(scope="intra", delay_ms=1.7e308))
+    doc["script"].append(_set_link(time_ms=700.0, scope="intra", bandwidth_mbps=1e-308))
+    with pytest.raises(ValidationError) as info:
+        scenario_from_json(doc)
+    assert str(info.value) == (
+        "set_link delay_ms 1.7e+308 and bandwidth_mbps 1e-308 give a 73-byte message "
+        "a transit time that is not finite")
+    # An inter delay that the intra link's bandwidth could not carry in
+    # finite time, though the inter link (100 Mbps) does.
+    doc = minimal_doc()
+    doc["intra_domain_link"]["bandwidth_mbps"] = 1e-308
+    doc["script"] = doc["script"][:2] + [_set_link(delay_ms=1.7e308)]
+    world = run_scenario(scenario_from_json(doc)).world
+    assert world.net.inter_link == LinkConfig(1.7e308, 0.0, 100.0)
+    # And the reverse: each scope keeps its own link through the script.
+    doc = minimal_doc()
+    doc["script"] += [_set_link(bandwidth_mbps=1e-308),
+                      _set_link(time_ms=700.0, scope="intra", delay_ms=1.7e308)]
+    world = run_scenario(scenario_from_json(doc)).world
+    assert world.net.intra_link == LinkConfig(1.7e308, 0.0, 100.0)
+    assert world.net.inter_link == LinkConfig(10.0, 0.0, 1e-308)
+
+
 def test_set_link_changes_only_the_given_fields():
     doc = _script_case(_set_link(scope="intra", drop_probability=0.5, bandwidth_mbps=10))
     doc["script"].append(_set_link(time_ms=700.0, delay_ms=30))
@@ -578,7 +603,8 @@ SET_LINK_OUT_OF_RANGE = {"set_link_drop_probability": 1.5, "set_link_delay_ms": 
                                   "leave_after_crash", "transfer_after_crash",
                                   *SET_LINK_OUT_OF_RANGE, "infinite_transit",
                                   "set_link_infinite_transit",
-                                  "set_link_infinite_transit_together", "nan_required_mb",
+                                  "set_link_infinite_transit_together",
+                                  "set_link_infinite_transit_in_turn", "nan_required_mb",
                                   "unwritable_trace", "unwritable_metrics",
                                   "trace_is_a_directory", "good_trace_bad_metrics"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
@@ -601,8 +627,13 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     elif case == "set_link_infinite_transit":
         doc["script"].append(_set_link(bandwidth_mbps=1e-320))
     elif case == "set_link_infinite_transit_together":
-        # Each field passes alone; together the transit time is inf (at run time).
+        # Each field passes alone; together the transit time is inf.
         doc["script"].append(_set_link(delay_ms=1.7e308, bandwidth_mbps=1e-308))
+    elif case == "set_link_infinite_transit_in_turn":
+        # Each set_link passes on the intra link as it was; the second fails
+        # on the link as the first left it.
+        doc["script"] += [_set_link(scope="intra", delay_ms=1.7e308),
+                          _set_link(time_ms=700.0, scope="intra", bandwidth_mbps=1e-308)]
     elif case in SET_LINK_OUT_OF_RANGE:
         doc["script"].append(_set_link(**{case.removeprefix("set_link_"):
                                           SET_LINK_OUT_OF_RANGE[case]}))

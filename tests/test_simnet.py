@@ -566,19 +566,20 @@ def test_transfer_time_monotonic_in_size_and_delay():
 def _interleaved_run(seed, drop):
     """Two domains whose handlers, in the middle of a fan-out, sometimes reply
     by unicast, multicast, or set a 0 ms timer, and sometimes send one of the
-    sends `odd_send` makes. Each handler's seeded `absorb` takes runs of
-    recipients, which only log the delivery, so runs start right after a
-    recipient whose handler traced rows too. Every handler checks the row
-    trace[-1] shows it, that every record is complete (their rows add up to
-    len(trace)) and that pending() counts what is queued, and logs
-    (len(trace), that row). Node 4 crashes after its JOIN, and the VIRTUAL
+    sends `odd_send` makes. Each handler's seeded `absorb` takes some whole
+    delivery entries, which traces nothing, and refuses the rest. Every
+    handler checks the row trace[-1] shows it, that every record is complete
+    (their rows add up to len(trace)) and that pending() counts what is
+    queued, and logs (len(trace), that row); `absorb` checks that it is asked
+    by the first recipient's handler while pending() still counts every
+    recipient of the entry. Node 4 crashes after its JOIN, and the VIRTUAL
     group is nodes 1 and 5. Returns the network, that log, the (first seq,
-    recipients) of every delivery entry, and the (index, run length, whether
-    the previous recipient's handler traced rows) of every run taken."""
+    recipients) of every delivery entry, and the first seq of every entry
+    absorb took."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
     net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
     net.virtual_members = (1, 5)
-    seen, entries, runs = [], [], []
+    seen, entries, taken_at = [], [], []
     budget = [60]
 
     push = net._push_delivery
@@ -589,16 +590,18 @@ def _interleaved_run(seed, drop):
 
     net._push_delivery = logged_push
 
+    def queued(net):
+        return sum(len(to) if msg is not None else 1 for _, _, to, msg, _ in net._heap)
+
     def check_pending(net, row):
         # Every queued recipient and timer entry, plus the recipients after
         # this one in the entry being delivered, which no record holds yet.
         assert sum(len(record[4]) for record in net.trace._records) == len(net.trace)
-        queued = sum(len(to) if msg is not None else 1 for _, _, to, msg, _ in net._heap)
         untaken = 0
         if row.kind == "deliver":
             untaken = next(first + len(to) for first, to in entries
                            if first <= row.seq < first + len(to)) - row.seq - 1
-        assert net.pending() == queued + untaken
+        assert net.pending() == queued(net) + untaken
 
     def odd_send(net, me, which):
         if which == 0:
@@ -622,7 +625,6 @@ def _interleaved_run(seed, drop):
             self.me = me
             self.rng = random.Random(seed * 7 + me)
             self.taking = random.Random(seed * 11 + me)
-            self.absorbed = []
 
         def on_message(self, net, msg):
             row = net.trace[-1]
@@ -641,16 +643,14 @@ def _interleaved_run(seed, drop):
             seen.append((len(net.trace), row))
             self.act(net, None)
 
-        def absorb(self, net, recipients, i, msg):
-            # Rows traced since recipient i-1's row mean its handler traced them.
-            replied = i > 0 and net.trace[-1].kind != "deliver"
-            j = min(len(recipients), i + self.taking.choice((0, 0, 1, 2, 3)))
-            for member in recipients[i:j]:
-                if member not in net.crashed:
-                    net.handlers[member].absorbed.append((net.now, msg.sender.node_id))
-            if j > i:
-                runs.append((i, j - i, replied))
-            return j
+        def absorb(self, net, recipients, msg):
+            # No recipient of the entry is counted off yet, so none has a row.
+            assert recipients[0] == self.me
+            assert net.pending() == queued(net) + len(recipients)
+            if self.taking.random() < 0.4:
+                taken_at.append(len(net.trace))
+                return True
+            return False
 
         def act(self, net, sender):
             if budget[0] <= 0:
@@ -674,7 +674,7 @@ def _interleaved_run(seed, drop):
     for which in range(4):
         odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
-    return net, seen, entries, runs
+    return net, seen, entries, [net.trace[k].seq for k in taken_at]
 
 
 @settings(max_examples=60, deadline=None)
@@ -822,9 +822,9 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_a_batch_is_one_record_per_run_between_other_rows(seed):
+def test_a_batch_is_one_record_between_other_rows(seed):
     # Every handler call of the run checks that the records are complete.
-    net, _, entries, _ = _interleaved_run(seed, 0.1)
+    net, _, entries, taken = _interleaved_run(seed, 0.1)
     recipients = dict(entries)
     firsts = sorted(recipients)
     pieces, previous = {}, None
@@ -837,16 +837,15 @@ def test_a_batch_is_one_record_per_run_between_other_rows(seed):
             assert entry != previous
             pieces.setdefault(entry, []).append(dsts)
         previous = entry
-    # An entry that nothing interrupts shares its recipients tuple.
+    # An entry that nothing interrupts shares its recipients tuple, and so
+    # does every entry absorb took.
     assert all(len(pieces[first]) > 1 or pieces[first][0] is to for first, to in entries)
+    assert all(pieces[first] == [recipients[first]] for first in taken)
     assert any(len(parts) > 1 for parts in pieces.values())
 
 
-def test_absorbed_runs_start_everywhere_in_a_batch():
-    # The property above is meant to cover runs that begin right after a
-    # recipient whose handler traced rows, where the rest of the batch
-    # continues in a new record; these seeds make sure it does.
-    runs = [run for seed in range(5) for run in _interleaved_run(seed, 0.1)[3]]
-    assert any(i == 0 for i, _, _ in runs)
-    assert any(replied for _, _, replied in runs)
-    assert any(length > 1 for _, length, replied in runs if replied)
+def test_absorb_takes_whole_entries_of_several_recipients():
+    # The property above is meant to cover entries that absorb takes whole,
+    # not only single-recipient ones; these seeds make sure it does.
+    runs = [_interleaved_run(seed, 0.1) for seed in range(5)]
+    assert any(len(dict(entries)[first]) > 1 for _, _, entries, taken in runs for first in taken)
