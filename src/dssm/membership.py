@@ -29,16 +29,21 @@ crashed), learned the entry through `on_message`, or dropped the peer on a
 timeout or LEAVE. Its own id reads its `self_entry`.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
-view. `GosNode.absorb` (the `simnet` hand-off of a whole delivery entry)
-takes an entry of ACCEPT, HEARTBEAT or AGENT_ANNOUNCE with more than one
-recipient when the domain's `HeardBoard` takes it, which it does only if
-the entry misses fewer followers than it reaches, can move no follower's
-election, and reaches no node outside the board but plain GosNodes. The
-take costs one board write plus a record for each follower that missed it
-or held one, so a settled heartbeat period (every member is up and hears
-every fan-out, and no power changes) costs the board write alone per
-fan-out, after one pass over the followers under HIGHEST_CONNECTIVITY.
-Every other entry goes through `on_message`, one recipient at a time.
+view. `GosNode.absorb` (the `simnet` hand-off of a whole delivery entry of
+several recipients) takes an entry of a peer entry when the domain's
+`HeardBoard` takes it, which it does only if the entry misses fewer
+followers than it reaches, can move no reached follower's election, and
+reaches no node outside the board but plain GosNodes. The take costs one
+board write plus a record for each follower that missed it or held one, so
+a settled heartbeat period (every member is up and hears every fan-out, and
+no power changes) costs the board write alone per fan-out, after one pass
+over the followers under HIGHEST_CONNECTIVITY. Members learn a newcomer
+from the board the same way: the board takes its JOIN fan-out after asking
+every follower reached, and `absorb` names each live member's replies
+(ACCEPT, and the agent's directed AGENT_ANNOUNCE), which the network sends
+after that member's deliver row; a joining or offline recipient learns
+nothing from a JOIN. Every other entry goes through `on_message`, one
+recipient at a time.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -249,12 +254,22 @@ class GosNode:
             discovery.handle_query_resp(self, net, msg)
         # DATA is a sink: it models bulk payload, nothing to do.
 
-    def absorb(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
+    def absorb(self, net: Network, recipients: tuple[NodeId, ...],
+               msg: Message) -> bool | list[tuple[Message, ...]]:
         """Take a delivery entry whole, in one write of the domain's
-        `HeardBoard`, or refuse it (the module docstring says which)."""
+        `HeardBoard`, or refuse it (the module docstring says which). A taken
+        JOIN names each recipient's replies to the newcomer."""
         kind = msg.kind
-        return (len(recipients) > 1 and kind is not _JOIN and kind in PEER_ENTRY_KINDS
-                and (self._board or _board(net, self)).take(net, recipients, msg))
+        if kind not in PEER_ENTRY_KINDS:
+            return False
+        board = self._board or _board(net, self)
+        if not board.take(net, recipients, msg):
+            return False
+        if kind is not _JOIN:
+            return True
+        followers, crashed = board.followers, net.crashed
+        return [() if member in crashed or (node := followers.get(member)) is None
+                else node._join_replies() for member in recipients]
 
     def on_timer(self, net: Network, tag: str) -> None:
         if tag == TIMER_JOIN_DEADLINE:
@@ -280,6 +295,13 @@ class GosNode:
                 net.send_unicast(self.node_id, sender.node_id, self._message(_AGENT_ANNOUNCE))
         elif phase is _JOINING and kind is not _JOIN:
             self._learn_joining(kind, (net.now, sender))
+
+    def _join_replies(self) -> tuple[Message, ...]:
+        """What this member sends a newcomer whose JOIN moves no election:
+        ACCEPT, and the agent's directed AGENT_ANNOUNCE (see `_on_peer`)."""
+        if self.agent == self.node_id:
+            return self._message(_ACCEPT), self._message(_AGENT_ANNOUNCE)
+        return (self._message(_ACCEPT),)
 
     def _learn_joining(self, kind: MessageKind, record: tuple[float, AitEntry]) -> None:
         """A joining node learns a peer entry other than JOIN, and takes an
@@ -453,9 +475,10 @@ class HeardBoard:
         node._board, self._seen = None, None
 
     def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
-        """Take a delivery entry of a peer entry other than JOIN in one write,
-        if it misses fewer followers than it reaches and each recipient's
-        `on_message` would only learn the entry; return whether it did,
+        """Take a delivery entry of a peer entry, a JOIN from a newcomer or
+        any other kind from a follower, in one write, if it misses fewer
+        followers than it reaches and each recipient's `on_message` would
+        only learn the entry (and answer a JOIN); return whether it did,
         changing nothing if not. An entry that holds every member but the
         sender is its fan-out.
 
@@ -466,12 +489,14 @@ class HeardBoard:
         (each is asked). Otherwise a follower that missed it gets an own record
         of the entry it last read, and one that got it drops its own."""
         sender, followers, n = msg.sender, self.followers, len(self.members)
-        sid, now = sender.node_id, net.now
-        if sid not in followers or not self._ready(net):
+        sid, now, join = sender.node_id, net.now, msg.kind is _JOIN
+        # A JOIN comes from a newcomer, any other peer entry from a follower.
+        if (sid in followers) is join or not self._ready(net):
             return False
         crashed, others, holders = net.crashed, self._others, self.pinned.get(sid)
         stored, power = self.entries.get(sid), sender.processing_power_mhz
-        # The write alone when no view can depart from the board (docstring).
+        # The write alone when no view can depart from the board (docstring);
+        # never for a JOIN, whose sender is one of `others`.
         if not (len(recipients) == n - 1 and not others and not holders
                 and stored is not None and stored.processing_power_mhz == power
                 and (not crashed or followers.keys().isdisjoint(crashed))):
@@ -486,14 +511,15 @@ class HeardBoard:
                 missed.update([m for m in crashed if m in followers and m != sid])
             if others:
                 others = [net.handlers.get(m) for m in others
-                          if (received is None or m in received) and m not in crashed]
+                          if m != sid and (received is None or m in received) and m not in crashed]
                 if any(node.__class__ is not GosNode for node in others):
                     return False
             holders = holders or set()
             got = holders - missed
-            # Who can move: any follower reached if the policy reads heard times, else
-            # one whose view of the sender lacks its power (none reading `stored`, or give up).
-            if self.timed:
+            # Who can move: any follower reached if the entry is a JOIN or the policy reads
+            # heard times, else one whose view of the sender lacks its power (none reading
+            # `stored`, or give up).
+            if join or self.timed:
                 asked = followers.keys() - missed
             elif len(followers) - 1 - len(missed) > len(got) and (
                     stored is None or stored.processing_power_mhz != power):
@@ -504,9 +530,10 @@ class HeardBoard:
             if asked and self._moves(sender, now, asked):
                 return False
             record, old = (now, sender), stored and (self.heard[sid], stored)
-            for node in others:
-                if node.phase is _JOINING:
-                    node._learn_joining(msg.kind, record)
+            if not join:  # a joining node ignores a JOIN
+                for node in others:
+                    if node.phase is _JOINING:
+                        node._learn_joining(msg.kind, record)
             for peer in got:
                 del followers[peer]._own[sid]
             for peer in missed - holders:

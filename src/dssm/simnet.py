@@ -60,16 +60,22 @@ tuple. Rows that a recipient's handler traces (a reply, say) start a new
 record after them, so rows stay in the order in which events ran. While a
 recipient's handler runs, trace[-1] is its deliver row.
 
-A handler may also have absorb(net, recipients, msg) -> bool. The loop asks
-the first recipient's handler once per delivery entry, if it has one. True
-means it took the whole entry: the loop writes the entry's deliver rows as
-one record, and no on_message runs. It may take an entry only when handling
-it changes the recipients' own state and nothing else: no send, no timer,
-no trace row, no metric, and for each recipient the state on_message would
-leave (none for a crashed one, since no handler runs for it). False means it
-changed nothing, and each recipient goes through on_message in turn. Either
-way rows keep their order and seqs, and pending() is what it would be had
-every recipient gone through on_message. absorb is optional.
+A handler may also have absorb(net, recipients, msg). The loop asks the
+first recipient's handler once per delivery entry of several recipients,
+if it has one; an entry of one recipient is one record, written before its
+handler runs, and is never offered. True means it took the whole entry: the
+loop writes the entry's deliver rows as one record, and no on_message runs.
+It may take an entry only when handling it changes the recipients' own state
+and nothing else: no send, no timer, no trace row, no metric, and for each
+recipient the state on_message would leave (none for a crashed one, since
+no handler runs for it). A list instead, one tuple of messages per
+recipient in recipient order, takes the whole entry with replies: the loop
+writes each recipient's deliver row, then sends that recipient's messages
+to the entry's sender with send_unicast, as on_message would have sent them
+(so none from a crashed recipient). False means it changed nothing, and
+each recipient goes through on_message in turn. Either way rows keep their
+order and seqs, draws and owed draws theirs, and pending() is what it would
+be had every recipient gone through on_message. absorb is optional.
 """
 
 from __future__ import annotations
@@ -514,10 +520,28 @@ class Network:
             records, crashed, handlers = trace._records, self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
-            absorb = getattr(handlers.get(to[0]), "absorb", None)
-            if absorb is not None and absorb(self, to, msg):
+            if len(to) == 1:
                 trace._append((time_ms, seq, "deliver", src, to, kind, size))
+                self._pending -= 1
+                handler = handlers.get(to[0])
+                if handler is not None and to[0] not in crashed:
+                    handler.on_message(self, msg)
+                return
+            absorb = getattr(handlers.get(to[0]), "absorb", None)
+            taken = absorb is not None and absorb(self, to, msg)
+            if taken:
                 self._pending -= len(to)
+                start = 0
+                if taken is not True:  # each recipient's replies follow its deliver row
+                    for i, replies in enumerate(taken):
+                        if replies:
+                            trace._append((time_ms, seq + start, "deliver", src,
+                                           to[start:i + 1], kind, size))
+                            start = i + 1
+                            for reply in replies:
+                                self.send_unicast(to[i], src, reply)
+                if start < len(to):  # to[0:] is to itself
+                    trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
             # The entry's send row comes first, so records is never empty.
             record = start = None

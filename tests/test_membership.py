@@ -708,6 +708,97 @@ def test_the_board_asks_each_highest_connectivity_follower_about_a_fan_out(to):
     assert [w.nodes[n].last_heard_ms[5] for n in (1, 2, 3, 4, 6)] == [last] * 5
 
 
+def _join_world(policy, newcomer, power, history):
+    """Members 3 (2660 MHz), 5 (2800 MHz) and 8 follow the board of a settled
+    domain, member 9 has crashed, node 6 is joining and the rest (7, and 2 or
+    10) are offline. The newcomer, 2 or 10 at `power`, has just sent its JOIN;
+    with `history` "left" it was a member and left before, and its entry
+    now has that power. Node 2 joins and leaves too, when it is not the
+    newcomer, so that the board holds no entry of either before the JOIN."""
+    w = World([(2, 1, 1024.0, 2500.0), (3, 1, 1024.0, 2660.0), (5, 1, 1024.0, 2800.0),
+               (6, 1, 1024.0, 2500.0), (7, 1, 1024.0, 2500.0), (8, 1, 1024.0, 2500.0),
+               (9, 1, 1024.0, 2500.0), (10, 1, 1024.0, 2500.0)], policy=policy)
+    early = (3, 5, 8, 9, newcomer) if history == "left" else (3, 5, 8, 9)
+    t = 0.0
+    for nid in early:
+        w.join(nid, at=t)
+        t += 50.0
+    w.settle(t + PARAMS.failure_timeout_ms)
+    if history == "left":
+        w.leave(newcomer)
+        w.settle(w.net.now + 50.0)
+    w.crash(9)
+    w.join(6)
+    node = w.nodes[newcomer]
+    node.phase = Phase.OFFLINE
+    node.self_entry = replace(node.self_entry, processing_power_mhz=power)
+    node.initiate_join(w.net)
+    return w
+
+
+@pytest.mark.parametrize("missed", [False, True], ids=["all_reached", "8_missed"])
+@pytest.mark.parametrize("stale", [False, True], ids=["fresh", "8_stale"])
+@pytest.mark.parametrize("history", ["new", "left"])
+@pytest.mark.parametrize("power", [2500.0, 2800.0, 3000.0], ids=lambda p: f"{p:.0f}")
+@pytest.mark.parametrize("newcomer", [2, 10], ids=lambda n: f"from{n}")
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
+        monkeypatch, policy, newcomer, power, history, stale, missed):
+    # A JOIN delivery entry to every node but the newcomer, or to all but
+    # follower 8. With `stale`, follower 8 last heard its agent over a
+    # failure timeout ago, which moves its election under HIGHEST_CONNECTIVITY.
+    # The board takes the JOIN, naming an ACCEPT from each live member and an
+    # AGENT_ANNOUNCE from the agent, exactly when no follower it reaches would
+    # re-elect; crashed, joining and offline recipients send nothing, and the
+    # newcomer's own handler does not count. Run output and every node's view
+    # equal those of the same delivery through on_message.
+    outputs, offered = [], []
+    absorb = GosNode.absorb
+
+    def counted(node, net, recipients, msg):
+        taken = absorb(node, net, recipients, msg)
+        offered.append(taken)
+        return taken
+
+    for via in ("absorb", "on_message"):
+        w = _join_world(policy, newcomer, power, history)
+        w.net.register_handler(newcomer, _CheckAfterEachEvent(w.nodes[newcomer], lambda: None))
+        if stale:
+            follower = w.nodes[8]
+            agent = w.nodes[follower.agent]
+            follower._hear(agent.node_id, (w.net.now - PARAMS.failure_timeout_ms - 1.0,
+                                           agent.self_entry))
+        entry = w.nodes[newcomer].self_entry
+        to = tuple(nid for nid in sorted(w.nodes) if nid != newcomer and not (missed and nid == 8))
+        live = [w.nodes[nid] for nid in to if w.nodes[nid].is_member and not w.net.is_crashed(nid)]
+        moved = any(_moves_election(node, entry, w.net.now) for node in live)
+        with monkeypatch.context() as patch:
+            if via == "absorb":
+                patch.setattr(GosNode, "absorb", counted)
+            else:
+                patch.delattr(GosNode, "absorb")
+            start = len(w.net.trace)
+            w.net._push_delivery(w.net.now, to, Message(J, entry))
+            w.net.run_until(w.net.now)
+        outputs.append((list(w.net.trace[start:]), moved,
+                        {nid: (node.ait.by_id, node.last_heard_ms, node.agent, node.phase)
+                         for nid, node in w.nodes.items()}))
+    assert outputs[0] == outputs[1]
+    (taken,) = offered
+    assert bool(taken) is not moved
+    if policy is LI and newcomer == 2 or policy is MP and power > 2800.0:
+        assert moved  # a lower id moves LOWEST_ID, and a stronger node MAX_POWER
+    if newcomer == 10 and power <= 2800.0 and not stale:
+        assert not moved
+    if taken:
+        agents = {node.agent for node in live}
+        assert [[reply.kind.name for reply in sent] for sent in taken] == [
+            ["ACCEPT", "AGENT_ANNOUNCE"] if nid in agents else ["ACCEPT"] if node in live else []
+            for nid, node in zip(to, map(w.nodes.get, to))]
+        assert all(reply.sender == w.nodes[nid].self_entry
+                   for nid, sent in zip(to, taken) for reply in sent)
+
+
 class _CheckAfterEachEvent:
     """Runs a node's handlers and then `check`, so a test sees the state
     after every event the node handles."""
@@ -815,10 +906,12 @@ def _run_outputs(doc, out):
 @given(seed=st.integers(0, 2**16), drop=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
        draw=st.integers(0, 2**16), policy=st.sampled_from(ElectionPolicy))
 @example(seed=3, drop=0.0, draw=1, policy=ElectionPolicy.MAX_POWER)
+@example(seed=3, drop=0.05, draw=1, policy=ElectionPolicy.MAX_POWER)
 def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy):
     # A join/leave/crash/rejoin script with queries and transfers, from the
     # golden generator; the same run with GosNode.absorb deleted sends every
-    # delivery through on_message, so no node reads a heard board. At drop 0
+    # delivery through on_message, so no node reads a heard board. At any
+    # drop, some JOIN fan-out goes on the board with its replies. At drop 0
     # every domain multicast shares one recipients tuple per sender, and
     # settled fan-outs go on the board with no follower missing them: the
     # capacity-only changes in the one write, node 1's power change through
@@ -826,12 +919,14 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     doc = update_goldens.generated_doc(policy.value, draw=f"absorb{draw}")
     doc["seed"] = seed
     doc["intra_domain_link"] = dict(doc["intra_domain_link"], drop_probability=drop)
-    taken, boarded, changes = [], [], []
+    taken, boarded, changes, joins = [], [], [], []
     absorb, take = GosNode.absorb, HeardBoard.take
 
     def counted(node, net, recipients, msg):
         took = absorb(node, net, recipients, msg)
         taken.append(took)
+        if msg.kind is J:
+            joins.append(took and took is not True and any(took))
         return took
 
     def counted_take(board, net, recipients, msg):
@@ -852,6 +947,7 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
         patch.delattr(GosNode, "absorb")
         one_by_one = _run_outputs(doc, tmp_path_factory.mktemp("on_message"))
     assert any(taken)
+    assert any(joins)  # a JOIN was taken, naming the members' replies
     assert any(boarded)  # a fan-out that no follower missed went on the board
     assert (True, True) not in changes  # a power change is never the one write
     if drop == 0.0:

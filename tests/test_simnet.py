@@ -563,23 +563,30 @@ def test_transfer_time_monotonic_in_size_and_delay():
         assert l1.transit_ms(500) < l2.transit_ms(500)
 
 
-def _interleaved_run(seed, drop):
+def _interleaved_run(seed, drop, reference=False):
     """Two domains whose handlers, in the middle of a fan-out, sometimes reply
     by unicast, multicast, or set a 0 ms timer, and sometimes send one of the
     sends `odd_send` makes. Each handler's seeded `absorb` takes some whole
-    delivery entries, which traces nothing, and refuses the rest. Every
-    handler checks the row trace[-1] shows it, that every record is complete
-    (their rows add up to len(trace)) and that pending() counts what is
-    queued, and logs (len(trace), that row); `absorb` checks that it is asked
-    by the first recipient's handler while pending() still counts every
+    delivery entries, which traces nothing, takes some naming replies (an
+    ACCEPT or two to the sender from some live recipients), and refuses the
+    rest. With `reference`, it refuses the entries it would take with
+    replies, and each of their recipients sends its replies from on_message
+    instead and does nothing else. Every handler checks the row trace[-1]
+    shows it, that every record is complete (their rows add up to
+    len(trace)) and that pending() counts what is queued, and logs
+    (len(trace), that row, pending()), but for those reference replies;
+    `absorb` checks that it is asked by the first recipient's handler, for
+    an entry of several recipients, while pending() still counts every
     recipient of the entry. Node 4 crashes after its JOIN, and the VIRTUAL
     group is nodes 1 and 5. Returns the network, that log, the (first seq,
-    recipients) of every delivery entry, and the first seq of every entry
-    absorb took."""
+    recipients) of every delivery entry, the first seq of every entry absorb
+    took whole, and (trace index of its first row, recipients, replies) of
+    every entry absorb took with replies (or would have)."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
     net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
     net.virtual_members = (1, 5)
-    seen, entries, taken_at = [], [], []
+    seen, entries, taken_at, replied = [], [], [], []
+    stash = []  # (member, replies) still to send from on_message, in `reference`
     budget = [60]
 
     push = net._push_delivery
@@ -633,23 +640,39 @@ def _interleaved_run(seed, drop):
             rows = list(net.trace)
             assert len(rows) == len(net.trace) and rows[-1] == row
             check_pending(net, row)
-            seen.append((len(net.trace), row))
+            if stash and stash[0][0] == self.me:
+                for reply in stash.pop(0)[1]:
+                    net.send_unicast(self.me, msg.sender.node_id, reply)
+                return
+            seen.append((len(net.trace), row, net.pending()))
             self.act(net, msg.sender.node_id)
 
         def on_timer(self, net, tag):
             row = net.trace[-1]
             assert row == (net.now, row.seq, "timer", "", str(self.me), tag, 0)
             check_pending(net, row)
-            seen.append((len(net.trace), row))
+            seen.append((len(net.trace), row, net.pending()))
             self.act(net, None)
 
         def absorb(self, net, recipients, msg):
             # No recipient of the entry is counted off yet, so none has a row.
-            assert recipients[0] == self.me
+            assert recipients[0] == self.me and len(recipients) > 1
             assert net.pending() == queued(net) + len(recipients)
-            if self.taking.random() < 0.4:
+            r = self.taking.random()
+            if r < 0.25:
                 taken_at.append(len(net.trace))
                 return True
+            if r >= 0.5:
+                return False
+            # A crashed recipient runs no handler, so it sends nothing.
+            replies = [() if member in net.crashed else
+                       (Message(MessageKind.ACCEPT, entry(member)),) * self.taking.randrange(3)
+                       for member in recipients]
+            replied.append((len(net.trace), recipients, replies))
+            if not reference:
+                return replies
+            stash.extend((member, sent) for member, sent in zip(recipients, replies)
+                         if member not in net.crashed)
             return False
 
         def act(self, net, sender):
@@ -674,13 +697,14 @@ def _interleaved_run(seed, drop):
     for which in range(4):
         odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
-    return net, seen, entries, [net.trace[k].seq for k in taken_at]
+    assert not stash
+    return net, seen, entries, [net.trace[k].seq for k in taken_at], replied
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3), data=st.data())
 def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, data):
-    net, seen, entries, _ = _interleaved_run(seed, drop)
+    net, seen, entries, _, _ = _interleaved_run(seed, drop)
     trace = net.trace
     rows = list(trace)
     assert all(type(row) is TraceRow for row in rows)
@@ -691,7 +715,7 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
         ("send", "1", "domain9", "HEARTBEAT"), ("send", "1", "4", "DATA")]
     assert len(trace) == len(rows) and trace == rows and rows == trace
     # The row each handler saw as trace[-1] is the row at that position.
-    assert all(rows[n - 1] == row for n, row in seen)
+    assert all(rows[n - 1] == row for n, row, _ in seen)
     # Each recipient's deliver row, taken by a handler or by absorb, appears
     # exactly once, and an entry's rows appear in seq order.
     delivered = [(r.seq, r.dst) for r in rows if r.kind == "deliver"]
@@ -824,7 +848,7 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
 @pytest.mark.parametrize("seed", range(5))
 def test_a_batch_is_one_record_between_other_rows(seed):
     # Every handler call of the run checks that the records are complete.
-    net, _, entries, taken = _interleaved_run(seed, 0.1)
+    net, _, entries, taken, _ = _interleaved_run(seed, 0.1)
     recipients = dict(entries)
     firsts = sorted(recipients)
     pieces, previous = {}, None
@@ -844,8 +868,35 @@ def test_a_batch_is_one_record_between_other_rows(seed):
     assert any(len(parts) > 1 for parts in pieces.values())
 
 
-def test_absorb_takes_whole_entries_of_several_recipients():
-    # The property above is meant to cover entries that absorb takes whole,
-    # not only single-recipient ones; these seeds make sure it does.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3))
+def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop):
+    # The same run with every reply sent from on_message instead: rows, seqs,
+    # the handlers' logs of pending(), and the draws and owed draws of the
+    # seeded generator are equal.
+    net, seen, entries, _, replied = _interleaved_run(seed, drop)
+    ref, ref_seen, ref_entries, _, ref_replied = _interleaved_run(seed, drop, reference=True)
+    assert list(net.trace) == list(ref.trace)
+    assert seen == ref_seen and entries == ref_entries and replied == ref_replied
+    assert net.rng.getstate() == ref.rng.getstate() and net._owed == ref._owed
+    assert net.pending() == ref.pending() == 0
+    # Each recipient's deliver row is followed by its replies' send rows.
+    rows = list(net.trace)
+    for at, recipients, replies in replied:
+        sender = rows[at].src
+        for member, sent in zip(recipients, replies):
+            assert rows[at][2:5] == ("deliver", sender, str(member))
+            assert [row[2:6] for row in rows[at + 1:at + 1 + len(sent)]] == [
+                ("send", str(member), sender, "ACCEPT")] * len(sent)
+            at += 1 + len(sent)
+
+
+def test_absorb_is_offered_entries_of_several_recipients_only():
+    # absorb asserts each entry it is offered has several recipients; these
+    # seeds make sure the runs also hold one-recipient entries, entries it
+    # takes whole and entries it takes with replies from a recipient other
+    # than the last, so that other rows fall inside a taken entry.
     runs = [_interleaved_run(seed, 0.1) for seed in range(5)]
-    assert any(len(dict(entries)[first]) > 1 for _, _, entries, taken in runs for first in taken)
+    assert any(len(to) == 1 for _, _, entries, _, _ in runs for _, to in entries)
+    assert any(taken for *_, taken, _ in runs)
+    assert any(any(replies[:-1]) for *_, replied in runs for _, _, replies in replied)
