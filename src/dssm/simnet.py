@@ -516,8 +516,7 @@ class Network:
         time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
-            trace = self.trace
-            records, crashed, handlers = trace._records, self.crashed, self.handlers
+            trace, crashed, handlers = self.trace, self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
             if len(to) == 1:
@@ -529,22 +528,26 @@ class Network:
                 return
             absorb = getattr(handlers.get(to[0]), "absorb", None)
             taken = absorb is not None and absorb(self, to, msg)
+            if taken is True:
+                trace._append((time_ms, seq, "deliver", src, to, kind, size))
+                self._pending -= len(to)
+                return
             if taken:
+                # Each recipient's replies follow its deliver row.
                 self._pending -= len(to)
                 start = 0
-                if taken is not True:  # each recipient's replies follow its deliver row
-                    for i, replies in enumerate(taken):
-                        if replies:
-                            trace._append((time_ms, seq + start, "deliver", src,
-                                           to[start:i + 1], kind, size))
-                            start = i + 1
-                            for reply in replies:
-                                self.send_unicast(to[i], src, reply)
-                if start < len(to):  # to[0:] is to itself
+                for i, replies in enumerate(taken):
+                    if replies:
+                        trace._append((time_ms, seq + start, "deliver", src, to[start:i + 1],
+                                       kind, size))
+                        start = i + 1
+                        for reply in replies:
+                            self.send_unicast(to[i], src, reply)
+                if start < len(to):
                     trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
             # The entry's send row comes first, so records is never empty.
-            record = start = None
+            records, record, start = trace._records, None, None
             for i, member in enumerate(to):
                 if records[-1] is not record:
                     # The entry's first row, or rows came in between: a new
