@@ -377,9 +377,9 @@ def test_peer_entry_handling(phase, kind, sender, learned, replies, agent):
 
 
 @pytest.mark.parametrize("phase,kind,sender,learned,replies,agent", PEER_TABLE, ids=PEER_IDS)
-def test_peer_entry_handling_offered_to_absorb_first(phase, kind, sender, learned, replies,
-                                                      agent):
-    # The network loop asks absorb first, and on_message runs only if it refuses.
+def test_peer_entry_handling_through_the_network(phase, kind, sender, learned, replies, agent):
+    # A unicast through the network loop: an entry of one recipient, written
+    # as one record and handed straight to on_message, never to absorb.
     _check_peer_entry(phase, kind, sender, learned, replies, agent, "network")
 
 
@@ -399,7 +399,16 @@ def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
     else:
         w.net.send_unicast(sender, 1, msg)
         rows = len(w.net.trace)
-        w.net.run_until(w.net.now + w.net.intra_link.transit_ms(message_size_bytes(kind)))
+        offered, absorb = [], GosNode.absorb
+
+        def recorded(node, net, recipients, msg):
+            offered.append(recipients)
+            return absorb(node, net, recipients, msg)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GosNode, "absorb", recorded)
+            w.net.run_until(w.net.now + w.net.intra_link.transit_ms(message_size_bytes(kind)))
+        assert all(len(to) > 1 for to in offered)  # none is the unicast
         assert ("deliver", "1", kind.name) in {(r.kind, r.dst, r.msg_kind)
                                                for r in w.net.trace[rows:]}
     assert (sender in node.ait) is learned
@@ -532,7 +541,7 @@ def test_absorb_takes_past_crashed_recipients_and_refuses_another_handler():
     w.net.now = 600.0  # so that a take would show in last_heard_ms
     for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA, J):
         assert not w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(kind, w.nodes[5].self_entry))
-    assert not w.nodes[1].absorb(w.net, (1,), msg)  # a unicast
+    assert not w.nodes[1].absorb(w.net, (1,), msg)  # misses more followers than it reaches
     w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
     assert not w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg)
     assert {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()} == views
@@ -711,10 +720,10 @@ def test_the_board_asks_each_highest_connectivity_follower_about_a_fan_out(to):
 def _join_world(policy, newcomer, power, history):
     """Members 3 (2660 MHz), 5 (2800 MHz) and 8 follow the board of a settled
     domain, member 9 has crashed, node 6 is joining and the rest (7, and 2 or
-    10) are offline. The newcomer, 2 or 10 at `power`, has just sent its JOIN;
-    with `history` "left" it was a member and left before, and its entry
-    now has that power. Node 2 joins and leaves too, when it is not the
-    newcomer, so that the board holds no entry of either before the JOIN."""
+    10) are offline. The newcomer, 2 or 10 at `power`, has just sent its JOIN.
+    With `history` "new" the board holds no entry of it; with "left" it was a
+    member at 2500 MHz and left, so the board holds that entry and each
+    follower a dropped record of it."""
     w = World([(2, 1, 1024.0, 2500.0), (3, 1, 1024.0, 2660.0), (5, 1, 1024.0, 2800.0),
                (6, 1, 1024.0, 2500.0), (7, 1, 1024.0, 2500.0), (8, 1, 1024.0, 2500.0),
                (9, 1, 1024.0, 2500.0), (10, 1, 1024.0, 2500.0)], policy=policy)
