@@ -30,20 +30,21 @@ timeout or LEAVE. Its own id reads its `self_entry`.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole delivery entry of
-several recipients) takes an entry of a peer entry when the domain's
-`HeardBoard` takes it, which it does only if the entry misses fewer
-followers than it reaches, can move no reached follower's election, and
-reaches no node outside the board but plain GosNodes. The take costs one
-board write plus a record for each follower that missed it or held one, so
-a settled heartbeat period (every member is up and hears every fan-out, and
-no power changes) costs the board write alone per fan-out, after one pass
-over the followers under HIGHEST_CONNECTIVITY. Members learn a newcomer
-from the board the same way: the board takes its JOIN fan-out after asking
-every follower reached, and `absorb` names each live member's replies
-(ACCEPT, and the agent's directed AGENT_ANNOUNCE), which the network sends
-after that member's deliver row; a joining or offline recipient learns
-nothing from a JOIN. Every other entry goes through `on_message`, one
-recipient at a time.
+several recipients) returns None, or the replies when the domain's
+`HeardBoard` takes an entry of a peer entry. The board takes it only if
+the entry misses fewer followers than it reaches, can move no reached
+follower's election, and reaches no node outside the board but plain
+GosNodes. The take costs one board write plus a record for each follower
+that missed it or held one, so a settled heartbeat period (every member
+is up and hears every fan-out, and no power changes) costs the board
+write alone per fan-out, after one pass over the followers under
+HIGHEST_CONNECTIVITY. Such a take has no replies, (). Members learn a
+newcomer from the board the same way: the board takes its JOIN fan-out
+after asking every follower reached, and the replies are each live
+member's (ACCEPT, and the agent's directed AGENT_ANNOUNCE), which the
+network sends after that member's deliver row; a joining or offline
+recipient learns nothing from a JOIN. Every refused entry goes through
+`on_message`, one recipient at a time.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import is_
@@ -255,18 +257,19 @@ class GosNode:
         # DATA is a sink: it models bulk payload, nothing to do.
 
     def absorb(self, net: Network, recipients: tuple[NodeId, ...],
-               msg: Message) -> bool | list[tuple[Message, ...]]:
+               msg: Message) -> Sequence[tuple[Message, ...]] | None:
         """Take a delivery entry whole, in one write of the domain's
-        `HeardBoard`, or refuse it (the module docstring says which). A taken
-        JOIN names each recipient's replies to the newcomer."""
+        `HeardBoard`, and return the replies, or refuse it and return None
+        (the module docstring says which). Only a taken JOIN has replies,
+        one tuple for each recipient to the newcomer."""
         kind = msg.kind
         if kind not in PEER_ENTRY_KINDS:
-            return False
+            return None
         board = self._board or _board(net, self)
         if not board.take(net, recipients, msg):
-            return False
+            return None
         if kind is not _JOIN:
-            return True
+            return ()
         followers, crashed = board.followers, net.crashed
         return [() if member in crashed or (node := followers.get(member)) is None
                 else node._join_replies() for member in recipients]

@@ -124,23 +124,23 @@ def _get(obj: dict, key: str, types, ctx: str, default=_REQUIRED):
 # -- script actions --------------------------------------------------------------
 
 
-def _check_node(action, name, value, scenario, known):
+def _check_node(action, name, value, known):
     if value not in known:
         raise ValidationError(f"script references unknown node {value}")
 
 
-def _check_positive(action, name, value, scenario, known):
+def _check_positive(action, name, value, known):
     if value <= 0:
         raise ValidationError(f"{action.KIND} {name} {value} must be > 0")
 
 
-def _check_scope(action, name, value, scenario, known):
+def _check_scope(action, name, value, known):
     if value not in ("intra", "inter"):
         raise ValidationError(f"{action.KIND} {name} must be intra or inter, got {value}")
 
 
 # Field kinds: (accepted JSON types, default when absent or _REQUIRED, check).
-# A check is called as check(action, attribute, value, scenario, known ids);
+# A check is called as check(action, attribute, value, known ids);
 # a link value is checked with its link (Scenario.validate).
 NODE = (int, _REQUIRED, _check_node)
 SIZE = (_NUMBER, _REQUIRED, _check_positive)
@@ -163,9 +163,9 @@ class Action:
         cls.CHECKS = tuple((name, check) for name, (_, (_, _, check)) in zip(own, fields)
                            if check is not None)
 
-    def check(self, scenario: Scenario, known: set[NodeId]) -> None:
+    def check(self, known: set[NodeId]) -> None:
         for name, check in self.CHECKS:
-            check(self, name, getattr(self, name), scenario, known)
+            check(self, name, getattr(self, name), known)
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ class Scenario:
                     f"script times must be non-decreasing: {action.time_ms} after {last_t}"
                 )
             last_t = action.time_ms
-            action.check(self, known)
+            action.check(known)
             if isinstance(action, SetLink):
                 try:
                     links[action.scope] = action.applied(links[action.scope])

@@ -53,29 +53,29 @@ kind, src, dsts, msg_kind, size_bytes): row j of a record has seq
 first_seq + j, from str(src) and to str(dsts[j]), and is built only when
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
-(owner,) with src "". A delivery entry's record holds a slice of its
-recipients and grows row by row while no other row comes in between, so an
-entry that nothing interrupts is one record sharing the entry's recipients
-tuple. Rows that a recipient's handler traces (a reply, say) start a new
-record after them, so rows stay in the order in which events ran. While a
+(owner,) with src "". A record never changes once appended. While a
 recipient's handler runs, trace[-1] is its deliver row.
 
-A handler may also have absorb(net, recipients, msg). The loop asks the
-first recipient's handler once per delivery entry of several recipients,
-if it has one; an entry of one recipient is one record, written before its
-handler runs, and is never offered. True means it took the whole entry: the
-loop writes the entry's deliver rows as one record, and no on_message runs.
-It may take an entry only when handling it changes the recipients' own state
-and nothing else: no send, no timer, no trace row, no metric, and for each
-recipient the state on_message would leave (none for a crashed one, since
-no handler runs for it). A list instead, one tuple of messages per
-recipient in recipient order, takes the whole entry with replies: the loop
-writes each recipient's deliver row, then sends that recipient's messages
-to the entry's sender with send_unicast, as on_message would have sent them
-(so none from a crashed recipient). False means it changed nothing, and
-each recipient goes through on_message in turn. Either way rows keep their
-order and seqs, draws and owed draws theirs, and pending() is what it would
-be had every recipient gone through on_message. absorb is optional.
+A handler may also have absorb(net, recipients, msg), which returns None
+or the replies. The loop asks the first recipient's handler once per
+delivery entry of several recipients, if it has one; an entry of one
+recipient is never offered. None refuses the entry: absorb changed
+nothing, and each recipient in turn gets its deliver row, as a record of
+one row, and then its on_message. The replies take the whole entry: a
+sequence of tuples of messages, one per recipient in recipient order, and
+recipients past its end send nothing, so () takes it silently. The loop
+writes each replying recipient's deliver row, after the rows not yet
+written before it, as one record, then sends that recipient's messages to
+the entry's sender with send_unicast, as on_message would have sent them
+(so none from a crashed recipient); the rest of the entry is one record,
+so a silent take is one record sharing the entry's recipients tuple.
+absorb may take an entry only when handling it sends those replies and
+changes the recipients' own state, and nothing else: no other send, no
+timer, no trace row, no metric, and for each recipient the state
+on_message would leave (none for a crashed one, since no handler runs for
+it). Either way rows keep their order and seqs, draws and owed draws
+theirs, and pending() is what it would be had every recipient gone
+through on_message. absorb is optional.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ from .core import (
     Message,
     MessageKind,
     NodeId,
+    _MAX_DOMAIN_ID,
+    _MAX_NODE_ID,
     message_size_bytes,
     transit_size_bytes,
 )
@@ -167,9 +169,9 @@ class Topology:
         for node, domain in self.nodes.items():
             if domain is None:
                 raise InvalidTopology(f"node {node} has no domain")
-            if not 0 <= domain <= 2**16 - 1:
+            if not 0 <= domain <= _MAX_DOMAIN_ID:
                 raise InvalidTopology(f"domain {domain} outside 0..65535")
-            if not 1 <= node <= 2**32 - 1:
+            if not 1 <= node <= _MAX_NODE_ID:
                 raise InvalidTopology(f"node id {node} outside 1..2^32-1")
 
 
@@ -258,7 +260,7 @@ class Trace(Sequence):
     def _locate(self, i: int) -> int:
         """The index of the record that holds row i, for 0 <= i < len."""
         starts, records = self._starts, self._records
-        # Only the last record can still grow, and no start depends on it.
+        # Records never change once appended, so each start is found once.
         for k in range(len(starts), len(records)):
             starts.append(starts[k - 1] + len(records[k - 1][4]) if k else 0)
         return bisect_right(starts, i) - 1
@@ -369,7 +371,8 @@ class Network:
         """Attach the protocol object that receives this node's events.
 
         The handler must expose on_message(net, msg) and on_timer(net, tag),
-        and may expose absorb(net, recipients, msg) (module docstring).
+        and may expose absorb(net, recipients, msg), which returns None or
+        the replies (module docstring).
         """
         self._require(node_id)
         self.handlers[node_id] = handler
@@ -519,44 +522,29 @@ class Network:
             trace, crashed, handlers = self.trace, self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
-            if len(to) == 1:
-                trace._append((time_ms, seq, "deliver", src, to, kind, size))
-                self._pending -= 1
-                handler = handlers.get(to[0])
-                if handler is not None and to[0] not in crashed:
-                    handler.on_message(self, msg)
-                return
-            absorb = getattr(handlers.get(to[0]), "absorb", None)
-            taken = absorb is not None and absorb(self, to, msg)
-            if taken is True:
-                trace._append((time_ms, seq, "deliver", src, to, kind, size))
-                self._pending -= len(to)
-                return
-            if taken:
+            absorb = len(to) > 1 and getattr(handlers.get(to[0]), "absorb", None)
+            taken = absorb(self, to, msg) if absorb else None
+            if taken is not None:
                 # Each recipient's replies follow its deliver row.
                 self._pending -= len(to)
                 start = 0
-                for i, replies in enumerate(taken):
-                    if replies:
-                        trace._append((time_ms, seq + start, "deliver", src, to[start:i + 1],
-                                       kind, size))
-                        start = i + 1
-                        for reply in replies:
-                            self.send_unicast(to[i], src, reply)
+                if taken:  # most takes are silent, (); they skip the loop's set-up
+                    for i, replies in enumerate(taken):
+                        if replies:
+                            trace._append((time_ms, seq + start, "deliver", src, to[start:i + 1],
+                                           kind, size))
+                            start = i + 1
+                            for reply in replies:
+                                self.send_unicast(to[i], src, reply)
                 if start < len(to):
                     trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
-            # The entry's send row comes first, so records is never empty.
-            records, record, start = trace._records, None, None
-            for i, member in enumerate(to):
-                if records[-1] is not record:
-                    # The entry's first row, or rows came in between: a new
-                    # record. Otherwise the current one grows by a row.
-                    start = i
-                    records.append(None)
-                records[-1] = record = (time_ms, seq + start, "deliver", src,
-                                        to[start:i + 1], kind, size)
-                trace._len += 1
+            # A counter costs less than enumerate, and most entries here are
+            # unicasts.
+            i = 0
+            for member in to:
+                trace._append((time_ms, seq + i, "deliver", src, to[i:i + 1], kind, size))
+                i += 1
                 self._pending -= 1
                 handler = handlers.get(member)
                 if handler is not None and member not in crashed:

@@ -518,10 +518,10 @@ def test_the_board_takes_a_fan_out_only_when_it_moves_no_recipient_and_is_no_joi
                or "new" in change and policy is not HC)
     to = tuple(nid for nid in sorted(w.nodes) if nid != sid)
     taken = node.absorb(w.net, to, Message(kind, entry))
-    assert taken is not refused
+    assert (taken is None) is refused
     if change == "stronger new":
-        assert not taken
-    if taken:
+        assert taken is None
+    if taken is not None:
         assert node.ait.get(sid) is entry and node.last_heard_ms[sid] == w.net.now
     else:
         assert (node.ait.get(sid), node.last_heard_ms.get(sid)) == held
@@ -534,16 +534,16 @@ def test_absorb_takes_past_crashed_recipients_and_refuses_another_handler():
     w.settle(500.0)
     w.crash(2)
     msg = Message(H, w.nodes[5].self_entry)
-    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg)
+    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg) == ()
     assert [w.nodes[n].last_heard_ms[5] for n in (1, 3, 4)] == [500.0] * 3
     assert w.nodes[2].last_heard_ms[5] < 500.0
     views = {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()}
     w.net.now = 600.0  # so that a take would show in last_heard_ms
     for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA, J):
-        assert not w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(kind, w.nodes[5].self_entry))
-    assert not w.nodes[1].absorb(w.net, (1,), msg)  # misses more followers than it reaches
+        assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(kind, w.nodes[5].self_entry)) is None
+    assert w.nodes[1].absorb(w.net, (1,), msg) is None  # misses more followers than it reaches
     w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
-    assert not w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg)
+    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg) is None
     assert {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()} == views
 
 
@@ -573,10 +573,10 @@ def _heartbeat_at(w, peer, t, board):
         return
     to = tuple(nid for nid in sorted(w.nodes) if nid != peer)
     first = w.nodes[to[0]]
-    assert not first.absorb(w.net, to, msg)  # a new sender, read from the board
+    assert first.absorb(w.net, to, msg) is None  # a new sender, read from the board
     for nid in to:
         w.nodes[nid].on_message(w.net, msg)
-    assert first.absorb(w.net, to, msg)  # every recipient has a record
+    assert first.absorb(w.net, to, msg) == ()  # every recipient has a record
     board = w.net.heard_boards[1]
     assert board.heard[peer] == t and board.entries[peer] is msg.sender
 
@@ -712,7 +712,7 @@ def test_the_board_asks_each_highest_connectivity_follower_about_a_fan_out(to):
     assert [n.agent for n in w.nodes.values()] == [1] * 6 and not board.pinned.get(5)
     node._hear(1, (w.net.now - PARAMS.failure_timeout_ms - 1.0, w.nodes[1].self_entry))
     last = board.heard[5]
-    assert not w.nodes[1].absorb(w.net, to, Message(H, w.nodes[5].self_entry))
+    assert w.nodes[1].absorb(w.net, to, Message(H, w.nodes[5].self_entry)) is None
     assert board.heard[5] == last
     assert [w.nodes[n].last_heard_ms[5] for n in (1, 2, 3, 4, 6)] == [last] * 5
 
@@ -794,12 +794,12 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
                          for nid, node in w.nodes.items()}))
     assert outputs[0] == outputs[1]
     (taken,) = offered
-    assert bool(taken) is not moved
+    assert (taken is None) is moved
     if policy is LI and newcomer == 2 or policy is MP and power > 2800.0:
         assert moved  # a lower id moves LOWEST_ID, and a stronger node MAX_POWER
     if newcomer == 10 and power <= 2800.0 and not stale:
         assert not moved
-    if taken:
+    if taken is not None:
         agents = {node.agent for node in live}
         assert [[reply.kind.name for reply in sent] for sent in taken] == [
             ["ACCEPT", "AGENT_ANNOUNCE"] if nid in agents else ["ACCEPT"] if node in live else []
@@ -935,7 +935,7 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
         took = absorb(node, net, recipients, msg)
         taken.append(took)
         if msg.kind is J:
-            joins.append(took and took is not True and any(took))
+            joins.append(took is not None and any(took))
         return took
 
     def counted_take(board, net, recipients, msg):
@@ -955,7 +955,7 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(GosNode, "absorb")
         one_by_one = _run_outputs(doc, tmp_path_factory.mktemp("on_message"))
-    assert any(taken)
+    assert any(took is not None for took in taken)
     assert any(joins)  # a JOIN was taken, naming the members' replies
     assert any(boarded)  # a fan-out that no follower missed went on the board
     assert (True, True) not in changes  # a power change is never the one write

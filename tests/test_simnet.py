@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_right
 from dataclasses import replace
+from operator import is_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -574,18 +575,19 @@ def _interleaved_run(seed, drop, reference=False):
     instead and does nothing else. Every handler checks the row trace[-1]
     shows it, that every record is complete (their rows add up to
     len(trace)) and that pending() counts what is queued, and logs
-    (len(trace), that row, pending()), but for those reference replies;
-    `absorb` checks that it is asked by the first recipient's handler, for
-    an entry of several recipients, while pending() still counts every
-    recipient of the entry. Node 4 crashes after its JOIN, and the VIRTUAL
-    group is nodes 1 and 5. Returns the network, that log, the (first seq,
-    recipients) of every delivery entry, the first seq of every entry absorb
-    took whole, and (trace index of its first row, recipients, replies) of
-    every entry absorb took with replies (or would have)."""
+    (len(trace), that row, pending()), but for those reference replies, and
+    keeps a copy of the list of records it saw; `absorb` checks that it is
+    asked by the first recipient's handler, for an entry of several
+    recipients, while pending() still counts every recipient of the entry.
+    Node 4 crashes after its JOIN, and the VIRTUAL group is nodes 1 and 5.
+    Returns the network, that log, the (first seq, recipients) of every
+    delivery entry, the first seq of every entry absorb took silently,
+    (trace index of its first row, recipients, replies) of every entry absorb
+    took with replies (or would have), and those copies of the records."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
     net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
     net.virtual_members = (1, 5)
-    seen, entries, taken_at, replied = [], [], [], []
+    seen, entries, taken_at, replied, held = [], [], [], [], []
     stash = []  # (member, replies) still to send from on_message, in `reference`
     budget = [60]
 
@@ -604,6 +606,7 @@ def _interleaved_run(seed, drop, reference=False):
         # Every queued recipient and timer entry, plus the recipients after
         # this one in the entry being delivered, which no record holds yet.
         assert sum(len(record[4]) for record in net.trace._records) == len(net.trace)
+        held.append(list(net.trace._records))
         untaken = 0
         if row.kind == "deliver":
             untaken = next(first + len(to) for first, to in entries
@@ -661,9 +664,9 @@ def _interleaved_run(seed, drop, reference=False):
             r = self.taking.random()
             if r < 0.25:
                 taken_at.append(len(net.trace))
-                return True
+                return ()
             if r >= 0.5:
-                return False
+                return None
             # A crashed recipient runs no handler, so it sends nothing.
             replies = [() if member in net.crashed else
                        (Message(MessageKind.ACCEPT, entry(member)),) * self.taking.randrange(3)
@@ -673,7 +676,7 @@ def _interleaved_run(seed, drop, reference=False):
                 return replies
             stash.extend((member, sent) for member, sent in zip(recipients, replies)
                          if member not in net.crashed)
-            return False
+            return None
 
         def act(self, net, sender):
             if budget[0] <= 0:
@@ -698,13 +701,13 @@ def _interleaved_run(seed, drop, reference=False):
         odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
     assert not stash
-    return net, seen, entries, [net.trace[k].seq for k in taken_at], replied
+    return net, seen, entries, [net.trace[k].seq for k in taken_at], replied, held
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3), data=st.data())
 def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, data):
-    net, seen, entries, _, _ = _interleaved_run(seed, drop)
+    net, seen, entries, *_ = _interleaved_run(seed, drop)
     trace = net.trace
     rows = list(trace)
     assert all(type(row) is TraceRow for row in rows)
@@ -846,26 +849,33 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_a_batch_is_one_record_between_other_rows(seed):
-    # Every handler call of the run checks that the records are complete.
-    net, _, entries, taken, _ = _interleaved_run(seed, 0.1)
-    recipients = dict(entries)
-    firsts = sorted(recipients)
-    pieces, previous = {}, None
-    for _, first, kind, _, dsts, _, _ in net.trace._records:
-        entry = firsts[bisect_right(firsts, first) - 1] if kind == "deliver" else None
-        if entry is not None:
-            offset = first - entry
-            assert dsts == recipients[entry][offset:offset + len(dsts)]
-            # Two records of one entry have other rows between them.
-            assert entry != previous
-            pieces.setdefault(entry, []).append(dsts)
-        previous = entry
-    # An entry that nothing interrupts shares its recipients tuple, and so
-    # does every entry absorb took.
-    assert all(len(pieces[first]) > 1 or pieces[first][0] is to for first, to in entries)
-    assert all(pieces[first] == [recipients[first]] for first in taken)
-    assert any(len(parts) > 1 for parts in pieces.values())
+def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
+    # A taken entry is one record per run of recipients that ends at a
+    # replying one, then one for the rest, so it shares its recipients tuple
+    # when none replies. A refused entry is one record per recipient.
+    net, _, entries, taken, replied, held = _interleaved_run(seed, 0.1)
+    records = net.trace._records
+    firsts = sorted(first for first, _ in entries)
+    pieces = {}
+    for _, first, kind, _, dsts, _, _ in records:
+        if kind == "deliver":
+            entry = firsts[bisect_right(firsts, first) - 1]
+            pieces.setdefault(entry, []).append((first - entry, dsts))
+    replies = {net.trace[at].seq: sent for at, _, sent in replied}
+    for first, to in entries:
+        if first in taken or first in replies:
+            ends = [i + 1 for i, sent in enumerate(replies.get(first, ())) if sent]
+            bounds = sorted({0, *ends, len(to)})
+        else:
+            bounds = range(len(to) + 1)
+        assert pieces[first] == [(lo, to[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        if len(pieces[first]) == 1:
+            assert pieces[first][0][1] is to
+    assert any(len(to) > 1 and first not in taken and first not in replies
+               for first, to in entries)
+    # No record changes once appended: every record a handler saw is still
+    # the same object at the end of the run.
+    assert all(len(seen) <= len(records) and all(map(is_, seen, records)) for seen in held)
 
 
 @settings(max_examples=60, deadline=None)
@@ -874,8 +884,8 @@ def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop):
     # The same run with every reply sent from on_message instead: rows, seqs,
     # the handlers' logs of pending(), and the draws and owed draws of the
     # seeded generator are equal.
-    net, seen, entries, _, replied = _interleaved_run(seed, drop)
-    ref, ref_seen, ref_entries, _, ref_replied = _interleaved_run(seed, drop, reference=True)
+    net, seen, entries, _, replied, _ = _interleaved_run(seed, drop)
+    ref, ref_seen, ref_entries, _, ref_replied, _ = _interleaved_run(seed, drop, reference=True)
     assert list(net.trace) == list(ref.trace)
     assert seen == ref_seen and entries == ref_entries and replied == ref_replied
     assert net.rng.getstate() == ref.rng.getstate() and net._owed == ref._owed
@@ -897,6 +907,6 @@ def test_absorb_is_offered_entries_of_several_recipients_only():
     # takes whole and entries it takes with replies from a recipient other
     # than the last, so that other rows fall inside a taken entry.
     runs = [_interleaved_run(seed, 0.1) for seed in range(5)]
-    assert any(len(to) == 1 for _, _, entries, _, _ in runs for _, to in entries)
-    assert any(taken for *_, taken, _ in runs)
-    assert any(any(replies[:-1]) for *_, replied in runs for _, _, replies in replied)
+    assert any(len(to) == 1 for _, _, entries, *_ in runs for _, to in entries)
+    assert any(taken for *_, taken, _, _ in runs)
+    assert any(any(replies[:-1]) for *_, replied, _ in runs for _, _, replies in replied)
