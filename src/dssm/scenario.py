@@ -298,10 +298,9 @@ class Scenario:
                     links[action.scope] = action.applied(links[action.scope])
                 except DssmError as exc:
                     raise ValidationError(f"{action.KIND} {exc}") from exc
-        for p in ("accept_window_ms", "heartbeat_period_ms",
-                  "failure_timeout_ms", "response_window_ms"):
-            if getattr(self.params, p) <= 0:
-                raise ValidationError(f"param {p} must be > 0")
+        for field in fields(ProtocolParams):
+            if getattr(self.params, field.name) <= 0:
+                raise ValidationError(f"param {field.name} must be > 0")
         # A timeout of one period or less drops a live peer after a single
         # lost heartbeat, or between two heartbeats without any loss.
         if self.params.failure_timeout_ms <= self.params.heartbeat_period_ms:

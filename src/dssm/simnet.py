@@ -5,13 +5,10 @@ configurable delay, drop probability and bandwidth. The event loop is
 single-threaded; (topology, seed) fully determine the run, so traces
 from identical inputs are byte-identical.
 
-Every delivery attempt owes one `random()` draw from the seeded generator,
-in send order and, within a multicast, in member order. An attempt on a
-lossless link (drop_probability 0) draws nothing and adds one to a debt,
-paid before the next real draw by `getrandbits(64 * k)` in chunks of at
-most _OWED_CHUNK: that advances the Mersenne Twister exactly as k
-`random()` calls do. So each drop decision sees the draw it would see with
-one draw per attempt, whatever `set_link` switches between the two.
+A delivery attempt over a lossy link draws one `random()` from the seeded
+generator, in send order and, within a multicast, in member order, and is
+dropped if the draw is below the link's drop_probability. An attempt over
+a lossless link (drop_probability 0) draws nothing.
 
 Delivery latency for a message of s bytes over a link is
 
@@ -26,8 +23,8 @@ order: UnknownNode for an unknown src, NodeCrashed for a crashed src,
 UnknownNode for an unknown dst, then InvalidValue for a bad DATA size; a
 multicast the first two and the last, and set_timer UnknownNode for an
 unknown owner, then InvalidValue for a negative or non-finite delay. A
-refused call adds no trace row, takes no seq, owes or draws nothing and
-queues nothing.
+refused call adds no trace row, takes no seq, draws nothing and queues
+nothing.
 
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
@@ -73,9 +70,9 @@ absorb may take an entry only when handling it sends those replies and
 changes the recipients' own state, and nothing else: no other send, no
 timer, no trace row, no metric, and for each recipient the state
 on_message would leave (none for a crashed one, since no handler runs for
-it). Either way rows keep their order and seqs, draws and owed draws
-theirs, and pending() is what it would be had every recipient gone
-through on_message. absorb is optional.
+it). Either way rows keep their order and seqs, draws theirs, and
+pending() is what it would be had every recipient gone through
+on_message. absorb is optional.
 """
 
 from __future__ import annotations
@@ -108,8 +105,6 @@ from .core import (
 # Distinguished multicast group holding the current domain agents.
 VIRTUAL: DomainId = -1
 
-# The most owed draws paid with one getrandbits call: 64 bits each.
-_OWED_CHUNK = 4096
 # The largest message but DATA, whose transit size is its payload's: every
 # link must carry it in finite time.
 _CONTROL_BYTES = max(message_size_bytes(kind) for kind in MessageKind
@@ -335,8 +330,6 @@ class Network:
         self.intra_link = topology.intra_domain_link
         self.inter_link = topology.inter_domain_link
         self.rng = random.Random(seed)
-        # Draws owed by lossless attempts, paid before the next real draw.
-        self._owed = 0
         self.now = 0.0
         self.handlers: dict[NodeId, object] = {}
         # Bumped by register_handler, so a handler can cache who handles whom.
@@ -405,19 +398,14 @@ class Network:
         size, dsts = transit_size_bytes(msg), (dst,)
         self._trace_send(src, dsts, msg, size)
         link = self.intra_link if same else self.inter_link
-        if not link.drop_probability:
-            self._owed += 1
-        else:
-            if self._owed:
-                self._pay()
-            if self.rng.random() < link.drop_probability:
-                return
+        if link.drop_probability and self.rng.random() < link.drop_probability:
+            return
         self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
 
     def send_multicast(self, src: NodeId, group: DomainId, msg: Message) -> None:
         """One independent delivery attempt per group member except the
-        sender, each owing its own drop draw. VIRTUAL targets the current
-        agents over the inter-domain link."""
+        sender; over a lossy link each draws once (module docstring). VIRTUAL
+        targets the current agents over the inter-domain link."""
         self._require_live(src)
         if group == VIRTUAL:
             members, link = self.virtual_members, self.inter_link
@@ -428,9 +416,7 @@ class Network:
         self._trace_send(src, label, msg, size)
         drop = link.drop_probability
         if drop:
-            if self._owed:
-                self._pay()
-            # One draw per attempt, in member order, keeps the stream aligned.
+            # One draw per attempt, in member order.
             draw = self.rng.random
             recipients = tuple([m for m in members if m != src and draw() >= drop])
         else:
@@ -439,7 +425,6 @@ class Network:
                 recipients = tuple([m for m in members if m != src])
                 if group != VIRTUAL:  # the agents change; a domain does not
                     self._fanouts[(group, src)] = recipients
-            self._owed += len(recipients)
         if recipients:
             self._push_delivery(self.now + link.transit_ms(size), recipients, msg)
 
@@ -496,13 +481,6 @@ class Network:
             self._require(node_id)
             raise NodeCrashed(f"node {node_id} is crashed and cannot send")
         return domain
-
-    def _pay(self) -> None:
-        """Advance the generator past the owed draws (module docstring)."""
-        while self._owed:
-            k = min(self._owed, _OWED_CHUNK)
-            self.rng.getrandbits(64 * k)
-            self._owed -= k
 
     def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
         self._seq += 1

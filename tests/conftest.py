@@ -1,7 +1,9 @@
 """Shared helpers: hand-wired protocol worlds without the scenario layer,
-and the scripts under scripts/ loaded as modules."""
+scripted drop decisions, and the scripts under scripts/ loaded as
+modules."""
 
 import importlib.util
+from itertools import chain, combinations
 from pathlib import Path
 
 from dssm.core import AitEntry
@@ -91,3 +93,30 @@ class World:
             r for r in self.net.trace
             if r.kind == "deliver" and (kind_name is None or r.msg_kind == kind_name)
         ]
+
+
+class ScriptedDraws:
+    """Stands in for Network.rng to choose which lossy attempts drop: each
+    random() call is the drop draw of one attempt over a lossy link (simnet's
+    link model). Every attempt before `from_ms` is delivered; from then on,
+    the attempt of index i, counted from 0, drops if i is in `drops`."""
+
+    # DELIVER survives any drop_probability below 0.99, DROP any above 0.
+    DELIVER, DROP = 0.99, 0.0
+
+    def __init__(self, net, from_ms, drops):
+        self.net, self.from_ms, self.drops = net, from_ms, frozenset(drops)
+        # Attempts drawn at or after from_ms.
+        self.attempts = 0
+
+    def random(self):
+        if self.net.now < self.from_ms:
+            return self.DELIVER
+        i, self.attempts = self.attempts, self.attempts + 1
+        return self.DROP if i in self.drops else self.DELIVER
+
+
+def drop_patterns(attempts, most):
+    """Every set of at most `most` of the indices range(attempts), as sorted
+    tuples, smaller sets first; the empty set is the first."""
+    return chain.from_iterable(combinations(range(attempts), k) for k in range(most + 1))

@@ -265,6 +265,23 @@ def test_non_finite_and_out_of_range_numbers_fail_at_load(doc, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad,named", [
+    (["accept_window_ms"], "accept_window_ms"),
+    (["heartbeat_period_ms"], "heartbeat_period_ms"),
+    (["failure_timeout_ms"], "failure_timeout_ms"),
+    (["response_window_ms"], "response_window_ms"),
+    (["response_window_ms", "heartbeat_period_ms"], "heartbeat_period_ms"),
+    (["response_window_ms", "failure_timeout_ms", "accept_window_ms"], "accept_window_ms"),
+])
+def test_the_first_param_not_above_zero_is_named(bad, named):
+    doc = minimal_doc()
+    for name in bad:
+        doc["params"][name] = 0.0
+    with pytest.raises(ValidationError) as info:
+        scenario_from_json(doc)
+    assert str(info.value) == f"param {named} must be > 0"
+
+
 def test_every_action_subclass_is_in_the_table():
     assert set(Action.__subclasses__()) == set(ACTIONS.values())
     assert all(kind == cls.KIND for kind, cls in ACTIONS.items())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_script
-from dssm import scenario, simnet
+from dssm import scenario
 from dssm.core import AitEntry, InvalidValue, Message, MessageKind, transit_size_bytes
 from dssm.discovery import VirtualDomain
 from dssm.metrics import export_metrics
@@ -225,9 +225,10 @@ def test_multicast_draws_once_per_attempt_in_member_order():
     assert all(len(recs[n].messages) == (n in survivors) for n in ids)
 
 
-class DrawPerAttempt(Network):
-    """The reference drop rule: every delivery attempt draws once, in send
-    and member order, lossless or not."""
+class DrawPerLossyAttempt(Network):
+    """The reference drop rule: an attempt over a lossy link draws once, in
+    send and member order, and one over a lossless link never draws. No
+    fan-out is cached."""
 
     def send_unicast(self, src, dst, msg):
         self._require_live(src)
@@ -235,7 +236,8 @@ class DrawPerAttempt(Network):
         size, dsts = transit_size_bytes(msg), (dst,)
         self._trace_send(src, dsts, msg, size)
         link = self.link_between(src, dst)
-        if self.rng.random() >= link.drop_probability:
+        drop = link.drop_probability
+        if not drop or self.rng.random() >= drop:
             self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
 
     def send_multicast(self, src, group, msg):
@@ -247,7 +249,7 @@ class DrawPerAttempt(Network):
         size = transit_size_bytes(msg)
         self._trace_send(src, self._labels.get(group) or (f"domain{group}",), msg, size)
         drop, draw = link.drop_probability, self.rng.random
-        recipients = tuple([m for m in members if m != src and draw() >= drop])
+        recipients = tuple([m for m in members if m != src and (not drop or draw() >= drop)])
         if recipients:
             self._push_delivery(self.now + link.transit_ms(size), recipients, msg)
 
@@ -274,11 +276,11 @@ SWITCH = st.tuples(st.floats(0.0, 14000.0), st.sampled_from(["intra", "inter"]),
        st.booleans()), switches=st.lists(SWITCH, max_size=8))
 @example(seed=1, p=0.2, lossy=(False, False),
          switches=[(3000.0, "intra", True), (5000.0, "inter", True), (8000.0, "intra", False)])
-def test_owed_draws_give_the_trace_of_one_draw_per_attempt(tmp_path_factory, seed, p, lossy,
-                                                           switches):
+def test_drop_draws_give_the_trace_of_one_draw_per_lossy_attempt(tmp_path_factory, seed, p,
+                                                                  lossy, switches):
     # A join/leave/crash/rejoin run with queries and transfers whose links
     # start lossless or at drop p and switch between the two mid-run.
-    doc = load_script("update_goldens").generated_doc("max_power", draw=f"owed{seed}")
+    doc = load_script("update_goldens").generated_doc("max_power", draw=f"drops{seed}")
     doc["seed"] = seed
     for scope, loses in zip(("intra", "inter"), lossy):
         link = f"{scope}_domain_link"
@@ -287,34 +289,25 @@ def test_owed_draws_give_the_trace_of_one_draw_per_attempt(tmp_path_factory, see
         {"time_ms": t, "action": "set_link", "scope": scope,
          "drop_probability": p if loses else 0.0}
         for t, scope, loses in switches], key=lambda action: action["time_ms"])
-    owed = _scenario_outputs(doc, tmp_path_factory.mktemp("owed"))
+    drawn = _scenario_outputs(doc, tmp_path_factory.mktemp("drawn"))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenario, "Network", DrawPerAttempt)
+        patch.setattr(scenario, "Network", DrawPerLossyAttempt)
         reference = _scenario_outputs(doc, tmp_path_factory.mktemp("reference"))
-    assert owed == reference
+    assert drawn == reference
 
 
-def test_owed_draws_are_paid_in_bounded_chunks():
-    asked = []
-
-    class Recording(random.Random):
-        def getrandbits(self, k):
-            asked.append(k)
-            return super().getrandbits(k)
-
+def test_lossless_attempts_draw_nothing():
     ids = range(1, 11)
     net = Network(topo({n: 1 for n in ids}), seed=4)
-    net.rng = Recording(4)
     wire(net, ids)
+    untouched = net.rng.getstate()
     for _ in range(1000):  # 9,000 lossless attempts
         net.send_multicast(1, 1, Message(MessageKind.HEARTBEAT, entry(1)))
-    assert asked == []
+    assert net.rng.getstate() == untouched
     net.intra_link = replace(net.intra_link, drop_probability=0.5)
     net.send_unicast(2, 3, Message(MessageKind.ACCEPT, entry(2)))
-    assert max(asked) <= 64 * simnet._OWED_CHUNK and sum(asked) == 64 * 9000
     reference = random.Random(4)
-    for _ in range(9001):
-        reference.random()
+    reference.random()
     assert net.rng.getstate() == reference.getstate()
 
 
@@ -882,13 +875,13 @@ def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
 @given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3))
 def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop):
     # The same run with every reply sent from on_message instead: rows, seqs,
-    # the handlers' logs of pending(), and the draws and owed draws of the
-    # seeded generator are equal.
+    # the handlers' logs of pending(), and the draws of the seeded generator
+    # are equal.
     net, seen, entries, _, replied, _ = _interleaved_run(seed, drop)
     ref, ref_seen, ref_entries, _, ref_replied, _ = _interleaved_run(seed, drop, reference=True)
     assert list(net.trace) == list(ref.trace)
     assert seen == ref_seen and entries == ref_entries and replied == ref_replied
-    assert net.rng.getstate() == ref.rng.getstate() and net._owed == ref._owed
+    assert net.rng.getstate() == ref.rng.getstate()
     assert net.pending() == ref.pending() == 0
     # Each recipient's deliver row is followed by its replies' send rows.
     rows = list(net.trace)
