@@ -18,13 +18,13 @@ where a DATA message's s is size_mb * 1024 * 1024, and its size_mb must be
 finite and >= 0 (core.transit_size_bytes raises InvalidValue otherwise),
 so no delivery lands before its send.
 
-A send is checked before it leaves any mark. A unicast raises, in this
-order: UnknownNode for an unknown src, NodeCrashed for a crashed src,
-UnknownNode for an unknown dst, then InvalidValue for a bad DATA size; a
-multicast the first two and the last, and set_timer UnknownNode for an
-unknown owner, then InvalidValue for a negative or non-finite delay. A
-refused call adds no trace row, takes no seq, draws nothing and queues
-nothing.
+A send is checked before it leaves any mark. A unicast, or a reply the
+loop sends for absorb (below), raises, in this order: UnknownNode for an
+unknown src, NodeCrashed for a crashed src, UnknownNode for an unknown
+dst, then InvalidValue for a bad DATA size; a multicast the first two and
+the last, and set_timer UnknownNode for an unknown owner, then
+InvalidValue for a negative or non-finite delay. A refused call adds no
+trace row, takes no seq, draws nothing and queues nothing.
 
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
@@ -37,6 +37,17 @@ so they arrive at the same instant, and one step takes them in turn. No
 other event can fall between two of them: the block is consecutive, and an
 event a handler schedules gets a larger seq at a time no earlier than now.
 Whether a recipient is crashed is checked as it is taken.
+
+A reply entry is (time_ms, first_seq, (dst,), None, replies): the replies
+that one taken delivery entry (below) sent to dst and that arrive at
+time_ms, as a list of (seq, msg) in seq order, first_seq being the first.
+Each reply's send row takes the seq just before its delivery's, so the
+seqs are not consecutive; but all those sends are made in one step, so no
+other event's seq falls between two of them. One step takes the replies in
+turn, each as a unicast's entry would be: its deliver row, as a record of
+one row, then dst's on_message if dst is not crashed. One take's replies
+arrive at two times when some cross the intra-domain link and others the
+inter-domain one, as the replies to a VIRTUAL fan-out can.
 
 Trace rows record sends (one row per unicast or multicast call), actual
 deliveries, and fired timers. Deliveries addressed to a crashed node are
@@ -63,9 +74,11 @@ sequence of tuples of messages, one per recipient in recipient order, and
 recipients past its end send nothing, so () takes it silently. The loop
 writes each replying recipient's deliver row, after the rows not yet
 written before it, as one record, then sends that recipient's messages to
-the entry's sender with send_unicast, as on_message would have sent them
-(so none from a crashed recipient); the rest of the entry is one record,
-so a silent take is one record sharing the entry's recipients tuple.
+the entry's sender as on_message would have sent them (so none from a
+crashed recipient): each is checked, gets its send row and its drop draw
+as a send_unicast would, and the replies not dropped are queued as reply
+entries, one per arrival time. The rest of the entry is one record, so a
+silent take is one record sharing the entry's recipients tuple.
 absorb may take an entry only when handling it sends those replies and
 changes the recipients' own state, and nothing else: no other send, no
 timer, no trace row, no metric, and for each recipient the state
@@ -341,10 +354,12 @@ class Network:
         # Each domain's membership.HeardBoard, made by membership on first use.
         self.heard_boards: dict[DomainId, object] = {}
         self.trace = Trace()
+        # Timer, delivery and reply entries (module docstring).
         self._heap: list[tuple[float, int, tuple[NodeId, ...] | NodeId,
-                               Message | None, str | None]] = []
+                               Message | None, str | list | None]] = []
         self._seq = 0
-        # Queued events: one per recipient still to be taken, plus timer entries.
+        # Queued events: one per recipient or reply still to be taken, plus
+        # timer entries.
         self._pending = 0
         self._timers: dict[tuple[NodeId, str], int] = {}
         # Per-domain members, built once: the topology never changes in a run.
@@ -394,13 +409,10 @@ class Network:
     # -- traffic -----------------------------------------------------------
 
     def send_unicast(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        same = self._require_live(src) == self._require(dst)
-        size, dsts = transit_size_bytes(msg), (dst,)
-        self._trace_send(src, dsts, msg, size)
-        link = self.intra_link if same else self.inter_link
-        if link.drop_probability and self.rng.random() < link.drop_probability:
-            return
-        self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
+        dsts = (dst,)
+        at = self._send(src, dsts, msg)
+        if at is not None:
+            self._push_delivery(at, dsts, msg)
 
     def send_multicast(self, src: NodeId, group: DomainId, msg: Message) -> None:
         """One independent delivery attempt per group member except the
@@ -446,8 +458,9 @@ class Network:
     # -- event loop --------------------------------------------------------
 
     def pending(self) -> int:
-        """Queued events: undelivered recipients plus timer entries (a
-        replaced or cancelled timer counts until its deadline passes)."""
+        """Queued events: undelivered recipients and replies plus timer
+        entries (a replaced or cancelled timer counts until its deadline
+        passes)."""
         return self._pending
 
     def run_until(self, time_ms: float) -> None:
@@ -482,6 +495,19 @@ class Network:
             raise NodeCrashed(f"node {node_id} is crashed and cannot send")
         return domain
 
+    def _send(self, src: NodeId, dsts: tuple[NodeId], msg: Message) -> float | None:
+        """Check a unicast to dsts[0], write its send row and draw for its
+        drop: the delivery's arrival time, or None if it was dropped. The
+        caller queues the delivery, taking the next seq for it."""
+        domain = self._require_live(src)
+        dst_domain = self._require(dsts[0])
+        size = transit_size_bytes(msg)
+        self._trace_send(src, dsts, msg, size)
+        link = self.intra_link if domain == dst_domain else self.inter_link
+        if link.drop_probability and self.rng.random() < link.drop_probability:
+            return None
+        return self.now + link.transit_ms(size)
+
     def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
         self._seq += 1
         self.trace._append((self.now, self._seq, "send", src, dsts, KIND_NAMES[msg.kind], size))
@@ -492,8 +518,15 @@ class Network:
         self._pending += len(recipients)
         heapq.heappush(self._heap, (at, first, recipients, msg, None))
 
+    def _push_replies(self, at: float, dsts: tuple[NodeId], deliveries: list) -> None:
+        """Queue replies that arrive at dsts[0] at one time as one entry;
+        deliveries are their (seq, message) pairs in seq order."""
+        self._pending += len(deliveries)
+        heapq.heappush(self._heap, (at, deliveries[0][0], dsts, None, deliveries))
+
     def _step(self) -> None:
-        # `to` is the recipients tuple of a delivery, or the owner of a timer.
+        # `to` is the recipients tuple of a delivery, the (dst,) of a reply
+        # entry, or the owner of a timer; `tag` is a reply entry's replies.
         time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
@@ -507,18 +540,23 @@ class Network:
                 self._pending -= len(to)
                 start = 0
                 if taken:  # most takes are silent, (); they skip the loop's set-up
+                    back, groups = (src,), {}  # arrival time -> [(seq, reply)]
                     for i, replies in enumerate(taken):
                         if replies:
                             trace._append((time_ms, seq + start, "deliver", src, to[start:i + 1],
                                            kind, size))
                             start = i + 1
                             for reply in replies:
-                                self.send_unicast(to[i], src, reply)
+                                at = self._send(to[i], back, reply)
+                                if at is not None:
+                                    self._seq += 1
+                                    groups.setdefault(at, []).append((self._seq, reply))
+                    for at, deliveries in groups.items():
+                        self._push_replies(at, back, deliveries)
                 if start < len(to):
                     trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
-            # A counter costs less than enumerate, and most entries here are
-            # unicasts.
+            # A counter costs less than enumerate.
             i = 0
             for member in to:
                 trace._append((time_ms, seq + i, "deliver", src, to[i:i + 1], kind, size))
@@ -527,6 +565,17 @@ class Network:
                 handler = handlers.get(member)
                 if handler is not None and member not in crashed:
                     handler.on_message(self, msg)
+            return
+        if tag.__class__ is list:
+            # Each reply is taken as a unicast's entry would be.
+            trace, handlers, crashed, dst = self.trace, self.handlers, self.crashed, to[0]
+            for seq, reply in tag:
+                trace._append((time_ms, seq, "deliver", reply.sender.node_id, to,
+                               KIND_NAMES[reply.kind], transit_size_bytes(reply)))
+                self._pending -= 1
+                handler = handlers.get(dst)
+                if handler is not None and dst not in crashed:
+                    handler.on_message(self, reply)
             return
         self._pending -= 1
         key = (to, tag)

@@ -1,5 +1,4 @@
 import random
-from bisect import bisect_right
 from dataclasses import replace
 from operator import is_
 
@@ -230,15 +229,17 @@ class DrawPerLossyAttempt(Network):
     send and member order, and one over a lossless link never draws. No
     fan-out is cached."""
 
-    def send_unicast(self, src, dst, msg):
+    def _send(self, src, dsts, msg):
+        # Every unicast, whether send_unicast's or a reply of absorb's.
         self._require_live(src)
-        self._require(dst)
-        size, dsts = transit_size_bytes(msg), (dst,)
+        self._require(dsts[0])
+        size = transit_size_bytes(msg)
         self._trace_send(src, dsts, msg, size)
-        link = self.link_between(src, dst)
+        link = self.link_between(src, dsts[0])
         drop = link.drop_probability
         if not drop or self.rng.random() >= drop:
-            self._push_delivery(self.now + link.transit_ms(size), dsts, msg)
+            return self.now + link.transit_ms(size)
+        return None
 
     def send_multicast(self, src, group, msg):
         self._require_live(src)
@@ -557,7 +558,7 @@ def test_transfer_time_monotonic_in_size_and_delay():
         assert l1.transit_ms(500) < l2.transit_ms(500)
 
 
-def _interleaved_run(seed, drop, reference=False):
+def _interleaved_run(seed, drop, reference=False, inter_drop=None):
     """Two domains whose handlers, in the middle of a fan-out, sometimes reply
     by unicast, multicast, or set a 0 ms timer, and sometimes send one of the
     sends `odd_send` makes. Each handler's seeded `absorb` takes some whole
@@ -572,38 +573,53 @@ def _interleaved_run(seed, drop, reference=False):
     keeps a copy of the list of records it saw; `absorb` checks that it is
     asked by the first recipient's handler, for an entry of several
     recipients, while pending() still counts every recipient of the entry.
-    Node 4 crashes after its JOIN, and the VIRTUAL group is nodes 1 and 5.
-    Returns the network, that log, the (first seq, recipients) of every
-    delivery entry, the first seq of every entry absorb took silently,
-    (trace index of its first row, recipients, replies) of every entry absorb
-    took with replies (or would have), and those copies of the records."""
+    Node 4 crashes after its JOIN, and the VIRTUAL group is nodes 1, 2 and 5,
+    so the replies to a QUERY from node 1 or 2 can arrive at two times: the
+    intra-domain link takes 1 ms and drops at `drop`, the inter-domain link
+    2 ms and drops at `inter_drop` (`drop` if None).
+    Returns the network, that log, the (seqs, recipients) of every queued
+    delivery or reply entry, one recipient per seq (a reply entry's are its
+    one destination, repeated), the first seq of every entry absorb took
+    silently, (trace index of its first row, recipients, replies) of every
+    entry absorb took with replies (or would have), those copies of the
+    records, and for each step that queued replies the arrival times of its
+    reply entries, keyed by the last seq the step took."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
-    net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=link), seed=seed)
-    net.virtual_members = (1, 5)
-    seen, entries, taken_at, replied, held = [], [], [], [], []
+    inter = replace(link, delay_ms=2.0, drop_probability=drop if inter_drop is None else inter_drop)
+    net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=inter), seed=seed)
+    net.virtual_members = (1, 2, 5)
+    seen, entries, taken_at, replied, held, arrivals = [], [], [], [], [], {}
     stash = []  # (member, replies) still to send from on_message, in `reference`
     budget = [60]
 
-    push = net._push_delivery
+    push, push_replies = net._push_delivery, net._push_replies
 
     def logged_push(at, recipients, msg):
-        entries.append((net._seq + 1, recipients))
+        entries.append((tuple(range(net._seq + 1, net._seq + 1 + len(recipients))), recipients))
         push(at, recipients, msg)
 
-    net._push_delivery = logged_push
+    def logged_push_replies(at, dsts, deliveries):
+        entries.append((tuple(seq for seq, _ in deliveries), dsts * len(deliveries)))
+        arrivals.setdefault(net._seq, []).append(at)
+        push_replies(at, dsts, deliveries)
+
+    net._push_delivery, net._push_replies = logged_push, logged_push_replies
 
     def queued(net):
-        return sum(len(to) if msg is not None else 1 for _, _, to, msg, _ in net._heap)
+        # A delivery entry holds its recipients, a reply entry its list of
+        # deliveries, and a timer entry, tagged by a string, one event.
+        return sum(len(to) if msg is not None else 1 if isinstance(tag, str) else len(tag)
+                   for _, _, to, msg, tag in net._heap)
 
     def check_pending(net, row):
-        # Every queued recipient and timer entry, plus the recipients after
-        # this one in the entry being delivered, which no record holds yet.
+        # Every queued event, plus the deliveries after this one in the
+        # entry being taken, which no record holds yet.
         assert sum(len(record[4]) for record in net.trace._records) == len(net.trace)
         held.append(list(net.trace._records))
         untaken = 0
         if row.kind == "deliver":
-            untaken = next(first + len(to) for first, to in entries
-                           if first <= row.seq < first + len(to)) - row.seq - 1
+            seqs = next(seqs for seqs, _ in entries if row.seq in seqs)
+            untaken = len(seqs) - seqs.index(row.seq) - 1
         assert net.pending() == queued(net) + untaken
 
     def odd_send(net, me, which):
@@ -694,7 +710,12 @@ def _interleaved_run(seed, drop, reference=False):
         odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
     assert not stash
-    return net, seen, entries, [net.trace[k].seq for k in taken_at], replied, held
+    return net, seen, entries, [net.trace[k].seq for k in taken_at], replied, held, arrivals
+
+
+def _deliveries(entries):
+    """(seq, str(recipient)) of each delivery of the logged entries."""
+    return [(seq, str(member)) for seqs, to in entries for seq, member in zip(seqs, to)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -712,15 +733,13 @@ def test_trace_reads_like_the_list_of_its_rows(tmp_path_factory, seed, drop, dat
     assert len(trace) == len(rows) and trace == rows and rows == trace
     # The row each handler saw as trace[-1] is the row at that position.
     assert all(rows[n - 1] == row for n, row, _ in seen)
-    # Each recipient's deliver row, taken by a handler or by absorb, appears
-    # exactly once, and an entry's rows appear in seq order.
+    # Each delivery's row, taken by a handler or by absorb, appears exactly
+    # once, and an entry's rows appear in seq order.
     delivered = [(r.seq, r.dst) for r in rows if r.kind == "deliver"]
-    assert sorted(delivered) == sorted(
-        (first + k, str(member)) for first, recipients in entries
-        for k, member in enumerate(recipients))
+    assert sorted(delivered) == sorted(_deliveries(entries))
     at = {seq: n for n, (seq, _) in enumerate(delivered)}
-    for first, recipients in entries:
-        spots = [at[seq] for seq in range(first, first + len(recipients))]
+    for seqs, _ in entries:
+        spots = [at[seq] for seq in seqs]
         assert spots == sorted(spots)
     assert len({r.seq for r in rows}) == len(rows)
     for i in range(len(rows)):
@@ -845,17 +864,19 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
 def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
     # A taken entry is one record per run of recipients that ends at a
     # replying one, then one for the rest, so it shares its recipients tuple
-    # when none replies. A refused entry is one record per recipient.
-    net, _, entries, taken, replied, held = _interleaved_run(seed, 0.1)
+    # when none replies. A refused entry is one record per recipient, and a
+    # reply entry one per reply, sharing the tuple of its destination.
+    net, _, entries, taken, replied, held, _ = _interleaved_run(seed, 0.1)
     records = net.trace._records
-    firsts = sorted(first for first, _ in entries)
+    where = {seq: (seqs[0], k) for seqs, _ in entries for k, seq in enumerate(seqs)}
     pieces = {}
     for _, first, kind, _, dsts, _, _ in records:
         if kind == "deliver":
-            entry = firsts[bisect_right(firsts, first) - 1]
-            pieces.setdefault(entry, []).append((first - entry, dsts))
+            entry, k = where[first]
+            pieces.setdefault(entry, []).append((k, dsts))
     replies = {net.trace[at].seq: sent for at, _, sent in replied}
-    for first, to in entries:
+    for seqs, to in entries:
+        first = seqs[0]
         if first in taken or first in replies:
             ends = [i + 1 for i, sent in enumerate(replies.get(first, ())) if sent]
             bounds = sorted({0, *ends, len(to)})
@@ -864,23 +885,30 @@ def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
         assert pieces[first] == [(lo, to[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         if len(pieces[first]) == 1:
             assert pieces[first][0][1] is to
-    assert any(len(to) > 1 and first not in taken and first not in replies
-               for first, to in entries)
+    assert any(len(to) > 1 and seqs[0] not in taken and seqs[0] not in replies
+               for seqs, to in entries)
     # No record changes once appended: every record a handler saw is still
     # the same object at the end of the run.
     assert all(len(seen) <= len(records) and all(map(is_, seen, records)) for seen in held)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3))
-def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop):
+@given(seed=st.integers(0, 2**16), drop=st.floats(0.0, 0.3), inter_drop=st.floats(0.0, 0.3))
+# Each has a take whose replies arrive at two times, and a reply dropped.
+@example(seed=0, drop=0.2, inter_drop=0.2)
+@example(seed=9, drop=0.0, inter_drop=0.2)
+@example(seed=3, drop=0.2, inter_drop=0.0)
+def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop, inter_drop):
     # The same run with every reply sent from on_message instead: rows, seqs,
-    # the handlers' logs of pending(), and the draws of the seeded generator
-    # are equal.
-    net, seen, entries, _, replied, _ = _interleaved_run(seed, drop)
-    ref, ref_seen, ref_entries, _, ref_replied, _ = _interleaved_run(seed, drop, reference=True)
+    # the handlers' logs of trace[-1] and pending(), and the draws of the
+    # seeded generator are equal, and so are the deliveries, though a take's
+    # replies are queued as one entry per arrival time.
+    net, seen, entries, _, replied, _, _ = _interleaved_run(seed, drop, inter_drop=inter_drop)
+    ref, ref_seen, ref_entries, _, ref_replied, _, _ = _interleaved_run(
+        seed, drop, reference=True, inter_drop=inter_drop)
     assert list(net.trace) == list(ref.trace)
-    assert seen == ref_seen and entries == ref_entries and replied == ref_replied
+    assert seen == ref_seen and replied == ref_replied
+    assert sorted(_deliveries(entries)) == sorted(_deliveries(ref_entries))
     assert net.rng.getstate() == ref.rng.getstate()
     assert net.pending() == ref.pending() == 0
     # Each recipient's deliver row is followed by its replies' send rows.
@@ -897,9 +925,11 @@ def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop):
 def test_absorb_is_offered_entries_of_several_recipients_only():
     # absorb asserts each entry it is offered has several recipients; these
     # seeds make sure the runs also hold one-recipient entries, entries it
-    # takes whole and entries it takes with replies from a recipient other
-    # than the last, so that other rows fall inside a taken entry.
+    # takes whole, entries it takes with replies from a recipient other than
+    # the last, so that other rows fall inside a taken entry, and a take
+    # whose replies arrive at two times, queued as two reply entries.
     runs = [_interleaved_run(seed, 0.1) for seed in range(5)]
     assert any(len(to) == 1 for _, _, entries, *_ in runs for _, to in entries)
-    assert any(taken for *_, taken, _, _ in runs)
-    assert any(any(replies[:-1]) for *_, replied, _ in runs for _, _, replies in replied)
+    assert any(taken for _, _, _, taken, *_ in runs)
+    assert any(any(replies[:-1]) for *_, replied, _, _ in runs for _, _, replies in replied)
+    assert any(len(times) > 1 for *_, arrivals in runs for times in arrivals.values())
