@@ -29,8 +29,8 @@ crashed), learned the entry through `on_message`, or dropped the peer on a
 timeout or LEAVE. Its own id reads its `self_entry`.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
-view. `GosNode.absorb` (the `simnet` hand-off of a whole delivery entry of
-several recipients) returns None, or the replies when the domain's
+view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
+delivery entry) returns None, or the replies when the domain's
 `HeardBoard` takes an entry of a peer entry. The board takes it only if
 the entry misses fewer followers than it reaches, can move no reached
 follower's election, and reaches no node outside the board but plain
@@ -116,17 +116,15 @@ class ProtocolParams:
     response_window_ms: float = 100.0
 
     @classmethod
-    def from_links(cls, intra: LinkConfig, inter: LinkConfig,
-                   heartbeat_period_ms: float = 1000.0) -> "ProtocolParams":
+    def from_links(cls, intra: LinkConfig, inter: LinkConfig) -> "ProtocolParams":
         """Defaults derived from the link model: the accept window covers a
-        round trip on the slow path, the response window two inter-domain
-        round trips, and the failure timeout is three missed heartbeats."""
+        round trip on the slow path and the response window two
+        inter-domain round trips. The heartbeat period and the failure
+        timeout, three missed heartbeats, keep the class defaults."""
         join_rt = 2 * intra.transit_ms(message_size_bytes(MessageKind.JOIN))
         query_rt = 2 * inter.transit_ms(message_size_bytes(MessageKind.QUERY_RESP))
         return cls(
             accept_window_ms=max(10.0, join_rt),
-            heartbeat_period_ms=heartbeat_period_ms,
-            failure_timeout_ms=3 * heartbeat_period_ms,
             response_window_ms=max(10.0, 2 * query_rt),
         )
 

@@ -18,36 +18,37 @@ where a DATA message's s is size_mb * 1024 * 1024, and its size_mb must be
 finite and >= 0 (core.transit_size_bytes raises InvalidValue otherwise),
 so no delivery lands before its send.
 
-A send is checked before it leaves any mark. A unicast, or a reply the
-loop sends for absorb (below), raises, in this order: UnknownNode for an
-unknown src, NodeCrashed for a crashed src, UnknownNode for an unknown
-dst, then InvalidValue for a bad DATA size; a multicast the first two and
-the last, and set_timer UnknownNode for an unknown owner, then
-InvalidValue for a negative or non-finite delay. A refused call adds no
-trace row, takes no seq, draws nothing and queues nothing.
+A send is checked before it leaves any mark. A unicast raises, in this
+order: UnknownNode for an unknown src, NodeCrashed for a crashed src,
+UnknownNode for an unknown dst, then InvalidValue for a bad DATA size; a
+multicast the first two and the last, and set_timer UnknownNode for an
+unknown owner, then InvalidValue for a negative or non-finite delay. A
+refused call adds no trace row, takes no seq, draws nothing and queues
+nothing.
 
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
-deterministically. A timer is (time_ms, seq, owner, None, tag). A delivery
-is (time_ms, first_seq, recipients, msg, None), one entry per unicast or
-multicast call: recipients are the members that survived their drop draws,
-in ascending id order, and recipient i takes seq first_seq + i from a block
-reserved at send time. All recipients share one link and one message size,
-so they arrive at the same instant, and one step takes them in turn. No
-other event can fall between two of them: the block is consecutive, and an
-event a handler schedules gets a larger seq at a time no earlier than now.
-Whether a recipient is crashed is checked as it is taken.
+deterministically. A timer is (time_ms, seq, owner, None, tag). A
+multicast's delivery is (time_ms, first_seq, recipients, msg, None), one
+entry per call: recipients are the members that survived their drop
+draws, in ascending id order, and recipient i takes seq first_seq + i from
+a block reserved at send time. All recipients share one link and one
+message size, so they arrive at the same instant, and one step takes them
+in turn. No other event can fall between two of them: the block is
+consecutive, and an event a handler schedules gets a larger seq at a time
+no earlier than now. Whether a recipient is crashed is checked as it is
+taken.
 
-A reply entry is (time_ms, first_seq, (dst,), None, replies): the replies
-that one taken delivery entry (below) sent to dst and that arrive at
-time_ms, as a list of (seq, msg) in seq order, first_seq being the first.
-Each reply's send row takes the seq just before its delivery's, so the
-seqs are not consecutive; but all those sends are made in one step, so no
-other event's seq falls between two of them. One step takes the replies in
-turn, each as a unicast's entry would be: its deliver row, as a record of
-one row, then dst's on_message if dst is not crashed. One take's replies
-arrive at two times when some cross the intra-domain link and others the
-inter-domain one, as the replies to a VIRTUAL fan-out can.
+A unicast entry is (time_ms, first_seq, (dst,), None, deliveries): unicasts
+to dst arriving at time_ms, as a list of (seq, msg) in seq order, first_seq
+being the first. A unicast's delivery joins the unicast entry queued last
+when that entry is to the same dst at the same arrival time, that time is
+still ahead of now, and no seq was taken since the entry's last delivery;
+else it is queued as a new entry. The joining unicast's own send row
+then takes the only seq between the two deliveries, so no other event can
+fall between them. One step takes
+the deliveries in turn, each with its deliver row, as a record of one row,
+and then dst's on_message if dst is not crashed.
 
 Trace rows record sends (one row per unicast or multicast call), actual
 deliveries, and fired timers. Deliveries addressed to a crashed node are
@@ -66,19 +67,17 @@ recipient's handler runs, trace[-1] is its deliver row.
 
 A handler may also have absorb(net, recipients, msg), which returns None
 or the replies. The loop asks the first recipient's handler once per
-delivery entry of several recipients, if it has one; an entry of one
-recipient is never offered. None refuses the entry: absorb changed
-nothing, and each recipient in turn gets its deliver row, as a record of
-one row, and then its on_message. The replies take the whole entry: a
-sequence of tuples of messages, one per recipient in recipient order, and
-recipients past its end send nothing, so () takes it silently. The loop
-writes each replying recipient's deliver row, after the rows not yet
-written before it, as one record, then sends that recipient's messages to
-the entry's sender as on_message would have sent them (so none from a
-crashed recipient): each is checked, gets its send row and its drop draw
-as a send_unicast would, and the replies not dropped are queued as reply
-entries, one per arrival time. The rest of the entry is one record, so a
-silent take is one record sharing the entry's recipients tuple.
+multicast's delivery entry, if it has one; a unicast entry is never
+offered. None refuses the entry: absorb changed nothing, and each
+recipient in turn gets its deliver row, as a record of one row, and then
+its on_message. The replies take the whole entry: a sequence of tuples of
+messages, one per recipient in recipient order, and recipients past its
+end send nothing, so () takes it silently. The loop writes each replying
+recipient's deliver row, after the rows not yet written before it, as one
+record, then sends that recipient's messages to the entry's sender with
+send_unicast, as on_message would have sent them (so none from a crashed
+recipient). The rest of the entry is one record, so a silent take is one
+record sharing the entry's recipients tuple.
 absorb may take an entry only when handling it sends those replies and
 changes the recipients' own state, and nothing else: no other send, no
 timer, no trace row, no metric, and for each recipient the state
@@ -354,11 +353,13 @@ class Network:
         # Each domain's membership.HeardBoard, made by membership on first use.
         self.heard_boards: dict[DomainId, object] = {}
         self.trace = Trace()
-        # Timer, delivery and reply entries (module docstring).
+        # Timer, multicast and unicast entries (module docstring).
         self._heap: list[tuple[float, int, tuple[NodeId, ...] | NodeId,
                                Message | None, str | list | None]] = []
+        # The unicast entry queued last, which the next unicast may join.
+        self._unicast: tuple | None = None
         self._seq = 0
-        # Queued events: one per recipient or reply still to be taken, plus
+        # Queued events: one per recipient or unicast still to be taken, plus
         # timer entries.
         self._pending = 0
         self._timers: dict[tuple[NodeId, str], int] = {}
@@ -409,10 +410,29 @@ class Network:
     # -- traffic -----------------------------------------------------------
 
     def send_unicast(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        dsts = (dst,)
-        at = self._send(src, dsts, msg)
-        if at is not None:
-            self._push_delivery(at, dsts, msg)
+        """One delivery attempt over the link between src and dst; over a
+        lossy link it draws once (module docstring). The delivery joins the
+        last unicast entry when nothing can fall between them."""
+        domain = self._require_live(src)
+        link = self.intra_link if domain == self._require(dst) else self.inter_link
+        size = transit_size_bytes(msg)
+        at = self.now + link.transit_ms(size)
+        last = self._unicast
+        if last is not None and last[2][0] == dst:
+            dsts = last[2]
+            joins = last[0] == at > self.now and last[4][-1][0] == self._seq
+        else:
+            dsts, joins = (dst,), False
+        self._trace_send(src, dsts, msg, size)
+        if link.drop_probability and self.rng.random() < link.drop_probability:
+            return
+        self._seq += 1
+        self._pending += 1
+        if joins:
+            last[4].append((self._seq, msg))
+        else:
+            self._unicast = (at, self._seq, dsts, None, [(self._seq, msg)])
+            heapq.heappush(self._heap, self._unicast)
 
     def send_multicast(self, src: NodeId, group: DomainId, msg: Message) -> None:
         """One independent delivery attempt per group member except the
@@ -458,7 +478,7 @@ class Network:
     # -- event loop --------------------------------------------------------
 
     def pending(self) -> int:
-        """Queued events: undelivered recipients and replies plus timer
+        """Queued events: undelivered recipients and unicasts plus timer
         entries (a replaced or cancelled timer counts until its deadline
         passes)."""
         return self._pending
@@ -495,19 +515,6 @@ class Network:
             raise NodeCrashed(f"node {node_id} is crashed and cannot send")
         return domain
 
-    def _send(self, src: NodeId, dsts: tuple[NodeId], msg: Message) -> float | None:
-        """Check a unicast to dsts[0], write its send row and draw for its
-        drop: the delivery's arrival time, or None if it was dropped. The
-        caller queues the delivery, taking the next seq for it."""
-        domain = self._require_live(src)
-        dst_domain = self._require(dsts[0])
-        size = transit_size_bytes(msg)
-        self._trace_send(src, dsts, msg, size)
-        link = self.intra_link if domain == dst_domain else self.inter_link
-        if link.drop_probability and self.rng.random() < link.drop_probability:
-            return None
-        return self.now + link.transit_ms(size)
-
     def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
         self._seq += 1
         self.trace._append((self.now, self._seq, "send", src, dsts, KIND_NAMES[msg.kind], size))
@@ -518,41 +525,30 @@ class Network:
         self._pending += len(recipients)
         heapq.heappush(self._heap, (at, first, recipients, msg, None))
 
-    def _push_replies(self, at: float, dsts: tuple[NodeId], deliveries: list) -> None:
-        """Queue replies that arrive at dsts[0] at one time as one entry;
-        deliveries are their (seq, message) pairs in seq order."""
-        self._pending += len(deliveries)
-        heapq.heappush(self._heap, (at, deliveries[0][0], dsts, None, deliveries))
-
     def _step(self) -> None:
-        # `to` is the recipients tuple of a delivery, the (dst,) of a reply
-        # entry, or the owner of a timer; `tag` is a reply entry's replies.
+        # `to` is the recipients tuple of a multicast's entry, the (dst,) of a
+        # unicast entry, or the owner of a timer; `tag` is a unicast entry's
+        # deliveries.
         time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
             trace, crashed, handlers = self.trace, self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
-            absorb = len(to) > 1 and getattr(handlers.get(to[0]), "absorb", None)
+            absorb = getattr(handlers.get(to[0]), "absorb", None)
             taken = absorb(self, to, msg) if absorb else None
             if taken is not None:
                 # Each recipient's replies follow its deliver row.
                 self._pending -= len(to)
                 start = 0
                 if taken:  # most takes are silent, (); they skip the loop's set-up
-                    back, groups = (src,), {}  # arrival time -> [(seq, reply)]
                     for i, replies in enumerate(taken):
                         if replies:
                             trace._append((time_ms, seq + start, "deliver", src, to[start:i + 1],
                                            kind, size))
                             start = i + 1
                             for reply in replies:
-                                at = self._send(to[i], back, reply)
-                                if at is not None:
-                                    self._seq += 1
-                                    groups.setdefault(at, []).append((self._seq, reply))
-                    for at, deliveries in groups.items():
-                        self._push_replies(at, back, deliveries)
+                                self.send_unicast(to[i], src, reply)
                 if start < len(to):
                     trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
@@ -567,15 +563,15 @@ class Network:
                     handler.on_message(self, msg)
             return
         if tag.__class__ is list:
-            # Each reply is taken as a unicast's entry would be.
+            # A unicast entry: each delivery in seq order, a record of one row.
             trace, handlers, crashed, dst = self.trace, self.handlers, self.crashed, to[0]
-            for seq, reply in tag:
-                trace._append((time_ms, seq, "deliver", reply.sender.node_id, to,
-                               KIND_NAMES[reply.kind], transit_size_bytes(reply)))
+            for seq, msg in tag:
+                trace._append((time_ms, seq, "deliver", msg.sender.node_id, to,
+                               KIND_NAMES[msg.kind], transit_size_bytes(msg)))
                 self._pending -= 1
                 handler = handlers.get(dst)
                 if handler is not None and dst not in crashed:
-                    handler.on_message(self, reply)
+                    handler.on_message(self, msg)
             return
         self._pending -= 1
         key = (to, tag)

@@ -12,15 +12,14 @@ CHECK_AT_MS = 6000.0
 ATTEMPTS, MOST_DROPS = 24, 3
 
 
-def three_nodes(policy):
-    """One domain of three nodes at 2000, 3000 and 3000 MHz, joining 25 ms
-    apart, with 200 ms heartbeats and a 600 ms timeout. The intra-domain link
-    is lossy, so every heartbeat attempt is a choice point; the inter-domain
-    link is lossless."""
-    powers = {1: 2000.0, 2: 3000.0, 3: 3000.0}
+def one_domain(name, powers, policy, intra_drop, script=()):
+    """One domain of nodes at the given powers (id -> MHz), joining 25 ms
+    apart in id order, with 200 ms heartbeats and a 600 ms timeout, and
+    checked at CHECK_AT_MS. The inter-domain link is lossless."""
     return scenario_from_json({
-        "name": "three_nodes", "seed": 0,
-        "intra_domain_link": {"delay_ms": 1.0, "drop_probability": 0.5, "bandwidth_mbps": 100.0},
+        "name": name, "seed": 0,
+        "intra_domain_link": {"delay_ms": 1.0, "drop_probability": intra_drop,
+                              "bandwidth_mbps": 100.0},
         "inter_domain_link": {"delay_ms": 20.0, "drop_probability": 0.0, "bandwidth_mbps": 100.0},
         "params": {"accept_window_ms": 20.0, "heartbeat_period_ms": 200.0,
                    "failure_timeout_ms": 600.0, "response_window_ms": 100.0},
@@ -29,12 +28,19 @@ def three_nodes(policy):
                    "power_mhz": power} for nid, power in powers.items()],
         "script": [{"time_ms": 25.0 * i, "action": "join", "node": nid}
                    for i, nid in enumerate(powers)]
+                  + list(script)
                   + [{"time_ms": CHECK_AT_MS, "action": "assert_quiescent_consistency"}],
     })
 
 
+def three_nodes(policy):
+    """Three nodes at 2000, 3000 and 3000 MHz. The intra-domain link is
+    lossy, so every heartbeat attempt is a choice point."""
+    return one_domain("three_nodes", {1: 2000.0, 2: 3000.0, 3: 3000.0}, policy, intra_drop=0.5)
+
+
 # max_power is left out: some patterns of three drops leave its members
-# disagreeing on the agent for good (ROADMAP, item 1).
+# disagreeing on the agent for good (ROADMAP, item 1; the reproducers below).
 @pytest.mark.parametrize("policy", ["lowest_id", "highest_connectivity"])
 def test_every_pattern_of_up_to_three_drops_is_consistent_at_six_seconds(policy):
     world_scenario = three_nodes(policy)
@@ -51,3 +57,31 @@ def test_every_pattern_of_up_to_three_drops_is_consistent_at_six_seconds(policy)
         runs += 1
     assert runs == 2325
     assert violations == {}
+
+
+# MAX_POWER keeps the incumbent on a power tie, and nothing repairs members
+# whose beliefs drifted apart. Each reproducer fails today; the change that
+# mends it drops the mark.
+ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionFailure, reason="ROADMAP item 1")
+
+
+@ITEM_1
+def test_max_power_agrees_after_three_heartbeats_lost_on_one_link():
+    # Pattern (2, 8, 14): node 2's heartbeats to node 1 at 1045, 1245 and
+    # 1445 ms. Node 1 times node 2 out and elects node 3, then keeps node 3
+    # on the power tie once node 2 is heard again: {1: 3, 2: 2, 3: 2}.
+    world = ScenarioWorld(three_nodes("max_power"))
+    world.net.rng = ScriptedDraws(world.net, FAULTS_FROM_MS, (2, 8, 14))
+    world.run()
+
+
+@ITEM_1
+def test_max_power_agrees_after_a_two_second_partition():
+    # Every intra-domain attempt drops from 1 s to 3 s: {1: 2, 2: 2, 3: 3,
+    # 4: 2, 5: 2}.
+    powers = {1: 2000.0, 2: 3000.0, 3: 3000.0, 4: 2000.0, 5: 2000.0}
+    world = ScenarioWorld(one_domain(
+        "five_nodes", powers, "max_power", intra_drop=0.0,
+        script=[{"time_ms": t, "action": "set_link", "scope": "intra", "drop_probability": p}
+                for t, p in ((1000.0, 1.0), (3000.0, 0.0))]))
+    world.run()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-TRACED_RUN = """
+TRACED = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import dssm
@@ -18,14 +18,35 @@ from dssm.scenario import bundled_scenario_path, load_scenario, run_scenario
 
 tracer = Tracer()
 tracer.install(dssm)
-run_scenario(load_scenario(bundled_scenario_path("two_domain")))
-print(len(tracer.spans))
 """
 
 
-def test_traced_bundled_scenario_runs():
+def _traced(body: str) -> str:
+    """The standard output of `body` run after the tracer is installed."""
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-c", TRACED + body, str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) > 0
+    return done.stdout
+
+
+def test_traced_bundled_scenario_runs():
+    out = _traced("""
+run_scenario(load_scenario(bundled_scenario_path("two_domain")))
+print(len(tracer.spans))
+""")
+    assert int(out) > 0
+
+
+def test_the_tracer_sees_every_unicast():
+    # Every unicast passes the wrapped send_unicast, a take's replies
+    # included, so the tracer counts one attempt per unicast send row.
+    out = _traced("""
+trace = run_scenario(load_scenario(bundled_scenario_path("churn50"))).trace
+sends = sum(row.kind == "send" and not row.dst.startswith(("domain", "virtual"))
+            for row in trace)
+print(tracer.counts["simnet.unicast.attempts"], sends)
+""")
+    attempts, sends = map(int, out.split())
+    assert sends > 0
+    assert attempts == sends

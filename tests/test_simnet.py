@@ -1,4 +1,6 @@
+import heapq
 import random
+from collections import Counter
 from dataclasses import replace
 from operator import is_
 
@@ -227,19 +229,22 @@ def test_multicast_draws_once_per_attempt_in_member_order():
 class DrawPerLossyAttempt(Network):
     """The reference drop rule: an attempt over a lossy link draws once, in
     send and member order, and one over a lossless link never draws. No
-    fan-out is cached."""
+    fan-out is cached, and each unicast is queued as a unicast entry of its
+    own, never joining another."""
 
-    def _send(self, src, dsts, msg):
-        # Every unicast, whether send_unicast's or a reply of absorb's.
+    def send_unicast(self, src, dst, msg):
+        # Every unicast, whether a handler's or a reply of absorb's.
         self._require_live(src)
-        self._require(dsts[0])
+        self._require(dst)
         size = transit_size_bytes(msg)
-        self._trace_send(src, dsts, msg, size)
-        link = self.link_between(src, dsts[0])
+        self._trace_send(src, (dst,), msg, size)
+        link = self.link_between(src, dst)
         drop = link.drop_probability
         if not drop or self.rng.random() >= drop:
-            return self.now + link.transit_ms(size)
-        return None
+            self._seq += 1
+            self._pending += 1
+            heapq.heappush(self._heap, (self.now + link.transit_ms(size), self._seq, (dst,),
+                                        None, [(self._seq, msg)]))
 
     def send_multicast(self, src, group, msg):
         self._require_live(src)
@@ -280,7 +285,9 @@ SWITCH = st.tuples(st.floats(0.0, 14000.0), st.sampled_from(["intra", "inter"]),
 def test_drop_draws_give_the_trace_of_one_draw_per_lossy_attempt(tmp_path_factory, seed, p,
                                                                   lossy, switches):
     # A join/leave/crash/rejoin run with queries and transfers whose links
-    # start lossless or at drop p and switch between the two mid-run.
+    # start lossless or at drop p and switch between the two mid-run. The
+    # reference queues every unicast on its own, so the run also shows that
+    # joining unicast entries changes no byte of trace or metrics.
     doc = load_script("update_goldens").generated_doc("max_power", draw=f"drops{seed}")
     doc["seed"] = seed
     for scope, loses in zip(("intra", "inter"), lossy):
@@ -346,6 +353,121 @@ def test_same_instant_events_scheduled_by_a_recipient_run_after_the_fan_out():
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
     # pending() counts queued events, taken off before each handler runs.
     assert [p for *_, p in log] == [3, 4, 3, 2, 1, 0]
+
+
+class Logging:
+    """Logs (trace[-1], pending()) for every message and timer, and calls
+    `act(net, me, tag)` on each timer."""
+
+    def __init__(self, me, log, act):
+        self.me, self.log, self.act = me, log, act
+
+    def on_message(self, net, msg):
+        self.log.append((net.trace[-1], net.pending()))
+
+    def on_timer(self, net, tag):
+        self.log.append((net.trace[-1], net.pending()))
+        self.act(net, self.me, tag)
+
+
+def _unicast_entries(net):
+    """The seqs of each queued unicast entry's deliveries, by first seq."""
+    return sorted([seq for seq, _ in deliveries] for *_, deliveries in net._heap
+                  if deliveries.__class__ is list)
+
+
+HEARTBEAT_1 = Message(MessageKind.HEARTBEAT, entry(1))
+
+
+def _drop_one_unicast(net):
+    kept, net.intra_link = net.intra_link, replace(net.intra_link, drop_probability=1.0)
+    net.send_unicast(1, 2, HEARTBEAT_1)
+    net.intra_link = kept
+
+
+# What node 1 does between its two unicasts to node 2, and the second one.
+BETWEEN = {
+    "nothing": (None, HEARTBEAT_1),
+    "zero_timer": (lambda net: net.set_timer(1, "zero", 0.0), HEARTBEAT_1),
+    "multicast": (lambda net: net.send_multicast(1, 1, HEARTBEAT_1), HEARTBEAT_1),
+    "dropped_unicast": (_drop_one_unicast, HEARTBEAT_1),
+    "later_arrival": (None, Message(MessageKind.DATA, entry(1), size_mb=1.0)),
+}
+
+
+@pytest.mark.parametrize("between", BETWEEN)
+def test_a_unicast_joins_the_last_entry_only_at_its_time_with_no_seq_between(between):
+    # Node 1's timer sends node 2 a HEARTBEAT, does `between`, and sends
+    # node 2 a second unicast. Only with nothing between and the same
+    # arrival time do the two share an entry. A 0 ms timer, a multicast
+    # (whose recipients include node 2 at that same time) or a dropped
+    # unicast's send row each takes a seq, so the second one opens its own
+    # entry, as does a second unicast that arrives later. Either way rows,
+    # seqs, the handlers' logs and the generator match the reference, which
+    # queues every unicast on its own.
+    action, second = BETWEEN[between]
+    sides = []
+    for net_class in (Network, DrawPerLossyAttempt):
+        net = net_class(topo({1: 1, 2: 1, 3: 1}), seed=5)
+        log, queued = [], []
+
+        def act(net, me, tag):
+            if tag == "go":
+                net.send_unicast(1, 2, HEARTBEAT_1)
+                if action is not None:
+                    action(net)
+                net.send_unicast(1, 2, second)
+                queued.extend(_unicast_entries(net))
+
+        for n in (1, 2, 3):
+            net.register_handler(n, Logging(n, log, act))
+        net.set_timer(1, "go", 5.0)
+        net.run_until_quiescent(1000.0)
+        sides.append((net, log, queued))
+    (net, log, queued), (ref, ref_log, ref_queued) = sides
+    assert list(net.trace) == list(ref.trace)
+    assert log == ref_log and net.pending() == ref.pending() == 0
+    assert net.rng.getstate() == ref.rng.getstate()
+    assert len(ref_queued) == 2
+    assert len(queued) == (1 if between == "nothing" else 2)
+    assert sorted(sum(queued, [])) == sorted(sum(ref_queued, []))
+
+
+def test_unicasts_of_consecutive_same_time_steps_do_not_join():
+    # Over a link of zero transit time a unicast arrives at the instant it
+    # is sent, where an entry may already have been taken: two 0 ms timers
+    # that each send one, then two sends between run_until(5.0) calls, the
+    # first taken before the second is sent. No unicast joins an entry at
+    # the current time, so rows and the handlers' logs match the reference.
+    instant = LinkConfig(0.0, 0.0, 1e300)
+    sides = []
+    for net_class in (Network, DrawPerLossyAttempt):
+        net = net_class(topo({1: 1, 2: 1, 3: 1}, intra=instant), seed=5)
+        log, sizes = [], []
+
+        def send(net, me, tag=None):
+            net.send_unicast(me, 2, Message(MessageKind.HEARTBEAT, entry(me)))
+            if net._unicast is not None:
+                sizes.append(len(net._unicast[4]))
+
+        for n in (1, 2, 3):
+            net.register_handler(n, Logging(n, log, send))
+        net.run_until(5.0)
+        assert net.now + instant.transit_ms(transit_size_bytes(
+            Message(MessageKind.HEARTBEAT, entry(1)))) == net.now == 5.0
+        net.set_timer(1, "a", 0.0)
+        net.set_timer(3, "b", 0.0)
+        net.run_until(5.0)
+        send(net, 1)
+        net.run_until(5.0)
+        send(net, 3)
+        net.run_until_quiescent(10.0)
+        sides.append((net, log, sizes))
+    (net, log, sizes), (ref, ref_log, _) = sides
+    assert list(net.trace) == list(ref.trace)
+    assert log == ref_log and net.pending() == ref.pending() == 0
+    assert sizes == [1, 1, 1, 1]
+    assert sum(row.kind == "deliver" for row in net.trace) == 4
 
 
 def test_domain_members_ascending_and_unknown_domain_empty():
@@ -571,43 +693,49 @@ def _interleaved_run(seed, drop, reference=False, inter_drop=None):
     len(trace)) and that pending() counts what is queued, and logs
     (len(trace), that row, pending()), but for those reference replies, and
     keeps a copy of the list of records it saw; `absorb` checks that it is
-    asked by the first recipient's handler, for an entry of several
-    recipients, while pending() still counts every recipient of the entry.
+    asked by the first recipient's handler while pending() still counts
+    every recipient of the entry, and the run checks that every multicast's
+    entry, and no unicast entry, was offered to it once.
     Node 4 crashes after its JOIN, and the VIRTUAL group is nodes 1, 2 and 5,
     so the replies to a QUERY from node 1 or 2 can arrive at two times: the
     intra-domain link takes 1 ms and drops at `drop`, the inter-domain link
     2 ms and drops at `inter_drop` (`drop` if None).
     Returns the network, that log, the (seqs, recipients) of every queued
-    delivery or reply entry, one recipient per seq (a reply entry's are its
-    one destination, repeated), the first seq of every entry absorb took
-    silently, (trace index of its first row, recipients, replies) of every
-    entry absorb took with replies (or would have), those copies of the
-    records, and for each step that queued replies the arrival times of its
-    reply entries, keyed by the last seq the step took."""
+    multicast's or unicast entry, one recipient per seq (a unicast entry's
+    are its one destination, repeated), the first seq of every entry absorb
+    took silently, (trace index of its first row, recipients, replies) of
+    every entry absorb took with replies (or would have), those copies of
+    the records, and the recipients of every entry absorb was offered."""
     link = LinkConfig(delay_ms=1.0, drop_probability=drop, bandwidth_mbps=100.0)
     inter = replace(link, delay_ms=2.0, drop_probability=drop if inter_drop is None else inter_drop)
     net = Network(topo({1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, intra=link, inter=inter), seed=seed)
     net.virtual_members = (1, 2, 5)
-    seen, entries, taken_at, replied, held, arrivals = [], [], [], [], [], {}
+    seen, multicasts, unicasts, taken_at, replied, held, offered = [], [], [], [], [], [], []
     stash = []  # (member, replies) still to send from on_message, in `reference`
     budget = [60]
 
-    push, push_replies = net._push_delivery, net._push_replies
+    push, send_unicast = net._push_delivery, net.send_unicast
 
     def logged_push(at, recipients, msg):
-        entries.append((tuple(range(net._seq + 1, net._seq + 1 + len(recipients))), recipients))
+        multicasts.append((tuple(range(net._seq + 1, net._seq + 1 + len(recipients))), recipients))
         push(at, recipients, msg)
 
-    def logged_push_replies(at, dsts, deliveries):
-        entries.append((tuple(seq for seq, _ in deliveries), dsts * len(deliveries)))
-        arrivals.setdefault(net._seq, []).append(at)
-        push_replies(at, dsts, deliveries)
+    def logged_send_unicast(src, dst, msg):
+        # Each unicast entry is logged once, as it is queued; the entry's
+        # list of deliveries grows while unicasts join it.
+        send_unicast(src, dst, msg)
+        if net._unicast is not None and (not unicasts or net._unicast is not unicasts[-1]):
+            unicasts.append(net._unicast)
 
-    net._push_delivery, net._push_replies = logged_push, logged_push_replies
+    net._push_delivery, net.send_unicast = logged_push, logged_send_unicast
+
+    def entries():
+        return multicasts + [(tuple(seq for seq, _ in deliveries), to * len(deliveries))
+                             for _, _, to, _, deliveries in unicasts]
 
     def queued(net):
-        # A delivery entry holds its recipients, a reply entry its list of
-        # deliveries, and a timer entry, tagged by a string, one event.
+        # A multicast's entry holds its recipients, a unicast entry its list
+        # of deliveries, and a timer entry, tagged by a string, one event.
         return sum(len(to) if msg is not None else 1 if isinstance(tag, str) else len(tag)
                    for _, _, to, msg, tag in net._heap)
 
@@ -618,7 +746,7 @@ def _interleaved_run(seed, drop, reference=False, inter_drop=None):
         held.append(list(net.trace._records))
         untaken = 0
         if row.kind == "deliver":
-            seqs = next(seqs for seqs, _ in entries if row.seq in seqs)
+            seqs = next(seqs for seqs, _ in entries() if row.seq in seqs)
             untaken = len(seqs) - seqs.index(row.seq) - 1
         assert net.pending() == queued(net) + untaken
 
@@ -668,8 +796,9 @@ def _interleaved_run(seed, drop, reference=False, inter_drop=None):
 
         def absorb(self, net, recipients, msg):
             # No recipient of the entry is counted off yet, so none has a row.
-            assert recipients[0] == self.me and len(recipients) > 1
+            assert recipients[0] == self.me
             assert net.pending() == queued(net) + len(recipients)
+            offered.append(recipients)
             r = self.taking.random()
             if r < 0.25:
                 taken_at.append(len(net.trace))
@@ -710,7 +839,10 @@ def _interleaved_run(seed, drop, reference=False, inter_drop=None):
         odd_send(net, 1, which)
     net.run_until_quiescent(10_000.0)
     assert not stash
-    return net, seen, entries, [net.trace[k].seq for k in taken_at], replied, held, arrivals
+    # The same tuple is offered once per entry that holds it.
+    assert Counter(map(id, offered)) == Counter(id(to) for _, to in multicasts)
+    return (net, seen, entries(), [net.trace[k].seq for k in taken_at], replied, held,
+            offered)
 
 
 def _deliveries(entries):
@@ -865,7 +997,7 @@ def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
     # A taken entry is one record per run of recipients that ends at a
     # replying one, then one for the rest, so it shares its recipients tuple
     # when none replies. A refused entry is one record per recipient, and a
-    # reply entry one per reply, sharing the tuple of its destination.
+    # unicast entry one per delivery, sharing the tuple of its destination.
     net, _, entries, taken, replied, held, _ = _interleaved_run(seed, 0.1)
     records = net.trace._records
     where = {seq: (seqs[0], k) for seqs, _ in entries for k, seq in enumerate(seqs)}
@@ -901,8 +1033,8 @@ def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
 def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop, inter_drop):
     # The same run with every reply sent from on_message instead: rows, seqs,
     # the handlers' logs of trace[-1] and pending(), and the draws of the
-    # seeded generator are equal, and so are the deliveries, though a take's
-    # replies are queued as one entry per arrival time.
+    # seeded generator are equal, and so are the deliveries. Both send the
+    # replies with send_unicast, so they join unicast entries alike.
     net, seen, entries, _, replied, _, _ = _interleaved_run(seed, drop, inter_drop=inter_drop)
     ref, ref_seen, ref_entries, _, ref_replied, _, _ = _interleaved_run(
         seed, drop, reference=True, inter_drop=inter_drop)
@@ -922,14 +1054,30 @@ def test_replies_absorb_names_are_the_sends_of_on_message(seed, drop, inter_drop
             at += 1 + len(sent)
 
 
-def test_absorb_is_offered_entries_of_several_recipients_only():
-    # absorb asserts each entry it is offered has several recipients; these
-    # seeds make sure the runs also hold one-recipient entries, entries it
-    # takes whole, entries it takes with replies from a recipient other than
-    # the last, so that other rows fall inside a taken entry, and a take
-    # whose replies arrive at two times, queued as two reply entries.
+def _reply_arrivals(net, replied):
+    """For each take with replies, the times its delivered replies arrive."""
+    rows = list(net.trace)
+    delivered = {row.seq: row.time_ms for row in rows if row.kind == "deliver"}
+    times = []
+    for at, _, replies in replied:
+        sends = rows[at:at + len(replies) + sum(map(len, replies))]
+        times.append({delivered[row.seq + 1] for row in sends
+                      if row.kind == "send" and row.seq + 1 in delivered})
+    return times
+
+
+def test_absorb_is_offered_every_multicast_entry():
+    # Each run checks that absorb was offered every multicast's entry once
+    # and no unicast entry; these seeds make sure the runs also hold
+    # one-recipient entries that absorb is offered, entries it takes whole,
+    # entries it takes with replies from a recipient other than the last, so
+    # that other rows fall inside a taken entry, a take whose replies arrive
+    # at two times, and unicasts that joined an entry.
     runs = [_interleaved_run(seed, 0.1) for seed in range(5)]
-    assert any(len(to) == 1 for _, _, entries, *_ in runs for _, to in entries)
+    assert any(len(to) == 1 for *_, offered in runs for to in offered)
     assert any(taken for _, _, _, taken, *_ in runs)
     assert any(any(replies[:-1]) for *_, replied, _, _ in runs for _, _, replies in replied)
-    assert any(len(times) > 1 for *_, arrivals in runs for times in arrivals.values())
+    assert any(len(times) > 1 for net, *_, replied, _, _ in runs
+               for times in _reply_arrivals(net, replied))
+    assert any(len(seqs) > 1 and to[0] == to[1] for _, _, entries, *_ in runs
+               for seqs, to in entries)
