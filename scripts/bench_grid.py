@@ -11,11 +11,13 @@ starts its joins at 0 ms, one node each 25 ms, and the run lasts 10 s of
 virtual time with 200 ms heartbeats and nothing else scripted. Each point
 runs in a fresh process, because peak RSS is a process-wide high-water
 mark, and reports its wall time (building the world plus the run), the
-time of one `export_trace` of the whole trace to a temporary file (what a
-`--trace` user pays on top), trace rows, peak RSS before the export and the
-consistency check at the end. A point elects by
-max_power unless it names another election policy after an `@`; such a
-point's JSON also holds its `policy`. A table goes to standard output, and
+process time of the same span (the CPU time of this process, which leaves
+out time spent waiting while other processes run),
+the time of one `export_trace` of the whole trace to a temporary file
+(what a `--trace` user pays on top), trace rows, peak RSS before the
+export and the consistency check at the end. A point elects by max_power
+unless it names another election policy after an `@`; such a point's
+JSON also holds its `policy`. A table goes to standard output, and
 the last line is one JSON object holding every point.
 
 The program is loaded from the `src/` directory of the checkout that holds
@@ -54,12 +56,13 @@ DEFAULT_POLICY = ElectionPolicy.MAX_POWER.value
 
 def grid_doc(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
     """The scenario document of point NxD under `policy`. Node k of domain
-    j has id (j-1)*N + k and joins at (k-1)*25 ms."""
+    j has id (j-1)*N + k, address 10.j.(k >> 8).(k & 255), so 10.j.0.k up to
+    k = 255, and joins at (k-1)*25 ms."""
     nodes, joins = [], []
     for domain in range(1, d + 1):
         for k in range(1, n + 1):
             node = (domain - 1) * n + k
-            nodes.append({"id": node, "domain": domain, "ip": f"10.{domain}.0.{k}",
+            nodes.append({"id": node, "domain": domain, "ip": f"10.{domain}.{k >> 8}.{k & 255}",
                           "capacity_mb": 1024.0, "power_mhz": POWERS_MHZ[node % len(POWERS_MHZ)]})
             joins.append({"time_ms": (k - 1) * JOIN_GAP_MS, "action": "join", "node": node})
     # Scenario.validate refuses script times that go down, and the domains
@@ -72,17 +75,19 @@ def grid_doc(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
 
 def run_point(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
     """Run point NxD under `policy` in this process."""
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     world = ScenarioWorld(scenario_from_json(grid_doc(n, d, policy)))
     world.run()
     world.net.run_until(END_MS)
     wall_s = time.perf_counter() - start
+    process_s = time.process_time() - cpu_start
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
         export_trace(world.net.trace, Path(tmp) / "trace.csv")
         export_s = time.perf_counter() - start
-    point = {"n": n, "d": d, "wall_s": round(wall_s, 3), "export_s": round(export_s, 3),
+    point = {"n": n, "d": d, "wall_s": round(wall_s, 3), "process_s": round(process_s, 3),
+             "export_s": round(export_s, 3),
              "trace_rows": len(world.net.trace), "peak_rss_mb": peak_rss_mb,
              "violation": world.check_consistency()}
     return point if policy == DEFAULT_POLICY else {**point, "policy": policy}
@@ -119,15 +124,15 @@ def main() -> None:
     names = [point_name(*point) for point in args.points or
              [(n, d, DEFAULT_POLICY) for n, d in GRID]]
     width = max(6, *map(len, names))
-    print(f"{'NxD':>{width}} {'wall_s':>8} {'export_s':>8} {'rows':>10} {'peak_rss_mb':>12}"
-          "  violation")
+    print(f"{'NxD':>{width}} {'wall_s':>8} {'process_s':>9} {'export_s':>8} {'rows':>10} "
+          f"{'peak_rss_mb':>12}  violation")
     for name in names:
         out = subprocess.run([sys.executable, __file__, "--in-process", name],
                              capture_output=True, text=True, timeout=POINT_TIMEOUT_S, check=True)
         point = json.loads(out.stdout.splitlines()[-1])
         results.append(point)
-        print(f"{name:>{width}} {point['wall_s']:>8.3f} {point['export_s']:>8.3f} "
-              f"{point['trace_rows']:>10} "
+        print(f"{name:>{width}} {point['wall_s']:>8.3f} {point['process_s']:>9.3f} "
+              f"{point['export_s']:>8.3f} {point['trace_rows']:>10} "
               f"{point['peak_rss_mb']:>12.1f}  {point['violation'] or '-'}", flush=True)
     print(json.dumps({"points": results}))
 

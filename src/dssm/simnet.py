@@ -62,8 +62,11 @@ kind, src, dsts, msg_kind, size_bytes): row j of a record has seq
 first_seq + j, from str(src) and to str(dsts[j]), and is built only when
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
-(owner,) with src "". A record never changes once appended. While a
-recipient's handler runs, trace[-1] is its deliver row.
+(owner,) with src "". A record never changes once appended, so records
+share dsts: a node's (node,) is one tuple for all its timer rows and the
+rows of unicasts to it, and a domain multicast that lost no attempt
+delivers its sender's cached fan-out tuple itself. While a recipient's
+handler runs, trace[-1] is its deliver row.
 
 A handler may also have absorb(net, recipients, msg), which returns None
 or the replies. The loop asks the first recipient's handler once per
@@ -371,8 +374,11 @@ class Network:
         # The `dsts` of a multicast's send record: its group's label.
         self._labels = {domain: (f"domain{domain}",) for domain in members}
         self._labels[VIRTUAL] = ("virtual",)
-        # (group, src) -> the recipients of a lossless domain multicast.
+        # (group, src) -> the members of a domain multicast but its sender,
+        # over a lossless link its recipients, over a lossy one its attempts.
         self._fanouts: dict[tuple[DomainId, NodeId], tuple[NodeId, ...]] = {}
+        # Each node's (node,): the dsts of its timer rows and of unicasts to it.
+        self._ones = {node: (node,) for node in topology.nodes}
 
     # -- wiring ------------------------------------------------------------
 
@@ -422,7 +428,7 @@ class Network:
             dsts = last[2]
             joins = last[0] == at > self.now and last[4][-1][0] == self._seq
         else:
-            dsts, joins = (dst,), False
+            dsts, joins = self._ones[dst], False
         self._trace_send(src, dsts, msg, size)
         if link.drop_probability and self.rng.random() < link.drop_probability:
             return
@@ -446,17 +452,18 @@ class Network:
         label = self._labels.get(group) or (f"domain{group}",)
         size = transit_size_bytes(msg)
         self._trace_send(src, label, msg, size)
+        recipients = self._fanouts.get((group, src))
+        if recipients is None:
+            recipients = tuple([m for m in members if m != src])
+            if group != VIRTUAL:  # the agents change; a domain does not
+                self._fanouts[(group, src)] = recipients
         drop = link.drop_probability
         if drop:
-            # One draw per attempt, in member order.
+            # One draw per attempt, in member order; a new tuple only if one drops.
             draw = self.rng.random
-            recipients = tuple([m for m in members if m != src and draw() >= drop])
-        else:
-            recipients = self._fanouts.get((group, src))
-            if recipients is None:
-                recipients = tuple([m for m in members if m != src])
-                if group != VIRTUAL:  # the agents change; a domain does not
-                    self._fanouts[(group, src)] = recipients
+            kept = [m for m in recipients if draw() >= drop]
+            if len(kept) < len(recipients):
+                recipients = tuple(kept)
         if recipients:
             self._push_delivery(self.now + link.transit_ms(size), recipients, msg)
 
@@ -580,7 +587,7 @@ class Network:
         del self._timers[key]
         if to in self.crashed:
             return
-        self.trace._append((time_ms, seq, "timer", "", (to,), tag, 0))
+        self.trace._append((time_ms, seq, "timer", "", self._ones[to], tag, 0))
         handler = self.handlers.get(to)
         if handler is not None:
             handler.on_timer(self, tag)

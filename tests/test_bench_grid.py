@@ -16,10 +16,26 @@ def test_every_grid_point_is_a_valid_scenario():
         assert len(scenario.script) == n * d
 
 
+def test_node_addresses_are_valid_past_255_and_unchanged_up_to_it():
+    scenario = scenario_from_json(bench_grid.grid_doc(300, 1))
+    scenario.validate()
+    ips = {node["id"]: node["ip"] for node in bench_grid.grid_doc(300, 2)["nodes"]}
+    assert len(set(ips.values())) == 600
+    assert [ips[k] for k in (1, 255, 256, 300)] == ["10.1.0.1", "10.1.0.255", "10.1.1.0",
+                                                     "10.1.1.44"]
+    assert ips[300 + 7] == "10.2.0.7"
+    # Every grid point keeps its 10.j.0.k addresses, so its document is as before.
+    for n, d in bench_grid.GRID:
+        assert all(node["ip"] == f"10.{node['domain']}.0.{node['id'] - (node['domain'] - 1) * n}"
+                   for node in bench_grid.grid_doc(n, d)["nodes"])
+
+
 def test_smallest_grid_point_runs_clean():
     point = bench_grid.run_point(10, 1)
     assert point["violation"] is None
     assert point["trace_rows"] > 0
+    # Process time is reported beside wall time.
+    assert point["process_s"] >= 0.0
 
 
 def test_a_point_times_one_export_of_its_whole_trace(monkeypatch):

@@ -402,13 +402,13 @@ def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
         offered, absorb = [], GosNode.absorb
 
         def recorded(node, net, recipients, msg):
-            offered.append(recipients)
+            offered.append(msg)
             return absorb(node, net, recipients, msg)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(GosNode, "absorb", recorded)
             w.net.run_until(w.net.now + w.net.intra_link.transit_ms(message_size_bytes(kind)))
-        assert all(len(to) > 1 for to in offered)  # none is the unicast
+        assert not any(offer is msg for offer in offered)  # a unicast is never offered
         assert ("deliver", "1", kind.name) in {(r.kind, r.dst, r.msg_kind)
                                                for r in w.net.trace[rows:]}
     assert (sender in node.ait) is learned

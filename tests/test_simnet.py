@@ -7,7 +7,7 @@ from operator import is_
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import load_script
+from conftest import ScriptedDraws, load_script
 from dssm import scenario
 from dssm.core import AitEntry, InvalidValue, Message, MessageKind, transit_size_bytes
 from dssm.discovery import VirtualDomain
@@ -224,6 +224,49 @@ def test_multicast_draws_once_per_attempt_in_member_order():
     assert [int(r.dst) for r in delivered] == survivors
     assert [r.seq for r in delivered] == list(range(2, 2 + len(survivors)))
     assert all(len(recs[n].messages) == (n in survivors) for n in ids)
+
+
+class Quiet(Recorder):
+    """A Recorder whose absorb takes every multicast entry silently, so
+    each entry's deliveries are one record holding its recipients tuple."""
+
+    def absorb(self, net, recipients, msg):
+        return ()
+
+
+def test_lossy_records_share_the_fan_out_and_each_nodes_one_tuple():
+    # Scripted drops on a lossy link: attempts 0-3 are node 1's fan-out,
+    # 4-7 node 2's (it loses 3 and 5), 8-11 node 1's again; the unicasts to
+    # node 1 draw 12 and 13.
+    lossy = LinkConfig(delay_ms=1.0, drop_probability=0.5, bandwidth_mbps=100.0)
+    net = Network(topo({n: 1 for n in range(1, 6)}, intra=lossy), seed=0)
+    for n in range(1, 6):
+        net.register_handler(n, Quiet())
+    net.rng = ScriptedDraws(net, 0.0, drops={5, 7})
+    for sender in (1, 2, 1):
+        attempts = net.rng.attempts
+        net.send_multicast(sender, 1, Message(MessageKind.HEARTBEAT, entry(sender)))
+        assert net.rng.attempts == attempts + 4  # one draw per member but the sender
+    net.set_timer(1, "a", 0.5)
+    net.run_until(0.5)
+    net.send_unicast(3, 1, Message(MessageKind.ACCEPT, entry(3)))
+    net.send_unicast(4, 1, Message(MessageKind.ACCEPT, entry(4)))
+    net.set_timer(1, "b", 3.0)
+    net.run_until_quiescent(10.0)
+    assert net.rng.attempts == 14
+    records = net.trace._records
+    delivered = {src: [r[4] for r in records if r[2] == "deliver" and r[3] == src]
+                 for src in (1, 2, 3, 4)}
+    # A fan-out that lost nothing is its sender's fan-out tuple itself.
+    assert delivered[1] == [(2, 3, 4, 5)] * 2
+    assert all(dsts is net._fanouts[(1, 1)] for dsts in delivered[1])
+    # One that lost attempts holds the survivors in member order.
+    assert delivered[2] == [(1, 4)]
+    assert delivered[2][0] is not net._fanouts[(1, 2)]
+    # Node 1's timer rows and the unicasts to it share one (1,).
+    ones = [r[4] for r in records if r[2] == "timer" or r[3] in (3, 4)]
+    assert len(ones) == 2 + 2 + 2 and ones[0] == (1,)
+    assert all(dsts is ones[0] for dsts in ones)
 
 
 class DrawPerLossyAttempt(Network):
