@@ -7,10 +7,11 @@ Each case is a bundled scenario, as shipped or with one change (5% loss on
 both link classes, or another election policy), a generated mixed run
 under one election policy (see `generated_doc`), or the document of one
 benchmark workload at seed 1, as `perfbench/workloads.py` builds it, so
-the runs the benchmark times are pinned too. `churn_lossy` and `hb_dense`
-are also pinned under the other two policies: the first is the only case
-with loss, crashes and rejoins at 96 nodes, the second the only 64-node
-join ramp. A case's record holds the
+the runs the benchmark times are pinned too. Each benchmark workload is
+also pinned under the other two policies: `churn_lossy` is the only case
+with loss, crashes and rejoins at 96 nodes, `hb_dense` the only 64-node
+join ramp, and `query_grid` the only one that queries and allocates at
+scale. A case's record holds the
 SHA-256 of the trace CSV, of the metrics JSON and of the `--compare-static`
 table, plus the consistency-assertion text when the run raises one; the
 trace and metrics then cover the run up to the failed assertion.
@@ -50,7 +51,8 @@ LOSS = 0.05
 POLICY_CASES = {"agent_crash": ("lowest_id", "highest_connectivity"),
                 "churn50": ("lowest_id", "highest_connectivity")}
 PERFBENCH_POLICY_CASES = {"churn_lossy": ("lowest_id", "highest_connectivity"),
-                          "hb_dense": ("lowest_id", "highest_connectivity")}
+                          "hb_dense": ("lowest_id", "highest_connectivity"),
+                          "query_grid": ("lowest_id", "highest_connectivity")}
 POLICIES = ("max_power", "lowest_id", "highest_connectivity")
 PERFBENCH_SEED = 1
 LINK = {"delay_ms": 1.0, "drop_probability": 0.02, "bandwidth_mbps": 100.0}
