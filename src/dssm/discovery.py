@@ -1,12 +1,20 @@
 """Upper-level virtual domain: agent registry, service endpoint directory,
 cross-domain storage discovery, capacity allocation and bulk transfer.
 
-Discovery is two-stage. The requester's domain agent first scans its own
-AIT for a candidate with enough remaining capacity, preferring the largest
-remainder (lowest id on ties). Only when the domain cannot satisfy the
-request does it multicast QUERY to the virtual group and collect
+Discovery is two-stage. The requester's domain agent first looks in its
+own AIT for a candidate with enough remaining capacity, preferring the
+largest remainder (lowest id on ties). Only when the domain cannot satisfy
+the request does it multicast QUERY to the virtual group and collect
 QUERY_RESP answers for a response window, applying the same best-fit rule
 across the remote candidates.
+
+An agent finds its domain's candidate, for its own query or a remote one,
+with `domain_best_fit`. An agent that follows its domain's heard board and
+holds no own record (`membership` module docstring) sees the board but its
+own id, plus its live `self_entry`, so it answers from the board's two
+entries of highest fit rank (`HeardBoard.top`), a memo that the board
+clears only when `take` writes a new entry; it builds no AIT. Any other
+node scans its AIT with `best_fit`.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from .core import (
 from .election import ElectionPolicy, select_agent
 from .metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE, MetricsRecord
 from .simnet import Network, UnknownNode, VIRTUAL
+
+# Bound once, as in membership: an Enum member read costs a metaclass lookup.
+_QUERY, _QUERY_RESP = MessageKind.QUERY, MessageKind.QUERY_RESP
 
 QUERY_TIMER_PREFIX = "query:"
 SERVICE_PORT = 8080
@@ -91,11 +102,13 @@ class VirtualDomain:
 
     It is also the network's VIRTUAL multicast group: iteration yields the
     registered agents' node ids in ascending order, and `in` and `len()`
-    see the same members.
+    see the same members. The ids are kept as a sorted tuple, rebuilt on
+    each change of the registry.
     """
 
     def __init__(self, net: Network | None = None):
         self._agents: dict[DomainId, AitEntry] = {}
+        self._ids: tuple[NodeId, ...] = ()
         if net is not None:
             net.virtual_members = self
 
@@ -110,17 +123,22 @@ class VirtualDomain:
         """
         if agent.node_id not in ait or select_agent(ait, agent.node_id, policy, heard) != agent.node_id:
             raise NotAnAgent(f"node {agent.node_id} is not the computed agent of domain {domain}")
-        self._agents[domain] = agent
+        self.register_pinned(agent, domain=domain)
 
     def register_pinned(self, agent: AitEntry, *, domain: DomainId) -> None:
         """Unchecked registration for the static-comparison baseline."""
         self._agents[domain] = agent
+        self._sort_ids()
 
     def deregister(self, node_id: NodeId, domain: DomainId) -> None:
         """Drop the domain's entry if `node_id` holds it (a clean leave)."""
         agent = self._agents.get(domain)
         if agent is not None and agent.node_id == node_id:
             del self._agents[domain]
+            self._sort_ids()
+
+    def _sort_ids(self) -> None:
+        self._ids = tuple(sorted(entry.node_id for entry in self._agents.values()))
 
     def agent_of(self, domain: DomainId) -> AitEntry | None:
         return self._agents.get(domain)
@@ -134,13 +152,13 @@ class VirtualDomain:
                 for ep in standard_endpoints(agent) if ep.kind is kind]
 
     def __len__(self) -> int:
-        return len(self._agents)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(sorted(agent.node_id for agent in self._agents.values()))
+        return iter(self._ids)
 
     def __contains__(self, node_id) -> bool:
-        return any(agent.node_id == node_id for agent in self._agents.values())
+        return node_id in self._ids
 
 
 @dataclass(frozen=True)
@@ -174,6 +192,21 @@ def best_fit(ait: Ait, required_mb: float) -> AitEntry | None:
     return max(candidates, key=_fit_rank)
 
 
+def domain_best_fit(node, required_mb: float) -> AitEntry | None:
+    """`best_fit(node.ait, required_mb)`: from the heard board's top two when
+    the node follows it with no own record (module docstring), else by scan."""
+    board = node._board
+    if board is None or node._own:
+        return best_fit(node.ait, required_mb)
+    best = node.self_entry
+    for entry in board.top():
+        if entry.node_id != best.node_id:
+            if _fit_rank(entry) > _fit_rank(best):
+                best = entry
+            break
+    return best if best.storage_capacity_mb >= required_mb else None
+
+
 def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None) -> None:
     """Run a storage query on the requester's domain agent.
 
@@ -184,7 +217,7 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
     """
     if not agent_node.is_agent:
         raise NoAgent(f"node {agent_node.node_id} does not hold agency")
-    local = best_fit(agent_node.ait, query.required_mb)
+    local = domain_best_fit(agent_node, query.required_mb)
     if local is not None:
         if on_complete is not None:
             on_complete(query, local, 0.0, "local")
@@ -193,7 +226,7 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
     net.send_multicast(
         agent_node.node_id,
         VIRTUAL,
-        Message(MessageKind.QUERY, agent_node.self_entry,
+        Message(_QUERY, agent_node.self_entry,
                 query_id=query.query_id, required_mb=query.required_mb),
     )
     net.set_timer(agent_node.node_id, f"{QUERY_TIMER_PREFIX}{query.query_id}",
@@ -204,11 +237,11 @@ def handle_query(node, net: Network, msg: Message) -> None:
     """A remote agent answers with its domain's best candidate (or none)."""
     if not node.is_agent:
         return
-    candidate = best_fit(node.ait, msg.required_mb)
+    candidate = domain_best_fit(node, msg.required_mb)
     net.send_unicast(
         node.node_id,
         msg.sender.node_id,
-        Message(MessageKind.QUERY_RESP, node.self_entry,
+        Message(_QUERY_RESP, node.self_entry,
                 query_id=msg.query_id, candidate=candidate),
     )
 
@@ -217,9 +250,10 @@ def handle_query_resp(node, net: Network, msg: Message) -> None:
     pending = node.pending_queries.get(msg.query_id)
     if pending is None:
         return  # late or unsolicited answer
-    if msg.candidate is not None:
-        known = [msg.candidate] if pending.best is None else [pending.best, msg.candidate]
-        pending.best = max(known, key=_fit_rank)
+    candidate = msg.candidate
+    if candidate is not None and (pending.best is None
+                                  or _fit_rank(candidate) > _fit_rank(pending.best)):
+        pending.best = candidate
 
 
 def finalize_query(node, net: Network, query_id: int) -> None:

@@ -28,6 +28,13 @@ where its view departs from the board: it missed a fan-out (dropped, or
 crashed), learned the entry through `on_message`, or dropped the peer on a
 timeout or LEAVE. Its own id reads its `self_entry`.
 
+The board also keeps its two entries of highest fit rank
+(`HeardBoard.top`), filled on the first read and cleared only where
+`take` writes an entry that is not the one it replaces. An agent that
+follows the board with no own record answers a storage query, its own or
+a remote one, from them and its live `self_entry`
+(`discovery.domain_best_fit`); any other node scans its AIT.
+
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
 delivery entry) returns None, or the replies when the domain's
@@ -54,6 +61,7 @@ guessing), and a node that elects itself announces domain-wide.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import defaultdict
 from collections.abc import Sequence
@@ -448,7 +456,8 @@ class HeardBoard:
     """One domain's heard board (module docstring). For each sender whose
     fan-out the board took, `heard` holds the time of the last one, oldest
     first, and `entries` its entry. `followers` are the members that read
-    it, and `pinned[peer]` the followers with an own record of peer."""
+    it, and `pinned[peer]` the followers with an own record of peer.
+    `_top` memoizes `top()` until `take` writes a new entry."""
 
     def __init__(self, members: tuple[NodeId, ...], policy: election.ElectionPolicy):
         self.members = members
@@ -457,6 +466,7 @@ class HeardBoard:
         self.entries: dict[NodeId, AitEntry] = {}
         self.followers: dict[NodeId, GosNode] = {}
         self.pinned: defaultdict[NodeId, set[NodeId]] = defaultdict(set)
+        self._top: list[AitEntry] | None = None
         # Members not following; is each follower its own handler? As of handlers_version _seen.
         self._others, self._ok, self._seen = (), False, None
 
@@ -545,7 +555,16 @@ class HeardBoard:
         heard = self.heard
         heard.pop(sid, None)
         heard[sid], self.entries[sid] = now, sender
+        if sender is not stored:
+            self._top = None
         return True
+
+    def top(self) -> list[AitEntry]:
+        """The board's (at most) two entries of highest `discovery._fit_rank`,
+        best first."""
+        if self._top is None:
+            self._top = heapq.nlargest(2, self.entries.values(), key=discovery._fit_rank)
+        return self._top
 
     def _moves(self, sender: AitEntry, now: float, asked) -> bool:
         """Whether sender's entry at `now` can move a follower in `asked` but the sender.

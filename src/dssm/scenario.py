@@ -496,9 +496,10 @@ class ScenarioWorld:
     # -- consistency --------------------------------------------------------------
 
     def live_members(self, domain: DomainId) -> list[GosNode]:
-        return [node for _, node in sorted(self.nodes.items())
-                if node.domain == domain and node.is_member
-                and not self.net.is_crashed(node.node_id)]
+        """The domain's members that are not crashed, in ascending id order."""
+        nodes, crashed = self.nodes, self.net.crashed
+        return [node for nid in self.net.domain_members(domain)
+                if (node := nodes[nid]).is_member and nid not in crashed]
 
     def check_consistency(self) -> str | None:
         """First violated quiescent-consistency check, None when clean."""

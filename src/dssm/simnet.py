@@ -63,10 +63,11 @@ first_seq + j, from str(src) and to str(dsts[j]), and is built only when
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
 (owner,) with src "". A record never changes once appended, so records
-share dsts: a node's (node,) is one tuple for all its timer rows and the
-rows of unicasts to it, and a domain multicast that lost no attempt
-delivers its sender's cached fan-out tuple itself. While a recipient's
-handler runs, trace[-1] is its deliver row.
+share dsts: a node's (node,) is one tuple for all its timer rows, the
+rows of unicasts to it and its deliver rows of refused multicast entries,
+and a domain multicast that lost no attempt delivers its sender's cached
+fan-out tuple itself. While a recipient's handler runs, trace[-1] is its
+deliver row.
 
 A handler may also have absorb(net, recipients, msg), which returns None
 or the replies. The loop asks the first recipient's handler once per
@@ -377,7 +378,8 @@ class Network:
         # (group, src) -> the members of a domain multicast but its sender,
         # over a lossless link its recipients, over a lossy one its attempts.
         self._fanouts: dict[tuple[DomainId, NodeId], tuple[NodeId, ...]] = {}
-        # Each node's (node,): the dsts of its timer rows and of unicasts to it.
+        # Each node's (node,): the dsts of its timer rows, of unicasts to it
+        # and of its deliver rows of refused multicast entries.
         self._ones = {node: (node,) for node in topology.nodes}
 
     # -- wiring ------------------------------------------------------------
@@ -560,9 +562,9 @@ class Network:
                     trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
             # A counter costs less than enumerate.
-            i = 0
+            i, ones = 0, self._ones
             for member in to:
-                trace._append((time_ms, seq + i, "deliver", src, to[i:i + 1], kind, size))
+                trace._append((time_ms, seq + i, "deliver", src, ones[member], kind, size))
                 i += 1
                 self._pending -= 1
                 handler = handlers.get(member)

@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import World
+from conftest import INTER, INTRA, World
+from dssm import discovery
 from dssm.core import Ait, AitEntry, InvalidValue
 from dssm.discovery import (
     AllocationLedger,
@@ -14,11 +17,13 @@ from dssm.discovery import (
     StorageQuery,
     VirtualDomain,
     best_fit,
+    domain_best_fit,
     find_storage,
     parse_endpoint_url,
     standard_endpoints,
     transfer_file,
 )
+from dssm.election import ElectionPolicy
 from dssm.metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE
 from dssm.simnet import LinkConfig, UnknownNode
 
@@ -148,6 +153,31 @@ def test_virtual_group_iterates_node_ids_in_ascending_order():
     assert list(reg) == [3, 5, 9]
 
 
+def test_virtual_group_ids_follow_every_change_of_the_registry():
+    # Iteration, `in` and len() read the cached ids; each change rebuilds them.
+    reg = VirtualDomain()
+
+    def group_is(ids):
+        assert list(reg) == ids == sorted(e.node_id for e in reg.agents().values())
+        assert len(reg) == len(ids)
+        assert [nid for nid in range(1, 12) if nid in reg] == ids
+
+    group_is([])
+    a9, a3, a7 = entry(9), entry(3, ip="10.0.2.1"), entry(7, ip="10.0.1.7")
+    reg.register_agent(a9, domain=1, ait=member_ait(a9))
+    group_is([9])
+    reg.register_agent(a3, domain=2, ait=member_ait(a3))
+    group_is([3, 9])
+    reg.register_agent(a7, domain=1, ait=member_ait(a7))  # replaces 9
+    group_is([3, 7])
+    reg.deregister(3, domain=1)  # not domain 1's agent
+    group_is([3, 7])
+    reg.deregister(7, domain=1)
+    group_is([3])
+    reg.register_pinned(entry(5, ip="10.0.3.1"), domain=3)
+    group_is([3, 5])
+
+
 # -- best fit ------------------------------------------------------------------
 
 
@@ -261,6 +291,132 @@ def test_random_topologies_match_oracle():
             got = done[0][1].node_id if done[0][1] else None
             want = oracle_two_stage(live, w.nodes[requester].domain, required)
             assert got == want, f"trial {trial}: got {got}, want {want}"
+
+
+# -- answers from the heard board ------------------------------------------------
+
+# Domain 1's agent is node 1 (the most power); node 2 has the most capacity.
+BOARD_DOMAIN = [
+    (1, 1, 1024.0, 2800.0),
+    (2, 1, 4096.0, 2660.0),
+    (3, 1, 2048.0, 2500.0),
+]
+
+
+def board_world(specs=BOARD_DOMAIN):
+    w = World(specs)
+    w.join_all()
+    w.settle(1000.0)
+    agent = w.nodes[1]
+    assert agent.is_agent and not agent._own  # it reads the board alone
+    return w, agent, AllocationLedger(w.nodes, w.net)
+
+
+def answer(node, required_mb):
+    """The node's answer, checked against best_fit over its AIT."""
+    got = domain_best_fit(node, required_mb)
+    assert got == best_fit(node.ait, required_mb)
+    return got
+
+
+def test_an_allocation_on_the_top_node_is_answered_after_its_next_taken_heartbeat():
+    w, agent, ledger = board_world()
+    board = agent._board
+    assert answer(agent, 100.0) is board.entries[2]
+    ledger.allocate(2, 3000.0)
+    # Until node 2's next heartbeat the board, and so the answer, is stale.
+    assert answer(agent, 100.0).storage_capacity_mb == 4096.0
+    w.settle(w.net.now + w.nodes[2].params.heartbeat_period_ms + 5.0)
+    assert board.entries[2] is w.nodes[2].self_entry and not agent._own  # taken
+    assert answer(agent, 100.0).node_id == 3
+    assert board.top() == [board.entries[3], board.entries[2]]
+    assert answer(agent, 2049.0) is None
+
+
+def test_an_agent_answers_with_its_live_entry_over_its_stale_board_entry():
+    _, agent, ledger = board_world([(1, 1, 4096.0, 2800.0), (2, 1, 1024.0, 2660.0),
+                                    (3, 1, 2048.0, 2500.0)])
+    ledger.allocate(1, 3500.0)  # 596 MB left; the board still reads 4096
+    assert agent._board.top()[0].node_id == 1
+    assert answer(agent, 100.0).node_id == 3
+    assert answer(agent, 3000.0) is None
+    ledger.release(ledger.allocations[1])
+    assert answer(agent, 3000.0) is agent.self_entry
+
+
+def test_a_member_with_own_records_answers_from_its_own_view():
+    # A LEAVE: the board keeps node 2's entry, the agent drops it.
+    w, agent, _ = board_world()
+    w.leave(2)
+    w.settle(w.net.now + 5.0)
+    assert agent._own == {2: None} and agent._board.top()[0].node_id == 2
+    assert answer(agent, 100.0).node_id == 3
+    # Missed fan-outs: node 1, crashed, misses node 2's heartbeat with its
+    # new capacity, which the board takes.
+    w, agent, ledger = board_world()
+    ledger.allocate(2, 3000.0)
+    w.crash(1)
+    w.settle(w.net.now + w.nodes[2].params.heartbeat_period_ms + 5.0)
+    w.net.revive(1)
+    assert agent._own[2][1].storage_capacity_mb == 4096.0
+    assert agent._board.entries[2].storage_capacity_mb == 1096.0
+    assert answer(agent, 100.0).storage_capacity_mb == 4096.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), loss=st.floats(0.0, 0.1),
+       policy=st.sampled_from(list(ElectionPolicy)))
+def test_every_answer_is_the_best_fit_of_the_answering_agents_ait(seed, loss, policy):
+    # Each agent's answer, to its own query or a remote one, equals best_fit
+    # over its AIT when it is given, through joins, leaves, crashes, rejoins,
+    # allocations and releases.
+    rng = random.Random(seed)
+    specs = [(nid, (nid - 1) // 4 + 1, rng.choice((512.0, 1024.0, 2048.0, 4096.0)),
+              rng.choice((2500.0, 2660.0, 2800.0))) for nid in range(1, 13)]
+    w = World(specs, seed=seed, intra=replace(INTRA, drop_probability=loss),
+              inter=replace(INTER, drop_probability=loss), policy=policy)
+    ledger = AllocationLedger(w.nodes, w.net)
+    answers, held, down = [], [], []
+
+    def checked(node, required_mb):
+        got = domain_best_fit(node, required_mb)
+        assert got == best_fit(node.ait, required_mb)
+        answers.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discovery, "domain_best_fit", checked)
+        t = w.join_all() + 500.0
+        for query_id in range(60):
+            w.settle(t)
+            t += rng.choice((50.0, 100.0, 250.0))
+            live, r = w.members(), rng.random()
+            if r < 0.4 and live:
+                requester = rng.choice(live)
+                agent = w.nodes.get(requester.agent)
+                if agent is not None and agent.is_agent and not w.net.is_crashed(agent.node_id):
+                    required = rng.choice((200.0, 1000.0, 2500.0, 4000.0))
+                    find_storage(agent, w.net, StorageQuery(requester.node_id, required, query_id))
+            elif r < 0.6 and live:
+                node, size = rng.choice(live), rng.choice((100.0, 500.0, 1500.0))
+                if node.self_entry.storage_capacity_mb >= size:
+                    held.append(ledger.allocate(node.node_id, size))
+            elif r < 0.7 and held:
+                ledger.release(held.pop(rng.randrange(len(held))))
+            elif r < 0.85 and len(live) > 4:
+                node = rng.choice(live)
+                if r < 0.775:
+                    node.initiate_leave(w.net)
+                else:
+                    w.net.crash(node.node_id)
+                down.append(node)
+            elif down:
+                node = down.pop(rng.randrange(len(down)))
+                w.net.revive(node.node_id)
+                node.reset_offline()
+                node.initiate_join(w.net)
+        w.settle(t + 500.0)
+    assert answers
 
 
 # -- allocation ----------------------------------------------------------------

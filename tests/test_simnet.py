@@ -1040,7 +1040,8 @@ def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
     # A taken entry is one record per run of recipients that ends at a
     # replying one, then one for the rest, so it shares its recipients tuple
     # when none replies. A refused entry is one record per recipient, and a
-    # unicast entry one per delivery, sharing the tuple of its destination.
+    # unicast entry one per delivery; each such one-row record shares its
+    # node's (node,), the tuple of the network's `_ones`.
     net, _, entries, taken, replied, held, _ = _interleaved_run(seed, 0.1)
     records = net.trace._records
     where = {seq: (seqs[0], k) for seqs, _ in entries for k, seq in enumerate(seqs)}
@@ -1058,8 +1059,11 @@ def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
         else:
             bounds = range(len(to) + 1)
         assert pieces[first] == [(lo, to[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        if len(pieces[first]) == 1:
-            assert pieces[first][0][1] is to
+        if first in taken or first in replies:
+            if len(pieces[first]) == 1:
+                assert pieces[first][0][1] is to
+        else:
+            assert all(dsts is net._ones[dsts[0]] for _, dsts in pieces[first])
     assert any(len(to) > 1 and seqs[0] not in taken and seqs[0] not in replies
                for seqs, to in entries)
     # No record changes once appended: every record a handler saw is still
