@@ -13,6 +13,7 @@ from collections.abc import Collection
 from enum import Enum
 
 from .core import Ait, AitEntry, DssmError, NodeId
+from .metrics import KIND_ELECTION_LATENCY, MetricsRecord
 
 
 class EmptyDomain(DssmError):
@@ -120,12 +121,14 @@ def heard_members(node, now_ms: float) -> frozenset[NodeId]:
 def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
     """Recompute the agent after an AIT mutation and act on a change.
 
-    When this node elects itself it announces to its domain and registers
-    with the virtual domain. `evidence_ms` is the timestamp of the last
-    evidence for the previous agent (used for the election-latency metric);
-    defaults to now for changes triggered by an explicit message. A node
-    with a static pin (the static-comparison baseline) takes the pin as its
-    agent and never elects.
+    A change is recorded as an ElectionLatency metric when the node has a
+    metrics callback. When this node elects itself it announces to its
+    domain and registers with the virtual domain, over the same view it
+    elected from. `evidence_ms` is the timestamp of the last evidence for
+    the previous agent (used for the election-latency metric); defaults to
+    now for changes triggered by an explicit message. A node with a static
+    pin (the static-comparison baseline) takes the pin as its agent and
+    never elects.
     """
     if node.static_pin is not None:
         node.agent = node.static_pin
@@ -133,16 +136,19 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
     ait = node.ait  # a view of the node, built on each read
     if len(ait) == 0:
         return
-    new_agent = select_agent(ait, node.agent, node.policy, heard_members(node, net.now))
+    heard = heard_members(node, net.now)
+    new_agent = select_agent(ait, node.agent, node.policy, heard)
     if new_agent == node.agent:
         return
-    old = node.agent
-    node.agent = new_agent
+    old, node.agent = node.agent, new_agent
     if node.metrics_cb is not None:
-        since = net.now - (evidence_ms if evidence_ms is not None else net.now)
-        node.record_election(net, old, new_agent, since)
-    if new_agent == node.self_entry.node_id:
-        node.announce_agency(net)
+        since = 0.0 if evidence_ms is None else net.now - evidence_ms
+        node.metrics_cb(MetricsRecord(
+            KIND_ELECTION_LATENCY, since, "ms", net.now,
+            {"node": str(node.node_id), "old": str(old), "new": str(new_agent)},
+        ))
+    if new_agent == node.node_id:
+        node.announce_agency(net, ait, heard)
 
 
 __all__ = [

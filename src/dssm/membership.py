@@ -38,13 +38,16 @@ a remote one, from them and its live `self_entry`
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
 delivery entry) returns None, or the replies when the domain's
-`HeardBoard` takes an entry of a peer entry. The board takes it only if
-the entry misses fewer followers than it reaches, can move no reached
-follower's election, and reaches no node outside the board but plain
-GosNodes. The take costs one board write plus a record for each follower
-that missed it or held one, so a settled heartbeat period (every member
-is up and hears every fan-out, and no power changes) costs the board
-write alone per fan-out, after one pass over the followers under
+`HeardBoard` takes an entry of a peer entry. One rule refuses it: the
+entry can move the election of a follower it reaches. Besides, the board
+refuses a JOIN from a follower or another kind from a non-follower, any
+entry while a follower's handler is not the follower itself, and one that
+reaches a node outside the board other than a plain GosNode. A follower
+that the entry misses (not reached, or crashed) keeps, in an own record,
+what it last read. The take costs one board write plus a record for each
+follower that missed it or held one, so a settled heartbeat period (every
+member is up and hears every fan-out, and no power changes) costs the
+board write alone per fan-out, after one pass over the followers under
 HIGHEST_CONNECTIVITY. Such a take has no replies, (). Members learn a
 newcomer from the board the same way: the board takes its JOIN fan-out
 after asking every follower reached, and the replies are each live
@@ -81,7 +84,7 @@ from .core import (
     NodeId,
     message_size_bytes,
 )
-from .metrics import KIND_ELECTION_LATENCY, KIND_JOIN_LATENCY, MetricsRecord
+from .metrics import KIND_JOIN_LATENCY, MetricsRecord
 from .simnet import LinkConfig, Network
 
 log = logging.getLogger(__name__)
@@ -338,10 +341,7 @@ class GosNode:
             log.debug("node %d: LEAVE from %d ignored in phase %s",
                       self.node_id, leaver, self.phase.value)
             return
-        if leaver == self.agent:
-            self.agent = NO_NODE
-        self._hear(leaver, None)
-        election.reevaluate_agent(self, net)
+        self._drop(net, (leaver,))
 
     def heartbeat_tick(self, net: Network) -> None:
         """Multicast a fresh self entry, drop silent peers, re-arm.
@@ -360,14 +360,19 @@ class GosNode:
         now, timeout = net.now, self.params.failure_timeout_ms
         oldest = self._oldest_heard()
         if oldest is not None and now - oldest > timeout:
-            timed_out = [peer for peer, heard in self.last_heard_ms.items()
-                         if now - heard > timeout]
-            for peer in timed_out:
-                self._hear(peer, None)
-            if self.agent in timed_out:
-                self.agent = NO_NODE
-            election.reevaluate_agent(self, net, evidence_ms=oldest)
+            self._drop(net, [peer for peer, heard in self.last_heard_ms.items()
+                             if now - heard > timeout], evidence_ms=oldest)
         net.set_timer(self.node_id, TIMER_HEARTBEAT, self.params.heartbeat_period_ms)
+
+    def _drop(self, net: Network, peers: Sequence[NodeId],
+              evidence_ms: float | None = None) -> None:
+        """Drop each peer from what this member heard, forget the agent if it
+        is among them, and re-elect (`evidence_ms` as in `reevaluate_agent`)."""
+        for peer in peers:
+            self._hear(peer, None)
+        if self.agent in peers:
+            self.agent = NO_NODE
+        election.reevaluate_agent(self, net, evidence_ms)
 
     # -- what this node heard ---------------------------------------------------
 
@@ -422,24 +427,14 @@ class GosNode:
 
     # -- election plumbing ------------------------------------------------------
 
-    def announce_agency(self, net: Network) -> None:
-        """Called when this node elected itself: tell the domain and, when
-        it has a registry, join the virtual domain."""
+    def announce_agency(self, net: Network, ait: Ait, heard: frozenset[NodeId]) -> None:
+        """Called when this node elected itself over `ait` and `heard`
+        (`election.reevaluate_agent`): tell the domain and, when it has a
+        registry, join the virtual domain."""
         net.send_multicast(self.node_id, self.domain, self._message(_AGENT_ANNOUNCE))
         if self.registry is not None:
-            self.registry.register_agent(
-                self.self_entry,
-                domain=self.domain,
-                ait=self.ait,
-                policy=self.policy,
-                heard=election.heard_members(self, net.now),
-            )
-
-    def record_election(self, net: Network, old: NodeId, new: NodeId, since_ms: float) -> None:
-        self.metrics_cb(MetricsRecord(
-            KIND_ELECTION_LATENCY, since_ms, "ms", net.now,
-            {"node": str(self.node_id), "old": str(old), "new": str(new)},
-        ))
+            self.registry.register_agent(self.self_entry, domain=self.domain, ait=ait,
+                                         policy=self.policy, heard=heard)
 
     def __repr__(self) -> str:
         return (f"GosNode(id={self.node_id}, domain={self.domain}, "
@@ -487,71 +482,57 @@ class HeardBoard:
 
     def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
         """Take a delivery entry of a peer entry, a JOIN from a newcomer or
-        any other kind from a follower, in one write, if it misses fewer
-        followers than it reaches and each recipient's `on_message` would
-        only learn the entry (and answer a JOIN); return whether it did,
-        changing nothing if not. An entry that holds every member but the
-        sender is its fan-out.
+        any other kind from a follower, in one write, unless the one rule
+        (module docstring) refuses it; return whether it did, changing
+        nothing if not. An entry that holds every member but the sender is
+        its fan-out.
 
-        The write alone takes a fan-out that every member follows and gets,
-        none crashed, when no follower holds an own record of the sender and
-        the board's entry has the sender's power: no follower's view departs
-        from the board, so none can move, unless its policy reads heard times
-        (each is asked). Otherwise a follower that missed it gets an own record
-        of the entry it last read, and one that got it drops its own."""
-        sender, followers, n = msg.sender, self.followers, len(self.members)
+        One pass: (1) find the followers that missed the entry (not reached,
+        or crashed) and those that hold an own record of the sender; (2) ask
+        every follower reached if the entry is a JOIN, the policy reads heard
+        times or the board lacks the sender's power, which its readers then
+        read, and otherwise each reached holder whose record lacks it; (3)
+        refuse if one of them would re-elect; (4) give each follower that
+        missed it an own record of the entry it last read, drop the own
+        record of each that got it, and store the new set of holders; (5)
+        write the board. The one write is a fan-out that every follower gets,
+        none holding an own record, of a power the board has: steps 1 and 4
+        find and do nothing, and only a policy that reads heard times asks."""
+        sender, followers = msg.sender, self.followers
         sid, now, join = sender.node_id, net.now, msg.kind is _JOIN
         # A JOIN comes from a newcomer, any other peer entry from a follower.
         if (sid in followers) is join or not self._ready(net):
             return False
         crashed, others, holders = net.crashed, self._others, self.pinned.get(sid)
         stored, power = self.entries.get(sid), sender.processing_power_mhz
-        # The write alone when no view can depart from the board (docstring);
-        # never for a JOIN, whose sender is one of `others`.
-        if not (len(recipients) == n - 1 and not others and not holders
-                and stored is not None and stored.processing_power_mhz == power
-                and (not crashed or followers.keys().isdisjoint(crashed))):
-            if len(recipients) == n - 1:
-                received, missed = None, set()
-            elif 2 * len(recipients) >= n:
-                received = {sid, *recipients}
-                missed = followers.keys() - received
-            else:
+        lacks = stored is None or stored.processing_power_mhz != power
+        whole = len(recipients) == len(self.members) - 1
+        missed = set() if whole else followers.keys() - {sid, *recipients}
+        if crashed:
+            missed.update([m for m in crashed if m in followers and m != sid])
+        if join or self.timed or lacks:  # no set to build when none missed it
+            asked = followers.keys() - missed if missed else followers
+        else:
+            asked = [p for p in holders - missed if not (record := followers[p]._own[sid])
+                     or record[1].processing_power_mhz != power] if holders else ()
+        if others:
+            others = [net.handlers.get(m) for m in others
+                      if m != sid and m not in crashed and (whole or m in recipients)]
+            if any(node.__class__ is not GosNode for node in others):
                 return False
-            if crashed:
-                missed.update([m for m in crashed if m in followers and m != sid])
-            if others:
-                others = [net.handlers.get(m) for m in others
-                          if m != sid and (received is None or m in received) and m not in crashed]
-                if any(node.__class__ is not GosNode for node in others):
-                    return False
-            holders = holders or set()
-            got = holders - missed
-            # Who can move: any follower reached if the entry is a JOIN or the policy reads
-            # heard times, else one whose view of the sender lacks its power (none reading
-            # `stored`, or give up).
-            if join or self.timed:
-                asked = followers.keys() - missed
-            elif len(followers) - 1 - len(missed) > len(got) and (
-                    stored is None or stored.processing_power_mhz != power):
-                return False
-            else:
-                asked = [p for p in got if not (record := followers[p]._own[sid])
-                         or record[1].processing_power_mhz != power]
-            if asked and self._moves(sender, now, asked):
-                return False
-            record, old = (now, sender), stored and (self.heard[sid], stored)
-            if not join:  # a joining node ignores a JOIN
-                for node in others:
-                    if node.phase is _JOINING:
-                        node._learn_joining(msg.kind, record)
-            for peer in got:
+        if asked and self._moves(sender, now, asked):
+            return False
+        if missed or holders or lacks:  # all but the one write
+            holders, old = holders or set(), stored and (self.heard[sid], stored)
+            for peer in holders - missed:
                 del followers[peer]._own[sid]
             for peer in missed - holders:
                 followers[peer]._own[sid] = old
             self.pinned[sid] = missed
-        elif self.timed and self._moves(sender, now, followers):
-            return False
+        if not join:  # a joining node ignores a JOIN
+            for node in others:
+                if node.phase is _JOINING:
+                    node._learn_joining(msg.kind, (now, sender))
         heard = self.heard
         heard.pop(sid, None)
         heard[sid], self.entries[sid] = now, sender
