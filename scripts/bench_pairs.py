@@ -23,7 +23,9 @@ the pairs the change won (the direction comes from BENCHMARK.json).
 given points (NxD, or NxD@policy) of `scripts/bench_grid.py` in each
 checkout, N alternating pairs; both sides must report the same trace rows
 and consistency check. The parent runs this checkout's `bench_grid.py`
-over its own `src/`, so that both sides read the same points.
+over its own `src/`, so that both sides read the same points. Per point,
+`wall_s`, `process_s` and `export_s` are summarized as the end-to-end
+metrics are, under the grid's `summary` key.
 --out writes all of it as one JSON document, in the shape of the committed
 BENCH_*.json files.
 """
@@ -44,6 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
 GRID = Path("scripts") / "bench_grid.py"
+# The grid point figures that bench_pairs summarizes, all lower-is-better.
+GRID_METRICS = ("wall_s", "process_s", "export_s")
 
 
 class Mismatch(Exception):
@@ -238,13 +242,30 @@ def grid_pairs(args, sides: dict[str, Path]) -> dict:
             raise Mismatch(f"grid: {side} run of pair {k} gives {shape}, "
                            f"the first parent run {reference['shape']}")
         print(f"grid pair {k} {side:<6} " + " ".join(
-            f"{name}={p['wall_s']:.3f}s" for name, p in zip(points, result)), flush=True)
+            f"{name}={p['wall_s']:.3f}s export={p['export_s']:.3f}s"
+            for name, p in zip(points, result)), flush=True)
 
     runs = alternate(args.pairs, sides, command, 3600, check)
+    results = {side: [json.loads(s.strip().splitlines()[-1])["points"] for s in outputs]
+               for side, outputs in runs.items()}
+    summary = summarize_grid(points, results["parent"], results["change"])
+    print(format_summary(summary), flush=True)
     return {"command": "python3 " + " ".join(command),
             "pairs": f"{args.pairs} alternating parent/change pairs",
-            **{side: [json.loads(s.strip().splitlines()[-1])["points"] for s in outputs]
-               for side, outputs in runs.items()}}
+            **results, "summary": summary}
+
+
+def summarize_grid(points: list[str], parent: list[list[dict]],
+                   change: list[list[dict]]) -> dict:
+    """`summarize` over grid runs, each point a workload with the lower-is-
+    better metrics GRID_METRICS. `parent` and `change` hold each run's
+    points in `points` order, in pair order."""
+    def lines(runs):
+        return {name: [{"metrics": {m: {"value": run[i][m]} for m in GRID_METRICS}}
+                       for run in runs]
+                for i, name in enumerate(points)}
+
+    return summarize(lines(parent), lines(change), dict.fromkeys(GRID_METRICS, "lower"))
 
 
 def main() -> int:

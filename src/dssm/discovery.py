@@ -305,6 +305,7 @@ class AllocationLedger:
         if not alloc.active:
             raise AlreadyReleased(f"allocation {alloc.allocation_id} already released")
         alloc.active = False
+        self.allocations.pop(alloc.allocation_id, None)
         node = self._nodes.get(alloc.node)
         if node is not None:
             node.adjust_capacity(alloc.size_mb)

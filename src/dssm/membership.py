@@ -522,7 +522,7 @@ class HeardBoard:
                 return False
         if asked and self._moves(sender, now, asked):
             return False
-        if missed or holders or lacks:  # all but the one write
+        if missed or holders:  # else there are no own records to fix up
             holders, old = holders or set(), stored and (self.heard[sid], stored)
             for peer in holders - missed:
                 del followers[peer]._own[sid]

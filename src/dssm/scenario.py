@@ -393,16 +393,20 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
+    """Parse and validate a scenario file, read as UTF-8."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return scenario_from_json(doc, name_hint=path.stem)

@@ -299,7 +299,16 @@ class Trace(Sequence):
 
 
 def export_trace(trace: Trace, path) -> None:
-    """Write the trace as CSV; an unwritable path raises IoError."""
+    """Write the trace as CSV; an unwritable path raises IoError.
+
+    A record of one row is written with one f-string. A record of n > 1
+    rows, whose rows differ only in seq and dst, is written with one
+    `%`-format: the row pattern `{time},%s,{kind},{src},%s,{msg_kind},{size}`
+    repeated n times, formatted with the interleaved (seq, dst) values.
+    `%s` is str(), which is what the f-string writes for the int and str
+    fields, and any `%` in the pattern's constant parts is escaped as `%%`.
+    Nothing is kept between calls: the shared times and tails below live
+    for one call only."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
@@ -324,9 +333,13 @@ def export_trace(trace: Trace, path) -> None:
                 if n == 1:
                     lines.append(f"{head}{first},{kind},{src},{dsts[0]}{tail}")
                 else:
-                    mid = f",{kind},{src},"
-                    lines.append("".join([f"{head}{seq}{mid}{dst}{tail}"
-                                          for seq, dst in enumerate(dsts, first)]))
+                    args = [None] * (2 * n)
+                    args[::2] = range(first, first + n)
+                    args[1::2] = dsts
+                    # A time's repr holds no %; the other constant parts may.
+                    mid = f",{kind},{src},".replace("%", "%%")
+                    row = f"{head}%s{mid}%s{tail.replace('%', '%%')}"
+                    lines.append(row * n % tuple(args))
                 rows += n
                 if rows >= _ROWS_PER_WRITE:
                     fh.write("".join(lines))

@@ -62,3 +62,53 @@ def test_summarize_gives_medians_quartiles_ratio_and_wins():
     assert summary["hb_dense"]["events_per_s"]["change_wins"] == "4/5"
     table = bench_pairs.format_summary(summary)
     assert "hb_dense" in table and "4/5" in table
+
+
+def grid_output(*points):
+    """What `scripts/bench_grid.py` prints: a table, then the JSON line."""
+    return "   NxD   wall_s ...\n" + json.dumps({"points": [
+        {"n": n, "d": d, "wall_s": wall, "process_s": wall, "export_s": export,
+         "trace_rows": rows, "peak_rss_mb": 20.0, "violation": None}
+        for n, d, wall, export, rows in points]}) + "\n"
+
+
+def test_grid_pairs_summarize_each_point_as_a_workload(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(bench_pairs.ROOT / "scripts"))
+    # Per side, in pair order: 160x1's export falls, 40x8's wall time does not.
+    canned = {"parent": [grid_output((160, 1, 0.20, 0.44, 1000), (40, 8, 0.30, 0.30, 800)),
+                         grid_output((160, 1, 0.22, 0.46, 1000), (40, 8, 0.31, 0.28, 800)),
+                         grid_output((160, 1, 0.21, 0.42, 1000), (40, 8, 0.29, 0.32, 800))],
+              "change": [grid_output((160, 1, 0.21, 0.33, 1000), (40, 8, 0.33, 0.20, 800)),
+                         grid_output((160, 1, 0.20, 0.34, 1000), (40, 8, 0.31, 0.21, 800)),
+                         grid_output((160, 1, 0.23, 0.43, 1000), (40, 8, 0.32, 0.19, 800))]}
+    sides = {"parent": "parent", "change": "change"}
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda checkout, args, timeout_s: canned[checkout].pop(0))
+    args = type("Args", (), {"grid": [(160, 1, "max_power"), (40, 8, "max_power")],
+                             "pairs": 3})()
+    doc = bench_pairs.grid_pairs(args, sides)
+    out = capsys.readouterr().out
+    assert "grid pair 0 parent 160x1=0.200s export=0.440s" in out
+    assert [p["export_s"] for p in doc["change"][2]] == [0.43, 0.19]
+    summary = doc["summary"]
+    assert list(summary) == ["160x1", "40x8"]
+    assert list(summary["160x1"]) == ["wall_s", "process_s", "export_s"]
+    export = summary["160x1"]["export_s"]
+    assert (export["parent_median"], export["change_median"]) == (0.44, 0.34)
+    assert (export["parent_q1"], export["parent_q3"]) == (0.43, 0.45)
+    assert export["change_over_parent"] == round(0.34 / 0.44, 3)
+    assert export["change_wins"] == "2/3"  # pair 2: 0.43 is not below 0.42
+    assert summary["40x8"]["wall_s"]["change_wins"] == "0/3"
+    assert summary["40x8"]["export_s"]["change_wins"] == "3/3"
+    assert bench_pairs.format_summary(summary) in out
+
+
+def test_grid_pairs_stop_when_the_trace_rows_differ(monkeypatch):
+    monkeypatch.syspath_prepend(str(bench_pairs.ROOT / "scripts"))
+    canned = {"parent": [grid_output((160, 1, 0.2, 0.4, 1000))],
+              "change": [grid_output((160, 1, 0.2, 0.3, 999))]}
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda checkout, args, timeout_s: canned[checkout].pop(0))
+    args = type("Args", (), {"grid": [(160, 1, "max_power")], "pairs": 1})()
+    with pytest.raises(bench_pairs.Mismatch):
+        bench_pairs.grid_pairs(args, {"parent": "parent", "change": "change"})

@@ -489,6 +489,28 @@ def test_interleaved_allocations_conserve_capacity():
             assert node.self_entry.storage_capacity_mb + held == initial[nid]
 
 
+def test_the_ledger_holds_exactly_the_unreleased_allocations():
+    w, ledger = allocation_world()
+    rng = random.Random(29)
+    live, released = [], []
+    for _ in range(200):
+        if live and rng.random() < 0.5:
+            alloc = live.pop(rng.randrange(len(live)))
+            ledger.release(alloc)
+            released.append(alloc)
+        else:
+            try:
+                live.append(ledger.allocate(rng.choice([1, 2, 3]), rng.choice([16.0, 64.0])))
+            except InsufficientCapacity:
+                pass
+    assert released and live
+    assert ledger.allocations == {a.allocation_id: a for a in live}
+    # A released allocation is gone from the ledger and still refused again.
+    with pytest.raises(AlreadyReleased):
+        ledger.release(released[0])
+    assert ledger.allocations == {a.allocation_id: a for a in live}
+
+
 def test_allocation_propagates_via_heartbeat():
     w, ledger = allocation_world()
     ledger.allocate(3, 4096.0)

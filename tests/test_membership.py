@@ -751,8 +751,8 @@ def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(mon
                                                                             policy):
     # Once the join ramp and one failure timeout have passed, no follower
     # holds an own record and no pinned set is non-empty, so each heartbeat
-    # fan-out is the board write alone. The general bookkeeping always
-    # stores a new pinned set for the sender; the one write leaves it be.
+    # fan-out is the board write alone, which leaves the sender's pinned
+    # set be.
     ids = range(1, 11)
     w = World([(nid, 1, 1000.0 + nid, 2500.0 + 100.0 * (nid % 4)) for nid in ids],
               policy=policy)
@@ -1007,14 +1007,15 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     # delivery through on_message, so no node reads a heard board. At any
     # drop, some JOIN fan-out goes on the board with its replies. At drop 0
     # every domain multicast shares one recipients tuple per sender, and
-    # settled fan-outs go on the board with no follower missing them: the
-    # capacity-only changes in the one write, node 1's power change through
-    # the general bookkeeping, which stores a new pinned set for the sender.
+    # settled fan-outs go on the board with no follower missing them: a
+    # capacity-only change that no follower holds a record of asks nobody
+    # (unless the policy reads heard times), and node 1's power change asks
+    # every follower it reached, since each reads that power from the board.
     doc = update_goldens.generated_doc(policy.value, draw=f"absorb{draw}")
     doc["seed"] = seed
     doc["intra_domain_link"] = dict(doc["intra_domain_link"], drop_probability=drop)
-    taken, boarded, changes, joins = [], [], [], []
-    absorb, take = GosNode.absorb, HeardBoard.take
+    taken, boarded, changes, joins, asks = [], [], [], [], []
+    absorb, take, moves = GosNode.absorb, HeardBoard.take, HeardBoard._moves
 
     def counted(node, net, recipients, msg):
         took = absorb(node, net, recipients, msg)
@@ -1023,19 +1024,32 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
             joins.append(took is not None and any(took))
         return took
 
+    def counted_moves(board, sender, now, asked):
+        asks.append(set(asked))
+        return moves(board, sender, now, asked)
+
     def counted_take(board, net, recipients, msg):
         sid = msg.sender.node_id
-        stored, pinned = board.entries.get(sid), board.pinned.get(sid)
+        stored, holders = board.entries.get(sid), board.pinned.get(sid)
+        # The followers the entry reaches alive, the sender among them.
+        reached = {p for p in board.followers
+                   if p == sid or p in recipients and p not in net.crashed}
+        asks.clear()
         took = take(board, net, recipients, msg)
         boarded.append(took and not board.pinned.get(sid))
-        if stored is not None and stored is not msg.sender:
+        if took and stored is not None and stored is not msg.sender:
             power = stored.processing_power_mhz != msg.sender.processing_power_mhz
-            changes.append((power, took and board.pinned.get(sid) is pinned))
+            asked = set().union(*asks)
+            if power or board.timed or msg.kind is J:
+                changes.append((power, asked == reached))
+            elif not holders:
+                changes.append((power, not asked))
         return took
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GosNode, "absorb", counted)
         patch.setattr(HeardBoard, "take", counted_take)
+        patch.setattr(HeardBoard, "_moves", counted_moves)
         batched = _run_outputs(doc, tmp_path_factory.mktemp("absorb"))
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(GosNode, "absorb")
@@ -1043,7 +1057,10 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     assert any(took is not None for took in taken)
     assert any(joins)  # a JOIN was taken, naming the members' replies
     assert any(boarded)  # a fan-out that no follower missed went on the board
-    assert (True, True) not in changes  # a power change is never the one write
+    # A taken power change, JOIN or change under a policy that reads heard
+    # times asked every follower it reached; any other taken capacity-only
+    # change with no holders asked none.
+    assert all(asked_right for _, asked_right in changes)
     if drop == 0.0:
-        assert (False, True) in changes and (True, False) in changes
+        assert (False, True) in changes and (True, True) in changes
     assert batched == one_by_one

@@ -1,6 +1,9 @@
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -610,6 +613,33 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     p.write_text("{")
     assert cli_main(["run", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _python(*args, **env):
+    """Run the interpreter on `args` over this checkout's src/, with `env`
+    added to the environment, so that a traceback reaches stderr as it does
+    for a user and the exit status is the interpreter's."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000], ids=["not_utf8", "too_deep"])
+def test_cli_bad_scenario_bytes_exit_2_without_a_traceback(tmp_path, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    proc = _python("-m", "dssm.cli", "run", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_load_scenario_reads_utf8_under_an_ascii_locale(tmp_path):
+    p = tmp_path / "utf8.json"
+    p.write_bytes(json.dumps(minimal_doc(name="caf\u00e9"), ensure_ascii=False).encode())
+    proc = _python("-c", "import sys; from dssm.scenario import load_scenario; "
+                   "print(ascii(load_scenario(sys.argv[1]).name))", str(p),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (proc.returncode, proc.stdout) == (0, "'caf\\xe9'\n"), proc.stderr
 
 
 SET_LINK_OUT_OF_RANGE = {"set_link_drop_probability": 1.5, "set_link_delay_ms": -1.0,

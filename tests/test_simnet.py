@@ -1035,6 +1035,49 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
     assert (tmp_path / "trace.csv").read_bytes() == _row_by_row(trace)
 
 
+# Fields with the `%`-format's and the f-string's special characters.
+_FIELD_TEXT = st.one_of(st.sampled_from(["%", "%s", "%%", "%d", "%(x)s", "{", "}", "{}"]),
+                        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+_RECORD = st.tuples(
+    st.one_of(st.sampled_from([2, 2.0]), st.integers(0, 3), st.floats(0.0, 3.0)),  # time_ms
+    _FIELD_TEXT,  # kind
+    st.one_of(st.integers(1, 2**32 - 1), st.just("")),  # src
+    st.lists(st.one_of(st.integers(1, 2**32 - 1), _FIELD_TEXT), min_size=1, max_size=200),
+    _FIELD_TEXT,  # msg_kind
+    st.one_of(st.sampled_from([0.0, -0.0, 0, 33.0]), st.floats()),  # size_bytes
+)
+
+
+def _hand_built(records) -> Trace:
+    """A Trace of records (time_ms, kind, src, dsts, msg_kind, size), with
+    consecutive seqs from 1."""
+    built, seq = [], 1
+    for time_ms, kind, src, dsts, msg_kind, size in records:
+        built.append((time_ms, seq, kind, src, tuple(dsts), msg_kind, size))
+        seq += len(dsts)
+    return Trace(built, seq - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(_RECORD, max_size=8), cut=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+# A 160x1 grid's heartbeat fan-out: one record of 159 recipients.
+@example(records=[(1000.0, "send", 1, ["domain1"], "HEARTBEAT", 33.0),
+                  (1001.00264, "deliver", 1, list(range(2, 161)), "HEARTBEAT", 33.0)],
+         cut=(0.3, 0.6))
+@example(records=[(5, "timer", "", [1], "DATA", 0), (5.0, "send", 1, [2], "DATA", 0.0),
+                  (5.0, "deliver", 1, [2, 3], "DATA", -0.0),
+                  (5.0, "deliver%s", 1, ["%s", 4], "%%d", 0.0)],
+         cut=(0.0, 1.0))
+def test_trace_export_of_hand_built_records_is_the_bytes_of_its_rows(tmp_path_factory,
+                                                                     records, cut):
+    trace = _hand_built(records)
+    lo, hi = sorted(round(f * len(trace)) for f in cut)
+    out = tmp_path_factory.mktemp("export") / "trace.csv"
+    for view in (trace, trace[lo:hi]):
+        export_trace(view, out)
+        assert out.read_bytes() == _row_by_row(view)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_records_are_runs_of_taken_entries_and_rows_of_refused_ones(seed):
     # A taken entry is one record per run of recipients that ends at a
