@@ -9,8 +9,13 @@ The parent is the committed tree of PARENT_REV, exported with `git archive`
 into a temporary directory that is removed on exit; an export, unlike a
 worktree, leaves nothing in the repository's own `.git` when the script is
 killed. The change is the checkout that holds this script, as it stands on
-disk. Pair k runs `perfbench/run.py --workload all --seed S --seconds T` in
-both, the parent first when k is even.
+disk. Before the first pair, `python -m compileall -q src perfbench` runs
+in both checkouts, so that no run compiles what it imports: a process that
+compiles, as each does under PYTHONDONTWRITEBYTECODE=1, has a peak RSS that
+moves with the source text. compileall writes bytecode whatever that
+variable says, and the runs read it. Pair k runs
+`perfbench/run.py --workload all --seed S --seconds T` in both, the parent
+first when k is even.
 
 Both sides must print the same trace and metrics SHA-256, `ops_attempted`
 and `ops_failed` for every workload and the same digest for every bundled
@@ -48,6 +53,7 @@ RUN = Path("perfbench") / "run.py"
 GRID = Path("scripts") / "bench_grid.py"
 # The grid point figures that bench_pairs summarizes, all lower-is-better.
 GRID_METRICS = ("wall_s", "process_s", "export_s")
+COMPILE = ["-m", "compileall", "-q", "src", "perfbench"]
 
 
 class Mismatch(Exception):
@@ -158,6 +164,12 @@ def run_side(checkout: Path, args: list[str], timeout_s: float) -> str:
         raise Mismatch(f"{checkout}: {' '.join(args)} exited {proc.returncode}\n"
                        f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return proc.stdout
+
+
+def compile_sides(sides: dict[str, Path]) -> None:
+    """Write the bytecode of each checkout's src/ and perfbench/."""
+    for checkout in sides.values():
+        run_side(checkout, COMPILE, 600)
 
 
 def alternate(pairs: int, sides: dict[str, Path], args: list[str], timeout_s: float,
@@ -294,6 +306,7 @@ def main() -> int:
     try:
         export_rev(args.parent_commit, tmp)
         sides = {"parent": tmp, "change": ROOT}
+        compile_sides(sides)
         doc = {"description": args.description,
                "host": f"{platform.machine()}, {platform.python_implementation()} "
                        f"{platform.python_version()}"}

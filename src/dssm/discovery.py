@@ -76,8 +76,8 @@ class ServiceEndpoint:
     url: str
 
 
-def endpoint_url(ip, kind: ServiceKind, port: int = SERVICE_PORT) -> str:
-    return f"http://{ip}:{port}/srmd/services/{kind.value}"
+def endpoint_url(ip, kind: ServiceKind) -> str:
+    return f"http://{ip}:{SERVICE_PORT}/srmd/services/{kind.value}"
 
 
 def parse_endpoint_url(url: str) -> tuple[str, int, ServiceKind]:
@@ -268,7 +268,6 @@ class Allocation:
     allocation_id: int
     node: NodeId
     size_mb: float
-    active: bool = True
 
 
 class AllocationLedger:
@@ -278,7 +277,7 @@ class AllocationLedger:
     against the target's actual remaining capacity.
     """
 
-    def __init__(self, nodes, net: Network | None = None):
+    def __init__(self, nodes, net: Network):
         self._nodes = nodes
         self._net = net
         self._next_id = 1
@@ -288,7 +287,7 @@ class AllocationLedger:
         if math.isnan(size_mb) or size_mb <= 0:
             raise InvalidValue(f"size_mb {size_mb} must be > 0")
         node = self._nodes.get(target)
-        if node is None or (self._net is not None and self._net.is_crashed(target)):
+        if node is None or self._net.is_crashed(target):
             raise UnknownNode(f"node {target} unknown or dead")
         if node.self_entry.storage_capacity_mb < size_mb:
             raise InsufficientCapacity(
@@ -302,13 +301,12 @@ class AllocationLedger:
         return alloc
 
     def release(self, alloc: Allocation) -> None:
-        if not alloc.active:
+        held = self.allocations.pop(alloc.allocation_id, None)
+        if held is None:
             raise AlreadyReleased(f"allocation {alloc.allocation_id} already released")
-        alloc.active = False
-        self.allocations.pop(alloc.allocation_id, None)
-        node = self._nodes.get(alloc.node)
+        node = self._nodes.get(held.node)
         if node is not None:
-            node.adjust_capacity(alloc.size_mb)
+            node.adjust_capacity(held.size_mb)
 
 
 def transfer_file(net: Network, sender: AitEntry, to: NodeId, size_mb: float

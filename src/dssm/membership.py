@@ -127,17 +127,18 @@ class ProtocolParams:
     response_window_ms: float = 100.0
 
     @classmethod
-    def from_links(cls, intra: LinkConfig, inter: LinkConfig) -> "ProtocolParams":
-        """Defaults derived from the link model: the accept window covers a
-        round trip on the slow path and the response window two
-        inter-domain round trips. The heartbeat period and the failure
-        timeout, three missed heartbeats, keep the class defaults."""
+    def from_links(cls, intra: LinkConfig, inter: LinkConfig, **given: float) -> "ProtocolParams":
+        """The `given` params, and defaults derived from the link model for
+        the others: the accept window covers a round trip on the slow path,
+        the response window two inter-domain round trips, the heartbeat
+        period keeps the class default, and the failure timeout is three
+        heartbeat periods."""
         join_rt = 2 * intra.transit_ms(message_size_bytes(MessageKind.JOIN))
         query_rt = 2 * inter.transit_ms(message_size_bytes(MessageKind.QUERY_RESP))
-        return cls(
-            accept_window_ms=max(10.0, join_rt),
-            response_window_ms=max(10.0, 2 * query_rt),
-        )
+        period = given.get("heartbeat_period_ms", cls.heartbeat_period_ms)
+        return cls(**{"accept_window_ms": max(10.0, join_rt),
+                      "response_window_ms": max(10.0, 2 * query_rt),
+                      "failure_timeout_ms": 3 * period, **given})
 
 
 class GosNode:

@@ -50,6 +50,7 @@ is not finite and > 0, raise ValidationError like any other bad input.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
@@ -305,6 +306,15 @@ class Scenario:
         # lost heartbeat, or between two heartbeats without any loss.
         if self.params.failure_timeout_ms <= self.params.heartbeat_period_ms:
             raise ValidationError("param failure_timeout_ms must be > heartbeat_period_ms")
+        # A heartbeat re-arms its timer one period after it fires, and a
+        # period with t + period == t re-arms it at t forever. The clock never
+        # passes the last script time T, float spacing only shrinks below T,
+        # and half a spacing rounds back to an even t: so a period over half
+        # the spacing at T moves every timer.
+        period = self.params.heartbeat_period_ms
+        if 2 * period <= math.ulp(last_t):
+            raise ValidationError(
+                f"param heartbeat_period_ms {period} does not advance the clock at t={last_t}")
         try:
             self.topology().validate()
         except DssmError as exc:
@@ -358,13 +368,13 @@ def scenario_from_json(doc: dict, name_hint: str = "scenario") -> Scenario:
             power_mhz=_get(node, "power_mhz", _NUMBER, nctx),
         ))
 
-    base = ProtocolParams.from_links(intra, inter)
     raw_params = _get(doc, "params", dict, ctx, default={})
+    known = {field.name for field in fields(ProtocolParams)}
     for key in raw_params:
-        if not hasattr(base, key):
+        if key not in known:
             raise ParseError(f"{ctx}.params: unknown parameter {key!r}")
-    params = replace(base, **{k: _get(raw_params, k, _NUMBER, f"{ctx}.params")
-                              for k in raw_params})
+    params = ProtocolParams.from_links(intra, inter, **{
+        k: _get(raw_params, k, _NUMBER, f"{ctx}.params") for k in raw_params})
 
     policy_name = _get(doc, "election_policy", str, ctx, default="max_power")
     try:

@@ -60,6 +60,8 @@ Network.trace is a Trace, a read-only sequence of TraceRow stored as an
 append-only list of complete records of one shape, (time_ms, first_seq,
 kind, src, dsts, msg_kind, size_bytes): row j of a record has seq
 first_seq + j, from str(src) and to str(dsts[j]), and is built only when
+read. Network appends each record to that list itself; the row count and
+the index of each record's first row are worked out from the records on
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
 (owner,) with src "". A record never changes once appended, so records
@@ -222,20 +224,20 @@ def _cut(record, start: int, stop: int):
 
 class Trace(Sequence):
     """A read-only sequence of TraceRow; see the module docstring for the
-    records behind it. Only Network appends. A slice is a Trace sharing the
-    records of its range, not a list of rows; `records` and `length` build
-    such a view."""
+    records behind it. Only Network appends, straight to `_records`. A
+    slice is a Trace sharing the records of its range, not a list of rows;
+    `records` builds such a view."""
 
-    __slots__ = ("_records", "_len", "_starts")
+    __slots__ = ("_records", "_starts")
 
-    def __init__(self, records: list | None = None, length: int = 0):
+    def __init__(self, records: list | None = None):
         self._records = [] if records is None else records
-        self._len = length
-        # The row index of each record's first row, filled in on read.
-        self._starts = array("q")
+        # The row index of each record's first row, then the row count,
+        # filled in on read.
+        self._starts = array("q", [0])
 
     def __len__(self) -> int:
-        return self._len
+        return self._index()[-1]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -258,44 +260,37 @@ class Trace(Sequence):
 
     # -- reading internals ----------------------------------------------------
 
-    def _find(self, index) -> tuple:
-        """The record holding row `index` (negative from the end), and its offset."""
-        i = as_index(index)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("trace index out of range")
-        k = self._locate(i)
-        return self._records[k], i - self._starts[k]
-
-    def _locate(self, i: int) -> int:
-        """The index of the record that holds row i, for 0 <= i < len."""
+    def _index(self) -> array:
+        """The row index, extended to the records appended since the last read."""
         starts, records = self._starts, self._records
         # Records never change once appended, so each start is found once.
-        for k in range(len(starts), len(records)):
-            starts.append(starts[k - 1] + len(records[k - 1][4]) if k else 0)
-        return bisect_right(starts, i) - 1
+        for k in range(len(starts) - 1, len(records)):
+            starts.append(starts[k] + len(records[k][4]))
+        return starts
+
+    def _find(self, index) -> tuple:
+        """The record holding row `index` (negative from the end), and its offset."""
+        i, n = as_index(index), len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace index out of range")
+        k = bisect_right(self._starts, i) - 1
+        return self._records[k], i - self._starts[k]
 
     def _slice(self, s: slice) -> Trace:
-        lo, hi, step = s.indices(self._len)
+        lo, hi, step = s.indices(len(self))
         if step != 1:
-            records = [_cut(record, j, j + 1)
-                       for record, j in map(self._find, range(lo, hi, step))]
-            return Trace(records, len(records))
+            return Trace([_cut(record, j, j + 1)
+                          for record, j in map(self._find, range(lo, hi, step))])
         if lo >= hi:
             return Trace()
-        first, last = self._locate(lo), self._locate(hi - 1)
+        starts = self._starts
+        first, last = bisect_right(starts, lo) - 1, bisect_right(starts, hi - 1) - 1
         records = self._records[first:last + 1]
-        records[-1] = _cut(records[-1], 0, hi - self._starts[last])
-        records[0] = _cut(records[0], lo - self._starts[first], hi - self._starts[first])
-        return Trace(records, hi - lo)
-
-    # -- writing, by Network --------------------------------------------------
-
-    def _append(self, record: tuple) -> None:
-        """Append a complete record."""
-        self._records.append(record)
-        self._len += len(record[4])
+        records[-1] = _cut(records[-1], 0, hi - starts[last])
+        records[0] = _cut(records[0], lo - starts[first], hi - starts[first])
+        return Trace(records)
 
 
 def export_trace(trace: Trace, path) -> None:
@@ -438,12 +433,9 @@ class Network:
         link = self.intra_link if domain == self._require(dst) else self.inter_link
         size = transit_size_bytes(msg)
         at = self.now + link.transit_ms(size)
-        last = self._unicast
-        if last is not None and last[2][0] == dst:
-            dsts = last[2]
-            joins = last[0] == at > self.now and last[4][-1][0] == self._seq
-        else:
-            dsts, joins = self._ones[dst], False
+        last, dsts = self._unicast, self._ones[dst]
+        joins = (last is not None and last[2] is dsts and last[0] == at > self.now
+                 and last[4][-1][0] == self._seq)
         self._trace_send(src, dsts, msg, size)
         if link.drop_probability and self.rng.random() < link.drop_probability:
             return
@@ -539,7 +531,8 @@ class Network:
 
     def _trace_send(self, src: NodeId, dsts: tuple, msg: Message, size: float) -> None:
         self._seq += 1
-        self.trace._append((self.now, self._seq, "send", src, dsts, KIND_NAMES[msg.kind], size))
+        self.trace._records.append((self.now, self._seq, "send", src, dsts,
+                                    KIND_NAMES[msg.kind], size))
 
     def _push_delivery(self, at: float, recipients: tuple[NodeId, ...], msg: Message) -> None:
         first = self._seq + 1
@@ -554,7 +547,7 @@ class Network:
         time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
-            trace, crashed, handlers = self.trace, self.crashed, self.handlers
+            crashed, handlers = self.crashed, self.handlers
             src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
             size = transit_size_bytes(msg)
             absorb = getattr(handlers.get(to[0]), "absorb", None)
@@ -562,22 +555,22 @@ class Network:
             if taken is not None:
                 # Each recipient's replies follow its deliver row.
                 self._pending -= len(to)
-                start = 0
+                append, start = self.trace._records.append, 0
                 if taken:  # most takes are silent, (); they skip the loop's set-up
                     for i, replies in enumerate(taken):
                         if replies:
-                            trace._append((time_ms, seq + start, "deliver", src, to[start:i + 1],
-                                           kind, size))
+                            append((time_ms, seq + start, "deliver", src, to[start:i + 1],
+                                    kind, size))
                             start = i + 1
                             for reply in replies:
                                 self.send_unicast(to[i], src, reply)
                 if start < len(to):
-                    trace._append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
+                    append((time_ms, seq + start, "deliver", src, to[start:], kind, size))
                 return
             # A counter costs less than enumerate.
-            i, ones = 0, self._ones
+            i, ones, append = 0, self._ones, self.trace._records.append
             for member in to:
-                trace._append((time_ms, seq + i, "deliver", src, ones[member], kind, size))
+                append((time_ms, seq + i, "deliver", src, ones[member], kind, size))
                 i += 1
                 self._pending -= 1
                 handler = handlers.get(member)
@@ -586,10 +579,11 @@ class Network:
             return
         if tag.__class__ is list:
             # A unicast entry: each delivery in seq order, a record of one row.
-            trace, handlers, crashed, dst = self.trace, self.handlers, self.crashed, to[0]
+            append, handlers, crashed = self.trace._records.append, self.handlers, self.crashed
+            dst = to[0]
             for seq, msg in tag:
-                trace._append((time_ms, seq, "deliver", msg.sender.node_id, to,
-                               KIND_NAMES[msg.kind], transit_size_bytes(msg)))
+                append((time_ms, seq, "deliver", msg.sender.node_id, to,
+                        KIND_NAMES[msg.kind], transit_size_bytes(msg)))
                 self._pending -= 1
                 handler = handlers.get(dst)
                 if handler is not None and dst not in crashed:
@@ -602,7 +596,7 @@ class Network:
         del self._timers[key]
         if to in self.crashed:
             return
-        self.trace._append((time_ms, seq, "timer", "", self._ones[to], tag, 0))
+        self.trace._records.append((time_ms, seq, "timer", "", self._ones[to], tag, 0))
         handler = self.handlers.get(to)
         if handler is not None:
             handler.on_timer(self, tag)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -112,3 +113,24 @@ def test_grid_pairs_stop_when_the_trace_rows_differ(monkeypatch):
     args = type("Args", (), {"grid": [(160, 1, "max_power")], "pairs": 1})()
     with pytest.raises(bench_pairs.Mismatch):
         bench_pairs.grid_pairs(args, {"parent": "parent", "change": "change"})
+
+
+def test_compile_sides_writes_bytecode_that_a_run_imports(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    for checkout in sides.values():
+        for part in ("src", "perfbench"):
+            (checkout / part).mkdir(parents=True)
+            (checkout / part / f"{part}_mod.py").write_text("VALUE = 1\n")
+    bench_pairs.compile_sides(sides)
+    for checkout in sides.values():
+        assert len(list((checkout / "perfbench" / "__pycache__").glob("perfbench_mod.*.pyc"))) == 1
+        # A source of the same size and mtime passes the bytecode's check, so
+        # a run that reads the bytecode prints the compiled value.
+        source = checkout / "src" / "src_mod.py"
+        stat = source.stat()
+        source.write_text("VALUE = 2\n")
+        os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        out = bench_pairs.run_side(checkout, ["-c", "import sys; sys.path[:0] = ['src']; "
+                                              "import src_mod; print(src_mod.VALUE)"], 60)
+        assert out == "1\n"

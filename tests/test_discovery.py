@@ -432,7 +432,7 @@ def allocation_world():
 def test_allocate_reduces_capacity():
     w, ledger = allocation_world()
     alloc = ledger.allocate(1, 512.0)
-    assert alloc.active
+    assert ledger.allocations == {alloc.allocation_id: alloc}
     assert w.nodes[1].self_entry.storage_capacity_mb == 512.0
 
 

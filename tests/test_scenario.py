@@ -126,6 +126,16 @@ def test_unknown_action_rejected():
         scenario_from_json(doc)
 
 
+# A method of ProtocolParams is not a parameter: "from_links" used to pass
+# the name check and raise TypeError.
+@pytest.mark.parametrize("key", ["beat_ms", "from_links"])
+def test_unknown_param_rejected(key):
+    doc = minimal_doc()
+    doc["params"][key] = 1.0
+    with pytest.raises(ParseError, match=f"unknown parameter '{key}'"):
+        scenario_from_json(doc)
+
+
 def _join(**fields):
     return {"time_ms": 600.0, "action": "join", "node": 1, **fields}
 
@@ -741,6 +751,50 @@ def test_cli_rejects_a_failure_timeout_of_at_most_one_heartbeat_period(tmp_path,
     assert cli_main(["run", str(p)]) == 2
     assert capsys.readouterr().err == (
         "error: param failure_timeout_ms must be > heartbeat_period_ms\n")
+
+
+# A period that does not advance the clock at the last script time: 1e-300
+# ms at 500 ms, 200 ms at 1e20 ms, and half the float spacing at 2^53 ms,
+# which rounds back to 2^53 itself. Each used to re-arm a heartbeat at one
+# instant without end.
+@pytest.mark.parametrize("period, last_t", [(1e-300, 500.0), (200.0, 1e20), (1.0, 2.0**53)],
+                         ids=["tiny_period", "late_script", "half_spacing"])
+def test_cli_heartbeat_period_that_cannot_advance_the_clock_exits_2(tmp_path, period, last_t):
+    doc = minimal_doc()
+    doc["params"]["heartbeat_period_ms"] = period
+    doc["script"].append({"time_ms": last_t, "action": "assert_quiescent_consistency"})
+    p = tmp_path / "period.json"
+    p.write_text(json.dumps(doc))
+    proc = _python("-m", "dssm.cli", "run", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: param heartbeat_period_ms {period} does not advance "
+                           f"the clock at t={last_t}\n")
+
+
+def test_smallest_period_that_advances_the_clock_is_accepted():
+    doc = minimal_doc()
+    # 2^53 + 2 has an odd mantissa, so t + 1 rounds up there but not at 2^53.
+    doc["script"].append({"time_ms": 2.0**53 + 2, "action": "assert_quiescent_consistency"})
+    doc["params"]["heartbeat_period_ms"] = 1.0
+    with pytest.raises(ValidationError, match="does not advance the clock"):
+        scenario_from_json(doc)
+    doc["params"]["heartbeat_period_ms"] = 2.0
+    assert scenario_from_json(doc).params.heartbeat_period_ms == 2.0
+
+
+@pytest.mark.parametrize("period", [200.0, 5000.0])
+def test_an_omitted_failure_timeout_is_three_heartbeat_periods(tmp_path, capsys, period):
+    doc = minimal_doc(params={"heartbeat_period_ms": period})
+    assert scenario_from_json(doc).params.failure_timeout_ms == 3 * period
+    p = tmp_path / "period.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", str(p)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_omitted_heartbeat_period_keeps_the_default_and_its_timeout():
+    params = scenario_from_json(minimal_doc(params={})).params
+    assert (params.heartbeat_period_ms, params.failure_timeout_ms) == (1000.0, 3000.0)
 
 
 def test_cli_seed_override(tmp_path):

@@ -1055,7 +1055,7 @@ def _hand_built(records) -> Trace:
     for time_ms, kind, src, dsts, msg_kind, size in records:
         built.append((time_ms, seq, kind, src, tuple(dsts), msg_kind, size))
         seq += len(dsts)
-    return Trace(built, seq - 1)
+    return Trace(built)
 
 
 @settings(max_examples=60, deadline=None)
