@@ -23,6 +23,7 @@ diff, and say why in CHANGES.md.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
 import importlib.util
@@ -171,7 +172,9 @@ def case_digests(doc: dict, name: str) -> dict:
         }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     new = {name: case_digests(doc, name) for name, doc in case_docs().items()}
     for name in sorted(old.keys() | new.keys()):

@@ -91,6 +91,11 @@ class AitEntry:
             raise InvalidValue(f"processing power {power} must be finite and > 0")
 
 
+def fit_rank(entry: AitEntry) -> tuple[float, int]:
+    """The storage fit order, higher is better: most capacity left, then lowest id."""
+    return entry.storage_capacity_mb, -entry.node_id
+
+
 def encode_ait_entry(entry: AitEntry) -> bytes:
     """Serialize an entry to its fixed 32-byte block."""
     return _ENTRY_STRUCT.pack(

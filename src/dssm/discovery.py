@@ -9,12 +9,9 @@ QUERY_RESP answers for a response window, applying the same best-fit rule
 across the remote candidates.
 
 An agent finds its domain's candidate, for its own query or a remote one,
-with `domain_best_fit`. An agent that follows its domain's heard board and
-holds no own record (`membership` module docstring) sees the board but its
-own id, plus its live `self_entry`, so it answers from the board's two
-entries of highest fit rank (`HeardBoard.top`), a memo that the board
-clears only when `take` writes a new entry; it builds no AIT. Any other
-node scans its AIT with `best_fit`.
+with `GosNode.best_fit`, which reads what it heard without building its
+AIT (`membership` module docstring). `best_fit` is the same answer by a
+scan over a whole AIT; both rank candidates by `core.fit_rank`.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from .core import (
     Message,
     MessageKind,
     NodeId,
+    fit_rank,
 )
 from .election import ElectionPolicy, select_agent
 from .metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE, MetricsRecord
@@ -180,31 +178,12 @@ class PendingQuery:
     on_complete: object = None
 
 
-def _fit_rank(entry: AitEntry) -> tuple[float, int]:
-    return entry.storage_capacity_mb, -entry.node_id
-
-
 def best_fit(ait: Ait, required_mb: float) -> AitEntry | None:
     """Largest remaining capacity >= required_mb, lowest node id on ties."""
     candidates = [e for e in ait.by_id.values() if e.storage_capacity_mb >= required_mb]
     if not candidates:
         return None
-    return max(candidates, key=_fit_rank)
-
-
-def domain_best_fit(node, required_mb: float) -> AitEntry | None:
-    """`best_fit(node.ait, required_mb)`: from the heard board's top two when
-    the node follows it with no own record (module docstring), else by scan."""
-    board = node._board
-    if board is None or node._own:
-        return best_fit(node.ait, required_mb)
-    best = node.self_entry
-    for entry in board.top():
-        if entry.node_id != best.node_id:
-            if _fit_rank(entry) > _fit_rank(best):
-                best = entry
-            break
-    return best if best.storage_capacity_mb >= required_mb else None
+    return max(candidates, key=fit_rank)
 
 
 def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None) -> None:
@@ -217,7 +196,7 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
     """
     if not agent_node.is_agent:
         raise NoAgent(f"node {agent_node.node_id} does not hold agency")
-    local = domain_best_fit(agent_node, query.required_mb)
+    local = agent_node.best_fit(query.required_mb)
     if local is not None:
         if on_complete is not None:
             on_complete(query, local, 0.0, "local")
@@ -237,7 +216,7 @@ def handle_query(node, net: Network, msg: Message) -> None:
     """A remote agent answers with its domain's best candidate (or none)."""
     if not node.is_agent:
         return
-    candidate = domain_best_fit(node, msg.required_mb)
+    candidate = node.best_fit(msg.required_mb)
     net.send_unicast(
         node.node_id,
         msg.sender.node_id,
@@ -252,7 +231,7 @@ def handle_query_resp(node, net: Network, msg: Message) -> None:
         return  # late or unsolicited answer
     candidate = msg.candidate
     if candidate is not None and (pending.best is None
-                                  or _fit_rank(candidate) > _fit_rank(pending.best)):
+                                  or fit_rank(candidate) > fit_rank(pending.best)):
         pending.best = candidate
 
 

@@ -28,12 +28,12 @@ where its view departs from the board: it missed a fan-out (dropped, or
 crashed), learned the entry through `on_message`, or dropped the peer on a
 timeout or LEAVE. Its own id reads its `self_entry`.
 
-The board also keeps its two entries of highest fit rank
-(`HeardBoard.top`), filled on the first read and cleared only where
-`take` writes an entry that is not the one it replaces. An agent that
-follows the board with no own record answers a storage query, its own or
-a remote one, from them and its live `self_entry`
-(`discovery.domain_best_fit`); any other node scans its AIT.
+The board also keeps its entries ranked by `core.fit_rank`
+(`HeardBoard.ranked`), sorted on the first read and cleared only where
+`take` writes an entry that is not the one it replaces. A member answers a
+storage query, its own or a remote one, from its view without building
+it (`GosNode.best_fit`): the best of the first ranked entry that it reads
+from the board, its own records and its live `self_entry`.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
@@ -41,20 +41,21 @@ delivery entry) returns None, or the replies when the domain's
 `HeardBoard` takes an entry of a peer entry. One rule refuses it: the
 entry can move the election of a follower it reaches. Besides, the board
 refuses a JOIN from a follower or another kind from a non-follower, any
-entry while a follower's handler is not the follower itself, and one that
-reaches a node outside the board other than a plain GosNode. A follower
-that the entry misses (not reached, or crashed) keeps, in an own record,
-what it last read. The take costs one board write plus a record for each
-follower that missed it or held one, so a settled heartbeat period (every
-member is up and hears every fan-out, and no power changes) costs the
-board write alone per fan-out, after one pass over the followers under
-HIGHEST_CONNECTIVITY. Such a take has no replies, (). Members learn a
-newcomer from the board the same way: the board takes its JOIN fan-out
-after asking every follower reached, and the replies are each live
-member's (ACCEPT, and the agent's directed AGENT_ANNOUNCE), which the
-network sends after that member's deliver row; a joining or offline
-recipient learns nothing from a JOIN. Every refused entry goes through
-`on_message`, one recipient at a time.
+entry while a follower's handler is not the follower itself or a follower
+runs another election policy than the board (that of the member that made
+it), and one that reaches a node outside the board other than a plain
+GosNode. A follower that the entry misses (not reached, or crashed)
+keeps, in an own record, what it last read. The take costs one board
+write plus a record for each follower that missed it or held one, so a
+settled heartbeat period (every member is up and hears every fan-out, and
+no power changes) costs the board write alone per fan-out, after one pass
+over the followers under HIGHEST_CONNECTIVITY. Such a take has no
+replies, (). Members learn a newcomer from the board the same way: the
+board takes its JOIN fan-out after asking every follower reached, and the
+replies are each live member's (ACCEPT, and the agent's directed
+AGENT_ANNOUNCE), which the network sends after that member's deliver row;
+a joining or offline recipient learns nothing from a JOIN. Every refused
+entry goes through `on_message`, one recipient at a time.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -64,13 +65,11 @@ guessing), and a node that elects itself announces domain-wide.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import is_
 
 from . import discovery, election
 from .core import (
@@ -82,6 +81,7 @@ from .core import (
     MessageKind,
     NO_NODE,
     NodeId,
+    fit_rank,
     message_size_bytes,
 )
 from .metrics import KIND_JOIN_LATENCY, MetricsRecord
@@ -377,6 +377,19 @@ class GosNode:
 
     # -- what this node heard ---------------------------------------------------
 
+    def best_fit(self, required_mb: float) -> AitEntry | None:
+        """`discovery.best_fit(self.ait, required_mb)` of a member, without building
+        the AIT: the best `fit_rank` of its live `self_entry`, its own records and
+        the first ranked board entry it reads, if that covers the request."""
+        own, node_id = self._own, self.node_id
+        candidates = [self.self_entry, *(record[1] for record in own.values() if record is not None)]
+        for entry in self._board.ranked():
+            if entry.node_id not in own and entry.node_id != node_id:
+                candidates.append(entry)
+                break
+        best = max(candidates, key=fit_rank)
+        return best if best.storage_capacity_mb >= required_mb else None
+
     def _view(self, board: dict | None, field: int) -> dict:
         """Field 0 (time) or 1 (entry) of what this node heard from each
         peer: the board's dict of that field, overridden by the own records."""
@@ -453,17 +466,18 @@ class HeardBoard:
     fan-out the board took, `heard` holds the time of the last one, oldest
     first, and `entries` its entry. `followers` are the members that read
     it, and `pinned[peer]` the followers with an own record of peer.
-    `_top` memoizes `top()` until `take` writes a new entry."""
+    `_ranked` memoizes `ranked()` until `take` writes a new entry."""
 
     def __init__(self, members: tuple[NodeId, ...], policy: election.ElectionPolicy):
         self.members = members
-        self.timed = election.reads_heard_times(policy)
+        self.policy, self.timed = policy, election.reads_heard_times(policy)
         self.heard: dict[NodeId, float] = {}
         self.entries: dict[NodeId, AitEntry] = {}
         self.followers: dict[NodeId, GosNode] = {}
         self.pinned: defaultdict[NodeId, set[NodeId]] = defaultdict(set)
-        self._top: list[AitEntry] | None = None
-        # Members not following; is each follower its own handler? As of handlers_version _seen.
+        self._ranked: list[AitEntry] | None = None
+        # Members not following; is each follower its own handler, of the board's
+        # policy? As of handlers_version _seen.
         self._others, self._ok, self._seen = (), False, None
 
     def follow(self, node: GosNode) -> None:
@@ -538,15 +552,14 @@ class HeardBoard:
         heard.pop(sid, None)
         heard[sid], self.entries[sid] = now, sender
         if sender is not stored:
-            self._top = None
+            self._ranked = None
         return True
 
-    def top(self) -> list[AitEntry]:
-        """The board's (at most) two entries of highest `discovery._fit_rank`,
-        best first."""
-        if self._top is None:
-            self._top = heapq.nlargest(2, self.entries.values(), key=discovery._fit_rank)
-        return self._top
+    def ranked(self) -> list[AitEntry]:
+        """The board's entries, highest `fit_rank` first."""
+        if self._ranked is None:
+            self._ranked = sorted(self.entries.values(), key=fit_rank, reverse=True)
+        return self._ranked
 
     def _moves(self, sender: AitEntry, now: float, asked) -> bool:
         """Whether sender's entry at `now` can move a follower in `asked` but the sender.
@@ -567,6 +580,7 @@ class HeardBoard:
     def _ready(self, net: Network) -> bool:
         if self._seen != net.handlers_version:
             self._seen, followers = net.handlers_version, self.followers
-            self._ok = all(map(is_, map(net.handlers.get, followers), followers.values()))
+            self._ok = all(net.handlers.get(peer) is node and node.policy is self.policy
+                           for peer, node in followers.items())
             self._others = tuple([m for m in self.members if m not in followers])
         return self._ok

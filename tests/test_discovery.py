@@ -1,11 +1,13 @@
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INTER, INTRA, World
-from dssm import discovery
+from conftest import INTER, INTRA, World, load_script
+from dssm import discovery, scenario
 from dssm.core import Ait, AitEntry, InvalidValue
 from dssm.discovery import (
     AllocationLedger,
@@ -17,13 +19,13 @@ from dssm.discovery import (
     StorageQuery,
     VirtualDomain,
     best_fit,
-    domain_best_fit,
     find_storage,
     parse_endpoint_url,
     standard_endpoints,
     transfer_file,
 )
 from dssm.election import ElectionPolicy
+from dssm.membership import GosNode
 from dssm.metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE
 from dssm.simnet import LinkConfig, UnknownNode
 
@@ -314,7 +316,7 @@ def board_world(specs=BOARD_DOMAIN):
 
 def answer(node, required_mb):
     """The node's answer, checked against best_fit over its AIT."""
-    got = domain_best_fit(node, required_mb)
+    got = node.best_fit(required_mb)
     assert got == best_fit(node.ait, required_mb)
     return got
 
@@ -329,7 +331,7 @@ def test_an_allocation_on_the_top_node_is_answered_after_its_next_taken_heartbea
     w.settle(w.net.now + w.nodes[2].params.heartbeat_period_ms + 5.0)
     assert board.entries[2] is w.nodes[2].self_entry and not agent._own  # taken
     assert answer(agent, 100.0).node_id == 3
-    assert board.top() == [board.entries[3], board.entries[2]]
+    assert board.ranked() == [board.entries[3], board.entries[2], board.entries[1]]
     assert answer(agent, 2049.0) is None
 
 
@@ -337,7 +339,7 @@ def test_an_agent_answers_with_its_live_entry_over_its_stale_board_entry():
     _, agent, ledger = board_world([(1, 1, 4096.0, 2800.0), (2, 1, 1024.0, 2660.0),
                                     (3, 1, 2048.0, 2500.0)])
     ledger.allocate(1, 3500.0)  # 596 MB left; the board still reads 4096
-    assert agent._board.top()[0].node_id == 1
+    assert agent._board.ranked()[0].node_id == 1
     assert answer(agent, 100.0).node_id == 3
     assert answer(agent, 3000.0) is None
     ledger.release(ledger.allocations[1])
@@ -349,7 +351,7 @@ def test_a_member_with_own_records_answers_from_its_own_view():
     w, agent, _ = board_world()
     w.leave(2)
     w.settle(w.net.now + 5.0)
-    assert agent._own == {2: None} and agent._board.top()[0].node_id == 2
+    assert agent._own == {2: None} and agent._board.ranked()[0].node_id == 2
     assert answer(agent, 100.0).node_id == 3
     # Missed fan-outs: node 1, crashed, misses node 2's heartbeat with its
     # new capacity, which the board takes.
@@ -376,16 +378,16 @@ def test_every_answer_is_the_best_fit_of_the_answering_agents_ait(seed, loss, po
     w = World(specs, seed=seed, intra=replace(INTRA, drop_probability=loss),
               inter=replace(INTER, drop_probability=loss), policy=policy)
     ledger = AllocationLedger(w.nodes, w.net)
-    answers, held, down = [], [], []
+    answers, held, down, fit = [], [], [], GosNode.best_fit
 
     def checked(node, required_mb):
-        got = domain_best_fit(node, required_mb)
+        got = fit(node, required_mb)
         assert got == best_fit(node.ait, required_mb)
         answers.append(got)
         return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(discovery, "domain_best_fit", checked)
+        patch.setattr(GosNode, "best_fit", checked)
         t = w.join_all() + 500.0
         for query_id in range(60):
             w.settle(t)
@@ -417,6 +419,44 @@ def test_every_answer_is_the_best_fit_of_the_answering_agents_ait(seed, loss, po
                 node.initiate_join(w.net)
         w.settle(t + 500.0)
     assert answers
+
+
+def test_no_storage_answer_scans_an_ait(monkeypatch):
+    # The golden agent_crash and generated cases, each run and its two
+    # --compare-static runs. Their agents come to hold own records of
+    # dropped peers, yet every answer, to a local query or a remote one,
+    # reads the board and those records: none calls best_fit or builds an AIT.
+    update_goldens = load_script("update_goldens")
+    answering, answers, scans = [], Counter(), Counter()
+
+    def answers_with(name, fn):
+        def wrapped(*args, **kwargs):
+            answers[name] += 1
+            answering.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                answering.pop()
+        return wrapped
+
+    def scans_with(name, fn):
+        def wrapped(*args, **kwargs):
+            scans[name] += bool(answering)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scenario, "find_storage", answers_with("find_storage", find_storage))
+    monkeypatch.setattr(discovery, "handle_query",
+                        answers_with("handle_query", discovery.handle_query))
+    monkeypatch.setattr(discovery, "best_fit", scans_with("best_fit", best_fit))
+    monkeypatch.setattr(GosNode, "ait", property(scans_with("ait", GosNode.ait.fget)))
+    docs = {"agent_crash": json.loads(scenario.bundled_scenario_path("agent_crash").read_text())}
+    docs.update((f"generated@{policy.value}", update_goldens.generated_doc(policy.value))
+                for policy in ElectionPolicy)
+    for name, doc in docs.items():
+        update_goldens.case_digests(doc, name)
+    assert answers["find_storage"] > 0 and answers["handle_query"] > 0
+    assert +scans == Counter()
 
 
 # -- allocation ----------------------------------------------------------------

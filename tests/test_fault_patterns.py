@@ -4,6 +4,7 @@ seeds: each run drops exactly the chosen lossy attempts (ScriptedDraws)."""
 import pytest
 
 from conftest import ScriptedDraws, drop_patterns
+from dssm.membership import GosNode
 from dssm.scenario import AssertionFailure, ScenarioWorld, scenario_from_json
 
 # Every attempt before this instant is delivered.
@@ -57,6 +58,37 @@ def test_every_pattern_of_up_to_three_drops_is_consistent_at_six_seconds(policy)
         runs += 1
     assert runs == 2325
     assert violations == {}
+
+
+def _outputs(world_scenario, drops):
+    """Trace rows, metrics and any assertion text of one run of the pattern."""
+    world = ScenarioWorld(world_scenario)
+    world.net.rng = ScriptedDraws(world.net, FAULTS_FROM_MS, drops)
+    try:
+        world.run()
+    except AssertionFailure as exc:
+        return list(world.net.trace), world.metrics, str(exc)
+    return list(world.net.trace), world.metrics, None
+
+
+@pytest.mark.parametrize("policy", ["max_power", "lowest_id", "highest_connectivity"])
+def test_absorb_changes_no_run_output_under_any_pattern_of_up_to_two_drops(monkeypatch, policy):
+    # The same runs with GosNode.absorb deleted send every delivery through
+    # on_message, so no node reads a heard board.
+    world_scenario, patterns = three_nodes(policy), list(drop_patterns(ATTEMPTS, 2))
+    absorb, taken = GosNode.absorb, []
+
+    def counted(node, net, recipients, msg):
+        took = absorb(node, net, recipients, msg)
+        taken.append(took is not None)
+        return took
+
+    monkeypatch.setattr(GosNode, "absorb", counted)
+    batched = [_outputs(world_scenario, drops) for drops in patterns]
+    monkeypatch.delattr(GosNode, "absorb")
+    one_by_one = [_outputs(world_scenario, drops) for drops in patterns]
+    assert len(patterns) == 301 and any(taken)
+    assert [drops for drops, a, b in zip(patterns, batched, one_by_one) if a != b] == []
 
 
 # MAX_POWER keeps the incumbent on a power tie, and nothing repairs members

@@ -1064,3 +1064,59 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     if drop == 0.0:
         assert (False, True) in changes and (True, True) in changes
     assert batched == one_by_one
+
+
+def _mixed_policy_run(seed):
+    """Five nodes of one domain, each with its own election policy, joining
+    50 ms apart; then leaves, crashes and rejoins. The trace and every
+    node's agent, phase and AIT at the end."""
+    rng = random.Random(seed)
+    w = World([(nid, 1, 1024.0, rng.choice((2500.0, 2660.0, 2800.0))) for nid in range(1, 6)],
+              seed=seed)
+    for node in w.nodes.values():
+        node.policy = rng.choice(list(ElectionPolicy))
+    t, down = w.join_all(), []
+    for _ in range(12):
+        t += rng.choice((50.0, 150.0, 400.0, 900.0))
+        w.settle(t)
+        live, r = w.members(), rng.random()
+        if r < 0.6 and len(live) > 2:
+            node = rng.choice(live)
+            if r < 0.3:
+                node.initiate_leave(w.net)
+            else:
+                w.net.crash(node.node_id)
+            down.append(node)
+        elif down:
+            node = down.pop(rng.randrange(len(down)))
+            w.net.revive(node.node_id)
+            node.reset_offline()
+            node.initiate_join(w.net)
+    w.settle(t + 2000.0)
+    return list(w.net.trace), {nid: (node.agent, node.phase, node.ait.by_id)
+                               for nid, node in w.nodes.items()}
+
+
+def test_absorb_changes_no_run_output_of_a_domain_of_mixed_policies(monkeypatch):
+    # A library user may give each GosNode its own policy. The board runs
+    # the policy of the member that made it and takes nothing while a
+    # follower runs another, so every run equals the one with GosNode.absorb
+    # deleted. Seed 19 has a highest_connectivity follower on a max_power
+    # board: taking node 5's heartbeat without asking it would skip its
+    # re-election at 2621 ms.
+    take, taken = HeardBoard.take, Counter()
+
+    def checked(board, net, recipients, msg):
+        took = take(board, net, recipients, msg)
+        mixed = len({node.policy for node in board.followers.values()}) > 1
+        taken[mixed, took] += 1
+        return took
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HeardBoard, "take", checked)
+        batched = [_mixed_policy_run(seed) for seed in range(40)]
+    with monkeypatch.context() as patch:
+        patch.delattr(GosNode, "absorb")
+        one_by_one = [_mixed_policy_run(seed) for seed in range(40)]
+    assert [seed for seed in range(40) if batched[seed] != one_by_one[seed]] == []
+    assert taken[False, True] > 0 and taken[True, False] > 0 and taken[True, True] == 0
