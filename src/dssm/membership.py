@@ -39,17 +39,17 @@ Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
 delivery entry) returns None, or the replies when the domain's
 `HeardBoard` takes an entry of a peer entry. One rule refuses it: the
-entry can move the election of a follower it reaches. Besides, the board
-refuses a JOIN from a follower or another kind from a non-follower, any
-entry while a follower's handler is not the follower itself or a follower
-runs another election policy than the board (that of the member that made
-it), and one that reaches a node outside the board other than a plain
-GosNode. A follower that the entry misses (not reached, or crashed)
+entry can move the election of a follower it reaches, each follower asked
+answering under its own election policy and failure window (the board
+keeps none). Besides, the board refuses a JOIN from a follower or another
+kind from a non-follower, any entry while a follower's handler is not the
+follower itself, and one that reaches a node outside the board other than
+a plain GosNode. A follower that the entry misses (not reached, or crashed)
 keeps, in an own record, what it last read. The take costs one board
 write plus a record for each follower that missed it or held one, so a
 settled heartbeat period (every member is up and hears every fan-out, and
 no power changes) costs the board write alone per fan-out, after one pass
-over the followers under HIGHEST_CONNECTIVITY. Such a take has no
+over the followers while one runs HIGHEST_CONNECTIVITY. Such a take has no
 replies, (). Members learn a newcomer from the board the same way: the
 board takes its JOIN fan-out after asking every follower reached, and the
 replies are each live member's (ACCEPT, and the agent's directed
@@ -161,7 +161,7 @@ class GosNode:
         self.node_id: NodeId = entry.node_id
         self.domain = domain
         self.params = params or ProtocolParams()
-        self.policy = policy
+        self._policy = policy
         self.registry = registry
 
         self.phase = _OFFLINE
@@ -196,6 +196,11 @@ class GosNode:
         """When each peer's entry last arrived, built on read. Its keys are
         the AIT's ids other than this node's own."""
         return self._view(self._board and self._board.heard, 0)
+
+    @property
+    def policy(self) -> election.ElectionPolicy:
+        """The election policy, fixed when the node is built."""
+        return self._policy
 
     @property
     def is_member(self) -> bool:
@@ -412,7 +417,7 @@ class GosNode:
         """Whether learning entry at `now` can move this member's election."""
         agent = self.agent
         heard, held = (now, self.self_entry) if agent == self.node_id else self._heard(agent)
-        return election.moves_election(self.policy, self._heard(entry.node_id)[1], entry, held,
+        return election.moves_election(self._policy, self._heard(entry.node_id)[1], entry, held,
                                        heard, now, self.params.failure_timeout_ms)
 
     def _hear(self, peer: NodeId, record: tuple[float, AitEntry] | None) -> None:
@@ -457,28 +462,27 @@ class GosNode:
 
 def _board(net: Network, node: GosNode) -> HeardBoard:
     if node.domain not in net.heard_boards:
-        net.heard_boards[node.domain] = HeardBoard(net.domain_members(node.domain), node.policy)
+        net.heard_boards[node.domain] = HeardBoard(net.domain_members(node.domain))
     return net.heard_boards[node.domain]
 
 
 class HeardBoard:
-    """One domain's heard board (module docstring). For each sender whose
-    fan-out the board took, `heard` holds the time of the last one, oldest
-    first, and `entries` its entry. `followers` are the members that read
-    it, and `pinned[peer]` the followers with an own record of peer.
-    `_ranked` memoizes `ranked()` until `take` writes a new entry."""
+    """One domain's heard board (module docstring); it keeps no election
+    policy. For each sender whose fan-out it took, `heard` holds the time
+    of the last one, oldest first, and `entries` its entry. `followers` are
+    the members that read it, and `pinned[peer]` those with an own record
+    of peer. `_ranked` memoizes `ranked()` until `take` writes a new entry."""
 
-    def __init__(self, members: tuple[NodeId, ...], policy: election.ElectionPolicy):
+    def __init__(self, members: tuple[NodeId, ...]):
         self.members = members
-        self.policy, self.timed = policy, election.reads_heard_times(policy)
         self.heard: dict[NodeId, float] = {}
         self.entries: dict[NodeId, AitEntry] = {}
         self.followers: dict[NodeId, GosNode] = {}
         self.pinned: defaultdict[NodeId, set[NodeId]] = defaultdict(set)
         self._ranked: list[AitEntry] | None = None
-        # Members not following; is each follower its own handler, of the board's
-        # policy? As of handlers_version _seen.
-        self._others, self._ok, self._seen = (), False, None
+        # As of handlers_version _seen: members not following, is each follower its own
+        # handler, and does one's policy read heard times (`take` then asks all reached)?
+        self._others, self._ok, self.timed, self._seen = (), False, False, None
 
     def follow(self, node: GosNode) -> None:
         """Let a node whose `_own` is its whole view read the board: the
@@ -504,15 +508,15 @@ class HeardBoard:
 
         One pass: (1) find the followers that missed the entry (not reached,
         or crashed) and those that hold an own record of the sender; (2) ask
-        every follower reached if the entry is a JOIN, the policy reads heard
-        times or the board lacks the sender's power, which its readers then
-        read, and otherwise each reached holder whose record lacks it; (3)
-        refuse if one of them would re-elect; (4) give each follower that
-        missed it an own record of the entry it last read, drop the own
-        record of each that got it, and store the new set of holders; (5)
-        write the board. The one write is a fan-out that every follower gets,
-        none holding an own record, of a power the board has: steps 1 and 4
-        find and do nothing, and only a policy that reads heard times asks."""
+        every follower reached if the entry is a JOIN, `timed` (a follower's
+        policy reads heard times) or the board lacks the sender's power, which
+        its readers then read, and otherwise each reached holder whose record
+        lacks it; (3) refuse if one would re-elect under its own policy; (4) give
+        each follower that missed it an own record of the entry it last read,
+        drop the own record of each that got it, and store the new set of
+        holders; (5) write the board. The one write is a fan-out that every
+        follower gets, none holding an own record, of a power the board has:
+        steps 1 and 4 find and do nothing, and it asks only while `timed`."""
         sender, followers = msg.sender, self.followers
         sid, now, join = sender.node_id, net.now, msg.kind is _JOIN
         # A JOIN comes from a newcomer, any other peer entry from a follower.
@@ -562,25 +566,26 @@ class HeardBoard:
         return self._ranked
 
     def _moves(self, sender: AitEntry, now: float, asked) -> bool:
-        """Whether sender's entry at `now` can move a follower in `asked` but the sender.
-        Those reading it and their agent (another node) from the board ask once per agent."""
+        """Whether sender's entry at `now` moves a follower in `asked` but the sender. Those reading
+        it and their agent (another node) from the board ask once per agent, policy and window."""
         sid, answered = sender.node_id, set()
         for peer in asked:
             node = self.followers[peer]
             agent, own = node.agent, node._own
-            shared = agent != peer and agent not in own and sid not in own
-            if peer == sid or shared and agent in answered:
+            rule = agent != peer and agent not in own and sid not in own and (
+                agent, node._policy, node.params.failure_timeout_ms)
+            if peer == sid or rule in answered:
                 continue
             if node._moves(sender, now):
                 return True
-            if shared:
-                answered.add(agent)
+            if rule:
+                answered.add(rule)
         return False
 
     def _ready(self, net: Network) -> bool:
         if self._seen != net.handlers_version:
             self._seen, followers = net.handlers_version, self.followers
-            self._ok = all(net.handlers.get(peer) is node and node.policy is self.policy
-                           for peer, node in followers.items())
+            self._ok = all(net.handlers.get(peer) is node for peer, node in followers.items())
+            self.timed = any(election.reads_heard_times(node._policy) for node in followers.values())
             self._others = tuple([m for m in self.members if m not in followers])
         return self._ok

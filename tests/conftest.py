@@ -35,17 +35,19 @@ PARAMS = ProtocolParams(
 
 class World:
     """A network plus protocol nodes, wired like the scenario runner but
-    driven directly from tests."""
+    driven directly from tests. `overrides` maps a node id to the `params`
+    or `policy` it is built with instead of the world's."""
 
     def __init__(self, specs, seed=42, intra=INTRA, inter=INTER, params=PARAMS,
-                 policy=ElectionPolicy.MAX_POWER):
+                 policy=ElectionPolicy.MAX_POWER, overrides=None):
         self.topology = Topology({nid: dom for nid, dom, _, _ in specs}, intra, inter)
         self.net = Network(self.topology, seed)
         self.registry = VirtualDomain(self.net)
         self.nodes = {}
         for nid, dom, cap, power in specs:
             entry = AitEntry(nid, f"10.0.{dom}.{nid % 250 + 1}", cap, power)
-            node = GosNode(entry, dom, params, policy, self.registry)
+            given = {"params": params, "policy": policy, **(overrides or {}).get(nid, {})}
+            node = GosNode(entry, dom, registry=self.registry, **given)
             self.nodes[nid] = node
             self.net.register_handler(nid, node)
 

@@ -1066,15 +1066,30 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     assert batched == one_by_one
 
 
-def _mixed_policy_run(seed):
-    """Five nodes of one domain, each with its own election policy, joining
-    50 ms apart; then leaves, crashes and rejoins. The trace and every
-    node's agent, phase and AIT at the end."""
+WINDOWS = (600.0, 900.0, 1500.0)
+# Case -> (the policies and the failure timeouts each node draws from, None
+# for the world's: HIGHEST_CONNECTIVITY and PARAMS; the seeds run).
+MIXED_RULES = {"policies": (tuple(ElectionPolicy), None, range(40)),
+               "windows": (None, WINDOWS, range(100)),
+               "both": (tuple(ElectionPolicy), WINDOWS, range(40))}
+
+
+def _mixed_rule_run(seed, policies, windows):
+    """Five nodes of one domain, each built with its own election policy and
+    failure timeout, joining 50 ms apart; then leaves, crashes and rejoins.
+    The trace, the metrics and every node's agent, phase and AIT at the end."""
     rng = random.Random(seed)
-    w = World([(nid, 1, 1024.0, rng.choice((2500.0, 2660.0, 2800.0))) for nid in range(1, 6)],
-              seed=seed)
+    specs = [(nid, 1, 1024.0, rng.choice((2500.0, 2660.0, 2800.0))) for nid in range(1, 6)]
+    rules = {}
+    for nid in range(1, 6):
+        rule = rules[nid] = {}
+        if policies:
+            rule["policy"] = rng.choice(policies)
+        if windows:
+            rule["params"] = replace(PARAMS, failure_timeout_ms=rng.choice(windows))
+    w, metrics = World(specs, seed=seed, policy=HC, overrides=rules), []
     for node in w.nodes.values():
-        node.policy = rng.choice(list(ElectionPolicy))
+        node.metrics_cb = metrics.append
     t, down = w.join_all(), []
     for _ in range(12):
         t += rng.choice((50.0, 150.0, 400.0, 900.0))
@@ -1093,30 +1108,46 @@ def _mixed_policy_run(seed):
             node.reset_offline()
             node.initiate_join(w.net)
     w.settle(t + 2000.0)
-    return list(w.net.trace), {nid: (node.agent, node.phase, node.ait.by_id)
-                               for nid, node in w.nodes.items()}
+    return list(w.net.trace), metrics, {nid: (node.agent, node.phase, node.ait.by_id)
+                                        for nid, node in w.nodes.items()}
 
 
-def test_absorb_changes_no_run_output_of_a_domain_of_mixed_policies(monkeypatch):
-    # A library user may give each GosNode its own policy. The board runs
-    # the policy of the member that made it and takes nothing while a
-    # follower runs another, so every run equals the one with GosNode.absorb
-    # deleted. Seed 19 has a highest_connectivity follower on a max_power
-    # board: taking node 5's heartbeat without asking it would skip its
-    # re-election at 2621 ms.
+@pytest.mark.parametrize("case", MIXED_RULES)
+def test_absorb_changes_no_run_output_of_a_domain_of_mixed_rules(monkeypatch, case):
+    # A library user may build each GosNode with its own policy and failure
+    # window. The board keeps neither and asks each follower under its own,
+    # so every run equals the one with GosNode.absorb deleted, metrics too,
+    # while it takes entries in domains of mixed rules. It shares an answer
+    # only among followers of one agent, policy and window: under
+    # HIGHEST_CONNECTIVITY one may see its agent out of its window and
+    # re-elect where another does not, which shows only in ElectionLatency.
+    policies, windows, seeds = MIXED_RULES[case]
     take, taken = HeardBoard.take, Counter()
 
     def checked(board, net, recipients, msg):
         took = take(board, net, recipients, msg)
-        mixed = len({node.policy for node in board.followers.values()}) > 1
-        taken[mixed, took] += 1
+        rules = {(node.policy, node.params.failure_timeout_ms) for node in board.followers.values()}
+        taken[len(rules) > 1, took] += 1
         return took
 
     with monkeypatch.context() as patch:
         patch.setattr(HeardBoard, "take", checked)
-        batched = [_mixed_policy_run(seed) for seed in range(40)]
+        batched = [_mixed_rule_run(seed, policies, windows) for seed in seeds]
     with monkeypatch.context() as patch:
         patch.delattr(GosNode, "absorb")
-        one_by_one = [_mixed_policy_run(seed) for seed in range(40)]
-    assert [seed for seed in range(40) if batched[seed] != one_by_one[seed]] == []
-    assert taken[False, True] > 0 and taken[True, False] > 0 and taken[True, True] == 0
+        one_by_one = [_mixed_rule_run(seed, policies, windows) for seed in seeds]
+    assert [seed for seed, a, b in zip(seeds, batched, one_by_one) if a != b] == []
+    assert taken[False, True] > 0 and taken[True, False] > 0 and taken[True, True] > 0
+
+
+def test_a_nodes_policy_is_fixed_when_it_is_built():
+    w = World([(1, 1, 1024.0, 2800.0), (2, 1, 1024.0, 2500.0)], policy=LI)
+    node = w.nodes[2]
+    with pytest.raises(AttributeError):
+        node.policy = MP
+    w.join_all()
+    w.settle(500.0)
+    assert w.net.heard_boards[1].followers[2] is node
+    with pytest.raises(AttributeError):
+        node.policy = HC
+    assert node.policy is LI
