@@ -15,9 +15,14 @@ process time of the same span (the CPU time of this process, which leaves
 out time spent waiting while other processes run),
 the time of one `export_trace` of the whole trace to a temporary file
 (what a `--trace` user pays on top), trace rows, peak RSS before the
-export and the consistency check at the end. A point elects by max_power
-unless it names another election policy after an `@`; such a point's
-JSON also holds its `policy`. A table goes to standard output, and
+export and the consistency check at the end. After the peak RSS is read,
+the point times `reference()`, a fixed computation, as `ref_s`, and
+reports `wall_s` and `export_s` also scaled to a quiet host where it
+takes REFERENCE_S: `t * REFERENCE_S / ref_s`, as `scaled_wall_s` and
+`scaled_export_s`. Other work on the host that lasts through the point
+slows the point and the reference alike, and the scaled figures divide
+it out. A point elects by max_power unless it names another election
+policy after an `@`; such a point's JSON also holds its `policy`. A table goes to standard output, and
 the last line is one JSON object holding every point.
 
 The program is loaded from the `src/` directory of the checkout that holds
@@ -27,8 +32,11 @@ this file.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import random
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -52,6 +60,10 @@ PARAMS = {"accept_window_ms": 20.0, "heartbeat_period_ms": 200.0,
 POWERS_MHZ = (2000.0, 2400.0, 2660.0, 2800.0, 3000.0, 3200.0)
 POINT_TIMEOUT_S = 900
 DEFAULT_POLICY = ElectionPolicy.MAX_POWER.value
+# The median time of reference() on a quiet host (2-vCPU x86_64, Python 3.11);
+# scaled figures are what the point would take on a host where it takes this long.
+REFERENCE_S = 2.0e-3
+REFERENCE_RUNS = 10
 
 
 def grid_doc(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
@@ -73,6 +85,33 @@ def grid_doc(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
             "election_policy": policy, "nodes": nodes, "script": joins}
 
 
+def reference() -> float:
+    """The median seconds of REFERENCE_RUNS runs of a fixed computation that
+    waits on the interpreter, caches and memory as the simulator does: a
+    dict fold and sorts of 3,000 ints, and a sum of 200,000 boxed floats
+    in shuffled order. Its data are built here, not at import, so that it
+    moves no peak RSS read before it; the collector is off while it runs."""
+    ints = [(i * 7919) % 10007 for i in range(3000)]
+    floats = [float(i) for i in range(200_000)]
+    random.Random(0).shuffle(floats)
+    collecting, runs = gc.isenabled(), []
+    gc.disable()
+    try:
+        for _ in range(REFERENCE_RUNS):
+            start = time.perf_counter()
+            table = {}
+            for i in ints:
+                table[i & 255] = table.get(i & 255, 0) + i
+            for _ in range(4):
+                sorted(ints)
+            sum(floats)
+            runs.append(time.perf_counter() - start)
+    finally:
+        if collecting:
+            gc.enable()
+    return statistics.median(runs)
+
+
 def run_point(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
     """Run point NxD under `policy` in this process."""
     start, cpu_start = time.perf_counter(), time.process_time()
@@ -82,12 +121,16 @@ def run_point(n: int, d: int, policy: str = DEFAULT_POLICY) -> dict:
     wall_s = time.perf_counter() - start
     process_s = time.process_time() - cpu_start
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    ref_s = reference()
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
         export_trace(world.net.trace, Path(tmp) / "trace.csv")
         export_s = time.perf_counter() - start
+    scale = REFERENCE_S / ref_s
     point = {"n": n, "d": d, "wall_s": round(wall_s, 3), "process_s": round(process_s, 3),
-             "export_s": round(export_s, 3),
+             "export_s": round(export_s, 3), "ref_s": round(ref_s, 6),
+             "scaled_wall_s": round(wall_s * scale, 3),
+             "scaled_export_s": round(export_s * scale, 3),
              "trace_rows": len(world.net.trace), "peak_rss_mb": peak_rss_mb,
              "violation": world.check_consistency()}
     return point if policy == DEFAULT_POLICY else {**point, "policy": policy}
@@ -124,15 +167,16 @@ def main() -> None:
     names = [point_name(*point) for point in args.points or
              [(n, d, DEFAULT_POLICY) for n, d in GRID]]
     width = max(6, *map(len, names))
-    print(f"{'NxD':>{width}} {'wall_s':>8} {'process_s':>9} {'export_s':>8} {'rows':>10} "
-          f"{'peak_rss_mb':>12}  violation")
+    print(f"{'NxD':>{width}} {'wall_s':>8} {'process_s':>9} {'export_s':>8} {'scaled_wall':>11} "
+          f"{'scaled_exp':>10} {'rows':>10} {'peak_rss_mb':>12}  violation")
     for name in names:
         out = subprocess.run([sys.executable, __file__, "--in-process", name],
                              capture_output=True, text=True, timeout=POINT_TIMEOUT_S, check=True)
         point = json.loads(out.stdout.splitlines()[-1])
         results.append(point)
         print(f"{name:>{width}} {point['wall_s']:>8.3f} {point['process_s']:>9.3f} "
-              f"{point['export_s']:>8.3f} {point['trace_rows']:>10} "
+              f"{point['export_s']:>8.3f} {point['scaled_wall_s']:>11.3f} "
+              f"{point['scaled_export_s']:>10.3f} {point['trace_rows']:>10} "
               f"{point['peak_rss_mb']:>12.1f}  {point['violation'] or '-'}", flush=True)
     print(json.dumps({"points": results}))
 

@@ -29,8 +29,10 @@ given points (NxD, or NxD@policy) of `scripts/bench_grid.py` in each
 checkout, N alternating pairs; both sides must report the same trace rows
 and consistency check. The parent runs this checkout's `bench_grid.py`
 over its own `src/`, so that both sides read the same points. Per point,
-`wall_s`, `process_s` and `export_s` are summarized as the end-to-end
-metrics are, under the grid's `summary` key.
+`wall_s`, `process_s` and `export_s`, and the wall and export times scaled
+to a quiet host (`scaled_wall_s`, `scaled_export_s`; see `bench_grid.py`),
+are summarized as the end-to-end metrics are, under the grid's `summary`
+key.
 --out writes all of it as one JSON document, in the shape of the committed
 BENCH_*.json files.
 """
@@ -52,7 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
 GRID = Path("scripts") / "bench_grid.py"
 # The grid point figures that bench_pairs summarizes, all lower-is-better.
-GRID_METRICS = ("wall_s", "process_s", "export_s")
+GRID_METRICS = ("wall_s", "process_s", "export_s", "scaled_wall_s", "scaled_export_s")
 COMPILE = ["-m", "compileall", "-q", "src", "perfbench"]
 
 
@@ -254,7 +256,8 @@ def grid_pairs(args, sides: dict[str, Path]) -> dict:
             raise Mismatch(f"grid: {side} run of pair {k} gives {shape}, "
                            f"the first parent run {reference['shape']}")
         print(f"grid pair {k} {side:<6} " + " ".join(
-            f"{name}={p['wall_s']:.3f}s export={p['export_s']:.3f}s"
+            f"{name}={p['wall_s']:.3f}s export={p['export_s']:.3f}s "
+            f"scaled={p['scaled_wall_s']:.3f}s/{p['scaled_export_s']:.3f}s"
             for name, p in zip(points, result)), flush=True)
 
     runs = alternate(args.pairs, sides, command, 3600, check)

@@ -84,11 +84,24 @@ class AitEntry:
             object.__setattr__(self, "ip", IPv4Address(self.ip))
         if not (1 <= self.node_id <= _MAX_NODE_ID):
             raise InvalidValue(f"node id {self.node_id} outside 1..2^32-1")
-        cap, power = self.storage_capacity_mb, self.processing_power_mhz
-        if math.isnan(cap) or math.isinf(cap) or cap < 0:
-            raise InvalidValue(f"storage capacity {cap} must be finite and >= 0")
+        _check_capacity(self.storage_capacity_mb)
+        power = self.processing_power_mhz
         if math.isnan(power) or math.isinf(power) or power <= 0:
             raise InvalidValue(f"processing power {power} must be finite and > 0")
+
+    def with_capacity(self, capacity_mb: float) -> AitEntry:
+        """This entry with `capacity_mb` remaining. Only the new capacity is
+        checked: the other fields are copied, and were checked when this
+        entry was built."""
+        _check_capacity(capacity_mb)
+        entry = object.__new__(AitEntry)
+        entry.__dict__.update(self.__dict__, storage_capacity_mb=capacity_mb)
+        return entry
+
+
+def _check_capacity(cap: float) -> None:
+    if math.isnan(cap) or math.isinf(cap) or cap < 0:
+        raise InvalidValue(f"storage capacity {cap} must be finite and >= 0")
 
 
 def fit_rank(entry: AitEntry) -> tuple[float, int]:

@@ -9,9 +9,11 @@ QUERY_RESP answers for a response window, applying the same best-fit rule
 across the remote candidates.
 
 An agent finds its domain's candidate, for its own query or a remote one,
-with `GosNode.best_fit`, which reads what it heard without building its
-AIT (`membership` module docstring). `best_fit` is the same answer by a
-scan over a whole AIT; both rank candidates by `core.fit_rank`.
+with `GosNode.best_fit`, which compares in place what it heard, without
+building its AIT or a candidate list (`membership` module docstring).
+`best_fit` is the same answer by a scan over a whole AIT; both rank
+candidates by `core.fit_rank`. The requester ranks each QUERY_RESP
+candidate once, against the rank it keeps of the best so far.
 """
 
 from __future__ import annotations
@@ -170,12 +172,21 @@ class StorageQuery:
             raise InvalidValue(f"required_mb {self.required_mb} must be > 0")
 
 
+# Below the `fit_rank` of every entry, whose capacity is finite and >= 0.
+_NO_RANK = (-math.inf, 0)
+
+
 @dataclass
 class PendingQuery:
+    """A remote query awaiting answers. `best_rank` is the `fit_rank` of
+    `best`, kept so that each answer is ranked once, and `_NO_RANK` while
+    `best` is None."""
+
     query: StorageQuery
     started_ms: float
     best: AitEntry | None = None
     on_complete: object = None
+    best_rank: tuple[float, int] = _NO_RANK
 
 
 def best_fit(ait: Ait, required_mb: float) -> AitEntry | None:
@@ -192,7 +203,9 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
     Completion is asynchronous: `on_complete(query, candidate, elapsed_ms,
     route)` fires immediately for a locally satisfied query (route
     "local") or at the end of the response window (route "remote",
-    candidate None when no domain qualifies).
+    candidate None when no domain qualifies). A remote query whose response
+    window is negative or not finite raises InvalidValue before anything is
+    sent, and one that the network refuses is not left pending.
     """
     if not agent_node.is_agent:
         raise NoAgent(f"node {agent_node.node_id} does not hold agency")
@@ -201,15 +214,17 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
         if on_complete is not None:
             on_complete(query, local, 0.0, "local")
         return
-    agent_node.pending_queries[query.query_id] = PendingQuery(query, net.now, on_complete=on_complete)
+    window = agent_node.params.response_window_ms
+    if not 0.0 <= window < math.inf:
+        raise InvalidValue(f"response window {window} ms must be finite and >= 0")
     net.send_multicast(
         agent_node.node_id,
         VIRTUAL,
         Message(_QUERY, agent_node.self_entry,
                 query_id=query.query_id, required_mb=query.required_mb),
     )
-    net.set_timer(agent_node.node_id, f"{QUERY_TIMER_PREFIX}{query.query_id}",
-                  agent_node.params.response_window_ms)
+    net.set_timer(agent_node.node_id, f"{QUERY_TIMER_PREFIX}{query.query_id}", window)
+    agent_node.pending_queries[query.query_id] = PendingQuery(query, net.now, on_complete=on_complete)
 
 
 def handle_query(node, net: Network, msg: Message) -> None:
@@ -217,22 +232,22 @@ def handle_query(node, net: Network, msg: Message) -> None:
     if not node.is_agent:
         return
     candidate = node.best_fit(msg.required_mb)
-    net.send_unicast(
-        node.node_id,
-        msg.sender.node_id,
-        Message(_QUERY_RESP, node.self_entry,
-                query_id=msg.query_id, candidate=candidate),
-    )
+    # Positional: kind, sender, query_id, required_mb, candidate.
+    net.send_unicast(node.node_id, msg.sender.node_id,
+                     Message(_QUERY_RESP, node.self_entry, msg.query_id, 0.0, candidate))
 
 
 def handle_query_resp(node, net: Network, msg: Message) -> None:
+    """Keep the answer's candidate if it ranks above the best so far. The
+    rank ends in the node id, so the pick does not depend on arrival order."""
     pending = node.pending_queries.get(msg.query_id)
     if pending is None:
         return  # late or unsolicited answer
     candidate = msg.candidate
-    if candidate is not None and (pending.best is None
-                                  or fit_rank(candidate) > fit_rank(pending.best)):
-        pending.best = candidate
+    if candidate is not None:
+        rank = fit_rank(candidate)
+        if rank > pending.best_rank:
+            pending.best, pending.best_rank = candidate, rank
 
 
 def finalize_query(node, net: Network, query_id: int) -> None:

@@ -32,8 +32,11 @@ The board also keeps its entries ranked by `core.fit_rank`
 (`HeardBoard.ranked`), sorted on the first read and cleared only where
 `take` writes an entry that is not the one it replaces. A member answers a
 storage query, its own or a remote one, from its view without building
-it (`GosNode.best_fit`): the best of the first ranked entry that it reads
-from the board, its own records and its live `self_entry`.
+it (`GosNode.best_fit`): from its live `self_entry` on, it keeps the best
+entry so far and its rank, and compares in place each of its own records
+and then the first ranked entry that it reads from the board, with no
+list of candidates. An allocation or release replaces `self_entry`
+through `AitEntry.with_capacity`, which checks the new capacity alone.
 
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
@@ -245,8 +248,7 @@ class GosNode:
         Peers learn the new capacity from the next heartbeat; this node's
         own AIT entry is its `self_entry`."""
         entry = self.self_entry
-        self.self_entry = AitEntry(entry.node_id, entry.ip, entry.storage_capacity_mb + delta_mb,
-                                   entry.processing_power_mhz)
+        self.self_entry = entry.with_capacity(entry.storage_capacity_mb + delta_mb)
 
     def _message(self, kind: MessageKind) -> Message:
         """The message of an entry-only kind (JOIN, ACCEPT, LEAVE, HEARTBEAT,
@@ -385,14 +387,19 @@ class GosNode:
     def best_fit(self, required_mb: float) -> AitEntry | None:
         """`discovery.best_fit(self.ait, required_mb)` of a member, without building
         the AIT: the best `fit_rank` of its live `self_entry`, its own records and
-        the first ranked board entry it reads, if that covers the request."""
+        the first ranked board entry it reads, if that covers the request. It keeps
+        the best so far and its rank, and compares each of those entries in place."""
         own, node_id = self._own, self.node_id
-        candidates = [self.self_entry, *(record[1] for record in own.values() if record is not None)]
+        best = self.self_entry
+        rank = fit_rank(best)
+        for record in own.values():
+            if record is not None and (entry_rank := fit_rank(record[1])) > rank:
+                best, rank = record[1], entry_rank
         for entry in self._board.ranked():
             if entry.node_id not in own and entry.node_id != node_id:
-                candidates.append(entry)
+                if fit_rank(entry) > rank:
+                    best = entry
                 break
-        best = max(candidates, key=fit_rank)
         return best if best.storage_capacity_mb >= required_mb else None
 
     def _view(self, board: dict | None, field: int) -> dict:

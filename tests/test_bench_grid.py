@@ -1,4 +1,5 @@
 import argparse
+import gc
 
 import pytest
 
@@ -36,6 +37,33 @@ def test_smallest_grid_point_runs_clean():
     assert point["trace_rows"] > 0
     # Process time is reported beside wall time.
     assert point["process_s"] >= 0.0
+    assert point["ref_s"] > 0.0
+
+
+def test_a_point_scales_wall_and_export_time_by_its_reference(monkeypatch):
+    # A host that runs the reference in twice the quiet time reports half
+    # its raw times as scaled; the reference is timed after the peak RSS read.
+    calls = []
+    monkeypatch.setattr(bench_grid, "reference",
+                        lambda: calls.append("reference") or 2 * bench_grid.REFERENCE_S)
+    monkeypatch.setattr(bench_grid.resource, "getrusage",
+                        lambda who: calls.append("rss") or type("Usage", (), {"ru_maxrss": 1024})())
+    point = bench_grid.run_point(10, 1)
+    assert calls == ["rss", "reference"]
+    assert point["ref_s"] == round(2 * bench_grid.REFERENCE_S, 6)
+    for name in ("wall_s", "export_s"):
+        assert abs(point[f"scaled_{name}"] - point[name] / 2) <= 0.001
+
+
+def test_the_reference_takes_a_positive_time_and_leaves_the_collector_as_it_was():
+    assert bench_grid.reference() > 0.0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        bench_grid.reference()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_a_point_times_one_export_of_its_whole_trace(monkeypatch):

@@ -66,9 +66,11 @@ def test_summarize_gives_medians_quartiles_ratio_and_wins():
 
 
 def grid_output(*points):
-    """What `scripts/bench_grid.py` prints: a table, then the JSON line."""
+    """What `scripts/bench_grid.py` prints: a table, then the JSON line. The
+    scaled figures are the raw ones on a host at half the reference speed."""
     return "   NxD   wall_s ...\n" + json.dumps({"points": [
         {"n": n, "d": d, "wall_s": wall, "process_s": wall, "export_s": export,
+         "ref_s": 0.008, "scaled_wall_s": wall / 2, "scaled_export_s": export / 2,
          "trace_rows": rows, "peak_rss_mb": 20.0, "violation": None}
         for n, d, wall, export, rows in points]}) + "\n"
 
@@ -89,11 +91,15 @@ def test_grid_pairs_summarize_each_point_as_a_workload(monkeypatch, capsys):
                              "pairs": 3})()
     doc = bench_pairs.grid_pairs(args, sides)
     out = capsys.readouterr().out
-    assert "grid pair 0 parent 160x1=0.200s export=0.440s" in out
+    assert "grid pair 0 parent 160x1=0.200s export=0.440s scaled=0.100s/0.220s" in out
     assert [p["export_s"] for p in doc["change"][2]] == [0.43, 0.19]
     summary = doc["summary"]
     assert list(summary) == ["160x1", "40x8"]
-    assert list(summary["160x1"]) == ["wall_s", "process_s", "export_s"]
+    assert list(summary["160x1"]) == ["wall_s", "process_s", "export_s", "scaled_wall_s",
+                                      "scaled_export_s"]
+    scaled = summary["160x1"]["scaled_export_s"]
+    assert (scaled["parent_median"], scaled["change_median"]) == (0.22, 0.17)
+    assert scaled["change_wins"] == "2/3"
     export = summary["160x1"]["export_s"]
     assert (export["parent_median"], export["change_median"]) == (0.44, 0.34)
     assert (export["parent_q1"], export["parent_q3"]) == (0.43, 0.45)

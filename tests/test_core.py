@@ -77,6 +77,26 @@ def test_round_trip_property(e):
     assert decode_ait_entry(block) == e
 
 
+@given(entries, st.floats(min_value=0.0, max_value=1e15, allow_nan=False))
+def test_with_capacity_equals_the_entry_built_with_that_capacity(e, capacity_mb):
+    before = encode_ait_entry(e)
+    built = AitEntry(e.node_id, e.ip, capacity_mb, e.processing_power_mhz)
+    replaced = e.with_capacity(capacity_mb)
+    assert replaced == built and hash(replaced) == hash(built)
+    assert encode_ait_entry(replaced) == encode_ait_entry(built)
+    assert encode_ait_entry(e) == before  # the entry itself is not changed
+
+
+@pytest.mark.parametrize("capacity_mb", [-1.0, math.inf, math.nan])
+def test_with_capacity_refuses_a_bad_capacity_as_the_constructor_does(capacity_mb):
+    e = entry()
+    with pytest.raises(InvalidValue) as built:
+        AitEntry(e.node_id, e.ip, capacity_mb, e.processing_power_mhz)
+    with pytest.raises(InvalidValue) as replaced:
+        e.with_capacity(capacity_mb)
+    assert str(replaced.value) == str(built.value)
+
+
 def test_decode_wrong_length():
     with pytest.raises(WrongLength):
         decode_ait_entry(b"\x00" * 31)

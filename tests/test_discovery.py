@@ -2,13 +2,14 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INTER, INTRA, World, load_script
+from conftest import INTER, INTRA, PARAMS, World, load_script
 from dssm import discovery, scenario
-from dssm.core import Ait, AitEntry, InvalidValue
+from dssm.core import Ait, AitEntry, InvalidValue, Message, MessageKind, fit_rank
 from dssm.discovery import (
     AllocationLedger,
     AlreadyReleased,
@@ -19,7 +20,9 @@ from dssm.discovery import (
     StorageQuery,
     VirtualDomain,
     best_fit,
+    finalize_query,
     find_storage,
+    handle_query_resp,
     parse_endpoint_url,
     standard_endpoints,
     transfer_file,
@@ -27,7 +30,7 @@ from dssm.discovery import (
 from dssm.election import ElectionPolicy
 from dssm.membership import GosNode
 from dssm.metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE
-from dssm.simnet import LinkConfig, UnknownNode
+from dssm.simnet import LinkConfig, NodeCrashed, UnknownNode
 
 TWO_DOMAIN = [
     (1, 1, 1024.0, 2800.0),
@@ -254,6 +257,59 @@ def test_query_requires_positive_size():
         StorageQuery(1, 0.0, query_id=1)
 
 
+def test_a_query_the_network_refuses_is_not_left_pending():
+    w = World([(1, 1, 1024.0, 2800.0), (2, 1, 2048.0, 2500.0),
+               (3, 2, 4096.0, 2800.0), (4, 2, 512.0, 2500.0)])
+    w.join_all()
+    w.settle(2000.0)
+    agent = w.nodes[1]
+    assert agent.is_agent
+    w.net.crash(1)  # still an agent, but it cannot send
+    with pytest.raises(NodeCrashed):
+        find_storage(agent, w.net, StorageQuery(1, 100000.0, 7))
+    assert agent.pending_queries == {}
+
+
+@pytest.mark.parametrize("window", [-1.0, float("inf"), float("nan")])
+def test_a_bad_response_window_refuses_a_remote_query_before_it_is_sent(window):
+    w = World(TWO_DOMAIN, overrides={1: {"params": replace(PARAMS, response_window_ms=window)}})
+    w.join_all()
+    w.settle(1000.0)
+    rows = len(w.net.trace)
+    with pytest.raises(InvalidValue, match="response window"):
+        find_storage(w.nodes[1], w.net, StorageQuery(1, 4096.0, 7))
+    assert len(w.net.trace) == rows and w.nodes[1].pending_queries == {}
+    # A query answered in the domain needs no window.
+    done = []
+    find_storage(w.nodes[1], w.net, StorageQuery(1, 100.0, 8), lambda *a: done.append(a))
+    assert done[0][1].node_id == 2 and done[0][3] == "local"
+
+
+def test_the_requesters_pick_does_not_depend_on_arrival_order():
+    # Answers from remote agents 7 and 8: equal-capacity candidates 5 and 4,
+    # a smaller one 6, and no candidate. Node 4, the lowest id of the
+    # largest capacity, is the pick in every order, highest id first too.
+    w = joined_two_domain()
+    agent, done = w.nodes[1], []
+    candidates = {5: entry(5, cap=8192.0), 4: entry(4, cap=8192.0),
+                  6: entry(6, cap=4096.0), None: None}
+    for query_id, order in enumerate(permutations(candidates)):
+        find_storage(agent, w.net, StorageQuery(1, 4096.0, query_id), lambda *a: done.append(a))
+        for key in order:
+            handle_query_resp(agent, w.net, Message(MessageKind.QUERY_RESP, entry(7 + query_id % 2),
+                                                    query_id, 0.0, candidates[key]))
+        pending = agent.pending_queries[query_id]
+        assert pending.best is candidates[4] and pending.best_rank == fit_rank(candidates[4])
+        finalize_query(agent, w.net, query_id)
+        # An answer after the window closed is ignored.
+        handle_query_resp(agent, w.net, Message(MessageKind.QUERY_RESP, entry(9), query_id,
+                                                0.0, entry(3, cap=1e6)))
+        assert query_id not in agent.pending_queries
+    assert len(done) == 24
+    assert all(candidate is candidates[4] and route == "remote"
+               for _, candidate, _, route in done)
+
+
 def oracle_two_stage(live, requester_domain, required):
     """Direct scan honoring the local-first contract."""
     def best(cands):
@@ -363,6 +419,47 @@ def test_a_member_with_own_records_answers_from_its_own_view():
     assert agent._own[2][1].storage_capacity_mb == 4096.0
     assert agent._board.entries[2].storage_capacity_mb == 1096.0
     assert answer(agent, 100.0).storage_capacity_mb == 4096.0
+
+
+@pytest.mark.parametrize("reader, peer, other", permutations((1, 2, 3)))
+def test_a_three_way_tie_of_self_own_record_and_board_goes_to_the_lowest_id(reader, peer, other):
+    # The reader's live self_entry, its own record of `peer` (peer's heartbeat
+    # after an allocation reached the board while the reader was crashed) and
+    # the board's first entry it reads (`other`) all hold 1024 MB.
+    specs = [(nid, 1, 1024.0, 2800.0 - 100.0 * nid) for nid in (1, 2, 3, 4)]
+    w, _, ledger = board_world(specs)
+    node, board = w.nodes[reader], w.nodes[reader]._board
+    ledger.allocate(4, 1.0)  # off the top of the board, for every reader
+    w.settle(w.net.now + PARAMS.heartbeat_period_ms)
+    ledger.allocate(peer, 512.0)
+    # The reader misses the peer's next heartbeat alone: the four nodes'
+    # heartbeats are 50 ms apart.
+    beat = w.sends("HEARTBEAT", src=peer)[-1].time_ms + PARAMS.heartbeat_period_ms
+    w.crash(reader, at=beat - 10.0)
+    w.settle(beat + 10.0)
+    w.net.revive(reader)
+    assert set(node._own) == {peer}
+    assert node._own[peer][1].storage_capacity_mb == 1024.0
+    assert board.entries[peer].storage_capacity_mb == 512.0
+    readable = [e for e in board.ranked() if e.node_id not in node._own and e.node_id != reader]
+    assert readable[0] is board.entries[other]
+    # The board's top entry is the reader itself when it has the lower id.
+    assert (board.ranked()[0].node_id == reader) is (reader < other)
+    assert answer(node, 100.0).node_id == 1
+    assert answer(node, 1024.0).node_id == 1
+    assert answer(node, 1024.5) is None
+
+
+def test_a_tie_with_the_boards_top_entry_dropped_by_an_own_record():
+    # Node 1 leaves: the board keeps its entry, the top at equal capacity,
+    # and each follower holds an own None record of it.
+    w, _, _ = board_world([(nid, 1, 1024.0, 2800.0 - 100.0 * nid) for nid in (1, 2, 3, 4)])
+    w.leave(1)
+    w.settle(w.net.now + 5.0)
+    for reader in (2, 3, 4):
+        node = w.nodes[reader]
+        assert node._own == {1: None} and node._board.ranked()[0].node_id == 1
+        assert answer(node, 100.0).node_id == 2
 
 
 @settings(max_examples=50, deadline=None)
