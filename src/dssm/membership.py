@@ -292,10 +292,10 @@ class GosNode:
                 else node._join_replies() for member in recipients]
 
     def on_timer(self, net: Network, tag: str) -> None:
-        if tag == TIMER_JOIN_DEADLINE:
-            self._finish_join(net)
-        elif tag == TIMER_HEARTBEAT:
+        if tag == TIMER_HEARTBEAT:  # by far the most frequent
             self.heartbeat_tick(net)
+        elif tag == TIMER_JOIN_DEADLINE:
+            self._finish_join(net)
         elif tag.startswith(discovery.QUERY_TIMER_PREFIX):
             discovery.finalize_query(self, net, int(tag[len(discovery.QUERY_TIMER_PREFIX):]))
 
@@ -527,7 +527,8 @@ class HeardBoard:
         sender, followers = msg.sender, self.followers
         sid, now, join = sender.node_id, net.now, msg.kind is _JOIN
         # A JOIN comes from a newcomer, any other peer entry from a follower.
-        if (sid in followers) is join or not self._ready(net):
+        if (sid in followers) is join or not (
+                self._ok if self._seen == net.handlers_version else self._ready(net)):
             return False
         crashed, others, holders = net.crashed, self._others, self.pinned.get(sid)
         stored, power = self.entries.get(sid), sender.processing_power_mhz
@@ -566,6 +567,20 @@ class HeardBoard:
             self._ranked = None
         return True
 
+    def plain_readers(self, ids: set[NodeId]) -> set[NodeId]:
+        """The followers whose AIT ids are `ids`, told from the board without
+        building a view. A follower holding no own record, a member, sees the
+        board's senders and itself. That is `ids` when the board's senders are
+        all in `ids`, so is the follower, and `ids` holds one id beyond them
+        exactly when the board lacks the follower. A follower holding an own
+        record is left out, whatever it sees."""
+        entries = self.entries
+        if not ids.issuperset(entries):
+            return set()
+        extra = len(ids) - len(entries)
+        return {peer for peer, node in self.followers.items()
+                if not node._own and peer in ids and extra == (peer not in entries)}
+
     def ranked(self) -> list[AitEntry]:
         """The board's entries, highest `fit_rank` first."""
         if self._ranked is None:
@@ -590,9 +605,11 @@ class HeardBoard:
         return False
 
     def _ready(self, net: Network) -> bool:
-        if self._seen != net.handlers_version:
-            self._seen, followers = net.handlers_version, self.followers
-            self._ok = all(net.handlers.get(peer) is node for peer, node in followers.items())
-            self.timed = any(election.reads_heard_times(node._policy) for node in followers.values())
-            self._others = tuple([m for m in self.members if m not in followers])
+        """Work out `_others`, `_ok` and `timed` for the current handlers and
+        followers, and return `_ok`. `take` calls it when `handlers_version`
+        moved since the last call; `follow` and `unfollow` clear `_seen`."""
+        self._seen, followers = net.handlers_version, self.followers
+        self._ok = all(net.handlers.get(peer) is node for peer, node in followers.items())
+        self.timed = any(election.reads_heard_times(node._policy) for node in followers.values())
+        self._others = tuple([m for m in self.members if m not in followers])
         return self._ok

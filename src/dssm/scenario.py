@@ -516,7 +516,16 @@ class ScenarioWorld:
                 if (node := nodes[nid]).is_member and nid not in crashed]
 
     def check_consistency(self) -> str | None:
-        """First violated quiescent-consistency check, None when clean."""
+        """First violated quiescent-consistency check, None when clean.
+
+        Only the first live member's AIT is built up front. A member that
+        holds no own record reads its domain's heard board alone, so its
+        ids are the board's senders and itself, and
+        `HeardBoard.plain_readers` tells from the board alone whether those
+        are the first member's ids. Only the members it does not name have
+        their view built and compared. It names a member only when the ids
+        are equal, so the first violation and its text are those of
+        comparing every view."""
         domains = sorted({spec.domain for spec in self.scenario.node_specs})
         for domain in domains:
             live = self.live_members(domain)
@@ -524,8 +533,9 @@ class ScenarioWorld:
                 continue
             ref, ref_ait = live[0], live[0].ait  # a view, built on each read
             ref_keys = ref_ait.ids()
+            plain = self.net.heard_boards[domain].plain_readers(ref_keys)  # a member follows it
             for node in live[1:]:
-                if node.ait.ids() != ref_keys:
+                if node.node_id not in plain and node.ait.ids() != ref_keys:
                     return (f"ait-divergence domain={domain}: node {node.node_id} "
                             f"sees {sorted(node.ait.ids())}, node {ref.node_id} "
                             f"sees {sorted(ref_keys)}")

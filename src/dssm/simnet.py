@@ -29,12 +29,14 @@ nothing.
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
 deterministically. A timer is (time_ms, seq, owner, None, tag). A
-multicast's delivery is (time_ms, first_seq, recipients, msg, None), one
+multicast's delivery is (time_ms, first_seq, recipients, msg, sent), one
 entry per call: recipients are the members that survived their drop
 draws, in ascending id order, and recipient i takes seq first_seq + i from
-a block reserved at send time. All recipients share one link and one
-message size, so they arrive at the same instant, and one step takes them
-in turn. No other event can fall between two of them: the block is
+a block reserved at send time. sent is the call's send record, whose kind
+name and size the deliver rows repeat, so neither is worked out again
+when the entry is taken. All recipients share one link and one message
+size, so they arrive at the same instant, and one step takes them in
+turn. No other event can fall between two of them: the block is
 consecutive, and an event a handler schedules gets a larger seq at a time
 no earlier than now. Whether a recipient is crashed is checked as it is
 taken.
@@ -451,19 +453,21 @@ class Network:
         """One independent delivery attempt per group member except the
         sender; over a lossy link each draws once (module docstring). VIRTUAL
         targets the current agents over the inter-domain link."""
-        self._require_live(src)
-        if group == VIRTUAL:
-            members, link = self.virtual_members, self.inter_link
-        else:
-            members, link = self.domain_members(group), self.intra_link
-        label = self._labels.get(group) or (f"domain{group}",)
+        if src in self.crashed or src not in self.topology.nodes:
+            self._require_live(src)  # raises
+        link = self.inter_link if group == VIRTUAL else self.intra_link
         size = transit_size_bytes(msg)
-        self._trace_send(src, label, msg, size)
         recipients = self._fanouts.get((group, src))
         if recipients is None:
-            recipients = tuple([m for m in members if m != src])
-            if group != VIRTUAL:  # the agents change; a domain does not
-                self._fanouts[(group, src)] = recipients
+            if group == VIRTUAL:  # the agents change; a domain does not
+                recipients = tuple([m for m in self.virtual_members if m != src])
+            else:
+                recipients = self._fanouts[(group, src)] = tuple(
+                    [m for m in self._members.get(group, ()) if m != src])
+        self._seq += 1
+        self.trace._records.append((self.now, self._seq, "send", src,
+                                    self._labels.get(group) or (f"domain{group}",),
+                                    KIND_NAMES[msg.kind], size))
         drop = link.drop_probability
         if drop:
             # One draw per attempt, in member order; a new tuple only if one drops.
@@ -478,7 +482,8 @@ class Network:
         """Schedule a one-shot timer; re-setting (owner, tag) replaces any
         pending one. A delay that is negative or not finite raises
         InvalidValue."""
-        self._require(owner)
+        if owner not in self.topology.nodes:
+            self._require(owner)  # raises
         if not 0.0 <= fire_in_ms < math.inf:
             raise InvalidValue(f"timer delay {fire_in_ms} must be finite and >= 0")
         self._seq += 1
@@ -535,21 +540,22 @@ class Network:
                                     KIND_NAMES[msg.kind], size))
 
     def _push_delivery(self, at: float, recipients: tuple[NodeId, ...], msg: Message) -> None:
+        """Queue a multicast's delivery entry, right after its send record:
+        the record appended last, whose kind name and size its rows repeat."""
         first = self._seq + 1
         self._seq += len(recipients)
         self._pending += len(recipients)
-        heapq.heappush(self._heap, (at, first, recipients, msg, None))
+        heapq.heappush(self._heap, (at, first, recipients, msg, self.trace._records[-1]))
 
     def _step(self) -> None:
         # `to` is the recipients tuple of a multicast's entry, the (dst,) of a
-        # unicast entry, or the owner of a timer; `tag` is a unicast entry's
-        # deliveries.
+        # unicast entry, or the owner of a timer; `tag` is a multicast's send
+        # record or a unicast entry's deliveries.
         time_ms, seq, to, msg, tag = heapq.heappop(self._heap)
         self.now = time_ms
         if msg is not None:
             crashed, handlers = self.crashed, self.handlers
-            src, kind = msg.sender.node_id, KIND_NAMES[msg.kind]
-            size = transit_size_bytes(msg)
+            src, kind, size = msg.sender.node_id, tag[5], tag[6]
             absorb = getattr(handlers.get(to[0]), "absorb", None)
             taken = absorb(self, to, msg) if absorb else None
             if taken is not None:

@@ -97,23 +97,34 @@ def test_absorb_changes_no_run_output_under_any_pattern_of_up_to_two_drops(monke
 ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionFailure, reason="ROADMAP item 1")
 
 
-@ITEM_1
-def test_max_power_agrees_after_three_heartbeats_lost_on_one_link():
+def three_heartbeats_lost_on_one_link():
     # Pattern (2, 8, 14): node 2's heartbeats to node 1 at 1045, 1245 and
     # 1445 ms. Node 1 times node 2 out and elects node 3, then keeps node 3
     # on the power tie once node 2 is heard again: {1: 3, 2: 2, 3: 2}.
     world = ScenarioWorld(three_nodes("max_power"))
     world.net.rng = ScriptedDraws(world.net, FAULTS_FROM_MS, (2, 8, 14))
-    world.run()
+    return world
+
+
+def two_second_partition():
+    # Every intra-domain attempt drops from 1 s to 3 s: {1: 2, 2: 2, 3: 3,
+    # 4: 2, 5: 2}.
+    powers = {1: 2000.0, 2: 3000.0, 3: 3000.0, 4: 2000.0, 5: 2000.0}
+    return ScenarioWorld(one_domain(
+        "five_nodes", powers, "max_power", intra_drop=0.0,
+        script=[{"time_ms": t, "action": "set_link", "scope": "intra", "drop_probability": p}
+                for t, p in ((1000.0, 1.0), (3000.0, 0.0))]))
+
+
+# The reproducers' worlds, before they run.
+REPRODUCERS = (three_heartbeats_lost_on_one_link, two_second_partition)
+
+
+@ITEM_1
+def test_max_power_agrees_after_three_heartbeats_lost_on_one_link():
+    three_heartbeats_lost_on_one_link().run()
 
 
 @ITEM_1
 def test_max_power_agrees_after_a_two_second_partition():
-    # Every intra-domain attempt drops from 1 s to 3 s: {1: 2, 2: 2, 3: 3,
-    # 4: 2, 5: 2}.
-    powers = {1: 2000.0, 2: 3000.0, 3: 3000.0, 4: 2000.0, 5: 2000.0}
-    world = ScenarioWorld(one_domain(
-        "five_nodes", powers, "max_power", intra_drop=0.0,
-        script=[{"time_ms": t, "action": "set_link", "scope": "intra", "drop_probability": p}
-                for t, p in ((1000.0, 1.0), (3000.0, 0.0))]))
-    world.run()
+    two_second_partition().run()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import PARAMS, World, load_script
 from dssm import election, membership
-from dssm.core import Ait, Message, MessageKind, message_size_bytes
+from dssm.core import Ait, Message, MessageKind, message_size_bytes, transit_size_bytes
 from dssm.election import ElectionPolicy
 from dssm.membership import (AlreadyMember, GosNode, HeardBoard, NotMember, Phase,
                              ProtocolParams)
@@ -575,7 +575,7 @@ def test_the_board_takes_a_fan_out_that_misses_most_followers(monkeypatch, polic
             else:
                 patch.delattr(GosNode, "absorb")
             start = len(w.net.trace)
-            w.net._push_delivery(w.net.now, to, Message(H, entry))
+            _push_sent(w.net, to, Message(H, entry))
             w.net.run_until(w.net.now)
         views = {nid: (node.ait.by_id, node.last_heard_ms, node.agent, node.phase)
                  for nid, node in w.nodes.items()}
@@ -588,6 +588,14 @@ def test_the_board_takes_a_fan_out_that_misses_most_followers(monkeypatch, polic
                    and w.nodes[nid].last_heard_ms[5] == w.net.now for nid in to)
     assert outputs[0] == outputs[1]
     assert offered == [()]
+
+
+def _push_sent(net, to, msg):
+    """Queue a delivery entry of msg to `to` now, after its send record, as
+    send_multicast queues one whose other attempts were lost."""
+    sid = msg.sender.node_id
+    net._trace_send(sid, net._labels[net._require(sid)], msg, transit_size_bytes(msg))
+    net._push_delivery(net.now, to, msg)
 
 
 def _refusal_cause(board, net, recipients, msg):
@@ -872,7 +880,7 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
             else:
                 patch.delattr(GosNode, "absorb")
             start = len(w.net.trace)
-            w.net._push_delivery(w.net.now, to, Message(J, entry))
+            _push_sent(w.net, to, Message(J, entry))
             w.net.run_until(w.net.now)
         outputs.append((list(w.net.trace[start:]), moved,
                         {nid: (node.ait.by_id, node.last_heard_ms, node.agent, node.phase)
