@@ -41,24 +41,23 @@ through `AitEntry.with_capacity`, which checks the new capacity alone.
 Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
 delivery entry) returns None, or the replies when the domain's
-`HeardBoard` takes an entry of a peer entry. One rule refuses it: the
-entry can move the election of a follower it reaches, each follower asked
-answering under its own election policy and failure window (the board
-keeps none). Besides, the board refuses a JOIN from a follower or another
-kind from a non-follower, any entry while a follower's handler is not the
-follower itself, and one that reaches a node outside the board other than
-a plain GosNode. A follower that the entry misses (not reached, or crashed)
-keeps, in an own record, what it last read. The take costs one board
-write plus a record for each follower that missed it or held one, so a
-settled heartbeat period (every member is up and hears every fan-out, and
-no power changes) costs the board write alone per fan-out, after one pass
-over the followers while one runs HIGHEST_CONNECTIVITY. Such a take has no
-replies, (). Members learn a newcomer from the board the same way: the
-board takes its JOIN fan-out after asking every follower reached, and the
-replies are each live member's (ACCEPT, and the agent's directed
-AGENT_ANNOUNCE), which the network sends after that member's deliver row;
-a joining or offline recipient learns nothing from a JOIN. Every refused
-entry goes through `on_message`, one recipient at a time.
+`HeardBoard` takes an entry of a peer entry. The board reads no message
+kind, as a peer entry teaches a member only its sender's entry. It refuses
+an entry while a follower's handler is not the follower itself, when it
+reaches a node outside the board other than a plain GosNode, and under the
+one rule: the entry can move the election of a follower it reaches, each
+follower asked answering under its own election policy and failure window
+(the board keeps none). A follower that the entry misses (not reached, or
+crashed) keeps, in an own record, what it last read. A take writes the
+board, and own records only where the followers it missed are not those
+that held one, so a settled heartbeat period (every member is up and
+hears every fan-out, and no power changes) costs the board write alone per
+fan-out, after one pass over the followers while one runs
+HIGHEST_CONNECTIVITY; so does one where the same crashed followers miss
+each fan-out. Only a taken JOIN has replies: each live member's ACCEPT,
+and the agent's directed AGENT_ANNOUNCE (`GosNode.absorb`), which the
+network sends after that member's deliver row. Every refused entry goes
+through `on_message`, one recipient at a time.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -120,6 +119,7 @@ _OFFLINE, _JOINING, _MEMBER, _LEFT = (Phase.OFFLINE, Phase.JOINING, Phase.MEMBER
 _JOIN, _ACCEPT, _LEAVE = MessageKind.JOIN, MessageKind.ACCEPT, MessageKind.LEAVE
 _HEARTBEAT, _AGENT_ANNOUNCE = MessageKind.HEARTBEAT, MessageKind.AGENT_ANNOUNCE
 _QUERY, _QUERY_RESP = MessageKind.QUERY, MessageKind.QUERY_RESP
+_NO_HOLDERS: frozenset[NodeId] = frozenset()  # `HeardBoard.take`'s holders of an unpinned sender
 
 
 @dataclass
@@ -179,7 +179,7 @@ class GosNode:
         # Wired by the scenario runner; None outside scenarios.
         self.metrics_cb = None
         # Static-comparison mode: the agent is pinned to this id instead of
-        # elected. Only election.reevaluate_agent reads it.
+        # elected. election.reevaluate_agent and scenario.QueryAction read it.
         self.static_pin: NodeId | None = None
 
         self._join_started_ms: float | None = None
@@ -278,7 +278,7 @@ class GosNode:
         """Take a delivery entry whole, in one write of the domain's
         `HeardBoard`, and return the replies, or refuse it and return None
         (the module docstring says which). Only a taken JOIN has replies,
-        one tuple for each recipient to the newcomer."""
+        one tuple for each recipient to the sender."""
         kind = msg.kind
         if kind not in PEER_ENTRY_KINDS:
             return None
@@ -313,7 +313,7 @@ class GosNode:
             if kind is _JOIN and self.agent == self.node_id:
                 # Directed announce so the newcomer learns the incumbent.
                 net.send_unicast(self.node_id, sender.node_id, self._message(_AGENT_ANNOUNCE))
-        elif phase is _JOINING and kind is not _JOIN:
+        elif phase is _JOINING:
             self._learn_joining(kind, (net.now, sender))
 
     def _join_replies(self) -> tuple[Message, ...]:
@@ -326,10 +326,10 @@ class GosNode:
     def _learn_joining(self, kind: MessageKind, record: tuple[float, AitEntry]) -> None:
         """A joining node learns a peer entry other than JOIN, and takes an
         announcing sender as its agent. It follows no board yet."""
-        sender = record[1].node_id
-        self._own[sender] = record
-        if kind is _AGENT_ANNOUNCE:
-            self.agent = sender
+        if kind is not _JOIN:
+            self._own[record[1].node_id] = record
+            if kind is _AGENT_ANNOUNCE:
+                self.agent = record[1].node_id
 
     def _finish_join(self, net: Network) -> None:
         if self.phase is not _JOINING:
@@ -507,37 +507,36 @@ class HeardBoard:
         node._board, self._seen = None, None
 
     def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
-        """Take a delivery entry of a peer entry, a JOIN from a newcomer or
-        any other kind from a follower, in one write, unless the one rule
-        (module docstring) refuses it; return whether it did, changing
-        nothing if not. An entry that holds every member but the sender is
-        its fan-out.
+        """Take a delivery entry of a peer entry, whatever its kind and
+        sender, in one write, unless the handler guard, a reached
+        non-follower that is not a plain GosNode, or the one rule (module
+        docstring) refuses it; return whether it did, changing nothing if
+        not. Only `_learn_joining` reads `msg.kind`. An entry that holds
+        every member but the sender is its fan-out.
 
         One pass: (1) find the followers that missed the entry (not reached,
-        or crashed) and those that hold an own record of the sender; (2) ask
-        every follower reached if the entry is a JOIN, `timed` (a follower's
-        policy reads heard times) or the board lacks the sender's power, which
-        its readers then read, and otherwise each reached holder whose record
-        lacks it; (3) refuse if one would re-elect under its own policy; (4) give
-        each follower that missed it an own record of the entry it last read,
-        drop the own record of each that got it, and store the new set of
-        holders; (5) write the board. The one write is a fan-out that every
-        follower gets, none holding an own record, of a power the board has:
-        steps 1 and 4 find and do nothing, and it asks only while `timed`."""
+        or crashed) and the holders of an own record of the sender; (2) ask
+        every follower reached if `timed` (a follower's policy reads heard
+        times) or the board lacks the sender's power, which its readers then
+        read, and otherwise each reached holder whose record lacks it; (3)
+        refuse if one would re-elect under its own policy; (4) unless the
+        followers that missed it are the holders, give each that missed it an
+        own record of the entry it last read, drop the own record of each
+        holder that got it, and store the missed as the holders; (5) write
+        the board. A settled fan-out (module docstring) does nothing in step
+        4, and asks only while `timed`."""
         sender, followers = msg.sender, self.followers
-        sid, now, join = sender.node_id, net.now, msg.kind is _JOIN
-        # A JOIN comes from a newcomer, any other peer entry from a follower.
-        if (sid in followers) is join or not (
-                self._ok if self._seen == net.handlers_version else self._ready(net)):
+        sid, now = sender.node_id, net.now
+        if not (self._ok if self._seen == net.handlers_version else self._ready(net)):
             return False
-        crashed, others, holders = net.crashed, self._others, self.pinned.get(sid)
+        crashed, others, holders = net.crashed, self._others, self.pinned.get(sid, _NO_HOLDERS)
         stored, power = self.entries.get(sid), sender.processing_power_mhz
         lacks = stored is None or stored.processing_power_mhz != power
         whole = len(recipients) == len(self.members) - 1
         missed = set() if whole else followers.keys() - {sid, *recipients}
         if crashed:
             missed.update([m for m in crashed if m in followers and m != sid])
-        if join or self.timed or lacks:  # no set to build when none missed it
+        if self.timed or lacks:  # no set to build when none missed it
             asked = followers.keys() - missed if missed else followers
         else:
             asked = [p for p in holders - missed if not (record := followers[p]._own[sid])
@@ -549,17 +548,16 @@ class HeardBoard:
                 return False
         if asked and self._moves(sender, now, asked):
             return False
-        if missed or holders:  # else there are no own records to fix up
-            holders, old = holders or set(), stored and (self.heard[sid], stored)
+        if missed != holders:  # else the own records already fit
+            old = stored and (self.heard[sid], stored)
             for peer in holders - missed:
                 del followers[peer]._own[sid]
             for peer in missed - holders:
                 followers[peer]._own[sid] = old
             self.pinned[sid] = missed
-        if not join:  # a joining node ignores a JOIN
-            for node in others:
-                if node.phase is _JOINING:
-                    node._learn_joining(msg.kind, (now, sender))
+        for node in others:
+            if node.phase is _JOINING:
+                node._learn_joining(msg.kind, (now, sender))
         heard = self.heard
         heard.pop(sid, None)
         heard[sid], self.entries[sid] = now, sender

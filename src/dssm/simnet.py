@@ -227,8 +227,8 @@ def _cut(record, start: int, stop: int):
 class Trace(Sequence):
     """A read-only sequence of TraceRow; see the module docstring for the
     records behind it. Only Network appends, straight to `_records`. A
-    slice is a Trace sharing the records of its range, not a list of rows;
-    `records` builds such a view."""
+    slice is a Trace sharing the records of its range, not a list of rows
+    (`_slice`)."""
 
     __slots__ = ("_records", "_starts")
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -496,8 +497,7 @@ CHANGES = {
 @pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", [J, A, H, N], ids=lambda k: k.name)
 @pytest.mark.parametrize("change", CHANGES)
-def test_the_board_takes_a_fan_out_only_when_it_moves_no_recipient_and_is_no_join(
-        policy, kind, change):
+def test_the_board_takes_a_fan_out_only_when_it_moves_no_recipient(policy, kind, change):
     # Settled member 5 and the sender follow the domain's board; nodes 2, 6,
     # 7 and 8 but the sender are offline. The sender's fan-out reaches every
     # other node: an entry new to node 5, or, after a HEARTBEAT with node 6's
@@ -515,7 +515,7 @@ def test_the_board_takes_a_fan_out_only_when_it_moves_no_recipient_and_is_no_joi
     sender.phase, sender.agent = Phase.MEMBER, sid
     membership._board(w.net, sender).follow(sender)
     held = node.ait.get(sid), node.last_heard_ms.get(sid)
-    refused = kind is J or _moves_election(node, entry, w.net.now)
+    refused = _moves_election(node, entry, w.net.now)
     to = tuple(nid for nid in sorted(w.nodes) if nid != sid)
     taken = node.absorb(w.net, to, Message(kind, entry))
     assert (taken is None) is refused
@@ -537,9 +537,17 @@ def test_absorb_takes_past_crashed_recipients_and_refuses_another_handler():
     assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg) == ()
     assert [w.nodes[n].last_heard_ms[5] for n in (1, 3, 4)] == [500.0] * 3
     assert w.nodes[2].last_heard_ms[5] < 500.0
+    # Follower 5's JOIN is a peer entry like any other: taken, with each live
+    # member's replies and none from the crashed one.
+    w.net.now = 550.0
+    agent = w.nodes[1].agent
+    replies = w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(J, w.nodes[5].self_entry))
+    assert [[reply.kind for reply in sent] for sent in replies] == [
+        [] if nid == 2 else [A, N] if nid == agent else [A] for nid in (1, 2, 3, 4)]
+    assert [w.nodes[n].last_heard_ms[5] for n in (1, 3, 4)] == [550.0] * 3
     views = {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()}
     w.net.now = 600.0  # so that a take would show in last_heard_ms
-    for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA, J):
+    for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA):
         assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(kind, w.nodes[5].self_entry)) is None
     w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
     assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg) is None
@@ -603,8 +611,6 @@ def _refusal_cause(board, net, recipients, msg):
     after the refusal, or None."""
     sender, followers = msg.sender, board.followers
     sid = sender.node_id
-    if (sid in followers) is (msg.kind is J):
-        return "sender"
     if not board._ready(net):
         return "handler"
     reached = [m for m in recipients if m != sid and m not in net.crashed]
@@ -619,9 +625,8 @@ def _refusal_cause(board, net, recipients, msg):
 def test_the_board_refuses_an_entry_only_for_a_remaining_cause(monkeypatch):
     # The bundled scenarios at drop 0 and at drop 0.05, and the golden
     # generator's run under each policy. Each entry the board refuses has a
-    # sender that does not fit its kind, a follower whose handler is another
-    # object, a reached non-follower that is not a plain GosNode, or a
-    # reached follower whose election it moves.
+    # follower whose handler is another object, a reached non-follower that
+    # is not a plain GosNode, or a reached follower whose election it moves.
     take, causes = HeardBoard.take, Counter()
 
     def checked(board, net, recipients, msg):
@@ -754,13 +759,17 @@ def test_oldest_heard_is_the_least_last_heard_time(seed, drop, policy, script):
     assert ticks
 
 
+@pytest.mark.parametrize("crashed", [(), (8,)], ids=["all_up", "8_crashed"])
 @pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
 def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(monkeypatch,
-                                                                            policy):
+                                                                            policy, crashed):
     # Once the join ramp and one failure timeout have passed, no follower
-    # holds an own record and no pinned set is non-empty, so each heartbeat
-    # fan-out is the board write alone, which leaves the sender's pinned
-    # set be.
+    # holds an own record and no pinned set is non-empty. A follower that
+    # crashes then misses a heartbeat period of fan-outs, after which it
+    # holds an own record of each live sender, the one holder in that
+    # sender's pinned set. Either way each heartbeat fan-out misses exactly
+    # the holders, so it is the board write alone: it leaves the sender's
+    # pinned set be and writes no own record.
     ids = range(1, 11)
     w = World([(nid, 1, 1000.0 + nid, 2500.0 + 100.0 * (nid % 4)) for nid in ids],
               policy=policy)
@@ -770,14 +779,24 @@ def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(mon
     assert sorted(board.followers) == list(ids)
     assert all(node._own == {} for node in w.nodes.values())
     assert not any(board.pinned.values())
+    for nid in crashed:
+        w.crash(nid)
+        settled += PARAMS.heartbeat_period_ms + 10.0
+        w.settle(settled)
+    live = [nid for nid in ids if nid not in crashed]
+    assert all(board.pinned.get(sid, set()) == set(crashed) for sid in live)
     take, one_write = HeardBoard.take, []
 
     def counted(board, net, recipients, msg):
         sid = msg.sender.node_id
         pinned = board.pinned.get(sid)
+        owns = {peer: dict(node._own) for peer, node in board.followers.items()}
         took = take(board, net, recipients, msg)
         one_write.append(took and board.pinned.get(sid) is pinned
-                         and list(board.heard)[-1] == sid and board.heard[sid] == net.now)
+                         and list(board.heard)[-1] == sid and board.heard[sid] == net.now
+                         and all(node._own.keys() == owns[peer].keys()
+                                 and all(node._own[p] is record for p, record in owns[peer].items())
+                                 for peer, node in board.followers.items()))
         return took
 
     monkeypatch.setattr(HeardBoard, "take", counted)
@@ -785,10 +804,11 @@ def test_a_settled_lossless_domain_takes_each_heartbeat_fan_out_in_one_write(mon
     w.settle(settled + periods * PARAMS.heartbeat_period_ms)
     heartbeats = [row for row in w.net.trace[start:]
                   if row.kind == "send" and row.msg_kind == "HEARTBEAT"]
-    assert len(heartbeats) == periods * len(ids)
+    assert len(heartbeats) == periods * len(live)
     assert one_write == [True] * len(heartbeats)
-    assert all(node._own == {} for node in w.nodes.values())
-    assert not any(board.pinned.values())
+    # The live followers have dropped the crashed one, on a failure timeout.
+    assert all(w.nodes[nid]._own == dict.fromkeys(crashed) for nid in live)
+    assert all(board.pinned.get(sid, set()) == set(crashed) for sid in live)
 
 
 @pytest.mark.parametrize("to", [(1, 2, 3, 4, 6), (1, 2, 3, 4)], ids=["whole", "one_missed"])
@@ -899,6 +919,69 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
             for nid, node in zip(to, map(w.nodes.get, to))]
         assert all(reply.sender == w.nodes[nid].self_entry
                    for nid, sent in zip(to, taken) for reply in sent)
+
+
+# Sender 5's power against members 2 (2800 MHz), 4 (2660 MHz) and 6 (2700 MHz).
+SENDER_POWERS = {"weaker": 2500.0, "middle": 2750.0, "stronger": 3000.0}
+# The (sender phase, kind) pairs that a rule by kind kept off the board: a
+# member's JOIN, and any other peer entry from a node that is not a member.
+NEWLY_TAKEN = {(Phase.MEMBER, J)} | {(phase, kind) for phase in (Phase.JOINING, Phase.OFFLINE,
+                                                                 Phase.LEFT) for kind in (H, N)}
+
+
+def _sender_world(policy, phase, power):
+    """Members 2, 4 and 6 of a settled domain, sender 5 at `power` in `phase`,
+    node 7 joining and node 8 offline. The JOIN of node 7, and of a joining
+    sender, is in flight; a sender that left sent its LEAVE, also in flight."""
+    w = World([(2, 1, 1024.0, 2800.0), (4, 1, 1024.0, 2660.0), (5, 1, 1024.0, power),
+               (6, 1, 1024.0, 2700.0), (7, 1, 1024.0, 2500.0), (8, 1, 1024.0, 2500.0)],
+              policy=policy)
+    t = 0.0
+    for nid in (2, 4, 5, 6) if phase in (Phase.MEMBER, Phase.LEFT) else (2, 4, 6):
+        w.join(nid, at=t)
+        t += 50.0
+    w.settle(t + PARAMS.failure_timeout_ms)
+    if phase is Phase.LEFT:
+        w.leave(5)
+    elif phase is Phase.JOINING:
+        w.join(5)
+    w.join(7)
+    assert w.nodes[5].phase is phase and w.nodes[7].phase is Phase.JOINING
+    return w
+
+
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+def test_the_board_takes_a_peer_entry_whatever_its_kind_and_sender(monkeypatch, policy):
+    # Sender 5, in each phase and at each power, sends each kind of peer
+    # entry to every other node, as one delivery entry. The run output and
+    # every node's view equal those of the same delivery through on_message,
+    # and the board takes at least one entry of each newly allowed pair.
+    take, taken = HeardBoard.take, set()
+    for phase, kind, power in itertools.product((Phase.MEMBER, Phase.JOINING, Phase.OFFLINE,
+                                                 Phase.LEFT), (J, H, N), SENDER_POWERS.values()):
+        outputs = []
+
+        def counted(board, net, recipients, msg):
+            took = take(board, net, recipients, msg)
+            if took:
+                taken.add((phase, kind))
+            return took
+
+        for via in ("absorb", "on_message"):
+            w = _sender_world(policy, phase, power)
+            with monkeypatch.context() as patch:
+                if via == "absorb":
+                    patch.setattr(HeardBoard, "take", counted)
+                else:
+                    patch.delattr(GosNode, "absorb")
+                start = len(w.net.trace)
+                _push_sent(w.net, (2, 4, 6, 7, 8), Message(kind, w.nodes[5].self_entry))
+                w.net.run_until(w.net.now)
+            outputs.append((list(w.net.trace[start:]), dict(w.registry._agents),
+                            {nid: (node.ait.by_id, node.last_heard_ms, node.agent, node.phase)
+                             for nid, node in w.nodes.items()}))
+        assert outputs[0] == outputs[1], (phase, kind, power)
+    assert NEWLY_TAKEN <= taken
 
 
 class _CheckAfterEachEvent:
@@ -1019,6 +1102,7 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     # capacity-only change that no follower holds a record of asks nobody
     # (unless the policy reads heard times), and node 1's power change asks
     # every follower it reached, since each reads that power from the board.
+    # The board reads no kind, so a JOIN is asked as any other entry is.
     doc = update_goldens.generated_doc(policy.value, draw=f"absorb{draw}")
     doc["seed"] = seed
     doc["intra_domain_link"] = dict(doc["intra_domain_link"], drop_probability=drop)
@@ -1037,21 +1121,21 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
         return moves(board, sender, now, asked)
 
     def counted_take(board, net, recipients, msg):
-        sid = msg.sender.node_id
-        stored, holders = board.entries.get(sid), board.pinned.get(sid)
-        # The followers the entry reaches alive, the sender among them.
+        sid, power = msg.sender.node_id, msg.sender.processing_power_mhz
+        stored, holders = board.entries.get(sid), board.pinned.get(sid) or ()
+        # The followers the entry reaches alive, the sender among them, and
+        # the reached holders whose own record lacks the sender's power.
         reached = {p for p in board.followers
                    if p == sid or p in recipients and p not in net.crashed}
+        lacking = {p for p in holders if p in reached and (
+            not (record := board.followers[p]._own[sid]) or record[1].processing_power_mhz != power)}
         asks.clear()
         took = take(board, net, recipients, msg)
         boarded.append(took and not board.pinned.get(sid))
         if took and stored is not None and stored is not msg.sender:
-            power = stored.processing_power_mhz != msg.sender.processing_power_mhz
+            changed = stored.processing_power_mhz != power
             asked = set().union(*asks)
-            if power or board.timed or msg.kind is J:
-                changes.append((power, asked == reached))
-            elif not holders:
-                changes.append((power, not asked))
+            changes.append((changed, asked == (reached if changed or board.timed else lacking)))
         return took
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1065,9 +1149,10 @@ def test_absorb_changes_no_run_output(tmp_path_factory, seed, drop, draw, policy
     assert any(took is not None for took in taken)
     assert any(joins)  # a JOIN was taken, naming the members' replies
     assert any(boarded)  # a fan-out that no follower missed went on the board
-    # A taken power change, JOIN or change under a policy that reads heard
-    # times asked every follower it reached; any other taken capacity-only
-    # change with no holders asked none.
+    # A taken power change or change under a policy that reads heard times
+    # asked every follower it reached; any other taken capacity-only change
+    # asked exactly the reached holders whose record lacks the power, none
+    # when there are no holders.
     assert all(asked_right for _, asked_right in changes)
     if drop == 0.0:
         assert (False, True) in changes and (True, True) in changes
