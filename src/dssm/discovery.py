@@ -81,12 +81,15 @@ def endpoint_url(ip, kind: ServiceKind) -> str:
 
 
 def parse_endpoint_url(url: str) -> tuple[str, int, ServiceKind]:
-    """Split an endpoint url back into (ip, port, kind)."""
-    parts = urlparse(url)
-    prefix, _, kind = parts.path.rpartition("/")
-    if parts.scheme != "http" or prefix != "/srmd/services":
-        raise InvalidValue(f"not an SRMD endpoint url: {url}")
-    return parts.hostname, parts.port, ServiceKind(kind)
+    """Split an endpoint url back into (ip, port, kind); any other url raises InvalidValue."""
+    try:  # a malformed host, a port out of range and an unknown kind raise ValueError
+        parts = urlparse(url)
+        host, port, (prefix, _, kind) = parts.hostname, parts.port, parts.path.rpartition("/")
+        if parts.scheme == "http" and prefix == "/srmd/services" and host and port is not None:
+            return host, port, ServiceKind(kind)
+    except ValueError:
+        pass
+    raise InvalidValue(f"not an SRMD endpoint url: {url}")
 
 
 def standard_endpoints(agent: AitEntry) -> list[ServiceEndpoint]:
@@ -102,13 +105,12 @@ class VirtualDomain:
 
     It is also the network's VIRTUAL multicast group: iteration yields the
     registered agents' node ids in ascending order, and `in` and `len()`
-    see the same members. The ids are kept as a sorted tuple, rebuilt on
-    each change of the registry.
+    see the same members. All three read the registry itself, so the group
+    follows each change of it.
     """
 
     def __init__(self, net: Network | None = None):
         self._agents: dict[DomainId, AitEntry] = {}
-        self._ids: tuple[NodeId, ...] = ()
         if net is not None:
             net.virtual_members = self
 
@@ -128,17 +130,11 @@ class VirtualDomain:
     def register_pinned(self, agent: AitEntry, *, domain: DomainId) -> None:
         """Unchecked registration for the static-comparison baseline."""
         self._agents[domain] = agent
-        self._sort_ids()
 
     def deregister(self, node_id: NodeId, domain: DomainId) -> None:
         """Drop the domain's entry if `node_id` holds it (a clean leave)."""
-        agent = self._agents.get(domain)
-        if agent is not None and agent.node_id == node_id:
+        if (agent := self._agents.get(domain)) is not None and agent.node_id == node_id:
             del self._agents[domain]
-            self._sort_ids()
-
-    def _sort_ids(self) -> None:
-        self._ids = tuple(sorted(entry.node_id for entry in self._agents.values()))
 
     def agent_of(self, domain: DomainId) -> AitEntry | None:
         return self._agents.get(domain)
@@ -152,13 +148,13 @@ class VirtualDomain:
                 for ep in standard_endpoints(agent) if ep.kind is kind]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._agents)
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._ids)
+        return iter(sorted([entry.node_id for entry in self._agents.values()]))
 
     def __contains__(self, node_id) -> bool:
-        return node_id in self._ids
+        return any(entry.node_id == node_id for entry in self._agents.values())
 
 
 @dataclass(frozen=True)
@@ -281,7 +277,7 @@ class AllocationLedger:
         if math.isnan(size_mb) or size_mb <= 0:
             raise InvalidValue(f"size_mb {size_mb} must be > 0")
         node = self._nodes.get(target)
-        if node is None or self._net.is_crashed(target):
+        if node is None or target in self._net.crashed:
             raise UnknownNode(f"node {target} unknown or dead")
         if node.self_entry.storage_capacity_mb < size_mb:
             raise InsufficientCapacity(

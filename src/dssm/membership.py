@@ -18,7 +18,7 @@ node learns the entry (ignoring JOIN, and taking an announcing sender as
 its agent); a member learns it, answers a JOIN with ACCEPT and re-elects
 if the entry can move the election (`election.moves_election`); other
 phases ignore it. Finishing its own join, a peer's LEAVE and a failure
-timeout always re-elect.
+timeout always re-elect a member; a node in another phase ignores a LEAVE.
 
 A node's AIT and `last_heard_ms` are read views of what it heard: the
 records peer -> (time, entry) in its own dict `_own`, over, while it is a
@@ -67,7 +67,6 @@ guessing), and a node that elects itself announces domain-wide.
 
 from __future__ import annotations
 
-import logging
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -88,8 +87,6 @@ from .core import (
 )
 from .metrics import KIND_JOIN_LATENCY, MetricsRecord
 from .simnet import LinkConfig, Network
-
-log = logging.getLogger(__name__)
 
 TIMER_JOIN_DEADLINE = "join_deadline"
 TIMER_HEARTBEAT = "heartbeat"
@@ -216,11 +213,10 @@ class GosNode:
     # -- membership operations ----------------------------------------------
 
     def initiate_join(self, net: Network) -> None:
-        """Multicast JOIN and start collecting ACCEPTs for the window."""
+        """Multicast JOIN and collect ACCEPTs for the window into `_own`, empty while offline."""
         if self.phase is not _OFFLINE:
             raise AlreadyMember(f"node {self.node_id} is {self.phase.value}, not offline")
         self.phase = _JOINING
-        self._own = {}
         self._join_started_ms = net.now
         net.send_multicast(self.node_id, self.domain, self._message(_JOIN))
         net.set_timer(self.node_id, TIMER_JOIN_DEADLINE, self.params.accept_window_ms)
@@ -265,8 +261,8 @@ class GosNode:
         kind = msg.kind
         if kind in PEER_ENTRY_KINDS:
             self._on_peer(net, kind, msg.sender)
-        elif kind is _LEAVE:
-            self._on_leave(net, msg.sender.node_id)
+        elif kind is _LEAVE and self.phase is _MEMBER:  # other phases ignore a LEAVE
+            self._drop(net, (msg.sender.node_id,))
         elif kind is _QUERY:
             discovery.handle_query(self, net, msg)
         elif kind is _QUERY_RESP:
@@ -343,13 +339,6 @@ class GosNode:
             ))
         election.reevaluate_agent(self, net)
         net.set_timer(self.node_id, TIMER_HEARTBEAT, self.params.heartbeat_period_ms)
-
-    def _on_leave(self, net: Network, leaver: NodeId) -> None:
-        if self.phase is not _MEMBER:
-            log.debug("node %d: LEAVE from %d ignored in phase %s",
-                      self.node_id, leaver, self.phase.value)
-            return
-        self._drop(net, (leaver,))
 
     def heartbeat_tick(self, net: Network) -> None:
         """Multicast a fresh self entry, drop silent peers, re-arm.

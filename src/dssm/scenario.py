@@ -66,9 +66,8 @@ from .discovery import (
 )
 from .election import ElectionPolicy, heard_members, select_agent
 from .membership import AlreadyMember, GosNode, NotMember, Phase, ProtocolParams
-from .metrics import KIND_QUERY_RESPONSE, MetricsRecord, export_metrics
-from .simnet import (InvalidTopology, LinkConfig, Network, NodeCrashed, Topology, Trace,
-                     export_trace)
+from .metrics import KIND_QUERY_RESPONSE, MetricsRecord
+from .simnet import InvalidTopology, LinkConfig, Network, NodeCrashed, Topology, Trace
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = ("churn50", "two_domain", "bandwidth_sweep", "agent_crash")
@@ -175,7 +174,7 @@ class JoinNode(Action, kind="join", fields=(("node", NODE),)):
 
     def apply(self, world: ScenarioWorld) -> None:
         node = world.nodes[self.node]
-        if world.net.is_crashed(self.node):
+        if self.node in world.net.crashed:
             world.net.revive(self.node)
             node.reset_offline()
         elif node.phase is Phase.LEFT:
@@ -210,7 +209,7 @@ class QueryAction(Action, kind="query", fields=(("node", NODE), ("required_mb", 
         node = world.nodes[self.node]
         agent_id = node.static_pin if world.static_mode else node.agent
         agent = world.nodes.get(agent_id)
-        if agent is None or not agent.is_agent or world.net.is_crashed(agent_id):
+        if agent is None or not agent.is_agent or agent_id in world.net.crashed:
             world._record_query(query, None, 0.0, "no_agent")
         else:
             find_storage(agent, world.net, query, world._record_query)
@@ -559,12 +558,9 @@ class ScenarioWorld:
         return None
 
 
-def run_scenario(scenario: Scenario, static_mode: bool = False,
-                 seed: int | None = None) -> ScenarioResult:
-    """Execute a scenario. Identical (scenario, seed) pairs give identical
-    traces and metrics, byte for byte."""
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
+def run_scenario(scenario: Scenario, static_mode: bool = False) -> ScenarioResult:
+    """Execute a scenario. Identical scenarios, seed included, give identical traces
+    and metrics, byte for byte; `dataclasses.replace` sets another seed."""
     return ScenarioWorld(scenario, static_mode=static_mode).run()
 
 
@@ -631,8 +627,6 @@ __all__ = [
     "ValidationError",
     "bundled_scenario_path",
     "compare_static_dynamic",
-    "export_metrics",
-    "export_trace",
     "load_scenario",
     "resolve_scenario_path",
     "run_scenario",

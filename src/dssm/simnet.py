@@ -414,9 +414,6 @@ class Network:
     def revive(self, node_id: NodeId) -> None:
         self.crashed.discard(node_id)
 
-    def is_crashed(self, node_id: NodeId) -> bool:
-        return node_id in self.crashed
-
     def domain_members(self, domain: DomainId) -> tuple[NodeId, ...]:
         """The domain's node ids in ascending order; () for an unknown domain."""
         return self._members.get(domain, ())

@@ -79,7 +79,7 @@ class World:
     def members(self, domain=None):
         return [
             n for _, n in sorted(self.nodes.items())
-            if n.is_member and not self.net.is_crashed(n.node_id)
+            if n.is_member and n.node_id not in self.net.crashed
             and (domain is None or n.domain == domain)
         ]
 

@@ -64,9 +64,20 @@ def test_endpoint_urls_parse_back():
         assert kind is ep.kind
 
 
-def test_parse_rejects_foreign_urls():
+@pytest.mark.parametrize("url", [
+    "http://10.0.0.1:8080/other/services/storservice",
+    "ftp://10.0.0.1:8080/srmd/services/storservice",
+    "http://10.0.0.1:8080/srmd/services/bogus",
+    "http://10.0.0.1:99999/srmd/services/storservice",
+    "http://10.0.0.1:port/srmd/services/storservice",
+    "http://10.0.0.1/srmd/services/storservice",
+    "http://:8080/srmd/services/storservice",
+    "http:///srmd/services/storservice",
+    "http://[10.0.0.1:8080/srmd/services/storservice",
+])
+def test_parse_rejects_foreign_urls(url):
     with pytest.raises(InvalidValue):
-        parse_endpoint_url("http://10.0.0.1:8080/other/services/storservice")
+        parse_endpoint_url(url)
 
 
 # -- registry ---------------------------------------------------------------
@@ -159,7 +170,7 @@ def test_virtual_group_iterates_node_ids_in_ascending_order():
 
 
 def test_virtual_group_ids_follow_every_change_of_the_registry():
-    # Iteration, `in` and len() read the cached ids; each change rebuilds them.
+    # Iteration, `in` and len() read the registry, so they follow each change.
     reg = VirtualDomain()
 
     def group_is(ids):
@@ -493,7 +504,7 @@ def test_every_answer_is_the_best_fit_of_the_answering_agents_ait(seed, loss, po
             if r < 0.4 and live:
                 requester = rng.choice(live)
                 agent = w.nodes.get(requester.agent)
-                if agent is not None and agent.is_agent and not w.net.is_crashed(agent.node_id):
+                if agent is not None and agent.is_agent and agent.node_id not in w.net.crashed:
                     required = rng.choice((200.0, 1000.0, 2500.0, 4000.0))
                     find_storage(agent, w.net, StorageQuery(requester.node_id, required, query_id))
             elif r < 0.6 and live:

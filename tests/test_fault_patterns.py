@@ -40,9 +40,12 @@ def three_nodes(policy):
     return one_domain("three_nodes", {1: 2000.0, 2: 3000.0, 3: 3000.0}, policy, intra_drop=0.5)
 
 
-# max_power is left out: some patterns of three drops leave its members
-# disagreeing on the agent for good (ROADMAP, item 1; the reproducers below).
-@pytest.mark.parametrize("policy", ["lowest_id", "highest_connectivity"])
+# Under max_power four patterns of three drops leave the members disagreeing
+# on the agent for good, (2, 8, 14) among them (the reproducers below).
+@pytest.mark.parametrize("policy", [
+    pytest.param("max_power", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 1")),
+    "lowest_id", "highest_connectivity"])
 def test_every_pattern_of_up_to_three_drops_is_consistent_at_six_seconds(policy):
     world_scenario = three_nodes(policy)
     runs, violations = 0, {}

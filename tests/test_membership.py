@@ -425,6 +425,47 @@ def _check_peer_entry(phase, kind, sender, learned, replies, agent, via):
     assert node.phase is phase
 
 
+# (phase, node 2 still held, node 1's sends after, node 1's agent after). A
+# joining node holds node 2 from an ACCEPT, a member from a HEARTBEAT.
+LEAVE_TABLE = [
+    (Phase.OFFLINE, False, [], 0),
+    (Phase.JOINING, True, [], 0),
+    (Phase.MEMBER, False, [("AGENT_ANNOUNCE", "domain1")], 1),
+    (Phase.LEFT, False, [], 0),
+]
+
+
+@pytest.mark.parametrize("via", ["on_message", "network"])
+@pytest.mark.parametrize("phase,held,sends,agent", LEAVE_TABLE,
+                         ids=[p.value for p, *_ in LEAVE_TABLE])
+def test_only_a_member_acts_on_a_leave(phase, held, sends, agent, via):
+    w = _node_in(phase)
+    node = w.nodes[1]
+    if phase is Phase.JOINING:
+        node.on_message(w.net, Message(A, w.nodes[2].self_entry))
+    elif phase is Phase.MEMBER:
+        node.on_message(w.net, Message(H, w.nodes[2].self_entry))
+        assert node.agent == 2
+    before = (node.ait.ids(), node.last_heard_ms, node.agent)
+    rows = len(w.net.trace)
+    leave = Message(MessageKind.LEAVE, w.nodes[2].self_entry)
+    if via == "on_message":
+        node.on_message(w.net, leave)
+    else:
+        w.net.send_multicast(2, 1, leave)
+        w.net.run_until(w.net.now + w.net.intra_link.transit_ms(message_size_bytes(leave.kind)))
+        assert ("deliver", "1", "LEAVE") in {(r.kind, r.dst, r.msg_kind)
+                                             for r in w.net.trace[rows:]}
+    assert (2 in node.ait) is held
+    assert (2 in node.last_heard_ms) is held
+    assert [(r.msg_kind, r.dst) for r in w.net.trace[rows:]
+            if r.kind == "send" and r.src == "1"] == sends
+    assert node.agent == agent
+    assert node.phase is phase
+    if phase is not Phase.MEMBER:
+        assert (node.ait.ids(), node.last_heard_ms, node.agent) == before
+
+
 MP, LI, HC = (ElectionPolicy.MAX_POWER, ElectionPolicy.LOWEST_ID,
               ElectionPolicy.HIGHEST_CONNECTIVITY)
 # What settled member 5 (2660 MHz, alone and its own agent) hears in turn,
@@ -892,7 +933,7 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
                                            agent.self_entry))
         entry = w.nodes[newcomer].self_entry
         to = tuple(nid for nid in sorted(w.nodes) if nid != newcomer and not (missed and nid == 8))
-        live = [w.nodes[nid] for nid in to if w.nodes[nid].is_member and not w.net.is_crashed(nid)]
+        live = [w.nodes[nid] for nid in to if w.nodes[nid].is_member and nid not in w.net.crashed]
         moved = any(_moves_election(node, entry, w.net.now) for node in live)
         with monkeypatch.context() as patch:
             if via == "absorb":

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -469,14 +469,6 @@ def test_determinism_byte_identical(tmp_path):
     assert files[0][0]
 
 
-def test_seed_override_changes_nothing_at_p0_but_is_plumbed():
-    s = load_scenario(bundled_scenario_path("two_domain"))
-    r1 = run_scenario(s, seed=7)
-    assert r1.scenario.seed == 7
-    r2 = run_scenario(s, seed=7)
-    assert [row.csv() for row in r1.trace] == [row.csv() for row in r2.trace]
-
-
 # -- static vs dynamic ----------------------------------------------------------
 
 
@@ -600,6 +592,23 @@ def test_cli_run_with_exports(tmp_path, capsys):
     assert metrics.read_text().startswith("kind,value,unit,time_ms,labels")
     out = capsys.readouterr().out
     assert "scenario two_domain" in out
+
+
+def test_cli_seed_reaches_the_run(tmp_path):
+    # At 5% loss on both links the drop draws follow the seed, so the trace shows it.
+    doc = json.loads(bundled_scenario_path("two_domain").read_text())
+    for link in ("intra_domain_link", "inter_domain_link"):
+        doc[link]["drop_probability"] = 0.05
+    p = tmp_path / "lossy.json"
+    p.write_text(json.dumps(doc))
+    traces = {}
+    for seed in (9, 10):
+        traces[seed] = tmp_path / f"trace_{seed}.csv"
+        assert cli_main(["run", str(p), "--seed", str(seed), "--trace", str(traces[seed])]) == 0
+    expected = tmp_path / "expected.csv"
+    export_trace(run_scenario(replace(load_scenario(p), seed=9)).trace, expected)
+    assert traces[9].read_bytes() == expected.read_bytes()
+    assert traces[10].read_bytes() != traces[9].read_bytes()
 
 
 @pytest.mark.parametrize("name", ["metrics.JSON", "metrics.Json"])
