@@ -81,7 +81,7 @@ def _run(args) -> int:
     result = run_scenario(scenario)
     print(f"scenario {scenario.name}: {len(result.trace)} trace events, "
           f"{len(result.metrics)} metric records, "
-          f"clock {result.world.net.now:.3f} ms")
+          f"clock {result.net.now:.3f} ms")
 
     if args.trace:
         export_trace(result.trace, args.trace)

@@ -19,7 +19,7 @@ candidate once, against the rank it keeps of the best so far.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import urlparse
@@ -35,7 +35,6 @@ from .core import (
     NodeId,
     fit_rank,
 )
-from .election import ElectionPolicy, select_agent
 from .metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE, MetricsRecord
 from .simnet import Network, UnknownNode, VIRTUAL
 
@@ -44,10 +43,6 @@ _QUERY, _QUERY_RESP = MessageKind.QUERY, MessageKind.QUERY_RESP
 
 QUERY_TIMER_PREFIX = "query:"
 SERVICE_PORT = 8080
-
-
-class NotAnAgent(DssmError):
-    pass
 
 
 class NoAgent(DssmError):
@@ -103,6 +98,9 @@ def standard_endpoints(agent: AitEntry) -> list[ServiceEndpoint]:
 class VirtualDomain:
     """Registry of the currently elected agent of each physical domain.
 
+    It admits whatever node registers: a member registers only once its
+    election picked it, and the static baseline registers its pins.
+
     It is also the network's VIRTUAL multicast group: iteration yields the
     registered agents' node ids in ascending order, and `in` and `len()`
     see the same members. All three read the registry itself, so the group
@@ -114,21 +112,8 @@ class VirtualDomain:
         if net is not None:
             net.virtual_members = self
 
-    def register_agent(self, agent: AitEntry, *, domain: DomainId, ait: Ait,
-                       policy: ElectionPolicy = ElectionPolicy.MAX_POWER,
-                       heard: Collection[NodeId] = ()) -> None:
-        """Admit an agent, replacing any previous agent of the same domain.
-
-        The claim is checked against the registrant's own AIT (and, under
-        HIGHEST_CONNECTIVITY, the members it heard); a node that the
-        election would not pick is refused.
-        """
-        if agent.node_id not in ait or select_agent(ait, agent.node_id, policy, heard) != agent.node_id:
-            raise NotAnAgent(f"node {agent.node_id} is not the computed agent of domain {domain}")
-        self.register_pinned(agent, domain=domain)
-
-    def register_pinned(self, agent: AitEntry, *, domain: DomainId) -> None:
-        """Unchecked registration for the static-comparison baseline."""
+    def register_agent(self, agent: AitEntry, *, domain: DomainId) -> None:
+        """Admit an agent, replacing any previous agent of the same domain."""
         self._agents[domain] = agent
 
     def deregister(self, node_id: NodeId, domain: DomainId) -> None:

@@ -123,21 +123,18 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
 
     A change is recorded as an ElectionLatency metric when the node has a
     metrics callback. When this node elects itself it announces to its
-    domain and registers with the virtual domain, over the same view it
-    elected from. `evidence_ms` is the timestamp of the last evidence for
-    the previous agent (used for the election-latency metric); defaults to
-    now for changes triggered by an explicit message. A node with a static
+    domain and registers with the virtual domain, which admits it unchecked.
+    The node is a member, so its view holds its own entry. `evidence_ms` is
+    the timestamp of the last evidence for the previous agent (used for the
+    election-latency metric); defaults to now for changes triggered by an
+    explicit message. A node with a static
     pin (the static-comparison baseline) takes the pin as its agent and
     never elects.
     """
     if node.static_pin is not None:
         node.agent = node.static_pin
         return
-    ait = node.ait  # a view of the node, built on each read
-    if len(ait) == 0:
-        return
-    heard = heard_members(node, net.now)
-    new_agent = select_agent(ait, node.agent, node.policy, heard)
+    new_agent = select_agent(node.ait, node.agent, node.policy, heard_members(node, net.now))
     if new_agent == node.agent:
         return
     old, node.agent = node.agent, new_agent
@@ -148,7 +145,7 @@ def reevaluate_agent(node, net, evidence_ms: float | None = None) -> None:
             {"node": str(node.node_id), "old": str(old), "new": str(new_agent)},
         ))
     if new_agent == node.node_id:
-        node.announce_agency(net, ait, heard)
+        node.announce_agency(net)
 
 
 __all__ = [

@@ -17,8 +17,8 @@ JOIN, ACCEPT, HEARTBEAT and AGENT_ANNOUNCE share one handler: a joining
 node learns the entry (ignoring JOIN, and taking an announcing sender as
 its agent); a member learns it, answers a JOIN with ACCEPT and re-elects
 if the entry can move the election (`election.moves_election`); other
-phases ignore it. Finishing its own join, a peer's LEAVE and a failure
-timeout always re-elect a member; a node in another phase ignores a LEAVE.
+phases ignore it. Finishing its own join, a failure timeout and a LEAVE
+from a peer in its view re-elect a member; other LEAVEs change nothing.
 
 A node's AIT and `last_heard_ms` are read views of what it heard: the
 records peer -> (time, entry) in its own dict `_own`, over, while it is a
@@ -179,7 +179,7 @@ class GosNode:
         # elected. election.reevaluate_agent and scenario.QueryAction read it.
         self.static_pin: NodeId | None = None
 
-        self._join_started_ms: float | None = None
+        self._join_started_ms = 0.0  # set by initiate_join, the only way into JOINING
 
     @property
     def ait(self) -> Ait:
@@ -262,7 +262,8 @@ class GosNode:
         if kind in PEER_ENTRY_KINDS:
             self._on_peer(net, kind, msg.sender)
         elif kind is _LEAVE and self.phase is _MEMBER:  # other phases ignore a LEAVE
-            self._drop(net, (msg.sender.node_id,))
+            if self._heard(peer := msg.sender.node_id)[0] is not None:  # a peer in the view
+                self._drop(net, (peer,))
         elif kind is _QUERY:
             discovery.handle_query(self, net, msg)
         elif kind is _QUERY_RESP:
@@ -332,7 +333,7 @@ class GosNode:
             return
         self.phase = _MEMBER
         _board(net, self).follow(self)
-        if self.metrics_cb is not None and self._join_started_ms is not None:
+        if self.metrics_cb is not None:
             self.metrics_cb(MetricsRecord(
                 KIND_JOIN_LATENCY, net.now - self._join_started_ms, "ms", net.now,
                 {"node": str(self.node_id)},
@@ -442,14 +443,12 @@ class GosNode:
 
     # -- election plumbing ------------------------------------------------------
 
-    def announce_agency(self, net: Network, ait: Ait, heard: frozenset[NodeId]) -> None:
-        """Called when this node elected itself over `ait` and `heard`
-        (`election.reevaluate_agent`): tell the domain and, when it has a
-        registry, join the virtual domain."""
+    def announce_agency(self, net: Network) -> None:
+        """Called when this node elected itself (`election.reevaluate_agent`):
+        tell the domain and, when it has a registry, join the virtual domain."""
         net.send_multicast(self.node_id, self.domain, self._message(_AGENT_ANNOUNCE))
         if self.registry is not None:
-            self.registry.register_agent(self.self_entry, domain=self.domain, ait=ait,
-                                         policy=self.policy, heard=heard)
+            self.registry.register_agent(self.self_entry, domain=self.domain)
 
     def __repr__(self) -> str:
         return (f"GosNode(id={self.node_id}, domain={self.domain}, "

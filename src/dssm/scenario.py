@@ -439,22 +439,6 @@ def resolve_scenario_path(name_or_path) -> Path:
 # -- execution -------------------------------------------------------------------
 
 
-@dataclass
-class ScenarioResult:
-    scenario: Scenario
-    trace: Trace
-    metrics: list[MetricsRecord]
-    world: "ScenarioWorld"
-
-    @property
-    def query_results(self):
-        return self.world.query_results
-
-    @property
-    def registry(self) -> VirtualDomain:
-        return self.world.registry
-
-
 class ScenarioWorld:
     """One scenario execution: network, nodes, registry, scripted actions."""
 
@@ -481,11 +465,15 @@ class ScenarioWorld:
             for spec in scenario.node_specs:  # first listed node per domain
                 pins.setdefault(spec.domain, spec.node_id)
             for domain, agent_id in sorted(pins.items()):
-                self.registry.register_pinned(self.nodes[agent_id].self_entry, domain=domain)
+                self.registry.register_agent(self.nodes[agent_id].self_entry, domain=domain)
             for node in self.nodes.values():
                 node.static_pin = pins[node.domain]
 
-    def run(self) -> ScenarioResult:
+    @property
+    def trace(self) -> Trace:
+        return self.net.trace
+
+    def run(self) -> ScenarioWorld:
         for action in self.scenario.script:
             self.net.run_until(action.time_ms)
             try:
@@ -494,7 +482,7 @@ class ScenarioWorld:
                 # e.g. a leave before the join or a transfer that cannot arrive;
                 # validate refuses a bad set_link, but its apply can still raise
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
-        return ScenarioResult(self.scenario, self.net.trace, self.metrics, self)
+        return self
 
     def _record_query(self, query: StorageQuery, candidate, elapsed_ms, route) -> None:
         self.query_results[query.query_id] = candidate
@@ -558,9 +546,9 @@ class ScenarioWorld:
         return None
 
 
-def run_scenario(scenario: Scenario, static_mode: bool = False) -> ScenarioResult:
-    """Execute a scenario. Identical scenarios, seed included, give identical traces
-    and metrics, byte for byte; `dataclasses.replace` sets another seed."""
+def run_scenario(scenario: Scenario, static_mode: bool = False) -> ScenarioWorld:
+    """Execute a scenario; return its world. Identical scenarios, seed included,
+    give identical traces and metrics, byte for byte; `dataclasses.replace` sets another seed."""
     return ScenarioWorld(scenario, static_mode=static_mode).run()
 
 
@@ -589,7 +577,7 @@ class ComparisonSummary:
         return "\n".join(lines)
 
 
-def _summarize(mode: str, result: ScenarioResult) -> ComparisonRow:
+def _summarize(mode: str, result: ScenarioWorld) -> ComparisonRow:
     responses = [r for r in result.metrics if r.kind == KIND_QUERY_RESPONSE]
     hits = [r for r in responses if r.labels.get("outcome") in ("local", "remote")]
     rate = len(hits) / len(responses) if responses else 0.0
@@ -620,7 +608,6 @@ __all__ = [
     "ParseError",
     "QueryAction",
     "Scenario",
-    "ScenarioResult",
     "ScenarioWorld",
     "SetLink",
     "TransferAction",

@@ -108,13 +108,33 @@ def test_leave_while_offline_raises():
         w.nodes[1].initiate_leave(w.net)
 
 
-def test_unknown_leaver_is_noop():
+def test_unknown_leaver_is_noop(monkeypatch):
+    # Node 3 never joined, so member 1 has never heard it: no election, no record.
     w = World(THREE)
     w.join(1, at=0.0)
     w.settle(100.0)
     before = Ait(w.nodes[1].ait.entries())
+    elections = []
+    monkeypatch.setattr(election, "reevaluate_agent",
+                        lambda node, net, evidence_ms=None: elections.append(node.node_id))
     w.nodes[1].on_message(w.net, Message(MessageKind.LEAVE, w.nodes[3].self_entry))
     assert w.nodes[1].ait == before
+    assert elections == [] and w.nodes[1]._own == {}
+    assert 3 not in w.net.heard_boards[1].pinned
+
+
+def test_a_repeated_leave_runs_no_second_election(monkeypatch):
+    w = World(THREE)
+    w.join_all()
+    w.settle(500.0)
+    w.leave(3, at=500.0)
+    w.settle(600.0)
+    own = dict(w.nodes[1]._own)
+    elections = []
+    monkeypatch.setattr(election, "reevaluate_agent",
+                        lambda node, net, evidence_ms=None: elections.append(node.node_id))
+    w.nodes[1].on_message(w.net, Message(MessageKind.LEAVE, w.nodes[3].self_entry))
+    assert elections == [] and w.nodes[1]._own == own
 
 
 def test_no_resurrection_until_rejoin():

@@ -331,13 +331,13 @@ def test_set_link_is_checked_on_its_own_scope_as_the_script_leaves_it():
     doc = minimal_doc()
     doc["intra_domain_link"]["bandwidth_mbps"] = 1e-308
     doc["script"] = doc["script"][:2] + [_set_link(delay_ms=1.7e308)]
-    world = run_scenario(scenario_from_json(doc)).world
+    world = run_scenario(scenario_from_json(doc))
     assert world.net.inter_link == LinkConfig(1.7e308, 0.0, 100.0)
     # And the reverse: each scope keeps its own link through the script.
     doc = minimal_doc()
     doc["script"] += [_set_link(bandwidth_mbps=1e-308),
                       _set_link(time_ms=700.0, scope="intra", delay_ms=1.7e308)]
-    world = run_scenario(scenario_from_json(doc)).world
+    world = run_scenario(scenario_from_json(doc))
     assert world.net.intra_link == LinkConfig(1.7e308, 0.0, 100.0)
     assert world.net.inter_link == LinkConfig(10.0, 0.0, 1e-308)
 
@@ -345,7 +345,7 @@ def test_set_link_is_checked_on_its_own_scope_as_the_script_leaves_it():
 def test_set_link_changes_only_the_given_fields():
     doc = _script_case(_set_link(scope="intra", drop_probability=0.5, bandwidth_mbps=10))
     doc["script"].append(_set_link(time_ms=700.0, delay_ms=30))
-    world = run_scenario(scenario_from_json(doc)).world
+    world = run_scenario(scenario_from_json(doc))
     assert world.net.intra_link == LinkConfig(1.0, 0.5, 10.0)
     assert world.net.inter_link == LinkConfig(30.0, 0.0, 100.0)
 
@@ -372,7 +372,7 @@ def test_resolve_accepts_bundled_names(tmp_path):
 def test_churn50_runs_clean():
     s = load_scenario(bundled_scenario_path("churn50"))
     result = run_scenario(s)  # raises AssertionFailure on any violation
-    assert result.world.net.now >= 50_000.0
+    assert result.net.now >= 50_000.0
 
 
 def test_two_domain_query_results():
@@ -441,7 +441,7 @@ def test_consistency_check_follows_the_policy(policy):
     result = run_scenario(scenario_from_json(five_node_doc(policy)))
     expected = {"max_power": {1: 2, 2: 5}}.get(policy, {1: 1, 2: 4})
     assert {d: e.node_id for d, e in result.registry.agents().items()} == expected
-    assert result.world.check_consistency() is None
+    assert result.check_consistency() is None
 
 
 @pytest.mark.parametrize("policy,message", [
@@ -450,7 +450,7 @@ def test_consistency_check_follows_the_policy(policy):
     ("highest_connectivity", "agent-not-selected domain=1: agent 3, highest_connectivity selects 1"),
 ])
 def test_consistency_check_flags_an_agent_the_policy_would_not_pick(policy, message):
-    world = run_scenario(scenario_from_json(five_node_doc(policy))).world
+    world = run_scenario(scenario_from_json(five_node_doc(policy)))
     for node in world.live_members(1):
         node.agent = 3
     assert world.check_consistency() == message

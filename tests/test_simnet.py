@@ -525,8 +525,8 @@ def test_virtual_multicast_targets_agents_over_inter_link():
     net = Network(topo({1: 1, 2: 2, 3: 3}, inter=slow), seed=0)
     recs = wire(net, [1, 2, 3])
     registry = VirtualDomain(net)
-    registry.register_pinned(entry(1), domain=1)
-    registry.register_pinned(entry(2), domain=2)
+    registry.register_agent(entry(1), domain=1)
+    registry.register_agent(entry(2), domain=2)
     net.send_multicast(1, VIRTUAL, Message(MessageKind.QUERY, entry(1), query_id=1, required_mb=5.0))
     net.run_until_quiescent(1000.0)
     assert len(recs[2].messages) == 1
