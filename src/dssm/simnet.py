@@ -66,12 +66,13 @@ read. Network appends each record to that list itself; the row count and
 the index of each record's first row are worked out from the records on
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
-(owner,) with src "". A record never changes once appended, so records
-share dsts: a node's (node,) is one tuple for all its timer rows, the
-rows of unicasts to it and its deliver rows of refused multicast entries,
-and a domain multicast that lost no attempt delivers its sender's cached
-fan-out tuple itself. While a recipient's handler runs, trace[-1] is its
-deliver row.
+(owner,) with src "". A record of more rows holds deliveries, and its
+dsts are int node ids (export_trace relies on it). A record never changes
+once appended, so records share dsts: a node's (node,) is one tuple for
+all its timer rows, the rows of unicasts to it and its deliver rows of
+refused multicast entries, and a domain multicast that lost no attempt
+delivers its sender's cached fan-out tuple itself. While a recipient's
+handler runs, trace[-1] is its deliver row.
 
 A handler may also have absorb(net, recipients, msg), which returns None
 or the replies. The loop asks the first recipient's handler once per
@@ -184,6 +185,9 @@ class Topology:
         for node, domain in self.nodes.items():
             if domain is None:
                 raise InvalidTopology(f"node {node} has no domain")
+            for name, value in (("node id", node), ("domain", domain)):
+                if type(value) is not int:  # the trace prints 3.0 or True as such
+                    raise InvalidTopology(f"{name} {value!r} is not an int")
             if not 0 <= domain <= _MAX_DOMAIN_ID:
                 raise InvalidTopology(f"domain {domain} outside 0..65535")
             if not 1 <= node <= _MAX_NODE_ID:
@@ -298,45 +302,40 @@ class Trace(Sequence):
 def export_trace(trace: Trace, path) -> None:
     """Write the trace as CSV; an unwritable path raises IoError.
 
-    A record of one row is written with one f-string. A record of n > 1
-    rows, whose rows differ only in seq and dst, is written with one
-    `%`-format: the row pattern `{time},%s,{kind},{src},%s,{msg_kind},{size}`
-    repeated n times, formatted with the interleaved (seq, dst) values.
-    `%s` is str(), which is what the f-string writes for the int and str
-    fields, and any `%` in the pattern's constant parts is escaped as `%%`.
-    Nothing is kept between calls: the shared times and tails below live
-    for one call only."""
+    A record of one row is written with one f-string, and a record of n > 1
+    rows, which differ only in seq and dst, with one bytes `%`-format: the
+    pattern `{time},%d,{kind},{src},%d,{msg_kind},{size}` repeated n times,
+    formatted with the interleaved (seq, dst) values, then decoded. Bytes
+    `%d` writes an int's digits with no str per value; for an exact int they
+    are str(), and a Network's seqs and dsts are exact ints (Topology.validate).
+    A str dst, only in a hand-built Trace, makes `%d` raise TypeError, and
+    the record takes the pattern with `%s`, which is str(). Any `%` in the
+    constant parts is escaped as `%%`."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            lines, rows, tails = [], 0, {}
+            lines, rows = [], 0
             last_time = time_type = head = None
             for time_ms, first, kind, src, dsts, msg_kind, size in trace._records:
                 # A run of records with an equal time of one type shares the
-                # time's repr, and records with an equal msg_kind and size of
-                # one type share the tail. The type counts because equal ints
-                # and floats print differently: the clock is the int 5 after
-                # run_until(5), and a timer's size is the int 0. So do -0.0
-                # and 0.0, so a float zero size is not shared.
+                # time's repr. The type counts because equal ints and floats
+                # print differently: the clock is the int 5 after run_until(5).
                 if time_ms != last_time or type(time_ms) is not time_type:
                     head, last_time, time_type = f"{time_ms!r},", time_ms, type(time_ms)
-                key = (msg_kind, size, type(size))
-                tail = tails.get(key)
-                if tail is None:
-                    tail = f",{msg_kind},{size!r}\n"
-                    if size or type(size) is not float:
-                        tails[key] = tail
                 n = len(dsts)
                 if n == 1:
-                    lines.append(f"{head}{first},{kind},{src},{dsts[0]}{tail}")
+                    lines.append(f"{head}{first},{kind},{src},{dsts[0]},{msg_kind},{size!r}\n")
                 else:
                     args = [None] * (2 * n)
                     args[::2] = range(first, first + n)
                     args[1::2] = dsts
-                    # A time's repr holds no %; the other constant parts may.
+                    # A time's or size's repr holds no %; the other constant parts may.
                     mid = f",{kind},{src},".replace("%", "%%")
-                    row = f"{head}%s{mid}%s{tail.replace('%', '%%')}"
-                    lines.append(row * n % tuple(args))
+                    tail = f",{msg_kind},".replace("%", "%%") + f"{size!r}\n"
+                    try:
+                        lines.append((f"{head}%d{mid}%d{tail}".encode() * n % tuple(args)).decode())
+                    except TypeError:
+                        lines.append(f"{head}%s{mid}%s{tail}" * n % tuple(args))
                 rows += n
                 if rows >= _ROWS_PER_WRITE:
                     fh.write("".join(lines))

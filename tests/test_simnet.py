@@ -70,6 +70,20 @@ def test_node_without_domain_rejected():
         Network(topo({1: 1, 2: None}), seed=0)
 
 
+def test_ids_that_are_not_exact_ints_rejected():
+    # They pass the range checks, but a trace would print `send,3.0,...` or
+    # `domainTrue`, while its deliver rows print the sender entry's int id.
+    for nodes, message in [({1: 1, 3.0: 1}, "node id 3.0 is not an int"),
+                           ({2: 1, True: 2}, "node id True is not an int"),
+                           ({1: 1, 2: 1.0}, "domain 1.0 is not an int"),
+                           ({1: 1, 2: True}, "domain True is not an int")]:
+        with pytest.raises(InvalidTopology) as info:
+            Network(topo(nodes), seed=0)
+        assert str(info.value) == message
+    net = Network(topo({1: 1, 3: 1, 2**32 - 1: 0, 4: 65535}), seed=0)
+    assert net.domain_members(1) == (1, 3)
+
+
 def test_bad_link_config_rejected():
     with pytest.raises(InvalidTopology):
         LinkConfig(delay_ms=-1.0, drop_probability=0.0, bandwidth_mbps=1.0)
@@ -1064,10 +1078,13 @@ def _hand_built(records) -> Trace:
 @example(records=[(1000.0, "send", 1, ["domain1"], "HEARTBEAT", 33.0),
                   (1001.00264, "deliver", 1, list(range(2, 161)), "HEARTBEAT", 33.0)],
          cut=(0.3, 0.6))
+# The str dst "%s" takes the str `%s` pattern.
 @example(records=[(5, "timer", "", [1], "DATA", 0), (5.0, "send", 1, [2], "DATA", 0.0),
                   (5.0, "deliver", 1, [2, 3], "DATA", -0.0),
                   (5.0, "deliver%s", 1, ["%s", 4], "%%d", 0.0)],
          cut=(0.0, 1.0))
+# Int dsts take the bytes `%d` pattern, whose constant parts hold a `%`.
+@example(records=[(7.5, "%d%", "", [3, 2**32 - 1, 1], "%%d%", 33.0)], cut=(0.0, 0.5))
 def test_trace_export_of_hand_built_records_is_the_bytes_of_its_rows(tmp_path_factory,
                                                                      records, cut):
     trace = _hand_built(records)
@@ -1154,6 +1171,17 @@ def _reply_arrivals(net, replied):
         times.append({delivered[row.seq + 1] for row in sends
                       if row.kind == "send" and row.seq + 1 in delivered})
     return times
+
+
+def test_every_dst_of_a_multi_row_record_is_an_int():
+    # export_trace writes a multi-row record's dsts with bytes `%d`, which
+    # is str() only for an exact int.
+    traces = [_interleaved_run(seed, 0.1)[0].trace for seed in range(5)]
+    for policy in ("max_power", "lowest_id"):
+        doc = load_script("update_goldens").generated_doc(policy, draw="drops1")
+        traces.append(scenario.run_scenario(scenario.scenario_from_json(doc)).trace)
+    multi = [dsts for trace in traces for *_, dsts, _, _ in trace._records if len(dsts) > 1]
+    assert multi and all(type(dst) is int for dsts in multi for dst in dsts)
 
 
 def test_absorb_is_offered_every_multicast_entry():
