@@ -40,9 +40,10 @@ from dssm.metrics import export_metrics  # noqa: E402
 from dssm.scenario import (  # noqa: E402
     AssertionFailure,
     BUNDLED_SCENARIOS,
+    ComparisonSummary,
     ScenarioWorld,
     bundled_scenario_path,
-    compare_static_dynamic,
+    run_scenario,
     scenario_from_json,
 )
 from dssm.simnet import export_trace  # noqa: E402
@@ -156,10 +157,10 @@ def case_digests(doc: dict, name: str) -> dict:
         world.run()
     except AssertionFailure as exc:
         failure = str(exc)
-    try:
-        compare = compare_static_dynamic(scenario).table()
-    except AssertionFailure as exc:
-        compare = f"AssertionFailure: {exc}"
+    if failure is None:
+        compare = ComparisonSummary.of(run_scenario(scenario, static_mode=True), world).table()
+    else:  # as `compare_static_dynamic` would raise it
+        compare = f"AssertionFailure: {failure}"
     with tempfile.TemporaryDirectory() as tmp:
         trace, metrics = Path(tmp) / "trace.csv", Path(tmp) / "metrics.json"
         export_trace(world.net.trace, trace)

@@ -19,9 +19,9 @@ from .metrics import export_metrics
 from .scenario import (
     AssertionFailure,
     BUNDLED_SCENARIOS,
+    ComparisonSummary,
     ParseError,
     ValidationError,
-    compare_static_dynamic,
     load_scenario,
     resolve_scenario_path,
     run_scenario,
@@ -69,8 +69,7 @@ def _check_writable(path: str) -> None:
 
 
 def _run(args) -> int:
-    path = resolve_scenario_path(args.scenario)
-    scenario = load_scenario(path)
+    scenario = load_scenario(resolve_scenario_path(args.scenario))
     if args.seed is not None:
         scenario.seed = args.seed
     # A bad output path fails here, before the run and before any output.
@@ -92,7 +91,7 @@ def _run(args) -> int:
         print(f"metrics written to {args.metrics} ({fmt})")
 
     if args.compare_static:
-        print(compare_static_dynamic(scenario).table())
+        print(ComparisonSummary.of(run_scenario(scenario, static_mode=True), result).table())
     return 0
 
 

@@ -291,7 +291,8 @@ def transfer_file(net: Network, sender: AitEntry, to: NodeId, size_mb: float
     Returns (response-time record, achieved-throughput record); the DATA
     message itself rides the event queue so the transfer shows up in the
     trace at exactly the computed response time. A response time that is
-    not finite and > 0 raises InvalidValue before anything is sent.
+    not finite and > 0, or one so small that the throughput is not finite,
+    raises InvalidValue before anything is sent.
     """
     if math.isnan(size_mb) or size_mb <= 0:
         raise InvalidValue(f"size_mb {size_mb} must be > 0")
@@ -301,7 +302,11 @@ def transfer_file(net: Network, sender: AitEntry, to: NodeId, size_mb: float
     if not 0.0 < response_ms < math.inf:
         raise InvalidValue(f"transfer of {size_mb!r} MB at {link.bandwidth_mbps!r} Mbps: "
                            f"response time {response_ms!r} ms must be finite and > 0")
-    achieved_mbps = size_bytes * 8 / (response_ms / 1000.0) / 1e6
+    seconds = response_ms / 1000.0  # 0.0 once a subnormal response time underflows
+    achieved_mbps = size_bytes * 8 / seconds / 1e6 if seconds else math.inf
+    if achieved_mbps == math.inf:
+        raise InvalidValue(f"transfer of {size_mb!r} MB at {link.bandwidth_mbps!r} Mbps: "
+                           f"response time {response_ms!r} ms gives no finite throughput")
     labels = {
         "from": str(sender.node_id),
         "to": str(to),

@@ -37,6 +37,8 @@ default from the link model. "set_link" reconfigures a link class mid-run
 (the WAN emulator knob); omitted set_link fields keep their current value,
 and the link must stay in range (LinkConfig): each set_link is checked at
 load against its own scope's link as the script leaves it at that point.
+`scenario_from_json` (so `load_scenario`) is the one check: ScenarioWorld runs
+what it is given, and a Scenario built in code calls `Scenario.validate` itself.
 
 The consistency assertion checks, per domain with live members: equal AIT
 key sets, agent agreement, and that the agent is the one the scenario's
@@ -44,7 +46,8 @@ election policy selects from the first live member's view (for max_power:
 a member of the power argmax). Script actions that do not fit a node's
 state at run time, such as a leave before the node joined, a leave or
 transfer by a crashed node, or a transfer whose response time over its link
-is not finite and > 0, raise ValidationError like any other bad input.
+is not finite and > 0 or gives no finite throughput, raise ValidationError
+like any other bad input.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from ipaddress import AddressValueError
 from pathlib import Path
 
@@ -93,6 +97,7 @@ class NodeSpec:
     capacity_mb: float
     power_mhz: float
 
+    @cached_property  # built once: validation and every world share it
     def entry(self) -> AitEntry:
         return AitEntry(self.node_id, self.ip, self.capacity_mb, self.power_mhz)
 
@@ -279,6 +284,9 @@ class Scenario:
         )
 
     def validate(self) -> None:
+        """Raise ValidationError unless node ids are unique, the script is in time order
+        and names only listed nodes, and every link, param and node entry is in range.
+        `scenario_from_json` calls it and nothing later does: a Scenario built in code must."""
         ids = [spec.node_id for spec in self.node_specs]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate node ids in node specs")
@@ -320,7 +328,7 @@ class Scenario:
             raise ValidationError(str(exc)) from exc
         for spec in self.node_specs:
             try:
-                spec.entry()
+                spec.entry  # built here, then kept for every world
             except (DssmError, AddressValueError) as exc:
                 raise ValidationError(f"node {spec.node_id}: {exc}") from exc
 
@@ -440,10 +448,10 @@ def resolve_scenario_path(name_or_path) -> Path:
 
 
 class ScenarioWorld:
-    """One scenario execution: network, nodes, registry, scripted actions."""
+    """One scenario execution: network, nodes, registry, scripted actions. It runs its
+    scenario unchecked: one not from `scenario_from_json` is validated by its maker."""
 
     def __init__(self, scenario: Scenario, static_mode: bool = False):
-        scenario.validate()
         self.scenario = scenario
         self.static_mode = static_mode
         self.net = Network(scenario.topology(), scenario.seed)
@@ -454,16 +462,14 @@ class ScenarioWorld:
 
         self.nodes: dict[NodeId, GosNode] = {}
         for spec in scenario.node_specs:
-            node = GosNode(spec.entry(), spec.domain, scenario.params,
+            node = GosNode(spec.entry, spec.domain, scenario.params,
                            scenario.policy, self.registry)
             node.metrics_cb = self.metrics.append
             self.nodes[spec.node_id] = node
             self.net.register_handler(spec.node_id, node)
 
-        if static_mode:
-            pins: dict[DomainId, NodeId] = {}
-            for spec in scenario.node_specs:  # first listed node per domain
-                pins.setdefault(spec.domain, spec.node_id)
+        if static_mode:  # the first listed node of each domain
+            pins = {spec.domain: spec.node_id for spec in reversed(scenario.node_specs)}
             for domain, agent_id in sorted(pins.items()):
                 self.registry.register_agent(self.nodes[agent_id].self_entry, domain=domain)
             for node in self.nodes.values():
@@ -480,7 +486,7 @@ class ScenarioWorld:
                 action.apply(self)
             except (AlreadyMember, NotMember, NodeCrashed, InvalidValue, InvalidTopology) as exc:
                 # e.g. a leave before the join or a transfer that cannot arrive;
-                # validate refuses a bad set_link, but its apply can still raise
+                # a bad set_link raises here only if its scenario skipped validate
                 raise ValidationError(f"script at t={action.time_ms}: {exc}") from exc
         return self
 
@@ -513,8 +519,7 @@ class ScenarioWorld:
         their view built and compared. It names a member only when the ids
         are equal, so the first violation and its text are those of
         comparing every view."""
-        domains = sorted({spec.domain for spec in self.scenario.node_specs})
-        for domain in domains:
+        for domain in sorted({spec.domain for spec in self.scenario.node_specs}):
             live = self.live_members(domain)
             if not live:
                 continue
@@ -547,8 +552,8 @@ class ScenarioWorld:
 
 
 def run_scenario(scenario: Scenario, static_mode: bool = False) -> ScenarioWorld:
-    """Execute a scenario; return its world. Identical scenarios, seed included,
-    give identical traces and metrics, byte for byte; `dataclasses.replace` sets another seed."""
+    """Execute a validated scenario (see ScenarioWorld); return its world. Identical scenarios,
+    seed included, give identical traces and metrics; `dataclasses.replace` sets another seed."""
     return ScenarioWorld(scenario, static_mode=static_mode).run()
 
 
@@ -566,31 +571,28 @@ class ComparisonSummary:
     static: ComparisonRow
     dynamic: ComparisonRow
 
-    def rows(self) -> list[ComparisonRow]:
-        return [self.static, self.dynamic]
+    @classmethod
+    def of(cls, static: ScenarioWorld, dynamic: ScenarioWorld) -> ComparisonSummary:
+        """Query outcomes of a run with pinned agents and one of the full protocol."""
+        rows = []
+        for mode, world in (("static", static), ("dynamic", dynamic)):
+            responses = [r for r in world.metrics if r.kind == KIND_QUERY_RESPONSE]
+            hits = [r for r in responses if r.labels.get("outcome") in ("local", "remote")]
+            rate = len(hits) / len(responses) if responses else 0.0
+            mean = statistics.fmean(r.value for r in hits) if hits else 0.0
+            rows.append(ComparisonRow(mode, len(responses), len(hits), rate, mean))
+        return cls(*rows)
 
     def table(self) -> str:
-        lines = ["mode,queries,successes,success_rate,mean_response_ms"]
-        for row in self.rows():
-            lines.append(f"{row.mode},{row.queries},{row.successes},"
-                         f"{row.success_rate:.4f},{row.mean_response_ms:.4f}")
-        return "\n".join(lines)
-
-
-def _summarize(mode: str, result: ScenarioWorld) -> ComparisonRow:
-    responses = [r for r in result.metrics if r.kind == KIND_QUERY_RESPONSE]
-    hits = [r for r in responses if r.labels.get("outcome") in ("local", "remote")]
-    rate = len(hits) / len(responses) if responses else 0.0
-    mean = statistics.fmean(r.value for r in hits) if hits else 0.0
-    return ComparisonRow(mode, len(responses), len(hits), rate, mean)
+        rows = (f"{r.mode},{r.queries},{r.successes},{r.success_rate:.4f},{r.mean_response_ms:.4f}"
+                for r in (self.static, self.dynamic))
+        return "\n".join(("mode,queries,successes,success_rate,mean_response_ms", *rows))
 
 
 def compare_static_dynamic(scenario: Scenario) -> ComparisonSummary:
-    """Run the scenario with pinned agents and with the full protocol, and
-    summarize query outcomes for both."""
-    static = _summarize("static", run_scenario(scenario, static_mode=True))
-    dynamic = _summarize("dynamic", run_scenario(scenario, static_mode=False))
-    return ComparisonSummary(static=static, dynamic=dynamic)
+    """Run a validated scenario (see ScenarioWorld) with pinned agents and
+    with the full protocol, and summarize query outcomes for both."""
+    return ComparisonSummary.of(run_scenario(scenario, static_mode=True), run_scenario(scenario))
 
 
 __all__ = [

@@ -183,8 +183,6 @@ class Topology:
 
     def validate(self) -> None:
         for node, domain in self.nodes.items():
-            if domain is None:
-                raise InvalidTopology(f"node {node} has no domain")
             for name, value in (("node id", node), ("domain", domain)):
                 if type(value) is not int:  # the trace prints 3.0 or True as such
                     raise InvalidTopology(f"{name} {value!r} is not an int")

@@ -725,6 +725,7 @@ def test_transfer_unknown_node():
     (1e308, 20.0, 100.0),   # the byte count overflows
     (1.0, 20.0, 1e-305),    # the DATA's serialization time overflows, a control message's not
     (1.0, 0.0, 1e306),      # no time at all: the throughput divides by zero
+    (1e-27, 0.0, 1e300),    # 1e-323 ms, whose seconds underflow to zero
 ])
 def test_transfer_of_non_finite_or_zero_response_time_is_refused(size_mb, delay_ms,
                                                                  bandwidth_mbps):

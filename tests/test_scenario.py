@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from dssm.cli import main as cli_main
+from dssm.core import AitEntry
 from dssm.metrics import (
     KIND_ELECTION_LATENCY,
     KIND_JOIN_LATENCY,
@@ -26,6 +28,8 @@ from dssm.scenario import (
     AssertionFailure,
     ParseError,
     QueryAction,
+    Scenario,
+    ScenarioWorld,
     ValidationError,
     bundled_scenario_path,
     compare_static_dynamic,
@@ -34,7 +38,7 @@ from dssm.scenario import (
     run_scenario,
     scenario_from_json,
 )
-from dssm.simnet import LinkConfig, export_trace
+from dssm.simnet import LinkConfig, Topology, export_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -627,6 +631,40 @@ def test_cli_compare_static(capsys):
     assert "\nstatic," in out and "\ndynamic," in out
 
 
+def _count_calls(monkeypatch, methods):
+    """Wrap each (class, method name) so that its calls are counted, by
+    'Class.name'."""
+    calls = Counter()
+    for owner, name in methods:
+        def counted(*args, _method=getattr(owner, name), _key=f"{owner.__name__}.{name}",
+                    **kwargs):
+            calls[_key] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cli_compare_static_loads_checks_and_builds_each_entry_once(monkeypatch, capsys):
+    # The load validates, each world's Network checks its topology, and the
+    # comparison reuses the dynamic run: two runs, three entries for three nodes.
+    calls = _count_calls(monkeypatch, [(Scenario, "validate"), (Topology, "validate"),
+                                       (AitEntry, "__post_init__"), (ScenarioWorld, "run")])
+    assert cli_main(["run", "two_domain", "--compare-static"]) == 0
+    assert calls == {"Scenario.validate": 1, "Topology.validate": 3,
+                     "AitEntry.__post_init__": 3, "ScenarioWorld.run": 2}
+    table = compare_static_dynamic(load_scenario(bundled_scenario_path("two_domain"))).table()
+    assert capsys.readouterr().out.endswith(f"\n{table}\n")
+
+
+def test_a_scenario_built_in_code_is_refused_by_its_own_validate():
+    # ScenarioWorld runs what it is given: the maker of a Scenario that did
+    # not come from scenario_from_json calls validate itself.
+    loaded = load_scenario(bundled_scenario_path("two_domain"))
+    built = replace(loaded, script=[replace(loaded.script[0], node=99), *loaded.script[1:]])
+    with pytest.raises(ValidationError, match="unknown node 99"):
+        built.validate()
+
+
 def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{")
@@ -749,6 +787,27 @@ def test_cli_transfer_that_cannot_arrive_exits_2_with_one_line(tmp_path, capsys,
     assert err.startswith("error: script at t=1200.0: transfer of ") and err.count("\n") == 1
     assert "Traceback" not in err and "scenario " not in out
     assert not trace.exists()
+
+
+def test_cli_transfer_of_a_subnormal_response_time_exits_2_before_the_data_is_sent(
+        tmp_path, capsys, monkeypatch):
+    # 1e-27 MB at 1e300 Mbps without delay takes 1e-323 ms: a response time
+    # > 0 whose seconds underflow to 0, so the throughput is not finite.
+    doc = json.loads(bundled_scenario_path("two_domain").read_text())
+    for link in (doc["intra_domain_link"], doc["inter_domain_link"]):
+        link.update(delay_ms=0.0, bandwidth_mbps=1e300)
+    doc["script"].append({"time_ms": 4000.0, "action": "transfer", "from": 1, "to": 2,
+                          "size_mb": 1e-27})
+    p = tmp_path / "subnormal.json"
+    p.write_text(json.dumps(doc))
+    worlds, run = [], ScenarioWorld.run
+    monkeypatch.setattr(ScenarioWorld, "run", lambda world: run(worlds.append(world) or world))
+    assert cli_main(["run", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: script at t=4000.0: transfer of 1e-27 MB")
+    assert err.count("\n") == 1 and "Traceback" not in err and "scenario " not in out
+    [world] = worlds
+    assert [row for row in world.trace if row.msg_kind == "DATA"] == []
 
 
 @pytest.mark.parametrize("timeout", [1.0, 200.0])
