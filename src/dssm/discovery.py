@@ -165,8 +165,8 @@ class PendingQuery:
 
     query: StorageQuery
     started_ms: float
+    on_complete: object
     best: AitEntry | None = None
-    on_complete: object = None
     best_rank: tuple[float, int] = _NO_RANK
 
 
@@ -178,7 +178,7 @@ def best_fit(ait: Ait, required_mb: float) -> AitEntry | None:
     return max(candidates, key=fit_rank)
 
 
-def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None) -> None:
+def find_storage(agent_node, net: Network, query: StorageQuery, on_complete) -> None:
     """Run a storage query on the requester's domain agent.
 
     Completion is asynchronous: `on_complete(query, candidate, elapsed_ms,
@@ -192,8 +192,7 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
         raise NoAgent(f"node {agent_node.node_id} does not hold agency")
     local = agent_node.best_fit(query.required_mb)
     if local is not None:
-        if on_complete is not None:
-            on_complete(query, local, 0.0, "local")
+        on_complete(query, local, 0.0, "local")
         return
     window = agent_node.params.response_window_ms
     if not 0.0 <= window < math.inf:
@@ -205,7 +204,7 @@ def find_storage(agent_node, net: Network, query: StorageQuery, on_complete=None
                 query_id=query.query_id, required_mb=query.required_mb),
     )
     net.set_timer(agent_node.node_id, f"{QUERY_TIMER_PREFIX}{query.query_id}", window)
-    agent_node.pending_queries[query.query_id] = PendingQuery(query, net.now, on_complete=on_complete)
+    agent_node.pending_queries[query.query_id] = PendingQuery(query, net.now, on_complete)
 
 
 def handle_query(node, net: Network, msg: Message) -> None:
@@ -233,7 +232,7 @@ def handle_query_resp(node, net: Network, msg: Message) -> None:
 
 def finalize_query(node, net: Network, query_id: int) -> None:
     pending = node.pending_queries.pop(query_id, None)
-    if pending is not None and pending.on_complete is not None:
+    if pending is not None:
         pending.on_complete(pending.query, pending.best,
                             net.now - pending.started_ms, "remote")
 

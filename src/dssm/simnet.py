@@ -66,13 +66,15 @@ read. Network appends each record to that list itself; the row count and
 the index of each record's first row are worked out from the records on
 read. A send or fired timer is one row: dsts is a unicast's (dst,), a
 multicast's group label ("domain3",) or ("virtual",), or a timer's
-(owner,) with src "". A record of more rows holds deliveries, and its
-dsts are int node ids (export_trace relies on it). A record never changes
-once appended, so records share dsts: a node's (node,) is one tuple for
-all its timer rows, the rows of unicasts to it and its deliver rows of
-refused multicast entries, and a domain multicast that lost no attempt
-delivers its sender's cached fan-out tuple itself. While a recipient's
-handler runs, trace[-1] is its deliver row.
+(owner,) with src "". A record of more rows is a run of one multicast
+entry's deliveries: kind "deliver", an int src, a KIND_NAMES name and
+int node-id dsts. Every record's time is a float, as the clock always is
+(run_until advances it to float(time_ms)). export_trace relies on these
+shapes. A record never changes once appended, so records share dsts: a
+node's (node,) is one tuple for all its timer rows, the rows of unicasts
+to it and its deliver rows of refused multicast entries, and a domain
+multicast that lost no attempt delivers its sender's cached fan-out tuple
+itself. While a recipient's handler runs, trace[-1] is its deliver row.
 
 A handler may also have absorb(net, recipients, msg), which returns None
 or the replies. The loop asks the first recipient's handler once per
@@ -298,28 +300,27 @@ class Trace(Sequence):
 
 
 def export_trace(trace: Trace, path) -> None:
-    """Write the trace as CSV; an unwritable path raises IoError.
+    """Write a trace that a Network wrote as CSV; an unwritable path raises
+    IoError.
 
-    A record of one row is written with one f-string, and a record of n > 1
-    rows, which differ only in seq and dst, with one bytes `%`-format: the
-    pattern `{time},%d,{kind},{src},%d,{msg_kind},{size}` repeated n times,
-    formatted with the interleaved (seq, dst) values, then decoded. Bytes
-    `%d` writes an int's digits with no str per value; for an exact int they
-    are str(), and a Network's seqs and dsts are exact ints (Topology.validate).
-    A str dst, only in a hand-built Trace, makes `%d` raise TypeError, and
-    the record takes the pattern with `%s`, which is str(). Any `%` in the
-    constant parts is escaped as `%%`."""
+    Every record's time is a float, so a run of records with an equal time
+    shares its repr. A record of one row is written with one f-string,
+    which takes any fields. A record of n > 1 rows is a run of deliveries
+    (module docstring): kind "deliver", an int src, a KIND_NAMES name and
+    int node-id dsts (Topology.validate), so no constant part holds a `%`.
+    Its rows differ only in seq and dst, and it is written with one bytes
+    `%`-format: the pattern `{time},%d,deliver,{src},%d,{msg_kind},{size}`
+    repeated n times, formatted with the interleaved (seq, dst) values,
+    then decoded. Bytes `%d` writes an exact int's digits, its str(), with
+    no str per value."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
             lines, rows = [], 0
-            last_time = time_type = head = None
+            last_time = head = None
             for time_ms, first, kind, src, dsts, msg_kind, size in trace._records:
-                # A run of records with an equal time of one type shares the
-                # time's repr. The type counts because equal ints and floats
-                # print differently: the clock is the int 5 after run_until(5).
-                if time_ms != last_time or type(time_ms) is not time_type:
-                    head, last_time, time_type = f"{time_ms!r},", time_ms, type(time_ms)
+                if time_ms != last_time:
+                    head, last_time = f"{time_ms!r},", time_ms
                 n = len(dsts)
                 if n == 1:
                     lines.append(f"{head}{first},{kind},{src},{dsts[0]},{msg_kind},{size!r}\n")
@@ -327,13 +328,8 @@ def export_trace(trace: Trace, path) -> None:
                     args = [None] * (2 * n)
                     args[::2] = range(first, first + n)
                     args[1::2] = dsts
-                    # A time's or size's repr holds no %; the other constant parts may.
-                    mid = f",{kind},{src},".replace("%", "%%")
-                    tail = f",{msg_kind},".replace("%", "%%") + f"{size!r}\n"
-                    try:
-                        lines.append((f"{head}%d{mid}%d{tail}".encode() * n % tuple(args)).decode())
-                    except TypeError:
-                        lines.append(f"{head}%s{mid}%s{tail}" * n % tuple(args))
+                    lines.append((f"{head}%d,{kind},{src},%d,{msg_kind},{size!r}\n".encode() * n
+                                  % tuple(args)).decode())
                 rows += n
                 if rows >= _ROWS_PER_WRITE:
                     fh.write("".join(lines))
@@ -409,6 +405,7 @@ class Network:
         self.crashed.add(node_id)
 
     def revive(self, node_id: NodeId) -> None:
+        self._require(node_id)
         self.crashed.discard(node_id)
 
     def domain_members(self, domain: DomainId) -> tuple[NodeId, ...]:
@@ -486,6 +483,7 @@ class Network:
         heapq.heappush(self._heap, (self.now + fire_in_ms, seq, owner, None, tag))
 
     def cancel_timer(self, owner: NodeId, tag: str) -> None:
+        self._require(owner)
         self._timers.pop((owner, tag), None)
 
     # -- event loop --------------------------------------------------------
@@ -498,9 +496,10 @@ class Network:
 
     def run_until(self, time_ms: float) -> None:
         """Process every event due at or before time_ms, then advance the
-        clock to exactly time_ms."""
+        clock to float(time_ms), so the clock, and every record's time, is
+        always a float."""
         self.run_until_quiescent(time_ms)
-        self.now = max(self.now, time_ms)
+        self.now = max(self.now, float(time_ms))
 
     def run_until_quiescent(self, max_time_ms: float) -> Trace:
         """Drain the queue, stopping once it is empty or the next event lies

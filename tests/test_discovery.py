@@ -38,6 +38,10 @@ TWO_DOMAIN = [
 ]
 
 
+def _ignore(query, candidate, elapsed_ms, route):
+    """An on_complete for queries whose completion the test does not read."""
+
+
 def entry(nid, cap=100.0, power=2800.0, ip="192.168.16.10"):
     return AitEntry(nid, ip, cap, power)
 
@@ -273,7 +277,7 @@ def test_query_on_non_agent_raises():
     w = joined_two_domain()
     q = StorageQuery(2, 10.0, query_id=1)
     with pytest.raises(NoAgent):
-        find_storage(w.nodes[2], w.net, q)  # node 2 is not the agent
+        find_storage(w.nodes[2], w.net, q, _ignore)  # node 2 is not the agent
 
 
 def test_query_requires_positive_size():
@@ -290,7 +294,7 @@ def test_a_query_the_network_refuses_is_not_left_pending():
     assert agent.is_agent
     w.net.crash(1)  # still an agent, but it cannot send
     with pytest.raises(NodeCrashed):
-        find_storage(agent, w.net, StorageQuery(1, 100000.0, 7))
+        find_storage(agent, w.net, StorageQuery(1, 100000.0, 7), _ignore)
     assert agent.pending_queries == {}
 
 
@@ -301,7 +305,7 @@ def test_a_bad_response_window_refuses_a_remote_query_before_it_is_sent(window):
     w.settle(1000.0)
     rows = len(w.net.trace)
     with pytest.raises(InvalidValue, match="response window"):
-        find_storage(w.nodes[1], w.net, StorageQuery(1, 4096.0, 7))
+        find_storage(w.nodes[1], w.net, StorageQuery(1, 4096.0, 7), _ignore)
     assert len(w.net.trace) == rows and w.nodes[1].pending_queries == {}
     # A query answered in the domain needs no window.
     done = []
@@ -519,7 +523,8 @@ def test_every_answer_is_the_best_fit_of_the_answering_agents_ait(seed, loss, po
                 agent = w.nodes.get(requester.agent)
                 if agent is not None and agent.is_agent and agent.node_id not in w.net.crashed:
                     required = rng.choice((200.0, 1000.0, 2500.0, 4000.0))
-                    find_storage(agent, w.net, StorageQuery(requester.node_id, required, query_id))
+                    find_storage(agent, w.net, StorageQuery(requester.node_id, required, query_id),
+                                 _ignore)
             elif r < 0.6 and live:
                 node, size = rng.choice(live), rng.choice((100.0, 500.0, 1500.0))
                 if node.self_entry.storage_capacity_mb >= size:

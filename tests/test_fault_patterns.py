@@ -63,6 +63,29 @@ def test_every_pattern_of_up_to_three_drops_is_consistent_at_six_seconds(policy)
     assert violations == {}
 
 
+# The join ramp: faults from 0 ms, over the first 40 attempts. Under
+# max_power 42 of the 821 patterns fail with agent-disagreement, the
+# single drop (10,) among them: {1: 2, 2: 2, 3: 3} at six seconds.
+@pytest.mark.parametrize("policy", [
+    pytest.param("max_power", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 1")),
+    "lowest_id", "highest_connectivity"])
+def test_every_pattern_of_up_to_two_drops_in_the_join_ramp_is_consistent(policy):
+    world_scenario = three_nodes(policy)
+    runs, violations = 0, {}
+    for drops in drop_patterns(40, 2):
+        world = ScenarioWorld(world_scenario)
+        draws = world.net.rng = ScriptedDraws(world.net, 0.0, drops)
+        try:
+            world.run()
+        except AssertionFailure as exc:
+            violations[drops] = str(exc)
+        assert draws.attempts >= 40
+        runs += 1
+    assert runs == 821
+    assert violations == {}
+
+
 def _outputs(world_scenario, drops):
     """Trace rows, metrics and any assertion text of one run of the pattern."""
     world = ScenarioWorld(world_scenario)

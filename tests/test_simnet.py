@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import ScriptedDraws, load_script
 from dssm import scenario
-from dssm.core import AitEntry, InvalidValue, Message, MessageKind, transit_size_bytes
+from dssm.core import (AitEntry, InvalidValue, KIND_NAMES, Message, MessageKind,
+                       transit_size_bytes)
 from dssm.discovery import VirtualDomain
 from dssm.metrics import export_metrics
 from dssm.simnet import (
@@ -155,6 +156,10 @@ def test_unknown_node_errors():
     _leaves_nothing(net, UnknownNode, lambda: net.send_unicast(98, 99, msg))
     _leaves_nothing(net, UnknownNode, lambda: net.send_multicast(99, 1, msg))
     _leaves_nothing(net, UnknownNode, lambda: net.set_timer(99, "t", 5.0))
+    _leaves_nothing(net, UnknownNode, lambda: net.crash(99))
+    _leaves_nothing(net, UnknownNode, lambda: net.revive(99))
+    _leaves_nothing(net, UnknownNode, lambda: net.cancel_timer(99, "t"))
+    assert net.crashed == set() and net._timers == {}
     _same_as_without_the_rejected(net, seed=0)
 
 
@@ -1004,15 +1009,17 @@ def _data_timer_next_to_zero_size_data():
     return net.trace
 
 
-def _int_time_next_to_float_time():
-    # run_until(5) leaves the clock at the int 5 when no event is due then.
+def _run_until_an_int_leaves_a_float_clock():
+    # run_until(5) leaves the clock at the float 5.0 when no event is due
+    # then, so a send and a 0 ms timer at that instant print it alike.
     net = Network(topo({1: 1, 2: 1}), seed=3)
     wire(net, (1, 2))
     net.run_until(5)
+    assert type(net.now) is float and net.now == 5.0
     net.send_unicast(1, 2, Message(MessageKind.HEARTBEAT, entry(1)))
     net.set_timer(1, "tick", 0.0)
     net.run_until_quiescent(1000.0)
-    assert [repr(row.time_ms) for row in net.trace][:2] == ["5", "5.0"]
+    assert [repr(row.time_ms) for row in net.trace][:2] == ["5.0", "5.0"]
     return net.trace
 
 
@@ -1038,10 +1045,10 @@ def _longer_than_one_write():
     lambda: _reply_cuts_a_batch()[2:5],
     lambda: _reply_cuts_a_batch()[1::2],
     _data_timer_next_to_zero_size_data,
-    _int_time_next_to_float_time,
+    _run_until_an_int_leaves_a_float_clock,
     _longer_than_one_write,
 ], ids=["empty", "reply_cuts_a_batch", "mid_record_slice", "strided_slice",
-        "data_timer_next_to_zero_size_data", "int_time_next_to_float_time",
+        "data_timer_next_to_zero_size_data", "run_until_an_int_leaves_a_float_clock",
         "longer_than_one_write"])
 def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
     trace = make()
@@ -1052,14 +1059,28 @@ def test_trace_export_is_the_bytes_of_its_rows(tmp_path, make):
 # Fields with the `%`-format's and the f-string's special characters.
 _FIELD_TEXT = st.one_of(st.sampled_from(["%", "%s", "%%", "%d", "%(x)s", "{", "}", "{}"]),
                         st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
-_RECORD = st.tuples(
-    st.one_of(st.sampled_from([2, 2.0]), st.integers(0, 3), st.floats(0.0, 3.0)),  # time_ms
+_TIME = st.one_of(st.sampled_from([2.0, 5.0]), st.floats(0.0, 3.0))
+_NODE = st.integers(1, 2**32 - 1)
+# The shapes a Network writes. A record of one row (a send, a timer or one
+# delivery) takes any text, since the f-string path writes any fields; a
+# record of more rows is a delivery run of int node ids.
+_ONE_ROW = st.tuples(
+    _TIME,
     _FIELD_TEXT,  # kind
-    st.one_of(st.integers(1, 2**32 - 1), st.just("")),  # src
-    st.lists(st.one_of(st.integers(1, 2**32 - 1), _FIELD_TEXT), min_size=1, max_size=200),
+    st.one_of(_NODE, st.just("")),  # src
+    st.lists(st.one_of(_NODE, _FIELD_TEXT), min_size=1, max_size=1),
     _FIELD_TEXT,  # msg_kind
     st.one_of(st.sampled_from([0.0, -0.0, 0, 33.0]), st.floats()),  # size_bytes
 )
+_DELIVERY_RUN = st.tuples(
+    _TIME,
+    st.just("deliver"),
+    _NODE,  # src
+    st.lists(_NODE, min_size=2, max_size=200),
+    st.sampled_from(sorted(KIND_NAMES.values())),
+    st.one_of(st.sampled_from([0.0, -0.0, 33.0]), st.floats()),  # size_bytes
+)
+_RECORD = st.one_of(_ONE_ROW, _DELIVERY_RUN)
 
 
 def _hand_built(records) -> Trace:
@@ -1078,13 +1099,6 @@ def _hand_built(records) -> Trace:
 @example(records=[(1000.0, "send", 1, ["domain1"], "HEARTBEAT", 33.0),
                   (1001.00264, "deliver", 1, list(range(2, 161)), "HEARTBEAT", 33.0)],
          cut=(0.3, 0.6))
-# The str dst "%s" takes the str `%s` pattern.
-@example(records=[(5, "timer", "", [1], "DATA", 0), (5.0, "send", 1, [2], "DATA", 0.0),
-                  (5.0, "deliver", 1, [2, 3], "DATA", -0.0),
-                  (5.0, "deliver%s", 1, ["%s", 4], "%%d", 0.0)],
-         cut=(0.0, 1.0))
-# Int dsts take the bytes `%d` pattern, whose constant parts hold a `%`.
-@example(records=[(7.5, "%d%", "", [3, 2**32 - 1, 1], "%%d%", 33.0)], cut=(0.0, 0.5))
 def test_trace_export_of_hand_built_records_is_the_bytes_of_its_rows(tmp_path_factory,
                                                                      records, cut):
     trace = _hand_built(records)
@@ -1173,15 +1187,21 @@ def _reply_arrivals(net, replied):
     return times
 
 
-def test_every_dst_of_a_multi_row_record_is_an_int():
-    # export_trace writes a multi-row record's dsts with bytes `%d`, which
-    # is str() only for an exact int.
+def test_every_record_has_the_shape_export_trace_relies_on():
+    # export_trace shares one time's repr among records of an equal time,
+    # and writes a multi-row record with one bytes `%d` pattern: its dsts
+    # are exact ints, and its other fields are a delivery run's.
     traces = [_interleaved_run(seed, 0.1)[0].trace for seed in range(5)]
     for policy in ("max_power", "lowest_id"):
         doc = load_script("update_goldens").generated_doc(policy, draw="drops1")
         traces.append(scenario.run_scenario(scenario.scenario_from_json(doc)).trace)
-    multi = [dsts for trace in traces for *_, dsts, _, _ in trace._records if len(dsts) > 1]
-    assert multi and all(type(dst) is int for dsts in multi for dst in dsts)
+    records = [record for trace in traces for record in trace._records]
+    assert all(type(time_ms) is float for time_ms, *_ in records)
+    multi = [record for record in records if len(record[4]) > 1]
+    assert multi and all(type(dst) is int for *_, dsts, _, _ in multi for dst in dsts)
+    names = set(KIND_NAMES.values())
+    assert all(kind == "deliver" and type(src) is int and msg_kind in names
+               for _, _, kind, src, _, msg_kind, _ in multi)
 
 
 def test_absorb_is_offered_every_multicast_entry():
