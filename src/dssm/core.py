@@ -272,12 +272,13 @@ _DATA = MessageKind.DATA
 
 def transit_size_bytes(msg: Message) -> float:
     """Size that occupies the link: the encoded datagram, except DATA whose
-    8-byte size field stands in for a body of size_mb megabytes. A DATA
-    size that is negative, or whose byte count is not finite, raises
-    InvalidValue: its transit time would be negative or undefined."""
+    8-byte size field stands in for a body of size_mb megabytes. Always a
+    float, for an int size_mb too. A DATA size that is negative, or whose
+    byte count is not finite, raises InvalidValue: its transit time would be
+    negative or undefined."""
     kind = msg.kind
     if kind is _DATA:
-        size = msg.size_mb * 1024 * 1024
+        size = msg.size_mb * 1048576.0
         if not 0.0 <= size < math.inf:
             raise InvalidValue(f"DATA size_mb {msg.size_mb} must be >= 0 "
                                "with a finite byte count")

@@ -42,22 +42,24 @@ Most deliveries of a heartbeat fan-out change nothing but the recipient's
 view. `GosNode.absorb` (the `simnet` hand-off of a whole multicast
 delivery entry) returns None, or the replies when the domain's
 `HeardBoard` takes an entry of a peer entry. The board reads no message
-kind, as a peer entry teaches a member only its sender's entry. It refuses
-an entry while a follower's handler is not the follower itself, when it
-reaches a node outside the board other than a plain GosNode, and under the
-one rule: the entry can move the election of a follower it reaches, each
-follower asked answering under its own election policy and failure window
-(the board keeps none). A follower that the entry misses (not reached, or
-crashed) keeps, in an own record, what it last read. A take writes the
-board, and own records only where the followers it missed are not those
-that held one, so a settled heartbeat period (every member is up and
-hears every fan-out, and no power changes) costs the board write alone per
-fan-out, after one pass over the followers while one runs
-HIGHEST_CONNECTIVITY; so does one where the same crashed followers miss
-each fan-out. Only a taken JOIN has replies: each live member's ACCEPT,
-and the agent's directed AGENT_ANNOUNCE (`GosNode.absorb`), which the
-network sends after that member's deliver row. Every refused entry goes
-through `on_message`, one recipient at a time.
+kind, as a peer entry teaches a member only its sender's entry, and no
+handler: it reaches nodes only through the followers and the joiners
+(nodes that started a join and follow no board yet) that it holds. It
+refuses an entry under one rule only: the entry can move the election of a
+follower it reaches, each follower asked answering under its own election
+policy and failure window (the board keeps none). A take teaches the
+followers it reaches, and each joiner it reaches that is live and still
+joining; offline and left nodes ignore peer entries. A follower that the
+entry misses (not reached, or crashed) keeps, in an own record, what it
+last read. A take writes the board, and own records only where the
+followers it missed are not those that held one, so a settled heartbeat
+period (every member is up and hears every fan-out, and no power changes)
+costs the board write alone per fan-out, after one pass over the followers
+while one runs HIGHEST_CONNECTIVITY; so does one where the same crashed
+followers miss each fan-out. Only a taken JOIN has replies: each live
+member's ACCEPT, and the agent's directed AGENT_ANNOUNCE (`GosNode.absorb`),
+which the network sends after that member's deliver row. Every refused
+entry goes through `on_message`, one recipient at a time.
 
 Two departures from the bare message set keep elections convergent:
 the current agent answers a JOIN with a directed AGENT_ANNOUNCE so the
@@ -218,6 +220,7 @@ class GosNode:
             raise AlreadyMember(f"node {self.node_id} is {self.phase.value}, not offline")
         self.phase = _JOINING
         self._join_started_ms = net.now
+        _board(net, self).joining[self.node_id] = self
         net.send_multicast(self.node_id, self.domain, self._message(_JOIN))
         net.set_timer(self.node_id, TIMER_JOIN_DEADLINE, self.params.accept_window_ms)
 
@@ -466,7 +469,9 @@ class HeardBoard:
     policy. For each sender whose fan-out it took, `heard` holds the time
     of the last one, oldest first, and `entries` its entry. `followers` are
     the members that read it, and `pinned[peer]` those with an own record
-    of peer. `_ranked` memoizes `ranked()` until `take` writes a new entry."""
+    of peer. `joining` holds each node that started a join (`initiate_join`)
+    until it follows; one reset while joining stays until it joins again.
+    `_ranked` memoizes `ranked()` until `take` writes a new entry."""
 
     def __init__(self, members: tuple[NodeId, ...]):
         self.members = members
@@ -474,10 +479,10 @@ class HeardBoard:
         self.entries: dict[NodeId, AitEntry] = {}
         self.followers: dict[NodeId, GosNode] = {}
         self.pinned: defaultdict[NodeId, set[NodeId]] = defaultdict(set)
+        self.joining: dict[NodeId, GosNode] = {}
         self._ranked: list[AitEntry] | None = None
-        # As of handlers_version _seen: members not following, is each follower its own
-        # handler, and does one's policy read heard times (`take` then asks all reached)?
-        self._others, self._ok, self.timed, self._seen = (), False, False, None
+        # Does a follower's policy read heard times (`take` then asks all reached)?
+        self.timed = False
 
     def follow(self, node: GosNode) -> None:
         """Let a node whose `_own` is its whole view read the board: the
@@ -486,21 +491,23 @@ class HeardBoard:
         for peer in node._own:
             self.pinned[peer].add(node.node_id)
         self.followers[node.node_id] = node
-        node._board, self._seen = self, None
+        self.joining.pop(node.node_id, None)
+        self.timed = self.timed or election.reads_heard_times(node._policy)
+        node._board = self
 
     def unfollow(self, node: GosNode) -> None:
         for peer in node._own:
             self.pinned[peer].discard(node.node_id)
         del self.followers[node.node_id]
-        node._board, self._seen = None, None
+        self.timed = any(election.reads_heard_times(f._policy) for f in self.followers.values())
+        node._board = None
 
     def take(self, net: Network, recipients: tuple[NodeId, ...], msg: Message) -> bool:
         """Take a delivery entry of a peer entry, whatever its kind and
-        sender, in one write, unless the handler guard, a reached
-        non-follower that is not a plain GosNode, or the one rule (module
-        docstring) refuses it; return whether it did, changing nothing if
-        not. Only `_learn_joining` reads `msg.kind`. An entry that holds
-        every member but the sender is its fan-out.
+        sender, in one write, unless the one rule (module docstring) refuses
+        it; return whether it did, changing nothing if not. Only
+        `_learn_joining` reads `msg.kind`. An entry that holds every member
+        but the sender is its fan-out.
 
         One pass: (1) find the followers that missed the entry (not reached,
         or crashed) and the holders of an own record of the sender; (2) ask
@@ -510,14 +517,13 @@ class HeardBoard:
         refuse if one would re-elect under its own policy; (4) unless the
         followers that missed it are the holders, give each that missed it an
         own record of the entry it last read, drop the own record of each
-        holder that got it, and store the missed as the holders; (5) write
-        the board. A settled fan-out (module docstring) does nothing in step
-        4, and asks only while `timed`."""
+        holder that got it, and store the missed as the holders; (5) teach
+        each joiner reached, live and still joining; (6) write the board. A
+        settled fan-out (module docstring) does nothing in step 4, and asks
+        only while `timed`."""
         sender, followers = msg.sender, self.followers
         sid, now = sender.node_id, net.now
-        if not (self._ok if self._seen == net.handlers_version else self._ready(net)):
-            return False
-        crashed, others, holders = net.crashed, self._others, self.pinned.get(sid, _NO_HOLDERS)
+        crashed, holders = net.crashed, self.pinned.get(sid, _NO_HOLDERS)
         stored, power = self.entries.get(sid), sender.processing_power_mhz
         lacks = stored is None or stored.processing_power_mhz != power
         whole = len(recipients) == len(self.members) - 1
@@ -529,11 +535,6 @@ class HeardBoard:
         else:
             asked = [p for p in holders - missed if not (record := followers[p]._own[sid])
                      or record[1].processing_power_mhz != power] if holders else ()
-        if others:
-            others = [net.handlers.get(m) for m in others
-                      if m != sid and m not in crashed and (whole or m in recipients)]
-            if any(node.__class__ is not GosNode for node in others):
-                return False
         if asked and self._moves(sender, now, asked):
             return False
         if missed != holders:  # else the own records already fit
@@ -543,8 +544,9 @@ class HeardBoard:
             for peer in missed - holders:
                 followers[peer]._own[sid] = old
             self.pinned[sid] = missed
-        for node in others:
-            if node.phase is _JOINING:
+        for nid, node in self.joining.items():
+            if (node.phase is _JOINING and nid != sid and nid not in crashed
+                    and (whole or nid in recipients)):
                 node._learn_joining(msg.kind, (now, sender))
         heard = self.heard
         heard.pop(sid, None)
@@ -589,13 +591,3 @@ class HeardBoard:
             if rule:
                 answered.add(rule)
         return False
-
-    def _ready(self, net: Network) -> bool:
-        """Work out `_others`, `_ok` and `timed` for the current handlers and
-        followers, and return `_ok`. `take` calls it when `handlers_version`
-        moved since the last call; `follow` and `unfollow` clear `_seen`."""
-        self._seen, followers = net.handlers_version, self.followers
-        self._ok = all(net.handlers.get(peer) is node for peer, node in followers.items())
-        self.timed = any(election.reads_heard_times(node._policy) for node in followers.values())
-        self._others = tuple([m for m in self.members if m not in followers])
-        return self._ok

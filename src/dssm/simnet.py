@@ -93,9 +93,10 @@ absorb may take an entry only when handling it sends those replies and
 changes the recipients' own state, and nothing else: no other send, no
 timer, no trace row, no metric, and for each recipient the state
 on_message would leave (none for a crashed one, since no handler runs for
-it). Either way rows keep their order and seqs, draws theirs, and
-pending() is what it would be had every recipient gone through
-on_message. absorb is optional.
+it). It answers for the recipients as it knows them: the loop asks no
+other recipient's handler about a taken entry. Either way rows keep their
+order and seqs, draws theirs, and pending() is what it would be had every
+recipient gone through on_message. absorb is optional.
 """
 
 from __future__ import annotations
@@ -351,8 +352,6 @@ class Network:
         self.rng = random.Random(seed)
         self.now = 0.0
         self.handlers: dict[NodeId, object] = {}
-        # Bumped by register_handler, so a handler can cache who handles whom.
-        self.handlers_version = 0
         self.crashed: set[NodeId] = set()
         # The VIRTUAL group: node ids in ascending order on iteration. Empty
         # until a discovery.VirtualDomain registry attaches itself here.
@@ -392,11 +391,12 @@ class Network:
 
         The handler must expose on_message(net, msg) and on_timer(net, tag),
         and may expose absorb(net, recipients, msg), which returns None or
-        the replies (module docstring).
+        the replies (module docstring). An absorbing handler answers for the
+        recipients as it knows them, not through the handlers registered
+        for them, so registering another handler for one changes no take.
         """
         self._require(node_id)
         self.handlers[node_id] = handler
-        self.handlers_version += 1
 
     def crash(self, node_id: NodeId) -> None:
         """Silence a node: it stops receiving and ticking, and sending from

@@ -277,4 +277,5 @@ def test_decode_message_wrong_length():
 def test_data_transit_size_is_virtual_body():
     msg = Message(MessageKind.DATA, entry(), size_mb=100.0)
     assert transit_size_bytes(msg) == 100.0 * 1024 * 1024
+    assert repr(transit_size_bytes(Message(MessageKind.DATA, entry(), size_mb=5))) == "5242880.0"
     assert transit_size_bytes(Message(MessageKind.HEARTBEAT, entry())) == 33.0

@@ -29,7 +29,7 @@ from dssm.discovery import (
 from dssm.election import ElectionPolicy, heard_members, select_agent
 from dssm.membership import GosNode
 from dssm.metrics import KIND_THROUGHPUT, KIND_TRANSFER_RESPONSE
-from dssm.simnet import LinkConfig, NodeCrashed, UnknownNode
+from dssm.simnet import LinkConfig, NodeCrashed, UnknownNode, export_trace
 
 TWO_DOMAIN = [
     (1, 1, 1024.0, 2800.0),
@@ -739,6 +739,18 @@ def test_transfer_of_non_finite_or_zero_response_time_is_refused(size_mb, delay_
     with pytest.raises(InvalidValue, match="response time"):
         transfer_file(w.net, w.nodes[1].self_entry, 2, size_mb)
     assert (len(w.net.trace), w.net.pending()) == (rows, pending)
+
+
+def test_a_transfer_of_int_megabytes_writes_a_float_size(tmp_path):
+    # A message row's size is a float (README), whatever type size_mb has.
+    w = transfer_world(0.0)
+    transfer_file(w.net, w.nodes[1].self_entry, 2, 5)
+    w.settle(w.net.now + 100_000.0)
+    export_trace(w.net.trace, tmp_path / "trace.csv")
+    rows = [line for line in (tmp_path / "trace.csv").read_text().splitlines()
+            if ",DATA," in line]
+    assert [row.split(",", 2)[2] for row in rows] == [
+        "send,1,2,DATA,5242880.0", "deliver,1,2,DATA,5242880.0"]
 
 
 def test_transfer_rides_the_trace():

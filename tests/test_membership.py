@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import PARAMS, World, load_script
 from dssm import election, membership
-from dssm.core import Ait, Message, MessageKind, message_size_bytes, transit_size_bytes
+from dssm.core import (NO_NODE, Ait, Message, MessageKind, message_size_bytes,
+                       transit_size_bytes)
 from dssm.election import ElectionPolicy
 from dssm.membership import (AlreadyMember, GosNode, HeardBoard, NotMember, Phase,
                              ProtocolParams)
@@ -589,7 +590,7 @@ def test_the_board_takes_a_fan_out_only_when_it_moves_no_recipient(policy, kind,
     assert all(w.nodes[nid].ait.ids() == set() for nid in to if nid != 5)
 
 
-def test_absorb_takes_past_crashed_recipients_and_refuses_another_handler():
+def test_absorb_takes_past_crashed_recipients_and_a_wrapped_follower():
     w = World([(nid, 1, 1024.0, 2800.0) for nid in (1, 2, 3, 4, 5)])
     w.join_all()
     w.settle(500.0)
@@ -610,9 +611,11 @@ def test_absorb_takes_past_crashed_recipients_and_refuses_another_handler():
     w.net.now = 600.0  # so that a take would show in last_heard_ms
     for kind in (MessageKind.LEAVE, MessageKind.QUERY, MessageKind.DATA):
         assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), Message(kind, w.nodes[5].self_entry)) is None
-    w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
-    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg) is None
     assert {nid: (node.ait.by_id, node.last_heard_ms) for nid, node in w.nodes.items()} == views
+    # The board reads no handler: it takes the entry for follower 4 past its wrapper.
+    w.net.register_handler(4, _CheckAfterEachEvent(w.nodes[4], lambda: None))
+    assert w.nodes[1].absorb(w.net, (1, 2, 3, 4), msg) == ()
+    assert [w.nodes[n].last_heard_ms[5] for n in (1, 3, 4)] == [600.0] * 3
 
 
 @pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
@@ -668,16 +671,11 @@ def _push_sent(net, to, msg):
 
 
 def _refusal_cause(board, net, recipients, msg):
-    """The cause `HeardBoard.take` still checks for refusing this entry, read
-    after the refusal, or None."""
+    """The cause `HeardBoard.take` checks for refusing this entry, read after
+    the refusal, or None."""
     sender, followers = msg.sender, board.followers
     sid = sender.node_id
-    if not board._ready(net):
-        return "handler"
     reached = [m for m in recipients if m != sid and m not in net.crashed]
-    if any(m not in followers and net.handlers.get(m).__class__ is not GosNode
-           for m in reached):
-        return "non-follower"
     if any(followers[m]._moves(sender, net.now) for m in reached if m in followers):
         return "moves"
     return None
@@ -686,8 +684,7 @@ def _refusal_cause(board, net, recipients, msg):
 def test_the_board_refuses_an_entry_only_for_a_remaining_cause(monkeypatch):
     # The bundled scenarios at drop 0 and at drop 0.05, and the golden
     # generator's run under each policy. Each entry the board refuses has a
-    # follower whose handler is another object, a reached non-follower that
-    # is not a plain GosNode, or a reached follower whose election it moves.
+    # reached follower whose election it moves.
     take, causes = HeardBoard.take, Counter()
 
     def checked(board, net, recipients, msg):
@@ -708,7 +705,7 @@ def test_the_board_refuses_an_entry_only_for_a_remaining_cause(monkeypatch):
             ScenarioWorld(scenario_from_json(doc)).run()
         except AssertionFailure:
             pass
-    assert None not in causes and causes["moves"] > 0, causes
+    assert set(causes) == {"moves"}, causes
 
 
 PEERS = range(2, 10)
@@ -932,9 +929,9 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
     # failure timeout ago, which moves its election under HIGHEST_CONNECTIVITY.
     # The board takes the JOIN, naming an ACCEPT from each live member and an
     # AGENT_ANNOUNCE from the agent, exactly when no follower it reaches would
-    # re-elect; crashed, joining and offline recipients send nothing, and the
-    # newcomer's own handler does not count. Run output and every node's view
-    # equal those of the same delivery through on_message.
+    # re-elect; crashed, joining and offline recipients send nothing. Run
+    # output and every node's view equal those of the same delivery through
+    # on_message.
     outputs, offered = [], []
     absorb = GosNode.absorb
 
@@ -945,7 +942,6 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
 
     for via in ("absorb", "on_message"):
         w = _join_world(policy, newcomer, power, history)
-        w.net.register_handler(newcomer, _CheckAfterEachEvent(w.nodes[newcomer], lambda: None))
         if stale:
             follower = w.nodes[8]
             agent = w.nodes[follower.agent]
@@ -980,6 +976,41 @@ def test_the_board_takes_a_join_exactly_when_it_moves_no_reached_follower(
             for nid, node in zip(to, map(w.nodes.get, to))]
         assert all(reply.sender == w.nodes[nid].self_entry
                    for nid, sent in zip(to, taken) for reply in sent)
+
+
+def test_a_joiner_learns_nothing_from_takes_while_crashed_or_after_a_reset(monkeypatch):
+    # Node 4 crashes inside its accept window, stays down for a heartbeat
+    # period, is revived and reset to offline, and never joins again. The
+    # board goes on taking the members' fan-outs, which reach node 4 too:
+    # while crashed it keeps what it learned before, and once reset it stays
+    # offline with an empty view.
+    take, takes = HeardBoard.take, []
+
+    def counted(board, net, recipients, msg):
+        took = take(board, net, recipients, msg)
+        if took and 4 in recipients:
+            takes.append(net.now)
+        return took
+
+    monkeypatch.setattr(HeardBoard, "take", counted)
+    w = World([(nid, 1, 1024.0, 2800.0) for nid in (1, 2, 3, 4)])
+    for nid in (1, 2, 3):
+        w.join(nid, at=50.0 * nid)
+    w.join(4, at=150.0 + PARAMS.heartbeat_period_ms)
+    w.crash(4, at=w.net.now + PARAMS.accept_window_ms / 2)
+    node = w.nodes[4]
+    learned, before = dict(node._own), len(takes)
+    w.settle(w.net.now + PARAMS.heartbeat_period_ms)
+    assert len(takes) > before
+    assert node.phase is Phase.JOINING and node._own == learned
+    w.net.revive(4)
+    node.reset_offline()
+    before = len(takes)
+    w.settle(w.net.now + 3 * PARAMS.heartbeat_period_ms)
+    assert len(takes) > before
+    assert node.phase is Phase.OFFLINE and node._own == {} and node.agent == NO_NODE
+    assert node.ait.ids() == set() and node.last_heard_ms == {}
+    assert [n.node_id for n in w.members()] == [1, 2, 3]
 
 
 # Sender 5's power against members 2 (2800 MHz), 4 (2660 MHz) and 6 (2700 MHz).
@@ -1061,10 +1092,25 @@ class _CheckAfterEachEvent:
         self.check()
 
 
-@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
-def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
-    # election.heard_members relies on this under HIGHEST_CONNECTIVITY. Every
-    # member, crashed or not, follows its domain's heard board, and no other node does.
+class _CheckAfterEachTake(_CheckAfterEachEvent):
+    """Also offers each delivery entry to the node's `absorb`, and runs `check`
+    after each entry the board takes, noting its time in `takes`."""
+
+    def __init__(self, node, check, takes):
+        super().__init__(node, check)
+        self.takes = takes
+
+    def absorb(self, net, recipients, msg):
+        taken = self.node.absorb(net, recipients, msg)
+        if taken is not None:
+            self.takes.append(net.now)
+            self.check()
+        return taken
+
+
+def _check_through_lossy_churn(policy, wrapper):
+    """Run six nodes through lossy churn, each behind a `wrapper` of itself
+    that checks every node's view, and return the times of the checks."""
     lossy = LinkConfig(delay_ms=1.0, drop_probability=0.05, bandwidth_mbps=100.0)
     ids = range(1, 7)
     w = World([(nid, 1, 1024.0, 2500.0 + 100.0 * (nid % 3)) for nid in ids],
@@ -1078,7 +1124,7 @@ def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
         checks.append(w.net.now)
 
     for nid, node in w.nodes.items():
-        w.net.register_handler(nid, _CheckAfterEachEvent(node, check))
+        w.net.register_handler(nid, wrapper(node, check))
     w.join_all()
     rng = random.Random(5)
     t, live, down = 1000.0, set(ids), []
@@ -1101,8 +1147,25 @@ def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
             down.append(nid)
         check()
     w.settle(t + 2000.0)
-    assert len(checks) > 1000
     assert any(n.is_member for n in w.nodes.values())
+    return checks
+
+
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+def test_last_heard_keys_are_the_peers_in_the_ait_through_lossy_churn(policy):
+    # election.heard_members relies on this under HIGHEST_CONNECTIVITY. Every
+    # member, crashed or not, follows its domain's heard board, and no other node does.
+    assert len(_check_through_lossy_churn(policy, _CheckAfterEachEvent)) > 1000
+
+
+@pytest.mark.parametrize("policy", list(ElectionPolicy), ids=lambda p: p.value)
+def test_last_heard_keys_are_the_peers_in_the_ait_after_each_take(policy):
+    # The same run with each node's absorb offered every delivery entry: the
+    # board takes entries for the wrapped nodes, and the views hold after each.
+    takes = []
+    checks = _check_through_lossy_churn(
+        policy, lambda node, check: _CheckAfterEachTake(node, check, takes))
+    assert takes and len(checks) > 500
 
 
 VIEW_EVERY_MS = 50.0
