@@ -13,28 +13,35 @@ disk. Before the first pair, `python -m compileall -q src perfbench` runs
 in both checkouts, so that no run compiles what it imports: a process that
 compiles, as each does under PYTHONDONTWRITEBYTECODE=1, has a peak RSS that
 moves with the source text. compileall writes bytecode whatever that
-variable says, and the runs read it. Pair k runs
-`perfbench/run.py --workload all --seed S --seconds T` in both, the parent
-first when k is even.
+variable says, and the runs read it.
 
-Both sides must print the same trace and metrics SHA-256, `ops_attempted`
-and `ops_failed` for every workload and the same digest for every bundled
-scenario, in every run; otherwise, or when a run exits non-zero, the script
-stops with exit status 1. Per workload and end-to-end metric it prints the
-medians, the parent's quartiles, the change/parent ratio of the medians and
-the pairs the change won (the direction comes from BENCHMARK.json).
+Each command runs in alternating pairs, the parent first in even pairs:
+`perfbench/run.py --workload all --seed S --seconds T` N times, then K
+times with `--trace 1`, then with --grid `scripts/bench_grid.py` over the
+given points (NxD, or NxD@policy) N times, each point a workload; the
+parent runs this checkout's `bench_grid.py` over its own `src/`. A run's
+checked outputs are each workload's trace and metrics SHA-256,
+`ops_attempted` and `ops_failed` and each bundled scenario's digest, or
+each point's trace rows and consistency check.
 
---trace-pairs adds K alternating `--trace 1` pairs, and --grid runs the
-given points (NxD, or NxD@policy) of `scripts/bench_grid.py` in each
-checkout, N alternating pairs; both sides must report the same trace rows
-and consistency check. The parent runs this checkout's `bench_grid.py`
-over its own `src/`, so that both sides read the same points. Per point,
-`wall_s`, `process_s` and `export_s`, and the wall and export times scaled
-to a quiet host (`scaled_wall_s`, `scaled_export_s`; see `bench_grid.py`),
-are summarized as the end-to-end metrics are, under the grid's `summary`
-key.
---out writes all of it as one JSON document, in the shape of the committed
-BENCH_*.json files.
+The rule: every run of a side must match that side's first run, and the
+two sides' first runs must match each other unless the checkouts'
+`tests/golden/digests.json` differ byte for byte (a missing file
+differs), as after a change that alters output on purpose. A run that
+breaks the rule or exits non-zero stops the script with exit status 1,
+naming each output that differs.
+
+Per workload and metric it prints the medians, the parent's quartiles, the
+change/parent ratio of the medians and the pairs the change won: for the
+end-to-end metrics (directions from BENCHMARK.json), and under the grid's
+`summary` for a point's `wall_s`, `process_s`, `export_s`,
+`scaled_wall_s` and `scaled_export_s` (lower is better; see
+`bench_grid.py`). --out writes it all as one JSON document, shaped as the
+committed BENCH_*.json files: `goldens_differ` says which rule held (if
+true, no gain can be claimed, since a claim needs identical digests);
+`checked_outputs`, for the benchmark and for the grid, holds each side's
+first run's; final JSON lines go by side and workload in pair order, a
+grid point's as `{"metrics": {name: {"value": v}}}`.
 """
 
 from __future__ import annotations
@@ -53,53 +60,61 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
 GRID = Path("scripts") / "bench_grid.py"
-# The grid point figures that bench_pairs summarizes, all lower-is-better.
+GOLDENS = Path("tests") / "golden" / "digests.json"
+# A workload's checked outputs in a `perfbench/run.py` output.
+CHECKED = ("trace_sha256", "metrics_sha256", "ops_attempted", "ops_failed")
+# A grid point's checked outputs, and its figures that bench_pairs summarizes.
+GRID_CHECKED = ("trace_rows", "violation")
 GRID_METRICS = ("wall_s", "process_s", "export_s", "scaled_wall_s", "scaled_export_s")
+# The wall figure printed as each run ends: a plain run's, a traced run's, a grid point's.
+WALLS = ("wall_s_per_sim_s", "trace.wall_s", "wall_s")
 COMPILE = ["-m", "compileall", "-q", "src", "perfbench"]
 
 
 class Mismatch(Exception):
-    """The two sides disagree on an output that must not change."""
+    """A run failed, or its checked outputs break the agreement rule."""
 
 
-def parse_run(stdout: str) -> dict:
-    """The checked outputs and final JSON line of each workload, and the
-    digest of each bundled scenario, from one `perfbench/run.py` output."""
-    bundled, workloads, current = {}, {}, None
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """From one `perfbench/run.py` output: its checked outputs, each
+    workload's CHECKED lines and, under "bundled", each bundled scenario's
+    digest; and each workload's final JSON line."""
+    checked, finals, current = {"bundled": {}}, {}, None
     for line in stdout.splitlines():
         if line.startswith("bundled "):
             _, name, detail = line.split(None, 2)
-            bundled[name] = detail
+            checked["bundled"][name] = detail
         elif line.startswith("== "):
-            current = workloads.setdefault(line.split()[1], {})
+            current = line.split()[1]
+            checked.setdefault(current, {})
         elif line.startswith("{") and current is not None:
-            current["final"] = json.loads(line)
+            finals[current] = json.loads(line)
         elif current is not None and line[:1].isalpha():
             key, _, value = line.partition(" ")
-            if key in ("trace_sha256", "metrics_sha256", "ops_attempted", "ops_failed"):
-                current[key] = value.strip()
-    return {"bundled": bundled, "workloads": workloads}
+            if key in CHECKED:
+                checked[current][key] = value.strip()
+    return checked, finals
 
 
-def checked(run: dict) -> dict:
-    """What both sides must agree on: everything `parse_run` keeps except
-    the final JSON lines."""
-    return {"bundled": run["bundled"],
-            "workloads": {name: {k: v for k, v in w.items() if k != "final"}
-                          for name, w in run["workloads"].items()}}
-
-
-def check_same(reference: dict, run: dict, label: str) -> None:
-    """Raise Mismatch naming each output of `run` that differs from `reference`."""
-    want, got = checked(reference), checked(run)
-    diffs = [f"bundled {name}: {want['bundled'].get(name)} != {detail}"
-             for name, detail in got["bundled"].items() if want["bundled"].get(name) != detail]
-    for name in sorted(want["workloads"].keys() | got["workloads"].keys()):
-        a, b = want["workloads"].get(name, {}), got["workloads"].get(name, {})
+def check_same(want: dict, got: dict, label: str) -> None:
+    """Raise Mismatch under `label` naming each checked output of `got`
+    unlike `want`'s."""
+    diffs = []
+    for name in sorted(want.keys() | got.keys()):
+        a, b = want.get(name, {}), got.get(name, {})
         diffs += [f"{name} {key}: {a.get(key)} != {b.get(key)}"
                   for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
     if diffs:
-        raise Mismatch(f"{label} differs from the first parent run:\n  " + "\n  ".join(diffs))
+        raise Mismatch(f"{label}:\n  " + "\n  ".join(diffs))
+
+
+def goldens_differ(sides: dict[str, Path]) -> bool:
+    """Whether the two checkouts' golden digests differ, byte for byte; a
+    missing file counts as differing."""
+    try:
+        return (sides["parent"] / GOLDENS).read_bytes() != (sides["change"] / GOLDENS).read_bytes()
+    except FileNotFoundError:
+        return True
 
 
 def _sig(value: float) -> float:
@@ -174,47 +189,39 @@ def compile_sides(sides: dict[str, Path]) -> None:
         run_side(checkout, COMPILE, 600)
 
 
-def alternate(pairs: int, sides: dict[str, Path], args: list[str], timeout_s: float,
-              check) -> dict[str, list[str]]:
-    """Run `args` in both checkouts `pairs` times, the parent first in even
-    pairs; `check(side, pair, stdout)` sees each output as it arrives."""
-    out = {"parent": [], "change": []}
-    for k in range(pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            stdout = run_side(sides[side], args, timeout_s)
-            out[side].append(stdout)
-            check(side, k, stdout)
-    return out
+def run_pairs(count: int, sides: dict[str, Path], command: list[str], timeout_s: float,
+              parse, differ: bool, first: dict[str, dict]) -> dict[str, dict[str, list[dict]]]:
+    """Run `command` in `count` alternating pairs and hold each run to the
+    module docstring's rule: `differ` says whether the goldens differ, and
+    `first` keeps each side's first run across calls. `parse(stdout)` gives
+    a run's checked outputs, in `parse_run`'s shape, and its final lines by
+    workload. Returns each side's final lines by workload, in pair order."""
+    lines = {"parent": {}, "change": {}}
+    for k in range(count):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            run, finals = parse(run_side(sides[side], command, timeout_s))
+            first.setdefault(side, run)
+            against = side if differ else "parent"
+            check_same(first[against], run,
+                       f"{side} run of pair {k} differs from the first {against} run")
+            walls = []
+            for workload, final in finals.items():
+                lines[side].setdefault(workload, []).append(final)
+                metrics = final["metrics"]
+                wall = next(name for name in WALLS if name in metrics)
+                walls.append(f"{workload}={metrics[wall]['value']:.4g}")
+            print(f"pair {k} {side:<6} " + " ".join(walls), flush=True)
+    return lines
 
 
-def bench_pairs(args, sides: dict[str, Path]) -> dict:
+def bench_pairs(args, sides: dict[str, Path], differ: bool) -> dict:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     command = [str(RUN), "--workload", "all", "--seed", str(args.seed),
                "--seconds", str(args.seconds)]
     timeout_s = 60 * args.seconds + 600
-    reference = {}
-
-    def check(side, k, stdout):
-        run = parse_run(stdout)
-        reference.setdefault("run", run)
-        check_same(reference["run"], run, f"{side} run of pair {k}")
-        # wall_s_per_sim_s of a plain run, the traced instance's wall time of a traced one.
-        walls = {}
-        for workload, w in run["workloads"].items():
-            metrics = w["final"]["metrics"]
-            name = "wall_s_per_sim_s" if "wall_s_per_sim_s" in metrics else "trace.wall_s"
-            walls[workload] = metrics[name]["value"]
-        print(f"pair {k} {side:<6} " + " ".join(f"{w}={v:.4g}" for w, v in walls.items()),
-              flush=True)
-
-    runs = alternate(args.pairs, sides, command, timeout_s, check)
-    lines = {side: {} for side in runs}
-    for side, outputs in runs.items():
-        for stdout in outputs:
-            for workload, w in parse_run(stdout)["workloads"].items():
-                lines[side].setdefault(workload, []).append(w["final"])
+    first = {}
+    lines = run_pairs(args.pairs, sides, command, timeout_s, parse_run, differ, first)
     summary = summarize(lines["parent"], lines["change"], better)
     print(format_summary(summary), flush=True)
     doc = {
@@ -223,13 +230,11 @@ def bench_pairs(args, sides: dict[str, Path]) -> dict:
         "parent": {"commit": args.parent_commit, "final_json_lines": lines["parent"]},
         "change": {"final_json_lines": lines["change"]},
         "end_to_end_summary": summary,
-        "checked_outputs": checked(reference["run"]),
+        "checked_outputs": first,
     }
     if args.trace_pairs:
-        traced = alternate(args.trace_pairs, sides, [*command, "--trace", "1"], timeout_s, check)
-        final = {side: {w: [parse_run(s)["workloads"][w]["final"] for s in outputs]
-                        for w in parse_run(outputs[0])["workloads"]}
-                 for side, outputs in traced.items()}
+        final = run_pairs(args.trace_pairs, sides, [*command, "--trace", "1"], timeout_s,
+                          parse_run, differ, first)
         counts = {w: {name: {side: final[side][w][0]["metrics"][name]["value"]
                              for side in final}
                       for name, m in final["parent"][w][0]["metrics"].items()
@@ -240,47 +245,26 @@ def bench_pairs(args, sides: dict[str, Path]) -> dict:
     return doc
 
 
-def grid_pairs(args, sides: dict[str, Path]) -> dict:
+def grid_pairs(args, sides: dict[str, Path], differ: bool) -> dict:
     from bench_grid import point_name
 
-    points = [point_name(*point) for point in args.grid]
-    command = [str(GRID), *points]
-    reference = {}
+    names = [point_name(*point) for point in args.grid]
+    command = [str(GRID), *names]
 
-    def check(side, k, stdout):
-        result = json.loads(stdout.strip().splitlines()[-1])["points"]
-        shape = [(p["n"], p["d"], p.get("policy"), p["trace_rows"], p["violation"])
-                 for p in result]
-        reference.setdefault("shape", shape)
-        if shape != reference["shape"]:
-            raise Mismatch(f"grid: {side} run of pair {k} gives {shape}, "
-                           f"the first parent run {reference['shape']}")
-        print(f"grid pair {k} {side:<6} " + " ".join(
-            f"{name}={p['wall_s']:.3f}s export={p['export_s']:.3f}s "
-            f"scaled={p['scaled_wall_s']:.3f}s/{p['scaled_export_s']:.3f}s"
-            for name, p in zip(points, result)), flush=True)
+    def parse(stdout):
+        points = dict(zip(names, json.loads(stdout.strip().splitlines()[-1])["points"]))
+        return ({name: {k: p[k] for k in GRID_CHECKED} for name, p in points.items()},
+                {name: {"metrics": {k: {"value": v} for k, v in p.items()
+                                    if k not in GRID_CHECKED + ("n", "d", "policy")}}
+                 for name, p in points.items()})
 
-    runs = alternate(args.pairs, sides, command, 3600, check)
-    results = {side: [json.loads(s.strip().splitlines()[-1])["points"] for s in outputs]
-               for side, outputs in runs.items()}
-    summary = summarize_grid(points, results["parent"], results["change"])
+    first = {}
+    lines = run_pairs(args.pairs, sides, command, 3600, parse, differ, first)
+    summary = summarize(lines["parent"], lines["change"], dict.fromkeys(GRID_METRICS, "lower"))
     print(format_summary(summary), flush=True)
     return {"command": "python3 " + " ".join(command),
             "pairs": f"{args.pairs} alternating parent/change pairs",
-            **results, "summary": summary}
-
-
-def summarize_grid(points: list[str], parent: list[list[dict]],
-                   change: list[list[dict]]) -> dict:
-    """`summarize` over grid runs, each point a workload with the lower-is-
-    better metrics GRID_METRICS. `parent` and `change` hold each run's
-    points in `points` order, in pair order."""
-    def lines(runs):
-        return {name: [{"metrics": {m: {"value": run[i][m]} for m in GRID_METRICS}}
-                       for run in runs]
-                for i, name in enumerate(points)}
-
-    return summarize(lines(parent), lines(change), dict.fromkeys(GRID_METRICS, "lower"))
+            **lines, "checked_outputs": first, "summary": summary}
 
 
 def main() -> int:
@@ -309,14 +293,17 @@ def main() -> int:
     try:
         export_rev(args.parent_commit, tmp)
         sides = {"parent": tmp, "change": ROOT}
+        differ = goldens_differ(sides)
+        print(f"goldens {'differ' if differ else 'agree'}", flush=True)
         compile_sides(sides)
         doc = {"description": args.description,
                "host": f"{platform.machine()}, {platform.python_implementation()} "
-                       f"{platform.python_version()}"}
-        doc.update(bench_pairs(args, sides))
+                       f"{platform.python_version()}",
+               "goldens_differ": differ}
+        doc.update(bench_pairs(args, sides, differ))
         if args.grid:
             shutil.copy(ROOT / GRID, tmp / GRID)
-            doc["grid"] = grid_pairs(args, sides)
+            doc["grid"] = grid_pairs(args, sides, differ)
     except Mismatch as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1

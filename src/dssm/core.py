@@ -274,11 +274,14 @@ def transit_size_bytes(msg: Message) -> float:
     """Size that occupies the link: the encoded datagram, except DATA whose
     8-byte size field stands in for a body of size_mb megabytes. Always a
     float, for an int size_mb too. A DATA size that is negative, or whose
-    byte count is not finite, raises InvalidValue: its transit time would be
-    negative or undefined."""
+    byte count is not finite (an int size_mb beyond float range too), raises
+    InvalidValue: its transit time would be negative or undefined."""
     kind = msg.kind
     if kind is _DATA:
-        size = msg.size_mb * 1048576.0
+        try:
+            size = msg.size_mb * 1048576.0
+        except OverflowError:  # an int size_mb beyond float range
+            size = math.inf
         if not 0.0 <= size < math.inf:
             raise InvalidValue(f"DATA size_mb {msg.size_mb} must be >= 0 "
                                "with a finite byte count")

@@ -293,10 +293,13 @@ def transfer_file(net: Network, sender: AitEntry, to: NodeId, size_mb: float
     not finite and > 0, or one so small that the throughput is not finite,
     raises InvalidValue before anything is sent.
     """
-    if math.isnan(size_mb) or size_mb <= 0:
+    if not size_mb > 0:  # NaN too
         raise InvalidValue(f"size_mb {size_mb} must be > 0")
     link = net.link_between(sender.node_id, to)
-    size_bytes = size_mb * 1024 * 1024
+    try:
+        size_bytes = size_mb * 1048576.0
+    except OverflowError:  # an int size_mb beyond float range
+        size_bytes = math.inf
     response_ms = link.transit_ms(size_bytes)
     if not 0.0 < response_ms < math.inf:
         raise InvalidValue(f"transfer of {size_mb!r} MB at {link.bandwidth_mbps!r} Mbps: "

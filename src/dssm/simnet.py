@@ -22,9 +22,9 @@ A send is checked before it leaves any mark. A unicast raises, in this
 order: UnknownNode for an unknown src, NodeCrashed for a crashed src,
 UnknownNode for an unknown dst, then InvalidValue for a bad DATA size; a
 multicast the first two and the last, and set_timer UnknownNode for an
-unknown owner, then InvalidValue for a negative or non-finite delay. A
-refused call adds no trace row, takes no seq, draws nothing and queues
-nothing.
+unknown owner, then InvalidValue for a negative delay or a deadline that
+is not finite. A refused call adds no trace row, takes no seq, draws
+nothing and queues nothing.
 
 The event queue is a heap of plain tuples ordered by (time_ms, seq); seq
 strictly increases with scheduling order, so simultaneity ties break
@@ -471,16 +471,20 @@ class Network:
 
     def set_timer(self, owner: NodeId, tag: str, fire_in_ms: float) -> None:
         """Schedule a one-shot timer; re-setting (owner, tag) replaces any
-        pending one. A delay that is negative or not finite raises
-        InvalidValue."""
+        pending one. A delay that is negative, or whose deadline is not
+        finite (an int delay beyond float range too), raises InvalidValue."""
         if owner not in self.topology.nodes:
             self._require(owner)  # raises
-        if not 0.0 <= fire_in_ms < math.inf:
-            raise InvalidValue(f"timer delay {fire_in_ms} must be finite and >= 0")
+        try:
+            deadline = self.now + fire_in_ms
+        except OverflowError:  # an int delay beyond float range
+            deadline = math.inf
+        if not (0.0 <= fire_in_ms and deadline < math.inf):
+            raise InvalidValue(f"timer delay {fire_in_ms} must be >= 0 with a finite deadline")
         self._seq += 1
         seq = self._timers[(owner, tag)] = self._seq
         self._pending += 1
-        heapq.heappush(self._heap, (self.now + fire_in_ms, seq, owner, None, tag))
+        heapq.heappush(self._heap, (deadline, seq, owner, None, tag))
 
     def cancel_timer(self, owner: NodeId, tag: str) -> None:
         self._require(owner)

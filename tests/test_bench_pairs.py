@@ -10,9 +10,13 @@ BETTER = {"wall_s_per_sim_s": "lower", "events_per_s": "higher"}
 
 
 def final_line(wall, events):
+    """A workload's final JSON line, with every end-to-end metric."""
     return {"correct": True, "attempted": 4, "failed": 0,
             "metrics": {"wall_s_per_sim_s": {"value": wall, "unit": "s/s"},
-                        "events_per_s": {"value": events, "unit": "1/s"}}}
+                        "events_per_s": {"value": events, "unit": "1/s"},
+                        "setup_s": {"value": 0.05, "unit": "s"},
+                        "export_s": {"value": 0.2, "unit": "s"},
+                        "peak_rss_mb": {"value": 30.0, "unit": "MB"}}}
 
 
 def run_output(wall, events, trace_sha="aa", failed="0  {}"):
@@ -31,21 +35,19 @@ def run_output(wall, events, trace_sha="aa", failed="0  {}"):
 
 
 def test_parse_run_keeps_the_checked_outputs_and_the_final_line():
-    run = bench_pairs.parse_run(run_output(0.01, 2e6))
-    assert run["bundled"] == {"churn50": "pass  trace 11 metrics 22"}
-    hb = run["workloads"]["hb_dense"]
-    assert hb["final"] == final_line(0.01, 2e6)
-    assert bench_pairs.checked(run)["workloads"] == {"hb_dense": {
-        "trace_sha256": "aa", "metrics_sha256": "bb", "ops_attempted": "4",
-        "ops_failed": "0  {}"}}
+    checked, finals = bench_pairs.parse_run(run_output(0.01, 2e6))
+    assert checked == {"bundled": {"churn50": "pass  trace 11 metrics 22"},
+                       "hb_dense": {"trace_sha256": "aa", "metrics_sha256": "bb",
+                                    "ops_attempted": "4", "ops_failed": "0  {}"}}
+    assert finals == {"hb_dense": final_line(0.01, 2e6)}
 
 
 @pytest.mark.parametrize("change", [{"trace_sha": "ab"}, {"failed": "1  {\"check\": 1}"}])
 def test_check_same_fails_on_a_changed_digest_or_operation_count(change):
-    parent = bench_pairs.parse_run(run_output(0.01, 2e6))
-    bench_pairs.check_same(parent, bench_pairs.parse_run(run_output(0.02, 1e6)), "same")
+    parent, _ = bench_pairs.parse_run(run_output(0.01, 2e6))
+    bench_pairs.check_same(parent, bench_pairs.parse_run(run_output(0.02, 1e6))[0], "same")
     with pytest.raises(bench_pairs.Mismatch):
-        bench_pairs.check_same(parent, bench_pairs.parse_run(run_output(0.01, 2e6, **change)),
+        bench_pairs.check_same(parent, bench_pairs.parse_run(run_output(0.01, 2e6, **change))[0],
                                "changed")
 
 
@@ -75,24 +77,98 @@ def grid_output(*points):
         for n, d, wall, export, rows in points]}) + "\n"
 
 
+def canned_sides(monkeypatch, canned):
+    """Sides whose runs print, in turn, the outputs `canned` lists for them."""
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda checkout, args, timeout_s: canned[checkout].pop(0))
+    return {"parent": "parent", "change": "change"}
+
+
+def bench_args(pairs, trace_pairs=0):
+    return type("Args", (), {"pairs": pairs, "trace_pairs": trace_pairs, "seed": 5,
+                             "seconds": 2.0, "parent_commit": "8010a60"})()
+
+
+def test_sides_that_differ_stop_at_pair_0_while_the_goldens_agree(monkeypatch):
+    sides = canned_sides(monkeypatch, {"parent": [run_output(0.01, 2e6)],
+                                       "change": [run_output(0.01, 2e6, trace_sha="ab")]})
+    with pytest.raises(bench_pairs.Mismatch) as info:
+        bench_pairs.bench_pairs(bench_args(1), sides, False)
+    assert str(info.value) == ("change run of pair 0 differs from the first parent run:\n"
+                               "  hb_dense trace_sha256: aa != ab")
+
+
+def test_when_the_goldens_differ_the_document_holds_both_sides(monkeypatch, capsys):
+    # Two plain pairs, then one traced pair; each side agrees with itself.
+    canned = {"parent": [run_output(wall, 2e6) for wall in (0.010, 0.012, 0.011)],
+              "change": [run_output(wall, 2e6, trace_sha="ab", failed="1  {}")
+                         for wall in (0.008, 0.009, 0.007)]}
+    outputs = {side: bench_pairs.parse_run(runs[0])[0] for side, runs in canned.items()}
+    sides = canned_sides(monkeypatch, canned)
+    doc = bench_pairs.bench_pairs(bench_args(2, trace_pairs=1), sides, True)
+    assert doc["checked_outputs"] == outputs
+    assert outputs["parent"]["hb_dense"]["trace_sha256"] == "aa"
+    assert outputs["change"]["hb_dense"]["ops_failed"] == "1  {}"
+    assert [line["metrics"]["wall_s_per_sim_s"]["value"]
+            for line in doc["change"]["final_json_lines"]["hb_dense"]] == [0.008, 0.009]
+    assert doc["traced"]["final_json_lines"]["parent"]["hb_dense"][0] == final_line(0.011, 2e6)
+    wall = doc["end_to_end_summary"]["hb_dense"]["wall_s_per_sim_s"]
+    assert (wall["parent_median"], wall["change_median"], wall["change_wins"]) == (
+        0.011, 0.0085, "2/2")
+    out = capsys.readouterr().out
+    assert "pair 0 parent hb_dense=0.01\npair 0 change hb_dense=0.008\n" in out
+    assert "pair 1 change hb_dense=0.009\npair 1 parent hb_dense=0.012\n" in out
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_a_side_whose_own_runs_disagree_stops_under_either_rule(monkeypatch, differ):
+    # When the goldens differ the change keeps its own trace; its second run
+    # changes an operation count.
+    sha = "ab" if differ else "aa"
+    sides = canned_sides(monkeypatch, {
+        "parent": [run_output(0.01, 2e6)] * 2,
+        "change": [run_output(0.01, 2e6, trace_sha=sha),
+                   run_output(0.01, 2e6, trace_sha=sha, failed="1  {}")]})
+    against = "change" if differ else "parent"
+    with pytest.raises(bench_pairs.Mismatch) as info:
+        bench_pairs.bench_pairs(bench_args(2), sides, differ)
+    assert str(info.value) == (f"change run of pair 1 differs from the first {against} run:\n"
+                               "  hb_dense ops_failed: 0  {} != 1  {}")
+
+
+@pytest.mark.parametrize("parent, change, differ", [
+    ("{}\n", "{}\n", False), ("{}\n", "{}", True), (None, "{}\n", True), ("{}\n", None, True)])
+def test_goldens_differ_compares_the_golden_files_byte_for_byte(tmp_path, parent, change,
+                                                                differ):
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    for side, text in (("parent", parent), ("change", change)):
+        if text is not None:
+            golden = sides[side] / bench_pairs.GOLDENS
+            golden.parent.mkdir(parents=True)
+            golden.write_text(text)
+    assert bench_pairs.goldens_differ(sides) is differ
+
+
 def test_grid_pairs_summarize_each_point_as_a_workload(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(bench_pairs.ROOT / "scripts"))
     # Per side, in pair order: 160x1's export falls, 40x8's wall time does not.
-    canned = {"parent": [grid_output((160, 1, 0.20, 0.44, 1000), (40, 8, 0.30, 0.30, 800)),
-                         grid_output((160, 1, 0.22, 0.46, 1000), (40, 8, 0.31, 0.28, 800)),
-                         grid_output((160, 1, 0.21, 0.42, 1000), (40, 8, 0.29, 0.32, 800))],
-              "change": [grid_output((160, 1, 0.21, 0.33, 1000), (40, 8, 0.33, 0.20, 800)),
-                         grid_output((160, 1, 0.20, 0.34, 1000), (40, 8, 0.31, 0.21, 800)),
-                         grid_output((160, 1, 0.23, 0.43, 1000), (40, 8, 0.32, 0.19, 800))]}
-    sides = {"parent": "parent", "change": "change"}
-    monkeypatch.setattr(bench_pairs, "run_side",
-                        lambda checkout, args, timeout_s: canned[checkout].pop(0))
+    sides = canned_sides(monkeypatch, {
+        "parent": [grid_output((160, 1, 0.20, 0.44, 1000), (40, 8, 0.30, 0.30, 800)),
+                   grid_output((160, 1, 0.22, 0.46, 1000), (40, 8, 0.31, 0.28, 800)),
+                   grid_output((160, 1, 0.21, 0.42, 1000), (40, 8, 0.29, 0.32, 800))],
+        "change": [grid_output((160, 1, 0.21, 0.33, 1000), (40, 8, 0.33, 0.20, 800)),
+                   grid_output((160, 1, 0.20, 0.34, 1000), (40, 8, 0.31, 0.21, 800)),
+                   grid_output((160, 1, 0.23, 0.43, 1000), (40, 8, 0.32, 0.19, 800))]})
     args = type("Args", (), {"grid": [(160, 1, "max_power"), (40, 8, "max_power")],
                              "pairs": 3})()
-    doc = bench_pairs.grid_pairs(args, sides)
+    doc = bench_pairs.grid_pairs(args, sides, False)
     out = capsys.readouterr().out
-    assert "grid pair 0 parent 160x1=0.200s export=0.440s scaled=0.100s/0.220s" in out
-    assert [p["export_s"] for p in doc["change"][2]] == [0.43, 0.19]
+    assert "pair 0 parent 160x1=0.2 40x8=0.3\n" in out
+    assert [doc["change"][point][2]["metrics"]["export_s"]["value"]
+            for point in ("160x1", "40x8")] == [0.43, 0.19]
+    assert doc["checked_outputs"]["change"] == {
+        "160x1": {"trace_rows": 1000, "violation": None},
+        "40x8": {"trace_rows": 800, "violation": None}}
     summary = doc["summary"]
     assert list(summary) == ["160x1", "40x8"]
     assert list(summary["160x1"]) == ["wall_s", "process_s", "export_s", "scaled_wall_s",
@@ -112,13 +188,11 @@ def test_grid_pairs_summarize_each_point_as_a_workload(monkeypatch, capsys):
 
 def test_grid_pairs_stop_when_the_trace_rows_differ(monkeypatch):
     monkeypatch.syspath_prepend(str(bench_pairs.ROOT / "scripts"))
-    canned = {"parent": [grid_output((160, 1, 0.2, 0.4, 1000))],
-              "change": [grid_output((160, 1, 0.2, 0.3, 999))]}
-    monkeypatch.setattr(bench_pairs, "run_side",
-                        lambda checkout, args, timeout_s: canned[checkout].pop(0))
+    sides = canned_sides(monkeypatch, {"parent": [grid_output((160, 1, 0.2, 0.4, 1000))],
+                                       "change": [grid_output((160, 1, 0.2, 0.3, 999))]})
     args = type("Args", (), {"grid": [(160, 1, "max_power")], "pairs": 1})()
-    with pytest.raises(bench_pairs.Mismatch):
-        bench_pairs.grid_pairs(args, {"parent": "parent", "change": "change"})
+    with pytest.raises(bench_pairs.Mismatch, match="160x1 trace_rows: 1000 != 999"):
+        bench_pairs.grid_pairs(args, sides, False)
 
 
 def test_compile_sides_writes_bytecode_that_a_run_imports(tmp_path, monkeypatch):

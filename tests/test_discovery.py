@@ -741,6 +741,18 @@ def test_transfer_of_non_finite_or_zero_response_time_is_refused(size_mb, delay_
     assert (len(w.net.trace), w.net.pending()) == (rows, pending)
 
 
+def test_data_of_int_megabytes_beyond_float_range_is_refused():
+    # 10**400 passes a `> 0` check, but its byte count overflows a float.
+    w = transfer_world(0.0)
+    rows, pending = len(w.net.trace), w.net.pending()
+    data = Message(MessageKind.DATA, w.nodes[1].self_entry, size_mb=10**400)
+    with pytest.raises(InvalidValue, match="finite byte count"):
+        w.net.send_unicast(1, 2, data)
+    with pytest.raises(InvalidValue, match="response time"):
+        transfer_file(w.net, w.nodes[1].self_entry, 2, 10**400)
+    assert (len(w.net.trace), w.net.pending()) == (rows, pending)
+
+
 def test_a_transfer_of_int_megabytes_writes_a_float_size(tmp_path):
     # A message row's size is a float (README), whatever type size_mb has.
     w = transfer_world(0.0)

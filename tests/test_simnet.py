@@ -585,6 +585,19 @@ def test_timer_of_negative_or_non_finite_delay_is_refused(fire_in_ms):
     assert recs[1].timers == [(55.0, "neg")]
 
 
+def test_timer_whose_deadline_overflows_is_refused_before_any_mark():
+    # An int delay passes `0 <= delay < inf`, but the deadline now + 10**400
+    # is beyond float range: refused, it replaces no timer and queues nothing.
+    net = Network(topo({1: 1}), seed=0)
+    recs = wire(net, [1])
+    net.set_timer(1, "t", 5.0)
+    _leaves_nothing(net, InvalidValue, lambda: net.set_timer(1, "t", 10**400))
+    net.run_until_quiescent(1000.0)
+    assert recs[1].timers == [(5.0, "t")]
+    assert [row.seq for row in net.trace] == [1]
+    assert net.pending() == 0
+
+
 def test_timer_reset_replaces():
     net = Network(topo({1: 1}), seed=0)
     recs = wire(net, [1])
